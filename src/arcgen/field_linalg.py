@@ -24,7 +24,6 @@ __all__ = [
     "kron",
     "unipotent_matrix",
     "mat_inverse",
-    "quotient_dim",
 ]
 
 
@@ -111,9 +110,6 @@ class FpMatrix:
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._check_modulus(other)
         return FpMatrix._make((self.a - other.a) % self.p, self.p)
-
-    def scaled(self, c: int) -> "FpMatrix":
-        return FpMatrix._make((self.a * (c % self.p)) % self.p, self.p)
 
     def __pow__(self, k: int) -> "FpMatrix":
         if self.rows != self.cols:
@@ -299,9 +295,3 @@ def _pivot_columns(a: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     return np.argmax(a != 0, axis=1)
 
-
-def quotient_dim(inner: FpSubspace, outer: FpSubspace) -> int:
-    """dim(outer / inner); every inner basis row must lie in outer."""
-    if not outer.contains_space(inner):
-        raise ValueError("inner subspace is not contained in outer subspace")
-    return outer.dim - inner.dim

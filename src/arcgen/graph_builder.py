@@ -25,9 +25,6 @@ __all__ = [
     "empty_graph",
     "standard_connection",
     "build_family_graph",
-    "valency",
-    "is_connected",
-    "is_regular",
     "export_graph",
     "parse_graph",
 ]
@@ -47,9 +44,9 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph with indexed vertices."""
 
-    __slots__ = ("n", "labels", "adj")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, edges, labels=None):
+    def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError("vertex count cannot be negative")
         nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -65,11 +62,6 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in nbrs
         )
-        if labels is None:
-            labels = list(range(n))
-        if len(labels) != n:
-            raise ValueError("label count does not match vertex count")
-        self.labels = tuple(labels)
 
     @property
     def m(self) -> int:
@@ -120,7 +112,6 @@ class Graph:
         return count == self.n
 
     def __eq__(self, other) -> bool:
-        # labels are descriptive metadata; structural equality only
         if not isinstance(other, Graph):
             return NotImplemented
         return self.n == other.n and self.adj == other.adj
@@ -130,18 +121,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def valency(g: Graph) -> int:
-    return g.valency()
-
-
-def is_connected(g: Graph) -> bool:
-    return g.is_connected()
-
-
-def is_regular(g: Graph) -> bool:
-    return g.is_regular()
 
 
 @dataclass(frozen=True)
@@ -178,7 +157,7 @@ def cayley(spec: CayleySpec) -> Graph:
                 edges.append((k, t))
             elif t < k:
                 edges.append((t, k))
-    g = Graph(n, edges, labels=list(H.elements()))
+    g = Graph(n, edges)
     # connectivity must agree with generation
     generated = {(0, 0)}
     frontier = [(0, 0)]
@@ -236,12 +215,7 @@ def wreath_product(gamma: Graph, delta: Graph) -> Graph:
                 for c1 in range(inner):
                     for c2 in range(inner):
                         edges.append((base + c1, d2 * inner + c2))
-    labels = [
-        (delta.labels[d], gamma.labels[c])
-        for d in range(delta.n)
-        for c in range(inner)
-    ]
-    return Graph(n, edges, labels=labels)
+    return Graph(n, edges)
 
 
 def standard_connection(H: AbelianH) -> tuple[tuple[int, int], ...]:

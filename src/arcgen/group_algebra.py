@@ -43,7 +43,6 @@ __all__ = [
     "min_generators_local",
     "outer_action",
     "index_lower_bound",
-    "algebra_mul",
 ]
 
 
@@ -119,9 +118,6 @@ class EBasisChange:
 
     def natural_to_e(self, vec: np.ndarray) -> np.ndarray:
         return (np.asarray(vec, dtype=np.int64) @ self.to_e.a.T) % self.H.p
-
-    def e_to_natural(self, vec: np.ndarray) -> np.ndarray:
-        return (np.asarray(vec, dtype=np.int64) @ self.from_e.a.T) % self.H.p
 
     def conjugate_to_e(self, m: FpMatrix) -> FpMatrix:
         """Rewrite a right-action operator from natural to e coordinates.
@@ -409,17 +405,3 @@ def index_lower_bound(d_h: int, index: int) -> int:
         raise ValueError("generator count cannot be negative")
     return -(-d_h // index)
 
-
-def algebra_mul(u: np.ndarray, v: np.ndarray, H: AbelianH) -> np.ndarray:
-    """Convolution product of two coefficient vectors of F_p[H]."""
-    u = np.mod(np.asarray(u, dtype=np.int64), H.p)
-    v = np.mod(np.asarray(v, dtype=np.int64), H.p)
-    if u.shape != (H.ambient,) or v.shape != (H.ambient,):
-        raise ValueError("coefficient vectors must have length q^2")
-    out = np.zeros(H.ambient, dtype=np.int64)
-    for k in np.nonzero(u)[0]:
-        x = H.element(int(k))
-        for l in np.nonzero(v)[0]:
-            y = H.element(int(l))
-            out[H.index(*H.mul(x, y))] += u[k] * v[l]
-    return out % H.p

@@ -16,7 +16,6 @@ and (g * h).images[x] == h.images[g.images[x]].
 from __future__ import annotations
 
 import math
-import threading
 import time
 from collections import deque
 
@@ -30,7 +29,6 @@ __all__ = [
     "PermGroup",
     "NotTransitiveError",
     "is_automorphism",
-    "orbit_of",
     "is_vertex_transitive",
     "is_arc_transitive",
     "arc_orbit_size",
@@ -38,7 +36,6 @@ __all__ = [
     "frattini_decomposition_check",
     "frattini_rank",
     "exponent",
-    "generated",
     "normal_closure",
     "commutator",
     "perm_to_line",
@@ -358,7 +355,6 @@ class PermGroup:
         self.generators = tuple(gens)
         self.caps = caps if caps is not None else DEFAULT_CAPS
         self._chain: StabChain | None = None
-        self._lock = threading.Lock()
 
     @classmethod
     def trivial(cls, degree: int, caps: Caps | None = None) -> "PermGroup":
@@ -371,14 +367,9 @@ class PermGroup:
         return g
 
     def chain(self) -> StabChain:
-        with self._lock:
-            if self._chain is None:
-                self._chain = StabChain(
-                    self.degree,
-                    [g.images for g in self.generators],
-                    caps=self.caps,
-                )
-            return self._chain
+        if self._chain is None:
+            self._chain = self.fresh_chain()
+        return self._chain
 
     def fresh_chain(self, base_prefix=()) -> StabChain:
         """Build an uncached chain, optionally with a forced base prefix."""
@@ -448,18 +439,22 @@ class PermGroup:
         return {point: Perm._wrap(arr) for point, arr in reps.items()}
 
     def stabilizer(self, v: int) -> "PermGroup":
-        """Point stabilizer, generated by the chain's deeper strong generators."""
+        """Point stabilizer, generated by the chain's deeper strong generators.
+
+        The group's own chain serves when its first base point is v; with
+        no chain yet, the group's one chain is built with base v first.
+        Only a different first base point costs a fresh chain.
+        """
         if not 0 <= v < self.degree:
             raise ValueError(f"point {v} out of range")
-        chain = self.fresh_chain(base_prefix=(v,))
+        chain = self._chain
+        if chain is None:
+            chain = self._chain = self.fresh_chain(base_prefix=(v,))
+        elif chain.base()[:1] != [v]:
+            chain = self.fresh_chain(base_prefix=(v,))
         gens = [Perm._wrap(a.copy()) for a in chain.strong_generators(1)]
         sub = StabChain._from_levels(self.degree, chain.levels[1:], self.caps)
         return PermGroup._with_chain(gens, sub, self.degree, self.caps)
-
-
-def generated(perms, degree: int | None = None, caps: Caps | None = None) -> PermGroup:
-    """Group generated by the given permutations."""
-    return PermGroup(perms, degree=degree, caps=caps)
 
 
 def commutator(g: Perm, h: Perm) -> Perm:
@@ -567,11 +562,6 @@ def _require_automorphisms(graph: Graph, G: PermGroup) -> None:
     for i, g in enumerate(G.generators):
         if not is_automorphism(graph, g):
             raise ValueError(f"generator {i + 1} is not an automorphism")
-
-
-def orbit_of(points, G: PermGroup) -> list[int]:
-    """Functional form of PermGroup.orbit."""
-    return G.orbit(points)
 
 
 def is_vertex_transitive(graph: Graph, G: PermGroup) -> bool:

@@ -9,19 +9,29 @@ realized here as explicit vertex permutations:
 * the big group, which extends the small one by the swap and inversion
   symmetries.
 
-Vertex (x, c), with x a group element and c a copy index, has index
-index(x) * p + c; this single convention is shared with the graph
-builder. The module acts by (x, c) -> (x, c + coeff_x), translations and
-outer symmetries act on the first coordinate only. Conjugation identities
-between the permutation model and the algebra-side right actions are the
-designated tripwire for convention drift and are re-verified on every
-bundle build.
+Both commands read one staged :class:`Bundle`. Vertex (x, c), with x a
+group element and c a copy index, has index index(x) * p + c; this single
+convention is shared with the graph builder. The module acts by
+(x, c) -> (x, c + coeff_x), translations and outer symmetries act on the
+first coordinate only.
+
+Conjugation identities between the permutation model and the algebra-side
+right actions are the designated tripwire for convention drift.
+`build_bundle`, behind the `construct` command, runs every tripwire: the
+automorphism checks, the order formulas and `semidirect_consistency`.
+`verify_theorem1`, behind `verify-t1`, does not run
+`semidirect_consistency`. At (2,4) that check takes about 2 s, nearly all
+of it in `outer_action`, against 5-7 s for `verify-t1` at (3,2), (7,1)
+and (2,4) together under the default caps (2-core x86-64, Python 3.11,
+numpy with OpenBLAS). It can join `verify-t1` once the F_p kernels are
+faster.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,11 +62,9 @@ from .perm_group import (
 
 __all__ = [
     "ConstructionParams",
-    "Assembly",
     "Bundle",
     "ClaimResult",
     "ClaimReport",
-    "assemble",
     "module_vertex_action",
     "group_vertex_action",
     "family_generators",
@@ -92,82 +100,130 @@ class ConstructionParams:
         return self.p == 2 and self.h == 1
 
 
-@dataclass
-class Assembly:
-    """Algebra and graph ingredients, before any permutation group."""
+class Bundle:
+    """One family member, built stage by stage on first use.
 
-    params: ConstructionParams
-    H: AbelianH
-    family: FamilyGraph
-    change: EBasisChange
-    chain: GammaChain
-    top_space: FpSubspace
-    module_basis: list[np.ndarray]
+    The stages are the family graph, the algebra (H with its ambient
+    check, the basis change, the filtration, the top space and the module
+    basis), the generators, and the two groups. Each stage is a cached
+    property, so it is built at most once. A stage that raised
+    CapExceeded is not cached and raises again on the next access; that
+    costs nothing, because every cap check (vertex in build_family_graph,
+    ambient in H) runs before any expensive work.
+    """
+
+    def __init__(self, params: ConstructionParams):
+        self.params = params
+
+    @property
+    def degenerate(self) -> bool:
+        return self.params.degenerate
+
+    @cached_property
+    def family(self) -> FamilyGraph:
+        params = self.params
+        return build_family_graph(params.p, params.h, params.caps)
 
     @property
     def graph(self) -> Graph:
         return self.family.graph
 
+    @cached_property
+    def H(self) -> AbelianH:
+        H = AbelianH(self.params.p, self.params.h)
+        if H.ambient > self.params.caps.ambient_cap:
+            raise CapExceeded(
+                "ambient",
+                self.params.caps.ambient_cap,
+                f"group algebra needs ambient dimension {H.ambient}",
+            )
+        return H
 
-def assemble(params: ConstructionParams) -> Assembly:
-    """Build the graph, basis change, filtration and top-module basis.
+    @cached_property
+    def change(self) -> EBasisChange:
+        return build_e_basis(self.H)
 
-    The module basis consists of the filtered-basis vectors e_xy with
-    x + y >= q - 1, in e-index order, expressed in natural coordinates;
-    using the full basis keeps generation of the module group obviously
-    correct, minimality is measured later rather than assumed.
-    """
-    H = AbelianH(params.p, params.h)
-    if H.ambient > params.caps.ambient_cap:
-        raise CapExceeded(
-            "ambient",
-            params.caps.ambient_cap,
-            f"group algebra needs ambient dimension {H.ambient}",
-        )
-    family = build_family_graph(params.p, params.h, params.caps)
-    change = build_e_basis(H)
-    chain = gamma_chain(H, change)
-    top = chain[chain.top_index]
-    q = H.q
-    basis = []
-    for x in range(q):
-        for y in range(q):
-            if x + y >= q - 1:
-                basis.append(change.from_e.a[:, H.index(x, y)].copy())
-    if len(basis) != top.dim:
-        raise AssertionError("top module basis size mismatch")
-    return Assembly(
-        params=params,
-        H=H,
-        family=family,
-        change=change,
-        chain=chain,
-        top_space=top,
-        module_basis=basis,
-    )
+    @cached_property
+    def chain(self) -> GammaChain:
+        return gamma_chain(self.H, self.change)
+
+    @property
+    def top_space(self) -> FpSubspace:
+        return self.chain[self.chain.top_index]
+
+    @cached_property
+    def module_basis(self) -> list[np.ndarray]:
+        """The e_xy with x + y >= q - 1, in e-index order, natural coordinates.
+
+        Using the full basis keeps generation of the module group
+        obviously correct; minimality is measured later, not assumed.
+        """
+        H, top = self.H, self.top_space
+        q = H.q
+        basis = [
+            self.change.from_e.a[:, H.index(x, y)].copy()
+            for x in range(q)
+            for y in range(q)
+            if x + y >= q - 1
+        ]
+        if len(basis) != top.dim:
+            raise AssertionError("top module basis size mismatch")
+        return basis
+
+    @cached_property
+    def generators(self) -> dict:
+        # the graph stage goes first, so its cap names the skip when both fire
+        self.family
+        return family_generators(self)
+
+    @property
+    def module_gens(self) -> list[Perm]:
+        return self.generators["module"]
+
+    @property
+    def translation_gens(self) -> tuple[Perm, Perm]:
+        return self.generators["translations"]
+
+    @property
+    def outer_gens(self) -> tuple[Perm, Perm]:
+        return self.generators["outer"]
+
+    @cached_property
+    def small_group(self) -> PermGroup:
+        gens = [*self.module_gens, *self.translation_gens]
+        return PermGroup(gens, degree=self.graph.n, caps=self.params.caps)
+
+    @cached_property
+    def big_group(self) -> PermGroup:
+        gens = [*self.module_gens, *self.translation_gens, *self.outer_gens]
+        return PermGroup(gens, degree=self.graph.n, caps=self.params.caps)
+
+    @property
+    def big_to_small_ratio(self) -> int:
+        return self.big_group.order() // self.small_group.order()
 
 
-def module_vertex_action(asm: Assembly, coeffs: np.ndarray) -> Perm:
+def module_vertex_action(bundle: Bundle, coeffs: np.ndarray) -> Perm:
     """Vertex permutation of one top-module vector.
 
     coeffs is a natural-basis coefficient row; membership in the top
     filtration term is checked. Vertex (x, c) maps to (x, c + coeff_x);
     the order of the result divides p.
     """
-    H, p = asm.H, asm.params.p
+    H, p = bundle.H, bundle.params.p
     v = np.mod(np.asarray(coeffs, dtype=np.int64), p)
     if v.shape != (H.ambient,):
         raise ValueError("coefficient vector has the wrong length")
-    if not asm.top_space.contains(asm.change.natural_to_e(v)):
+    if not bundle.top_space.contains(bundle.change.natural_to_e(v)):
         raise ValueError("vector is not in the top filtration module")
-    n = asm.graph.n
+    n = bundle.graph.n
     images = np.arange(n, dtype=np.int64)
     shifts = np.repeat(v, p)
     images = (images // p) * p + (images % p + shifts) % p
     return Perm(images)
 
 
-def group_vertex_action(asm: Assembly, item) -> Perm:
+def group_vertex_action(bundle: Bundle, item) -> Perm:
     """Vertex permutation of a group element or outer symmetry.
 
     `item` is an element (i, j) of H, or one of the strings "a", "b",
@@ -175,7 +231,7 @@ def group_vertex_action(asm: Assembly, item) -> Perm:
     the outer symmetries apply their H-automorphism to it. Copy indices
     are untouched in both cases.
     """
-    H, p = asm.H, asm.params.p
+    H, p = bundle.H, bundle.params.p
     if item == "a":
         item = (1, 0)
     elif item == "b":
@@ -198,7 +254,7 @@ def group_vertex_action(asm: Assembly, item) -> Perm:
 
     else:
         raise ValueError(f"unknown group item {item!r}")
-    n = asm.graph.n
+    n = bundle.graph.n
     images = np.empty(n, dtype=np.int64)
     for k in range(H.order):
         target = H.index(*act(H.element(k)))
@@ -207,30 +263,13 @@ def group_vertex_action(asm: Assembly, item) -> Perm:
     return Perm(images)
 
 
-@dataclass
-class Bundle:
-    """The fully assembled family member with both permutation groups."""
-
-    params: ConstructionParams
-    assembly: Assembly
-    delta: Graph
-    graph: Graph
-    module_gens: list[Perm]
-    translation_gens: tuple[Perm, Perm]
-    outer_gens: tuple[Perm, Perm]
-    small_group: PermGroup
-    big_group: PermGroup
-    degenerate: bool
-    big_to_small_ratio: int
-
-
-def family_generators(asm: Assembly) -> dict:
+def family_generators(bundle: Bundle) -> dict:
     """All generating permutations, keyed by role."""
-    module_gens = [module_vertex_action(asm, v) for v in asm.module_basis]
-    a_perm = group_vertex_action(asm, "a")
-    b_perm = group_vertex_action(asm, "b")
-    phi_perm = group_vertex_action(asm, "phi")
-    psi_perm = group_vertex_action(asm, "psi")
+    module_gens = [module_vertex_action(bundle, v) for v in bundle.module_basis]
+    a_perm = group_vertex_action(bundle, "a")
+    b_perm = group_vertex_action(bundle, "b")
+    phi_perm = group_vertex_action(bundle, "phi")
+    psi_perm = group_vertex_action(bundle, "psi")
     return {
         "module": module_gens,
         "translations": (a_perm, b_perm),
@@ -238,9 +277,9 @@ def family_generators(asm: Assembly) -> dict:
     }
 
 
-def _algebra_side_actions(asm: Assembly) -> list[tuple[str, FpMatrix]]:
-    H = asm.H
-    outer = outer_action(H, asm.change, asm.chain)
+def _algebra_side_actions(bundle: Bundle) -> list[tuple[str, FpMatrix]]:
+    H = bundle.H
+    outer = outer_action(H, bundle.change, bundle.chain)
     return [
         ("a", action_matrix(H, "a", "natural")),
         ("b", action_matrix(H, "b", "natural")),
@@ -257,18 +296,17 @@ def semidirect_consistency(bundle: Bundle) -> bool:
     computed on the algebra side. A False return is a construction
     defect, not an input error.
     """
-    asm = bundle.assembly
-    side = _algebra_side_actions(asm)
+    side = _algebra_side_actions(bundle)
     group_perms = dict(
         zip(("a", "b"), bundle.translation_gens)
     )
     group_perms["phi"], group_perms["psi"] = bundle.outer_gens
-    for v, vperm in zip(asm.module_basis, bundle.module_gens):
+    for v, vperm in zip(bundle.module_basis, bundle.module_gens):
         for name, matrix in side:
             s = group_perms[name]
             conjugated = s.inverse() * vperm * s
-            moved = (np.asarray(v) @ matrix.a) % asm.params.p
-            if conjugated != module_vertex_action(asm, moved):
+            moved = (np.asarray(v) @ matrix.a) % bundle.params.p
+            if conjugated != module_vertex_action(bundle, moved):
                 return False
     return True
 
@@ -280,48 +318,25 @@ def build_bundle(params: ConstructionParams) -> Bundle:
     AssertionError on any internal consistency failure (automorphism
     checks, order formulas, the conjugation tripwire).
     """
-    asm = assemble(params)
-    gens = family_generators(asm)
-    module_gens = gens["module"]
-    a_perm, b_perm = gens["translations"]
-    phi_perm, psi_perm = gens["outer"]
-    graph = asm.graph
-    for perm in [*module_gens, a_perm, b_perm, phi_perm, psi_perm]:
+    bundle = Bundle(params)
+    graph = bundle.graph
+    for perm in [*bundle.module_gens, *bundle.translation_gens, *bundle.outer_gens]:
         if not is_automorphism(graph, perm):
             raise AssertionError("constructed permutation is not an automorphism")
-    caps = params.caps
-    small = PermGroup([*module_gens, a_perm, b_perm], degree=graph.n, caps=caps)
-    big = PermGroup(
-        [*module_gens, a_perm, b_perm, phi_perm, psi_perm],
-        degree=graph.n,
-        caps=caps,
-    )
+    small, big = bundle.small_group, bundle.big_group
     p, q = params.p, params.q
-    expected_small = p**asm.top_space.dim * q * q
+    expected_small = p**bundle.top_space.dim * q * q
     if small.order() != expected_small:
         raise AssertionError("small group order does not match the embedding")
-    ratio = big.order() // small.order()
     if big.order() % small.order() != 0:
         raise AssertionError("small group index is not integral")
+    ratio = bundle.big_to_small_ratio
     # psi acts trivially when q = 2, so the extension halves there
     expected_ratio = 2 if params.degenerate else 4
     if ratio != expected_ratio:
         raise AssertionError(
             f"outer extension has index {ratio}, expected {expected_ratio}"
         )
-    bundle = Bundle(
-        params=params,
-        assembly=asm,
-        delta=asm.family.delta,
-        graph=graph,
-        module_gens=module_gens,
-        translation_gens=(a_perm, b_perm),
-        outer_gens=(phi_perm, psi_perm),
-        small_group=small,
-        big_group=big,
-        degenerate=params.degenerate,
-        big_to_small_ratio=ratio,
-    )
     if not semidirect_consistency(bundle):
         raise AssertionError("semidirect conjugation identities failed")
     return bundle
@@ -382,27 +397,6 @@ class ClaimReport:
         return "\n".join([header] + [c.line() for c in self.claims]) + "\n"
 
 
-class _Lazy:
-    """Build a resource once; replay its CapExceeded on later access."""
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._value = None
-        self._error: CapExceeded | None = None
-        self._done = False
-
-    def get(self):
-        if not self._done:
-            try:
-                self._value = self._fn()
-            except CapExceeded as exc:
-                self._error = exc
-            self._done = True
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 def verify_theorem1(params: ConstructionParams) -> ClaimReport:
     """Run the full claim checklist C1..C9 for one family member.
 
@@ -411,47 +405,8 @@ def verify_theorem1(params: ConstructionParams) -> ClaimReport:
     exact comparisons, never tolerances.
     """
     p, h, q = params.p, params.h, params.q
-    caps = params.caps
     degenerate = params.degenerate
-
-    fam = _Lazy(lambda: build_family_graph(p, h, caps))
-
-    def _algebra():
-        H = AbelianH(p, h)
-        if H.ambient > caps.ambient_cap:
-            raise CapExceeded(
-                "ambient",
-                caps.ambient_cap,
-                f"group algebra needs ambient dimension {H.ambient}",
-            )
-        change = build_e_basis(H)
-        return H, change, gamma_chain(H, change)
-
-    algebra = _Lazy(_algebra)
-
-    def _assembly():
-        fam.get()
-        algebra.get()
-        return assemble(params)
-
-    asm = _Lazy(_assembly)
-
-    def _groups():
-        a = asm.get()
-        gens = family_generators(a)
-        small = PermGroup(
-            [*gens["module"], *gens["translations"]],
-            degree=a.graph.n,
-            caps=caps,
-        )
-        big = PermGroup(
-            [*gens["module"], *gens["translations"], *gens["outer"]],
-            degree=a.graph.n,
-            caps=caps,
-        )
-        return small, big
-
-    groups = _Lazy(_groups)
+    bundle = Bundle(params)
 
     claims: list[ClaimResult] = []
 
@@ -470,27 +425,25 @@ def verify_theorem1(params: ConstructionParams) -> ClaimReport:
     c1_expected = f"valency={expected_valency}" + ("(degenerate)" if degenerate else "")
 
     def c1():
-        val = fam.get().graph.valency()
+        val = bundle.graph.valency()
         return f"valency={val}", val == expected_valency
 
     run("C1", c1_expected, c1)
 
     def c2():
-        conn = fam.get().graph.is_connected()
+        conn = bundle.graph.is_connected()
         return f"connected={str(conn).lower()}", conn
 
     run("C2", "connected=true", c2)
 
     def c3():
-        small, _ = groups.get()
-        ok = is_vertex_transitive(fam.get().graph, small)
+        ok = is_vertex_transitive(bundle.graph, bundle.small_group)
         return f"transitive={str(ok).lower()}", ok
 
     run("C3", "transitive=true", c3)
 
     def c4():
-        small, _ = groups.get()
-        graph = fam.get().graph
+        small, graph = bundle.small_group, bundle.graph
         arc_orbit = arc_orbit_size(graph, small)
         arc_trans = arc_orbit == 2 * graph.m
         _, orbit_count = local_action(graph, small, 0)
@@ -500,35 +453,31 @@ def verify_theorem1(params: ConstructionParams) -> ClaimReport:
     run("C4", "arc_transitive=false,orbits=4", c4)
 
     def c5():
-        _, big = groups.get()
-        graph = fam.get().graph
+        big, graph = bundle.big_group, bundle.graph
         size = arc_orbit_size(graph, big)
         return f"arc_orbit={size}", size == 2 * graph.m
 
     def c5_expected():
         try:
-            graph = fam.get().graph
-            return f"arc_orbit={2 * graph.m}"
+            return f"arc_orbit={2 * bundle.graph.m}"
         except CapExceeded:
             return "arc_orbit=all"
 
     run("C5", c5_expected(), c5)
 
     def c6():
-        H, change, chain = algebra.get()
-        top = chain[chain.top_index]
+        H, change = bundle.H, bundle.change
         actions = [
             action_matrix(H, "a", "e", change),
             action_matrix(H, "b", "e", change),
         ]
-        rank = min_generators_local(top, actions, p)
+        rank = min_generators_local(bundle.top_space, actions, p)
         return f"module_rank={rank}", rank == q
 
     run("C6", f"module_rank={q}", c6)
 
     def c7():
-        small, _ = groups.get()
-        rank = frattini_rank(small, p)
+        rank = frattini_rank(bundle.small_group, p)
         return f"rank={rank}", rank == q + 2
 
     run("C7", f"rank={q + 2}", c7)
@@ -537,8 +486,7 @@ def verify_theorem1(params: ConstructionParams) -> ClaimReport:
 
     def c8():
         if p == 2:
-            _, big = groups.get()
-            rank = frattini_rank(big, 2)
+            rank = frattini_rank(bundle.big_group, 2)
             # exact integer form of rank >= q/4 + 3
             return f"rank={rank}", 4 * rank >= q + 12
         return f"lower_bound={bound},not_directly_computed", True
@@ -546,8 +494,7 @@ def verify_theorem1(params: ConstructionParams) -> ClaimReport:
     run("C8", f"rank>={bound}", c8)
 
     def c9():
-        _, _, chain = algebra.get()
-        dims = section_dims(chain)
+        dims = section_dims(bundle.chain)
         expected = [min(i + 1, 2 * q - 1 - i) for i in range(2 * q - 1)]
         text = "dims=" + ",".join(map(str, dims))
         return text, dims == expected
@@ -559,14 +506,12 @@ def verify_theorem1(params: ConstructionParams) -> ClaimReport:
 
     n_text = valency_text = big_text = "unknown"
     try:
-        graph = fam.get().graph
-        n_text = str(graph.n)
-        valency_text = str(graph.valency())
+        n_text = str(bundle.graph.n)
+        valency_text = str(bundle.graph.valency())
     except CapExceeded:
         pass
     try:
-        _, big = groups.get()
-        big_text = str(big.order())
+        big_text = str(bundle.big_group.order())
     except CapExceeded:
         pass
     return ClaimReport(

@@ -11,6 +11,28 @@ from itertools import combinations
 import numpy as np
 
 
+def algebra_mul(u, v, H):
+    """Convolution product of two coefficient vectors of F_p[H]."""
+    u = np.mod(np.asarray(u, dtype=np.int64), H.p)
+    v = np.mod(np.asarray(v, dtype=np.int64), H.p)
+    if u.shape != (H.ambient,) or v.shape != (H.ambient,):
+        raise ValueError("coefficient vectors must have length q^2")
+    out = np.zeros(H.ambient, dtype=np.int64)
+    for k in np.nonzero(u)[0]:
+        x = H.element(int(k))
+        for l in np.nonzero(v)[0]:
+            y = H.element(int(l))
+            out[H.index(*H.mul(x, y))] += u[k] * v[l]
+    return out % H.p
+
+
+def quotient_dim(inner, outer):
+    """dim(outer / inner); every inner basis row must lie in outer."""
+    if not outer.contains_space(inner):
+        raise ValueError("inner subspace is not contained in outer subspace")
+    return outer.dim - inner.dim
+
+
 def enumerate_elements(G):
     """All group elements as image arrays, by BFS over the generators."""
     ident = np.arange(G.degree, dtype=np.int32)

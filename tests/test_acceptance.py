@@ -31,8 +31,8 @@ from arcgen.perm_group import (
     local_action,
 )
 from arcgen.pipeline import (
+    Bundle,
     ConstructionParams,
-    assemble,
     build_bundle,
     family_generators,
     semidirect_consistency,
@@ -142,7 +142,7 @@ def test_criterion_07_rank_growth():
     detail = f"rank growth {ranks[1]} < {ranks[2]}"
     try:
         start = time.perf_counter()
-        asm = assemble(ConstructionParams(2, 3, caps=caps))
+        asm = Bundle(ConstructionParams(2, 3, caps=caps))
         gens = family_generators(asm)
         big3 = PermGroup(
             [*gens["module"], *gens["translations"], *gens["outer"]],

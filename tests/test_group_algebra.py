@@ -5,7 +5,6 @@ from arcgen.field_linalg import FpMatrix, FpSubspace, kron, unipotent_matrix
 from arcgen.group_algebra import (
     AbelianH,
     action_matrix,
-    algebra_mul,
     build_e_basis,
     gamma_chain,
     index_lower_bound,
@@ -13,6 +12,7 @@ from arcgen.group_algebra import (
     outer_action,
     section_dims,
 )
+from oracles import algebra_mul
 
 
 def test_abelian_h_validation():

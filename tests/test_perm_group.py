@@ -9,18 +9,17 @@ from arcgen.perm_group import (
     NotTransitiveError,
     Perm,
     PermGroup,
+    StabChain,
     arc_orbit_size,
     commutator,
     exponent,
     frattini_decomposition_check,
     frattini_rank,
-    generated,
     is_arc_transitive,
     is_automorphism,
     is_vertex_transitive,
     local_action,
     normal_closure,
-    orbit_of,
     perm_to_line,
     perms_from_lines,
 )
@@ -106,7 +105,7 @@ def test_automorphism_degree_mismatch():
 
 def test_orbit_under_trivial_group():
     G = PermGroup.trivial(4)
-    assert orbit_of(2, G) == [2]
+    assert G.orbit(2) == [2]
 
 
 def test_orbit_under_full_cycle():
@@ -172,6 +171,52 @@ def test_cached_chain_matches_fresh_chain():
     cached = G.order()
     assert G.fresh_chain().order() == cached
     assert G.fresh_chain(base_prefix=(3,)).order() == cached
+
+
+def count_chain_builds(monkeypatch):
+    builds = []
+    init = StabChain.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabChain, "__init__", counted)
+    return builds
+
+
+def test_stabilizer_reuses_the_cached_chain(monkeypatch):
+    builds = count_chain_builds(monkeypatch)
+    G = dihedral_c5()
+    assert G.order() == 10
+    assert G.chain().base()[0] == 0
+    assert G.stabilizer(0).order() == 2
+    assert len(builds) == 1
+
+
+def test_stabilizer_first_builds_the_one_chain(monkeypatch):
+    builds = count_chain_builds(monkeypatch)
+    G = dihedral_c5()
+    stab = G.stabilizer(0)
+    assert G.order() == 10
+    assert len(builds) == 1
+    assert stab.order() == 2
+    assert all(g(0) == 0 for g in stab.generators)
+
+
+def test_stabilizer_generators_independent_of_call_order():
+    # a cached chain must hand out exactly the generators a fresh chain
+    # with the same first base point would
+    for v in range(5):
+        first = dihedral_c5().stabilizer(v).generators
+        G = dihedral_c5()
+        G.order()
+        assert G.stabilizer(v).generators == first
+    G = dihedral_c5()
+    assert G.stabilizer(3).order() == 2
+    assert G.chain().base()[0] == 3
+    assert G.order() == 10
+    assert G.stabilizer(1).order() == 2
 
 
 def test_orbit_stabilizer_identity():
@@ -299,7 +344,7 @@ def test_contains_rejects_outsider():
 
 
 def test_generated():
-    G = generated([Perm([1, 0, 2])], degree=3)
+    G = PermGroup([Perm([1, 0, 2])], degree=3)
     assert G.order() == 2
 
 

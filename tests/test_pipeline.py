@@ -9,8 +9,8 @@ from arcgen.perm_group import (
 )
 from arcgen.pipeline import (
     CLAIM_IDS,
+    Bundle,
     ConstructionParams,
-    assemble,
     build_bundle,
     group_vertex_action,
     module_vertex_action,
@@ -42,7 +42,7 @@ def test_params_validation():
 
 
 def test_zero_vector_gives_identity():
-    asm = assemble(ConstructionParams(2, 2))
+    asm = Bundle(ConstructionParams(2, 2))
     perm = module_vertex_action(asm, np.zeros(16, dtype=int))
     assert perm.is_identity()
 
@@ -50,7 +50,7 @@ def test_zero_vector_gives_identity():
 def test_e11_q2_shifts_every_copy():
     # (a-1)(b-1) = 1 + a + b + ab mod 2: every position gets its copy
     # index shifted, one free cyclic factor
-    asm = assemble(ConstructionParams(2, 1))
+    asm = Bundle(ConstructionParams(2, 1))
     e11 = asm.change.from_e.a[:, asm.H.index(1, 1)]
     assert e11.tolist() == [1, 1, 1, 1]
     perm = module_vertex_action(asm, e11)
@@ -59,13 +59,13 @@ def test_e11_q2_shifts_every_copy():
 
 
 def test_module_action_preserves_adjacency():
-    asm = assemble(ConstructionParams(2, 2))
+    asm = Bundle(ConstructionParams(2, 2))
     for vec in asm.module_basis:
         assert is_automorphism(asm.graph, module_vertex_action(asm, vec))
 
 
 def test_module_action_membership_check():
-    asm = assemble(ConstructionParams(2, 2))
+    asm = Bundle(ConstructionParams(2, 2))
     outside = np.zeros(16, dtype=int)
     outside[0] = 1  # the identity element spans the whole algebra, not the top term
     with pytest.raises(ValueError, match="top filtration module"):
@@ -73,19 +73,19 @@ def test_module_action_membership_check():
 
 
 def test_module_action_order_divides_p():
-    asm = assemble(ConstructionParams(3, 1))
+    asm = Bundle(ConstructionParams(3, 1))
     for vec in asm.module_basis:
         perm = module_vertex_action(asm, vec)
         assert perm.order() in (1, 3)
 
 
 def test_group_action_identity_element():
-    asm = assemble(ConstructionParams(2, 2))
+    asm = Bundle(ConstructionParams(2, 2))
     assert group_vertex_action(asm, (0, 0)).is_identity()
 
 
 def test_group_action_translation_order():
-    asm = assemble(ConstructionParams(2, 2))
+    asm = Bundle(ConstructionParams(2, 2))
     a = group_vertex_action(asm, "a")
     assert a.order() == 4
     b = group_vertex_action(asm, (0, 1))
@@ -93,7 +93,7 @@ def test_group_action_translation_order():
 
 
 def test_outer_action_involution():
-    asm = assemble(ConstructionParams(3, 1))
+    asm = Bundle(ConstructionParams(3, 1))
     phi = group_vertex_action(asm, "phi")
     psi = group_vertex_action(asm, "psi")
     assert (phi * phi).is_identity()
@@ -104,7 +104,7 @@ def test_outer_action_involution():
 
 
 def test_unknown_group_item():
-    asm = assemble(ConstructionParams(2, 1))
+    asm = Bundle(ConstructionParams(2, 1))
     with pytest.raises(ValueError):
         group_vertex_action(asm, "zeta")
 
@@ -179,25 +179,24 @@ def test_permutation_rank_ties_to_algebra_rank(bundle_22, bundle_31):
     from arcgen.perm_group import frattini_rank
 
     for bundle in (bundle_22, bundle_31):
-        asm = bundle.assembly
-        H, p = asm.H, bundle.params.p
+        H, p = bundle.H, bundle.params.p
         actions = [
-            action_matrix(H, "a", "e", asm.change),
-            action_matrix(H, "b", "e", asm.change),
+            action_matrix(H, "a", "e", bundle.change),
+            action_matrix(H, "b", "e", bundle.change),
         ]
-        module_rank = min_generators_local(asm.top_space, actions, p)
+        module_rank = min_generators_local(bundle.top_space, actions, p)
         assert frattini_rank(bundle.small_group, p) == module_rank + 2
 
 
 def test_assembly_respects_ambient_cap():
     with pytest.raises(CapExceeded) as exc:
-        assemble(ConstructionParams(2, 3, caps=Caps(ambient_cap=16)))
+        Bundle(ConstructionParams(2, 3, caps=Caps(ambient_cap=16))).module_basis
     assert exc.value.cap_name == "ambient"
 
 
 def test_module_basis_matches_top_dimension():
     for p, h in [(2, 1), (2, 2), (3, 1)]:
-        asm = assemble(ConstructionParams(p, h))
+        asm = Bundle(ConstructionParams(p, h))
         assert len(asm.module_basis) == asm.top_space.dim
 
 
@@ -262,6 +261,23 @@ def test_checklist_ambient_cap_skips_algebra_claims():
     assert "C6" in skipped and "C9" in skipped
     assert report.claim("C1").status == "pass"
     assert report.claim("C2").status == "pass"
+
+
+def test_checklist_builds_each_stage_once(monkeypatch):
+    import arcgen.pipeline as pipeline
+
+    calls = {"build_family_graph": 0, "gamma_chain": 0}
+    for name in calls:
+        fn = getattr(pipeline, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    report = verify_theorem1(ConstructionParams(2, 2))
+    assert report.all_pass
+    assert calls == {"build_family_graph": 1, "gamma_chain": 1}
 
 
 def test_report_renders_one_line_per_claim():
