@@ -21,11 +21,13 @@ class CapExceeded(RuntimeError):
         cap_name: which cap fired ("order", "exponent", "ambient", "vertex",
             "time").
         limit: the configured limit.
+        detail: what was being computed when it fired.
     """
 
     def __init__(self, cap_name: str, limit, detail: str = ""):
         self.cap_name = cap_name
         self.limit = limit
+        self.detail = detail
         message = f"{cap_name} cap ({limit}) exceeded"
         if detail:
             message += f": {detail}"

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .group_algebra import AbelianH
 
@@ -44,7 +46,7 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph with indexed vertices."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_arcs")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -62,6 +64,7 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in nbrs
         )
+        self._arcs: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def m(self) -> int:
@@ -72,6 +75,18 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tails and heads (int64) of all 2m arcs, sorted by (tail, head)."""
+        if self._arcs is None:
+            tails = np.repeat(
+                np.arange(self.n, dtype=np.int64), [len(a) for a in self.adj]
+            )
+            heads = np.fromiter(
+                (w for a in self.adj for w in a), dtype=np.int64, count=len(tails)
+            )
+            self._arcs = (tails, heads)
+        return self._arcs
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, sorted lexicographically."""

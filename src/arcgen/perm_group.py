@@ -4,7 +4,12 @@ Orders, membership and stabilizers come from an incremental
 Schreier-Sims stabilizer chain; base points are chosen deterministically
 (the smallest point moved by the first generator that reaches a level),
 no randomization is used anywhere, so every quantity is reproducible
-across runs. On top of the chain sit the predicates the verification
+across runs. The chain sifts a level's Schreier generators in chunks of
+int32 rows, all rows of a chunk through one level at a time, and tests
+for the identity once, at the bottom. It installs only the first
+residue of a chunk, in row order, and defers the rest to be sifted again
+once the deeper levels are complete, so the install order depends on
+the input alone. On top of the chain sit the predicates the verification
 pipeline needs: vertex/arc transitivity, local actions, the Frattini
 decomposition check, minimal generator ranks of p-groups (Burnside basis
 theorem) and exponents by full element enumeration.
@@ -157,37 +162,75 @@ class Perm:
 
 
 class _Level:
-    __slots__ = ("base", "points", "orbit_pos", "tvsl", "tvsl_inv", "gens", "pending")
+    __slots__ = ("base", "points", "pos", "inv", "gens", "pending", "deferred")
 
     def __init__(self, base: int, ident: np.ndarray):
+        n = len(ident)
         self.base = base
         self.points = [base]
-        self.orbit_pos = {base: 0}
-        self.tvsl = [ident]
-        self.tvsl_inv = [ident]
+        # pos[x]: index of x in points, -1 when x is not in the orbit
+        self.pos = np.full(n, -1, dtype=_DTYPE)
+        self.pos[base] = 0
+        # Inverses of the transversal elements u_k (base^u_k = points[k]),
+        # row k for points[k]; the u_k themselves are never stored. Rows
+        # double on demand up to the degree, so only the first
+        # len(points) rows are meaningful.
+        self.inv = ident[None, :].copy()
         # effective generators: every strong generator fixing all the
         # bases above this level (anchored here or deeper)
         self.gens: list[np.ndarray] = []
         self.pending: deque = deque()
+        # residues a chunk found after the one it installed; sifted again
+        # before any further pending pair
+        self.deferred = np.empty((0, n), dtype=_DTYPE)
+
+    def extend(self, point: int, u: np.ndarray) -> None:
+        """Append point to the orbit with transversal u (base^u = point)."""
+        k = len(self.points)
+        n = len(u)
+        if k == len(self.inv):
+            grown = np.empty((min(2 * k, n), n), dtype=_DTYPE)
+            grown[:k] = self.inv
+            self.inv = grown
+        self.inv[k, u] = np.arange(n, dtype=_DTYPE)
+        self.pos[point] = k
+        self.points.append(point)
+
+
+# Rows sifted together: a level's Schreier generators are gathered into
+# chunks of at most this many rows before they go down the chain.
+SIFT_CHUNK = 64
 
 
 class StabChain:
     """Deterministic incremental Schreier-Sims stabilizer chain.
 
     Works on raw numpy image arrays; Perm objects only appear at the
-    PermGroup boundary. Budget checks (order cap, optional wall-clock
-    cap) run inside the closure loop so oversize groups fail fast with
-    CapExceeded instead of running away.
+    PermGroup boundary. The closure always works on the deepest level
+    with work left. A level takes its pending (orbit point, generator)
+    pairs in order: a pair whose image point is new extends the orbit at
+    once; every other pair yields a Schreier generator, and these are
+    collected into chunks of up to SIFT_CHUNK rows that are sifted down
+    the deeper levels together (one gather per level, one identity test
+    at the bottom). Of a chunk's residues only the first in row order is
+    installed; the later ones are deferred on the level and sifted again,
+    before its next pending pair, once the deeper levels are complete.
+    The install order is therefore fixed by the input alone.
+
+    Budget checks (order cap, optional wall-clock cap) run inside the
+    closure loop so oversize groups fail fast with CapExceeded instead
+    of running away.
     """
 
     def __init__(self, degree: int, gens=(), *, caps: Caps = DEFAULT_CAPS, base_prefix=()):
         self.degree = degree
         self.caps = caps
         self.deadline = (
-            time.monotonic() + caps.time_cap_s if caps.time_cap_s else None
+            time.monotonic() + caps.time_cap_s if caps.time_cap_s is not None else None
         )
         self._ident = np.arange(degree, dtype=_DTYPE)
         self.levels: list[_Level] = []
+        self._bases = np.empty(0, dtype=np.intp)
         self._steps = 0
         for b in base_prefix:
             self._new_level(int(b))
@@ -202,11 +245,13 @@ class StabChain:
         chain.deadline = None
         chain._ident = np.arange(degree, dtype=_DTYPE)
         chain.levels = levels
+        chain._bases = np.array([lv.base for lv in levels], dtype=np.intp)
         chain._steps = 0
         return chain
 
     def _new_level(self, base: int) -> None:
         self.levels.append(_Level(base, self._ident))
+        self._bases = np.append(self._bases, base)
 
     def order(self) -> int:
         o = 1
@@ -223,9 +268,6 @@ class StabChain:
             return []
         return list(self.levels[from_level].gens)
 
-    def _is_ident(self, arr: np.ndarray) -> bool:
-        return bool((arr == self._ident).all())
-
     def _budget_check(self) -> None:
         self._steps += 1
         if self.deadline is not None and self._steps % 256 == 0:
@@ -234,21 +276,62 @@ class StabChain:
                     "time", self.caps.time_cap_s, "stabilizer-chain construction"
                 )
 
+    def _sift_rows(self, g: np.ndarray, start: int):
+        """Sift every row of g through the levels from start on.
+
+        Returns (rows, levels, residues) for the rows that do not reduce
+        to the identity, in row order: each row's index in g, the level
+        where it left the chain (len(self.levels) if it passed them all)
+        and its residue.
+        """
+        n = self.degree
+        rows = np.arange(len(g))
+        found = []
+        depth = len(self.levels)
+        bases = self._bases
+        i = start
+        while i < depth:
+            # The images of all remaining bases, one line per level, find
+            # the next level whose base some row moves; the levels before
+            # it would apply only identity transversals.
+            images = g.T[bases[i:]]
+            moved = images != bases[i:, None]
+            first = int(moved.argmax())
+            if not moved.flat[first]:
+                break
+            j = first // len(rows)
+            i += j
+            lv = self.levels[i]
+            p = lv.pos[images[j]]
+            gone = p < 0
+            if np.count_nonzero(gone):
+                found.append((rows[gone], i, g[gone]))
+                keep = ~gone
+                g, rows, p = g[keep], rows[keep], p[keep]
+                if not len(rows):
+                    break
+            g = lv.inv.take(np.multiply(p, n, dtype=np.intp)[:, None] + g)
+            i += 1
+        if len(rows):
+            moved = (g != self._ident).any(axis=1)
+            if moved.any():
+                found.append((rows[moved], depth, g[moved]))
+        if not found:
+            return rows[:0], rows[:0], g[:0]
+        if len(found) == 1:
+            r, i, res = found[0]
+            return r, np.full(len(r), i), res
+        rows = np.concatenate([r for r, _, _ in found])
+        levels = np.concatenate([np.full(len(r), i) for r, i, _ in found])
+        order = np.argsort(rows, kind="stable")
+        return rows[order], levels[order], np.concatenate([res for _, _, res in found])[order]
+
     def sift(self, arr: np.ndarray, start: int = 0):
         """Reduce through transversals; return (residue or None, level)."""
-        g = arr
-        for i in range(start, len(self.levels)):
-            if self._is_ident(g):
-                return None, i
-            lv = self.levels[i]
-            pos = lv.orbit_pos.get(int(g[lv.base]))
-            if pos is None:
-                return g, i
-            if pos:
-                g = lv.tvsl_inv[pos][g]
-        if self._is_ident(g):
-            return None, len(self.levels)
-        return g, len(self.levels)
+        _, levels, residues = self._sift_rows(arr[None, :], start)
+        if len(levels):
+            return residues[0], int(levels[0])
+        return None, len(self.levels)
 
     def contains(self, arr: np.ndarray) -> bool:
         residue, _ = self.sift(arr)
@@ -278,64 +361,77 @@ class StabChain:
             lv.pending.extend((pos, gi) for pos in range(len(lv.points)))
 
     def _process_all(self) -> None:
-        # Always work on the deepest level with pending pairs, so deeper
+        # Always work on the deepest level with work left, so deeper
         # stabilizers complete first and sifting stays accurate.
         while True:
-            target = -1
-            for idx in range(len(self.levels) - 1, -1, -1):
-                if self.levels[idx].pending:
-                    target = idx
+            for i in range(len(self.levels) - 1, -1, -1):
+                lv = self.levels[i]
+                if lv.pending or len(lv.deferred):
                     break
-            if target < 0:
+            else:
                 return
-            self._step(target)
+            self._close_level(i)
 
-    def _step(self, i: int) -> None:
-        # Handle one (orbit point, generator) pair at level i: either the
-        # pair extends the orbit, or it yields a Schreier generator that
-        # must sift to the identity through the deeper levels.
+    def _close_level(self, i: int) -> None:
+        # Sift level i's deferred residues, then walk its pending pairs,
+        # until a chunk installs a residue (deeper levels then have work)
+        # or the level runs out of work.
         lv = self.levels[i]
-        self._budget_check()
-        pos, gi = lv.pending.popleft()
-        s = lv.gens[gi]
-        u = lv.tvsl[pos]
-        t = int(s[lv.points[pos]])
-        tpos = lv.orbit_pos.get(t)
-        if tpos is None:
-            unew = s[u]
-            lv.orbit_pos[t] = len(lv.points)
-            lv.points.append(t)
-            lv.tvsl.append(unew)
-            lv.tvsl_inv.append(_inverse_arr(unew))
+        if len(lv.deferred):
+            deferred, lv.deferred = lv.deferred, lv.deferred[:0]
+            if self._sift_chunk(i, deferred):
+                return
+        chunk = np.empty((SIFT_CHUNK, self.degree), dtype=_DTYPE)
+        k = 0
+        while lv.pending:
+            self._budget_check()
+            pos, gi = lv.pending.popleft()
+            # su = u*s for the transversal u of points[pos], written as
+            # su[inv[x]] = s[x]. It maps the base to s[points[pos]], and
+            # sifting it from level i applies the transversal inverse
+            # there, which makes it the pair's Schreier generator.
+            su = chunk[k]
+            su[lv.inv[pos]] = lv.gens[gi]
+            t = int(su[lv.base])
+            if lv.pos[t] >= 0:
+                k += 1
+                if k == SIFT_CHUNK:
+                    k = 0
+                    if self._sift_chunk(i, chunk):
+                        return
+                continue
+            lv.extend(t, su)
             npos = len(lv.points) - 1
-            lv.pending.extend((npos, k) for k in range(len(lv.gens)))
+            lv.pending.extend((npos, j) for j in range(len(lv.gens)))
             if self.order() > self.caps.order_cap:
                 raise CapExceeded(
                     "order",
                     self.caps.order_cap,
                     "stabilizer chain grew past the cap",
                 )
-        else:
-            sg = lv.tvsl_inv[tpos][s[u]]
-            if self._is_ident(sg):
-                return
-            residue, j = self.sift(sg, i + 1)
-            if residue is not None:
-                self._install(residue, j)
+        if k:
+            self._sift_chunk(i, chunk[:k])
+
+    def _sift_chunk(self, i: int, rows: np.ndarray) -> bool:
+        """Sift rows from level i; install the first residue, defer the rest."""
+        _, levels, residues = self._sift_rows(rows, i)
+        if not len(levels):
+            return False
+        self.levels[i].deferred = residues[1:]
+        # a copy, so the installed generator does not pin the whole block
+        self._install(residues[0].copy(), int(levels[0]))
+        return True
 
     def verify(self) -> bool:
         """Recheck that every Schreier generator sifts to the identity."""
         for i, lv in enumerate(self.levels):
-            for pos in range(len(lv.points)):
-                for s in lv.gens:
-                    t = int(s[lv.points[pos]])
-                    tpos = lv.orbit_pos.get(t)
-                    if tpos is None:
-                        return False
-                    sg = lv.tvsl_inv[tpos][s[lv.tvsl[pos]]]
-                    residue, _ = self.sift(sg, i + 1)
-                    if residue is not None:
-                        return False
+            m = len(lv.points)
+            for s in lv.gens:
+                su = np.empty((m, self.degree), dtype=_DTYPE)
+                su[np.arange(m)[:, None], lv.inv[:m]] = s
+                # a row whose base image leaves the orbit is a residue at i
+                if len(self._sift_rows(su, i)[0]):
+                    return False
         return True
 
 
@@ -355,6 +451,10 @@ class PermGroup:
         self.generators = tuple(gens)
         self.caps = caps if caps is not None else DEFAULT_CAPS
         self._chain: StabChain | None = None
+        # An order-cap failure holds for every base prefix (the cap fires
+        # only on a partial order, which never exceeds |G|), so it is
+        # remembered and re-raised; a time-cap failure is not.
+        self._order_cap_hit: CapExceeded | None = None
 
     @classmethod
     def trivial(cls, degree: int, caps: Caps | None = None) -> "PermGroup":
@@ -372,13 +472,27 @@ class PermGroup:
         return self._chain
 
     def fresh_chain(self, base_prefix=()) -> StabChain:
-        """Build an uncached chain, optionally with a forced base prefix."""
-        return StabChain(
-            self.degree,
-            [g.images for g in self.generators],
-            caps=self.caps,
-            base_prefix=base_prefix,
-        )
+        """Build an uncached chain, optionally with a forced base prefix.
+
+        Once a build has hit the order cap, every later call raises a new
+        CapExceeded with the same cap name and limit without building.
+        """
+        hit = self._order_cap_hit
+        if hit is not None:
+            raise CapExceeded(hit.cap_name, hit.limit, hit.detail)
+        try:
+            return StabChain(
+                self.degree,
+                [g.images for g in self.generators],
+                caps=self.caps,
+                base_prefix=base_prefix,
+            )
+        except CapExceeded as exc:
+            if exc.cap_name == "order":
+                # not exc itself: its traceback would keep the partial
+                # chain alive for as long as the group lives
+                self._order_cap_hit = CapExceeded(exc.cap_name, exc.limit, exc.detail)
+            raise
 
     def order(self) -> int:
         return self.chain().order()
@@ -547,15 +661,18 @@ def exponent(G: PermGroup, cap: int | None = None) -> int:
 
 
 def is_automorphism(graph: Graph, perm: Perm) -> bool:
-    """True iff the permutation maps edges onto edges bijectively."""
+    """True iff the permutation maps edges onto edges bijectively.
+
+    Compares the sorted codes tail*n + head of the mapped arcs with the
+    graph's own arc codes, which are sorted by construction; for a
+    simple graph this is the same as N(u)^g == N(u^g) for every u.
+    """
     if perm.degree != graph.n:
         raise ValueError("permutation degree does not match the vertex count")
-    img = perm.images
-    for u in range(graph.n):
-        mapped = sorted(int(img[w]) for w in graph.adj[u])
-        if tuple(mapped) != graph.adj[int(img[u])]:
-            return False
-    return True
+    n = graph.n
+    tails, heads = graph.arcs()
+    img = perm.images.astype(np.int64)
+    return np.array_equal(np.sort(img[tails] * n + img[heads]), tails * n + heads)
 
 
 def _require_automorphisms(graph: Graph, G: PermGroup) -> None:

@@ -33,6 +33,16 @@ def quotient_dim(inner, outer):
     return outer.dim - inner.dim
 
 
+def is_automorphism_by_neighbourhoods(graph, perm):
+    """Per-vertex rule: the image of N(u) is N(u^g) for every vertex u."""
+    img = perm.images
+    for u in range(graph.n):
+        mapped = sorted(int(img[w]) for w in graph.adj[u])
+        if tuple(mapped) != graph.adj[int(img[u])]:
+            return False
+    return True
+
+
 def enumerate_elements(G):
     """All group elements as image arrays, by BFS over the generators."""
     ident = np.arange(G.degree, dtype=np.int32)

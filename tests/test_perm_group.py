@@ -23,7 +23,13 @@ from arcgen.perm_group import (
     perm_to_line,
     perms_from_lines,
 )
-from oracles import brute_force_min_generators, enumerate_elements, exponent_by_table
+from arcgen.pipeline import Bundle, ConstructionParams
+from oracles import (
+    brute_force_min_generators,
+    enumerate_elements,
+    exponent_by_table,
+    is_automorphism_by_neighbourhoods,
+)
 
 
 def cycle(n):
@@ -98,6 +104,41 @@ def test_path_rotation_is_not_automorphism():
 def test_automorphism_degree_mismatch():
     with pytest.raises(ValueError):
         is_automorphism(p3_graph(), Perm([1, 0]))
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1)])
+def test_automorphism_matches_neighbourhood_rule(p, h):
+    bundle = Bundle(ConstructionParams(p, h))
+    graph, gens = bundle.graph, bundle.big_group.generators
+    rng = random.Random(100 * p + h)
+    for _ in range(20):
+        g = Perm.identity(graph.n)
+        for _ in range(rng.randrange(1, 12)):
+            g = g * rng.choice(gens)
+        assert is_automorphism(graph, g)
+        assert is_automorphism_by_neighbourhoods(graph, g)
+    for _ in range(20):
+        images = list(range(graph.n))
+        rng.shuffle(images)
+        g = Perm(images)
+        assert not is_automorphism(graph, g)
+        assert not is_automorphism_by_neighbourhoods(graph, g)
+    # With the edge uw deleted, an automorphism of the whole graph that
+    # moves uw maps every remaining edge onto an edge but one.
+    edges = graph.edges()
+    u, w = edges[0]
+    cut = Graph(graph.n, edges[1:])
+    g = next(g for g in gens if {g(u), g(w)} != {u, w})
+    kept = set(edges[1:])
+    broken = [e for e in kept if tuple(sorted((g(e[0]), g(e[1])))) not in kept]
+    assert len(broken) == 1
+    assert not is_automorphism(cut, g)
+    assert not is_automorphism_by_neighbourhoods(cut, g)
+
+
+def test_automorphism_on_the_empty_graph():
+    assert is_automorphism(Graph(0, []), Perm([]))
+    assert is_automorphism(Graph(3, []), Perm([2, 0, 1]))
 
 
 # -- orbits and transitivity -------------------------------------------------
@@ -256,6 +297,28 @@ def test_order_cap_fires():
         PermGroup(gens, caps=Caps(order_cap=100)).order()
     assert exc.value.cap_name == "order"
     assert "100" in str(exc.value)
+
+
+def test_order_cap_failure_is_cached(monkeypatch):
+    builds = count_chain_builds(monkeypatch)
+    G = PermGroup([Perm([1, 0] + list(range(2, 8))), cycle(8)], caps=Caps(order_cap=100))
+    for call in (G.order, G.order, lambda: G.stabilizer(0), lambda: G.stabilizer(3)):
+        with pytest.raises(CapExceeded) as exc:
+            call()
+        assert exc.value.cap_name == "order"
+        assert exc.value.limit == 100
+    assert len(builds) == 1
+
+
+def test_time_cap_zero_fires_and_is_not_cached(monkeypatch):
+    # 300 orbit points, one generator: more than 256 closure steps
+    builds = count_chain_builds(monkeypatch)
+    G = PermGroup([cycle(300)], caps=Caps(time_cap_s=0.0))
+    for _ in range(2):
+        with pytest.raises(CapExceeded) as exc:
+            G.order()
+        assert exc.value.cap_name == "time"
+    assert len(builds) == 2
 
 
 def test_transversal_images():
@@ -439,3 +502,129 @@ def test_orders_against_sympy_on_random_groups():
         assert ours.order() == theirs.order(), gens
         v = rng.randrange(n)
         assert ours.stabilizer(v).order() == theirs.stabilizer(v).order()
+
+
+# -- chunked Schreier-Sims against sympy -------------------------------------
+
+
+def _symmetric(n):
+    return [Perm([1, 0] + list(range(2, n))), cycle(n)]
+
+
+def _alternating(n):
+    three = Perm([1, 2, 0] + list(range(3, n)))
+    if n % 2:
+        return [three, cycle(n)]
+    return [three, Perm([0] + list(range(2, n)) + [1])]
+
+
+def _wreath_perm(rng, block, blocks):
+    # a random element of S_block wr S_blocks on block * blocks points
+    top = list(range(blocks))
+    rng.shuffle(top)
+    images = []
+    for i in range(blocks):
+        inner = list(range(block))
+        rng.shuffle(inner)
+        images += [block * top[i] + j for j in inner]
+    return images
+
+
+def _random_s12_subgroups():
+    rng = random.Random(1212)
+    groups = []
+    for _ in range(2):
+        gens = []
+        for _ in range(2):
+            images = list(range(12))
+            rng.shuffle(images)
+            gens.append(Perm(images))
+        groups.append(gens)
+    for block, blocks in ((3, 4), (4, 3), (2, 6)):
+        conj = list(range(12))
+        rng.shuffle(conj)
+        sigma = Perm(conj)
+        groups.append(
+            [sigma.inverse() * Perm(_wreath_perm(rng, block, blocks)) * sigma for _ in range(3)]
+        )
+    for _ in range(2):
+        left, right = list(range(5)), list(range(5, 12))
+        gens = []
+        for _ in range(2):
+            rng.shuffle(left)
+            rng.shuffle(right)
+            gens.append(Perm(left + right))
+        groups.append(gens)
+    return groups
+
+
+DUAL_ROUTE_GROUPS = (
+    [(f"S{n}", _symmetric(n)) for n in range(6, 10)]
+    + [(f"A{n}", _alternating(n)) for n in range(6, 10)]
+    + [("C2wrC4", [Perm([1, 0, 2, 3, 4, 5, 6, 7]), Perm([(x + 2) % 8 for x in range(8)])])]
+    + [(f"S12-sub{k}", gens) for k, gens in enumerate(_random_s12_subgroups())]
+)
+
+
+def _chain_shape(chain):
+    return (
+        chain.base(),
+        [list(lv.points) for lv in chain.levels],
+        [[a.tobytes() for a in lv.gens] for lv in chain.levels],
+    )
+
+
+@pytest.mark.parametrize("gens", [g for _, g in DUAL_ROUTE_GROUPS],
+                         ids=[name for name, _ in DUAL_ROUTE_GROUPS])
+def test_chunked_chain_against_sympy(gens):
+    sympy_comb = pytest.importorskip("sympy.combinatorics")
+    n = gens[0].degree
+    theirs = sympy_comb.PermutationGroup(
+        [sympy_comb.Permutation([int(x) for x in g.images]) for g in gens]
+    )
+    G = PermGroup(gens)
+    assert G.order() == theirs.order()
+    chain = G.chain()
+    assert chain.verify()
+    # strong generators beyond the inputs were installed
+    assert sum(len(lv.gens) for lv in chain.levels) > len(gens)
+    for v in (0, n // 2, n - 1):
+        assert G.stabilizer(v).order() == theirs.stabilizer(v).order()
+    rng = random.Random(n * 7919 + len(gens))
+    for _ in range(10):
+        word = Perm.identity(n)
+        for _ in range(rng.randrange(1, 15)):
+            word = word * rng.choice(gens)
+        assert theirs.contains(sympy_comb.Permutation([int(x) for x in word.images]))
+        assert G.contains(word)
+    for _ in range(10):
+        images = list(range(n))
+        rng.shuffle(images)
+        expected = theirs.contains(sympy_comb.Permutation(images))
+        assert G.contains(Perm(images)) == expected
+    assert _chain_shape(G.fresh_chain()) == _chain_shape(G.fresh_chain())
+
+
+def test_chunk_residues_after_the_first_are_deferred(monkeypatch):
+    # S_8 installs residues that a chunk finds after its first row, and
+    # chunks whose later rows leave residues too; those rows are sifted
+    # again by a later chunk, and the chain still verifies.
+    calls = []
+    sift_rows = StabChain._sift_rows
+
+    def recorded(self, g, start):
+        out = sift_rows(self, g, start)
+        calls.append(({row.tobytes() for row in g}, list(out[0]), [r.tobytes() for r in out[2]]))
+        return out
+
+    monkeypatch.setattr(StabChain, "_sift_rows", recorded)
+    G = PermGroup(_symmetric(8))
+    assert G.order() == math.factorial(8)
+    assert any(rows and rows[0] > 0 for _, rows, _ in calls)
+    resifted = [
+        any(set(residues[1:]) <= later for later, _, _ in calls[k + 1:])
+        for k, (_, _, residues) in enumerate(calls)
+        if len(residues) > 1
+    ]
+    assert resifted and all(resifted)
+    assert G.chain().verify()
