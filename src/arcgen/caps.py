@@ -42,7 +42,7 @@ class Caps:
     exponent_cap: largest group order for which full element enumeration
         (exponent computation) is attempted.
     ambient_cap: largest ambient dimension for dense group-algebra matrices.
-    vertex_cap: largest vertex count for constructed graphs.
+    vertex_cap: largest vertex count for constructed or parsed graphs.
     time_cap_s: optional wall-clock budget, per stabilizer-chain build.
     """
 

@@ -73,9 +73,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Tails and heads (int64) of all 2m arcs, sorted by (tail, head)."""
         if self._arcs is None:
@@ -111,20 +108,7 @@ class Graph:
         return len(self.adj[0])
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = bytearray(self.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    queue.append(v)
-        return count == self.n
+        return self.n == 0 or _component_size(self, 0) == self.n
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -186,7 +170,7 @@ def cayley(spec: CayleySpec) -> Graph:
                     nxt.append(y)
         frontier = nxt
     component = _component_size(g, 0)
-    if (len(generated) == n) != (component == n) or component != len(generated):
+    if component != len(generated):
         raise AssertionError("Cayley connectivity disagrees with generation")
     return g
 
@@ -312,11 +296,12 @@ def parse_graph(data, format: str = "edge-list") -> Graph:
     raise ValueError(f"unsupported format {format!r}")
 
 
-def parse_edge_list_lines(lines, offset: int = 0) -> tuple[Graph, int]:
+def parse_edge_list_lines(lines, offset: int = 0, caps: Caps = DEFAULT_CAPS) -> tuple[Graph, int]:
     """Parse "n m" plus m edge lines; returns (graph, lines consumed).
 
     Line numbers in errors are 1-based and shifted by `offset` so callers
     embedding an edge list inside a larger file can report real positions.
+    A header over caps.vertex_cap raises CapExceeded before any allocation.
     """
     if not lines:
         raise GraphFormatError("missing header line", offset + 1)
@@ -329,6 +314,8 @@ def parse_edge_list_lines(lines, offset: int = 0) -> tuple[Graph, int]:
         raise GraphFormatError('header must be "n m" with integers', offset + 1) from None
     if n < 0 or m < 0:
         raise GraphFormatError("negative counts in header", offset + 1)
+    if n > caps.vertex_cap:
+        raise CapExceeded("vertex", caps.vertex_cap, f"edge list declares {n} vertices")
     edges = []
     for k in range(m):
         lineno = offset + 2 + k

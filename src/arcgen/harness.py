@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .caps import DEFAULT_CAPS, Caps
 from .graph_builder import Graph, GraphFormatError, parse_edge_list_lines
 from .perm_group import (
     Perm,
@@ -81,11 +82,11 @@ class VTInstance:
             raise ValueError("graph is not connected")
 
 
-def load_instance(text: str, caps=None) -> VTInstance:
+def load_instance(text: str, caps: Caps = DEFAULT_CAPS) -> VTInstance:
     """Parse an instance file: edge list, blank line, generator lines."""
     lines = text.splitlines()
     try:
-        graph, consumed = parse_edge_list_lines(lines)
+        graph, consumed = parse_edge_list_lines(lines, caps=caps)
     except GraphFormatError as exc:
         raise InstanceParseError(exc.bare_message, exc.line) from None
     idx = consumed

@@ -12,7 +12,8 @@ once the deeper levels are complete, so the install order depends on
 the input alone. On top of the chain sit the predicates the verification
 pipeline needs: vertex/arc transitivity, local actions, the Frattini
 decomposition check, minimal generator ranks of p-groups (Burnside basis
-theorem) and exponents by full element enumeration.
+theorem) and exponents, read off one walk of the group through its chain.
+Orbits, transversals and arc orbits share one breadth-first walk.
 
 Composition convention: permutations act on the right, x^(g*h) = (x^g)^h,
 and (g * h).images[x] == h.images[g.images[x]].
@@ -20,6 +21,8 @@ and (g * h).images[x] == h.images[g.images[x]].
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 from collections import deque
@@ -60,21 +63,50 @@ def _inverse_arr(a: np.ndarray) -> np.ndarray:
     return inv
 
 
+# Points a breadth-first walk expands at once, which bounds its temporaries
+BFS_BATCH = 64
+
+
+def _bfs(step, starts, size: int):
+    """Breadth-first walk over the points 0..size-1 from the start points.
+
+    step(batch) gives the (len(batch), k) images of a batch of reached
+    points under the k generators. New points are taken in batch order,
+    then generator order, as a FIFO queue takes them. Returns the points
+    reached, in that order, and edges: edges[j] = i*k + g when points[j]
+    was first reached from points[i] by generator g (-1 for the starts).
+    """
+    seen = np.zeros(size, dtype=bool)
+    seen[np.asarray(starts, dtype=np.intp)] = True
+    points = np.flatnonzero(seen)
+    edges = np.full(len(points), -1)
+    done = 0
+    while done < len(points):
+        images = step(points[done : done + BFS_BATCH])
+        cand = images.ravel()
+        fresh = np.flatnonzero(~seen[cand])
+        order = np.argsort(cand[fresh], kind="stable")  # to find first occurrences
+        image = cand[fresh][order]
+        hit = fresh[np.sort(order[np.diff(image, prepend=-1) != 0])]
+        seen[cand[hit]] = True
+        edges = np.concatenate([edges, done * images.shape[1] + hit])
+        done, points = done + len(images), np.concatenate([points, cand[hit]])
+    return points, edges
+
+
 class Perm:
     """A permutation of {0, ..., n-1}; images[v] is the image of v."""
 
     __slots__ = ("images",)
 
     def __init__(self, images):
-        arr = np.array(images, dtype=_DTYPE)
+        try:
+            arr = np.array(images, dtype=_DTYPE)
+        except OverflowError:
+            raise ValueError("images do not form a permutation of 0..n-1") from None
         if arr.ndim != 1:
             raise ValueError("images must be a flat sequence")
-        n = arr.shape[0]
-        seen = np.zeros(n, dtype=bool)
-        if n and (arr.min() < 0 or arr.max() >= n):
-            raise ValueError("images do not form a permutation of 0..n-1")
-        seen[arr] = True
-        if not seen.all():
+        if not np.array_equal(np.sort(arr), np.arange(len(arr))):
             raise ValueError("images do not form a permutation of 0..n-1")
         arr.setflags(write=False)
         self.images = arr
@@ -497,60 +529,39 @@ class PermGroup:
     def order(self) -> int:
         return self.chain().order()
 
-    def is_trivial(self) -> bool:
-        return self.order() == 1
-
     def contains(self, perm: Perm) -> bool:
         if perm.degree != self.degree:
             raise ValueError("degree mismatch")
         return self.chain().contains(perm.images)
 
+    def _images(self) -> np.ndarray:
+        """The generators' image arrays, one row each."""
+        arrs = np.array([g.images for g in self.generators], dtype=_DTYPE)
+        return arrs.reshape(len(self.generators), self.degree)
+
     def orbit(self, points) -> list[int]:
-        """Closure of the given point(s) under all generators, sorted."""
-        if isinstance(points, (int, np.integer)):
-            frontier = [int(points)]
-        else:
-            frontier = sorted(int(v) for v in points)
-        seen = set(frontier)
-        queue = deque(frontier)
-        arrs = [g.images for g in self.generators]
-        while queue:
-            v = queue.popleft()
-            for a in arrs:
-                w = int(a[v])
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return sorted(seen)
+        """Closure of the given point, or sequence of points, under all generators, sorted."""
+        arrs = self._images()
+        return sorted(_bfs(lambda f: arrs[:, f].T, points, self.degree)[0].tolist())
 
     def orbits(self) -> list[list[int]]:
         """All orbits on {0..degree-1}, each sorted, ordered by minimum."""
-        remaining = set(range(self.degree))
-        out = []
-        while remaining:
-            v = min(remaining)
-            orb = self.orbit(v)
-            out.append(orb)
-            remaining.difference_update(orb)
+        out, left = [], np.ones(self.degree, dtype=bool)
+        while left.any():
+            out.append(self.orbit(int(left.argmax())))
+            left[out[-1]] = False
         return out
 
     def transversal(self, v: int, reverse: bool = False) -> dict[int, Perm]:
         """Deterministic coset representatives u with v^u = point (BFS)."""
-        arrs = [g.images for g in self.generators]
-        if reverse:
-            arrs = arrs[::-1]
-        ident = np.arange(self.degree, dtype=_DTYPE)
-        reps: dict[int, np.ndarray] = {int(v): ident}
-        queue = deque([int(v)])
-        while queue:
-            w = queue.popleft()
-            u = reps[w]
-            for a in arrs:
-                t = int(a[w])
-                if t not in reps:
-                    reps[t] = a[u]
-                    queue.append(t)
-        return {point: Perm._wrap(arr) for point, arr in reps.items()}
+        arrs = self._images()[::-1] if reverse else self._images()
+        points, edges = _bfs(lambda f: arrs[:, f].T, v, self.degree)
+        reps = np.empty((len(points), self.degree), dtype=_DTYPE)
+        reps[0] = np.arange(self.degree)
+        for j, e in enumerate(edges[1:].tolist(), 1):
+            i, g = divmod(e, len(arrs))
+            reps[j] = arrs[g][reps[i]]  # u_j = u_i * a_g
+        return {int(x): Perm._wrap(r) for x, r in zip(points, reps)}
 
     def stabilizer(self, v: int) -> "PermGroup":
         """Point stabilizer, generated by the chain's deeper strong generators.
@@ -576,20 +587,25 @@ def commutator(g: Perm, h: Perm) -> Perm:
 
 
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
-    """Smallest subgroup containing the seeds and closed under G-conjugation."""
-    caps = G.caps
-    chain = StabChain(G.degree, caps=caps)
+    """Smallest subgroup containing the seeds and closed under G-conjugation.
+
+    Tries the seeds, then the conjugates a^-1 x a of each added x in order
+    of adding; a conjugate is formed only when its turn comes.
+    """
+    chain = StabChain(G.degree, caps=G.caps)
     gen_arrs = [g.images for g in G.generators]
     gen_invs = [_inverse_arr(a) for a in gen_arrs]
-    work = deque(s if isinstance(s, Perm) else Perm(s) for s in seeds)
-    added: list[Perm] = []
-    while work:
-        x = work.popleft()
-        if chain.add_generator(x.images):
+    added: list[np.ndarray] = []
+    for s in seeds:
+        x = (s if isinstance(s, Perm) else Perm(s)).images
+        if chain.add_generator(x):
             added.append(x)
-            for a, ainv in zip(gen_arrs, gen_invs):
-                work.append(Perm._wrap(a[x.images[ainv]]))
-    return PermGroup._with_chain(added, chain, G.degree, caps)
+    for x in added:  # also reaches the elements appended while it runs
+        for a, ainv in zip(gen_arrs, gen_invs):
+            y = a[x[ainv]]
+            if chain.add_generator(y):
+                added.append(y)
+    return PermGroup._with_chain([Perm._wrap(x) for x in added], chain, G.degree, G.caps)
 
 
 def frattini_rank(G: PermGroup, p: int) -> int:
@@ -629,34 +645,41 @@ def frattini_rank(G: PermGroup, p: int) -> int:
     return rank
 
 
+# Rows of the block exponent forms over the deepest levels (more if one orbit is longer)
+EXPONENT_BLOCK = 1024
+
+
 def exponent(G: PermGroup, cap: int | None = None) -> int:
-    """Least common multiple of all element orders, by full enumeration."""
+    """Least common multiple of all element orders.
+
+    With v_i over the transversal inverses of chain level i, the products
+    v_0 v_1 ... v_(L-1) invert the normal forms u_(L-1) ... u_0, so they
+    list G once each. The deepest levels are multiplied into one block of
+    rows; each product of the top levels is applied to the whole block.
+    """
     cap = cap if cap is not None else G.caps.exponent_cap
     order = G.order()
     if order > cap:
         raise CapExceeded(
             "exponent", cap, f"group order {order} exceeds the enumeration cap"
         )
+    levels = [lv.inv[: len(lv.points)] for lv in G.chain().levels]
     ident = np.arange(G.degree, dtype=_DTYPE)
-    arrs = [g.images for g in G.generators]
-    seen = {ident.tobytes()}
-    frontier = [ident]
+    block = ident[None, :]
+    while levels and (len(block) == 1 or len(block) * len(levels[-1]) <= EXPONENT_BLOCK):
+        block = block[:, levels.pop()].reshape(-1, G.degree)  # row (b, v) is v * b = b[v]
     exp = 1
-    count = 1
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a in arrs:
-                y = a[x]
-                key = y.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(y)
-                    count += 1
-                    exp = math.lcm(exp, Perm._wrap(y).order())
-        frontier = nxt
-    if count != order:
-        raise AssertionError("element enumeration disagrees with the chain order")
+    offsets = np.arange(len(block))[:, None] * G.degree
+    for top in itertools.product(*levels):
+        x = block[:, functools.reduce(lambda t, v: v[t], top, ident)]
+        # power holds x^k; a row leaves once it is the identity, at k = its order
+        power, k = x, 1
+        while len(x):
+            home = (power == ident).all(axis=1)
+            if home.any():
+                exp = math.lcm(exp, k)
+                x, power = x[~home], power[~home]
+            power, k = x.ravel()[power + offsets[: len(x)]], k + 1
     return exp
 
 
@@ -702,19 +725,14 @@ def arc_orbit_size(graph: Graph, G: PermGroup, arc: tuple[int, int] | None = Non
     if w not in graph.adj[u]:
         raise ValueError(f"({u}, {w}) is not an arc of the graph")
     n = graph.n
-    arrs = [g.images for g in G.generators]
-    start = u * n + w
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        code = queue.popleft()
-        cu, cw = divmod(code, n)
-        for a in arrs:
-            nxt = int(a[cu]) * n + int(a[cw])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen)
+    tails, heads = graph.arcs()
+    codes = tails * n + heads
+    arrs = G._images().astype(np.int64)
+
+    def step(f):  # the generators map arcs onto arcs, so every code is found
+        return np.searchsorted(codes, arrs[:, tails[f]] * n + arrs[:, heads[f]]).T
+
+    return len(_bfs(step, [np.searchsorted(codes, u * n + w)], len(codes))[0])
 
 
 def is_arc_transitive(graph: Graph, G: PermGroup) -> bool:
@@ -729,21 +747,13 @@ def local_action(graph: Graph, G: PermGroup, v: int) -> tuple[PermGroup, int]:
     order) together with its number of orbits.
     """
     _require_automorphisms(graph, G)
-    stab = G.stabilizer(v)
-    nbrs = graph.adj[v]
-    pos = {w: k for k, w in enumerate(nbrs)}
-    restricted = []
-    for g in stab.generators:
-        images = []
-        for w in nbrs:
-            t = int(g.images[w])
-            if t not in pos:
-                raise AssertionError(
-                    "stabilizer generator does not preserve the neighborhood"
-                )
-            images.append(pos[t])
-        restricted.append(Perm(images))
-    induced = PermGroup(restricted, degree=len(nbrs), caps=G.caps)
+    nbrs = list(graph.adj[v])
+    pos = np.full(graph.n, -1, dtype=_DTYPE)
+    pos[nbrs] = np.arange(len(nbrs))
+    restricted = pos[G.stabilizer(v)._images()[:, nbrs]]
+    if (restricted < 0).any():
+        raise AssertionError("stabilizer generator does not preserve the neighborhood")
+    induced = PermGroup([Perm(r) for r in restricted], degree=len(nbrs), caps=G.caps)
     orbit_count = len(induced.orbits()) if nbrs else 0
     return induced, orbit_count
 

@@ -6,6 +6,7 @@ library's stabilizer-chain and Nakayama code paths, so tests that compare
 against these functions are genuine dual-route checks.
 """
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -60,6 +61,40 @@ def enumerate_elements(G):
                     nxt.append(y)
         frontier = nxt
     return list(seen.values())
+
+
+def transversal_by_queue(G, v, reverse=False):
+    """Coset representatives {point: images} from a FIFO queue over the generators."""
+    arrs = [g.images for g in G.generators]
+    if reverse:
+        arrs = arrs[::-1]
+    reps = {int(v): np.arange(G.degree, dtype=np.int32)}
+    queue = deque([int(v)])
+    while queue:
+        w = queue.popleft()
+        for a in arrs:
+            t = int(a[w])
+            if t not in reps:
+                reps[t] = a[reps[w]]
+                queue.append(t)
+    return reps
+
+
+def arc_orbit_size_by_queue(graph, G, arc):
+    """Size of the orbit of one arc (u, w), by a FIFO queue over arc codes u*n + w."""
+    n = graph.n
+    arrs = [g.images for g in G.generators]
+    start = arc[0] * n + arc[1]
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cu, cw = divmod(queue.popleft(), n)
+        for a in arrs:
+            code = int(a[cu]) * n + int(a[cw])
+            if code not in seen:
+                seen.add(code)
+                queue.append(code)
+    return len(seen)
 
 
 def cayley_table(elems):

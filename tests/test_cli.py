@@ -162,18 +162,40 @@ def test_verify_t2_missing_file(tmp_path, capsys):
     assert "cannot read" in stderr
 
 
-def test_verify_t2_round_trip_with_construct(tmp_path, capsys):
-    out = tmp_path / "g2"
+def test_verify_t2_oversized_image_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "huge.instance"
+    path.write_text(C5_INSTANCE.replace("1 2 3 4 0", "0 4 3 2 99999999999"))
+    code, _, stderr = run_cli(capsys, "verify-t2", str(path))
+    assert code == EXIT_INPUT
+    assert "line 8" in stderr
+
+
+def test_verify_t2_header_over_the_vertex_cap(tmp_path, capsys):
+    path = tmp_path / "huge.instance"
+    path.write_text("99999999999 1\n0 1\n\n1 0\n")
+    code, _, stderr = run_cli(capsys, "verify-t2", str(path))
+    assert code == EXIT_CAP
+    assert "vertex cap" in stderr
+
+
+def round_trip_instance(tmp_path, capsys, p, h):
+    """Construct the (p, h) member and write it as a verify-t2 instance."""
+    out = tmp_path / f"g{p}{h}"
     code, _, _ = run_cli(
-        capsys, "construct", "--p", "2", "--h", "2", "--out", str(out)
+        capsys, "construct", "--p", str(p), "--h", str(h), "--out", str(out)
     )
     assert code == EXIT_OK
-    instance = tmp_path / "g2.instance"
+    instance = tmp_path / f"g{p}{h}.instance"
     instance.write_text(
-        (tmp_path / "g2.edges").read_text()
+        (tmp_path / f"g{p}{h}.edges").read_text()
         + "\n"
-        + (tmp_path / "g2.big.gens").read_text()
+        + (tmp_path / f"g{p}{h}.big.gens").read_text()
     )
+    return instance
+
+
+def test_verify_t2_round_trip_with_construct(tmp_path, capsys):
+    instance = round_trip_instance(tmp_path, capsys, 2, 2)
     code, stdout, _ = run_cli(capsys, "verify-t2", str(instance))
     assert code == EXIT_OK
     assert "G_order=65536" in stdout
@@ -306,3 +328,59 @@ def test_verify_t1_golden(capsys, argv, exit_code, golden):
 def test_verify_t1_golden_under_caps(caps, golden):
     report = verify_theorem1(ConstructionParams(2, 2, caps=caps))
     assert mask_elapsed(report.render()) == golden
+
+
+# verify-t2 certificates of constructed members: e, the orders and every
+# connection_gen line (the transversal representatives) pinned byte for byte
+
+GOLDEN_T2_22 = """\
+bound-certificate n=32 d=8 e=8
+H_order=512
+G_order=65536
+G_alpha_order=2048
+connection_gen 2 3 4 5 6 7 0 1 10 11 12 13 14 15 8 9 18 19 20 21 22 23 16 17 26 27 28 29 30 31 24 25
+connection_gen 3 2 5 4 7 6 1 0 10 11 12 13 14 15 8 9 18 19 20 21 22 23 16 17 26 27 28 29 30 31 24 25
+connection_gen 6 7 4 5 2 3 0 1 30 31 28 29 26 27 24 25 22 23 20 21 18 19 16 17 14 15 12 13 10 11 8 9
+connection_gen 7 6 5 4 3 2 1 0 30 31 28 29 26 27 24 25 22 23 20 21 18 19 16 17 14 15 12 13 10 11 8 9
+connection_gen 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 0 1 2 3 4 5 6 7
+connection_gen 9 8 11 10 13 12 15 14 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 0 1 2 3 4 5 6 7
+connection_gen 24 25 30 31 28 29 26 27 16 17 22 23 20 21 18 19 8 9 14 15 12 13 10 11 0 1 6 7 4 5 2 3
+connection_gen 25 24 31 30 29 28 27 26 16 17 22 23 20 21 18 19 8 9 14 15 12 13 10 11 0 1 6 7 4 5 2 3
+decomposition_ok=true
+size_bound_ok=true
+generation_ok=true
+order_equality=false
+"""
+
+GOLDEN_T2_31 = """\
+bound-certificate n=27 d=12 e=18
+H_order=243
+G_order=26244
+G_alpha_order=972
+connection_gen 3 4 5 6 7 8 0 1 2 12 13 14 15 16 17 9 10 11 21 22 23 24 25 26 18 19 20
+connection_gen 4 5 3 7 8 6 1 2 0 12 13 14 15 16 17 9 10 11 21 22 23 24 25 26 18 19 20
+connection_gen 5 3 4 8 6 7 2 0 1 13 14 12 16 17 15 10 11 9 21 22 23 24 25 26 18 19 20
+connection_gen 6 7 8 0 1 2 3 4 5 15 16 17 9 10 11 12 13 14 24 25 26 18 19 20 21 22 23
+connection_gen 7 8 6 1 2 0 4 5 3 15 16 17 9 10 11 12 13 14 24 25 26 18 19 20 21 22 23
+connection_gen 8 6 7 2 0 1 5 3 4 16 17 15 10 11 9 13 14 12 24 25 26 18 19 20 21 22 23
+connection_gen 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 0 1 2 3 4 5 6 7 8
+connection_gen 10 11 9 13 14 12 16 17 15 18 19 20 21 22 23 24 25 26 0 1 2 3 4 5 6 7 8
+connection_gen 11 9 10 14 12 13 17 15 16 19 20 18 22 23 21 25 26 24 0 1 2 3 4 5 6 7 8
+connection_gen 18 19 20 21 22 23 24 25 26 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17
+connection_gen 19 20 18 22 23 21 25 26 24 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17
+connection_gen 20 18 19 23 21 22 26 24 25 1 2 0 4 5 3 7 8 6 9 10 11 12 13 14 15 16 17
+decomposition_ok=true
+size_bound_ok=true
+generation_ok=true
+order_equality=false
+"""
+
+
+@pytest.mark.parametrize(
+    "p, h, golden", [(2, 2, GOLDEN_T2_22), (3, 1, GOLDEN_T2_31)], ids=["2-2", "3-1"]
+)
+def test_verify_t2_golden(tmp_path, capsys, p, h, golden):
+    instance = round_trip_instance(tmp_path, capsys, p, h)
+    code, stdout, _ = run_cli(capsys, "verify-t2", str(instance))
+    assert code == EXIT_OK
+    assert stdout == golden

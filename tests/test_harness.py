@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from arcgen.caps import CapExceeded, Caps
 from arcgen.graph_builder import CayleySpec, Graph, cayley, standard_connection
 from arcgen.group_algebra import AbelianH
 from arcgen.harness import (
@@ -94,6 +95,17 @@ def test_load_instance_parse_error_line_numbers():
     with pytest.raises(InstanceParseError) as exc:
         load_instance("2 1\n0 1\n\n")
     assert "no generator" in str(exc.value)
+
+
+def test_load_instance_caps_the_header_vertex_count():
+    # an 11-cycle and its rotation: one vertex over the cap
+    edges = "".join(f"{k} {k + 1}\n" for k in range(10)) + "0 10\n"
+    rotation = " ".join(str((k + 1) % 11) for k in range(11))
+    text = f"11 11\n{edges}\n{rotation}\n"
+    with pytest.raises(CapExceeded) as exc:
+        load_instance(text, caps=Caps(vertex_cap=10))
+    assert exc.value.cap_name == "vertex"
+    assert load_instance(text, caps=Caps(vertex_cap=11)).group.order() == 11
 
 
 # -- connection generators ---------------------------------------------------

@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from arcgen import perm_group
 from arcgen.caps import CapExceeded, Caps
 from arcgen.graph_builder import Graph
 from arcgen.perm_group import (
@@ -25,10 +27,12 @@ from arcgen.perm_group import (
 )
 from arcgen.pipeline import Bundle, ConstructionParams
 from oracles import (
+    arc_orbit_size_by_queue,
     brute_force_min_generators,
     enumerate_elements,
     exponent_by_table,
     is_automorphism_by_neighbourhoods,
+    transversal_by_queue,
 )
 
 
@@ -56,6 +60,8 @@ def test_perm_validation():
         Perm([0, 0, 1])
     with pytest.raises(ValueError):
         Perm([0, 3, 1])
+    with pytest.raises(ValueError):
+        Perm([0, 99999999999])
 
 
 def test_perm_composition_convention():
@@ -628,3 +634,63 @@ def test_chunk_residues_after_the_first_are_deferred(monkeypatch):
     ]
     assert resifted and all(resifted)
     assert G.chain().verify()
+
+
+# -- breadth-first walks and the exponent against queue references ------------
+
+
+def assert_walks_match_queues(graph, G, points, arcs):
+    for v in points:
+        for reverse in (False, True):
+            ours = G.transversal(v, reverse=reverse)
+            ref = transversal_by_queue(G, v, reverse)
+            assert list(ours) == list(ref)
+            assert all(np.array_equal(ours[x].images, ref[x]) for x in ref)
+        assert G.orbit(v) == sorted(ref)
+    for arc in arcs:
+        assert arc_orbit_size(graph, G, arc) == arc_orbit_size_by_queue(graph, G, arc)
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (2, 3)])
+def test_family_walks_match_queue_references(p, h):
+    bundle = Bundle(ConstructionParams(p, h))
+    graph = bundle.graph
+    mid = graph.n // 2
+    arcs = [(0, w) for w in graph.adj[0]] + [(mid, graph.adj[mid][-1])]
+    for G in (bundle.small_group, bundle.big_group):
+        assert_walks_match_queues(graph, G, (0, mid, graph.n - 1), arcs)
+
+
+@pytest.mark.parametrize("gens", [g for _, g in DUAL_ROUTE_GROUPS],
+                         ids=[name for name, _ in DUAL_ROUTE_GROUPS])
+def test_dual_route_walks_match_queue_references(gens):
+    # every permutation is an automorphism of the complete graph
+    n = gens[0].degree
+    complete = Graph(n, [(u, w) for u in range(n) for w in range(u + 1, n)])
+    arcs = [(0, 1), (n - 1, 0), (n // 2, 1)]
+    assert_walks_match_queues(complete, PermGroup(gens), (0, n // 2, n - 1), arcs)
+
+
+SMALL_DUAL_ROUTE_GROUPS = [
+    (name, gens) for name, gens in DUAL_ROUTE_GROUPS if PermGroup(gens).order() <= 2**16
+]
+
+
+@pytest.mark.parametrize("gens", [g for _, g in SMALL_DUAL_ROUTE_GROUPS],
+                         ids=[name for name, _ in SMALL_DUAL_ROUTE_GROUPS])
+def test_exponent_matches_element_orders(gens):
+    G = PermGroup(gens)
+    assert any(not commutator(g, h).is_identity() for g in gens for h in gens)
+    assert exponent(G) == math.lcm(*(Perm(x).order() for x in enumerate_elements(G)))
+
+
+def test_exponent_blocks(monkeypatch):
+    S8 = PermGroup(_symmetric(8))
+    assert S8.order() > perm_group.EXPONENT_BLOCK  # more than one block
+    assert exponent(S8) == 840
+    assert exponent(PermGroup.trivial(5)) == 1
+    assert exponent(PermGroup([Perm.identity(4)])) == 1
+    # a block of one level only, longer than the block size
+    monkeypatch.setattr(perm_group, "EXPONENT_BLOCK", 1)
+    assert exponent(PermGroup(_symmetric(6))) == 60
+    assert exponent(dihedral_c5()) == 10
