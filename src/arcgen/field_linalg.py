@@ -8,6 +8,26 @@ subspaces are equal exactly when their stored bases are identical.
 
 Vectors are rows throughout the library and operators multiply on the
 right.
+
+Every product of two matrices goes through one kernel, `_matmul`, and is
+exact for every modulus `FpMatrix` accepts:
+
+* float64 (BLAS) when k * (p-1)^2 < 2^53, with k the inner dimension.
+  Every partial sum is then an integer below 2^53, which float64 holds
+  exactly, so the result does not depend on how BLAS splits or orders
+  the sums.
+* int64 otherwise, with the inner dimension cut into blocks of at most
+  (2^63 - 1) // (p-1)^2 terms, each block reduced mod p before the next
+  is added, so no partial sum overflows.
+
+Products of fewer than `_BLAS_MIN_MACS` multiply-adds take the int64
+route too: numpy's own loop needs under a millisecond there, and a run
+that multiplies only small matrices never pages in the BLAS kernels
+(about 0.5 MB of resident code).
+
+`FpMatrix` refuses moduli of `MAX_MODULUS` (2^31) and above: below it a
+product of two residues is under 2^62, which keeps both the blocks of
+the int64 route and the row update of `rref` inside int64.
 """
 
 from __future__ import annotations
@@ -15,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "MAX_MODULUS",
     "ModulusMismatchError",
     "FpMatrix",
     "FpSubspace",
@@ -25,6 +46,14 @@ __all__ = [
     "unipotent_matrix",
     "mat_inverse",
 ]
+
+
+MAX_MODULUS = 2**31
+
+# float64 holds every integer below 2^53 exactly.
+_FLOAT_EXACT = 2**53
+_BLAS_MIN_MACS = 2**20
+_INT64_MAX = 2**63 - 1
 
 
 class ModulusMismatchError(ValueError):
@@ -57,12 +86,30 @@ def prime_power_exponent(q: int, p: int) -> int | None:
     return h if q == 1 else None
 
 
+def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 arrays with entries in [0, p), p < MAX_MODULUS."""
+    k = a.shape[1]
+    square = (p - 1) ** 2
+    if k * square < _FLOAT_EXACT and a.shape[0] * k * b.shape[1] >= _BLAS_MIN_MACS:
+        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        out %= p
+        return out
+    block = _INT64_MAX // square
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for s in range(0, k, block):
+        out += (a[:, s : s + block] @ b[s : s + block]) % p
+        out %= p
+    return out
+
+
 class FpMatrix:
     """Dense matrix over F_p. Entries are always fully reduced."""
 
     __slots__ = ("a", "p")
 
     def __init__(self, entries, p: int):
+        if p >= MAX_MODULUS:
+            raise ValueError(f"modulus {p} is not below MAX_MODULUS = 2^31")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         a = np.asarray(entries, dtype=np.int64)
@@ -101,7 +148,7 @@ class FpMatrix:
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         self._check_modulus(other)
-        return FpMatrix._make((self.a @ other.a) % self.p, self.p)
+        return FpMatrix._make(_matmul(self.a, other.a, self.p), self.p)
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         self._check_modulus(other)
@@ -153,24 +200,28 @@ def rref(m: FpMatrix) -> tuple[FpMatrix, int]:
     """
     a = m.a.copy()
     p = m.p
-    nrows, ncols = a.shape
+    nrows = a.shape[0]
     r = 0
-    for c in range(ncols):
+    # Row operations never make a zero column nonzero, so those are skipped.
+    # When column c gets its pivot, row r is zero left of c, so only the
+    # columns from c on change.
+    for c in np.flatnonzero(a.any(axis=0)):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        nz = np.flatnonzero(a[:, c])
+        below = nz[nz >= r]
+        if below.size == 0:
             continue
-        piv = r + int(nz[0])
+        piv = int(below[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         inv = pow(int(a[r, c]), -1, p)
         if inv != 1:
-            a[r] = (a[r] * inv) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
+            a[r, c:] = (a[r, c:] * inv) % p
+        # after the swap row piv holds the old row r, which is zero in column c
+        others = nz[nz != piv]
         if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
+            a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % p
         r += 1
     return FpMatrix._make(a, p), r
 
@@ -226,8 +277,12 @@ class FpSubspace:
 
     @classmethod
     def from_rows(cls, rows: FpMatrix) -> "FpSubspace":
-        red, rank = rref(rows)
-        return cls(rows.cols, FpMatrix._make(red.a[:rank].copy(), rows.p))
+        """The span of the rows; rows already in canonical form are kept."""
+        a = rows.a[rows.a.any(axis=1)]
+        if not _is_canonical(a):
+            red, rank = rref(FpMatrix._make(a, rows.p))
+            a = red.a[:rank].copy()
+        return cls(rows.cols, FpMatrix._make(a, rows.p))
 
     @classmethod
     def zero(cls, ambient_dim: int, p: int) -> "FpSubspace":
@@ -241,19 +296,32 @@ class FpSubspace:
     def dim(self) -> int:
         return self.basis.rows
 
+    def _reduce(self, rows: np.ndarray) -> np.ndarray:
+        """Each row minus the basis combination that matches it on the pivots.
+
+        A row comes out zero exactly when it lies in the subspace, and every
+        row comes out zero in the pivot columns.
+        """
+        if not self.dim:
+            return rows
+        return (rows - _matmul(rows[:, self._pivots], self.basis.a, self.p)) % self.p
+
     def contains(self, vec) -> bool:
         """Membership of a single coefficient row vector."""
         v = np.mod(np.asarray(vec, dtype=np.int64), self.p)
         if v.shape != (self.ambient_dim,):
             raise ValueError("vector length does not match the ambient dimension")
-        if self.dim:
-            v = (v - v[self._pivots] @ self.basis.a) % self.p
-        return not v.any()
+        return not self._reduce(v[None, :]).any()
 
     def contains_space(self, other: "FpSubspace") -> bool:
+        self._check_compatible(other)
+        return not self._reduce(other.basis.a).any()
+
+    def _check_compatible(self, other: "FpSubspace") -> None:
         if self.p != other.p:
             raise ModulusMismatchError(f"moduli differ: {self.p} vs {other.p}")
-        return all(self.contains(row) for row in other.basis.a)
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimensions differ")
 
     def __le__(self, other: "FpSubspace") -> bool:
         return other.contains_space(self)
@@ -271,13 +339,19 @@ class FpSubspace:
         return hash((self.p, self.ambient_dim, self.basis.a.tobytes()))
 
     def __add__(self, other: "FpSubspace") -> "FpSubspace":
-        """Subspace spanned by the union of the two bases."""
-        if self.p != other.p:
-            raise ModulusMismatchError(f"moduli differ: {self.p} vs {other.p}")
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        stacked = np.vstack([self.basis.a, other.basis.a])
-        return FpSubspace.from_rows(FpMatrix._make(stacked, self.p))
+        """Subspace spanned by the union of the two bases.
+
+        Only the part of `other` outside this subspace is eliminated; the
+        existing rows are then cleared in the new pivot columns and the two
+        row sets merged by pivot, which is again the canonical basis.
+        """
+        self._check_compatible(other)
+        extra = FpSubspace.from_rows(FpMatrix._make(self._reduce(other.basis.a), self.p))
+        if not extra.dim:
+            return self
+        rows = np.vstack([extra._reduce(self.basis.a), extra.basis.a])
+        order = np.argsort(np.concatenate([self._pivots, extra._pivots]), kind="stable")
+        return FpSubspace(self.ambient_dim, FpMatrix._make(rows[order], self.p))
 
     def image(self, m: FpMatrix) -> "FpSubspace":
         """Image of the subspace under right multiplication by m."""
@@ -288,6 +362,16 @@ class FpSubspace:
 
     def __repr__(self) -> str:
         return f"FpSubspace(dim={self.dim}, ambient={self.ambient_dim}, p={self.p})"
+
+
+def _is_canonical(a: np.ndarray) -> bool:
+    """Whether nonzero rows `a` are already a canonical RREF basis."""
+    piv = _pivot_columns(a)
+    return (
+        bool((np.diff(piv) > 0).all())
+        and bool((a[np.arange(len(piv)), piv] == 1).all())
+        and bool((np.count_nonzero(a, axis=0)[piv] == 1).all())
+    )
 
 
 def _pivot_columns(a: np.ndarray) -> np.ndarray:

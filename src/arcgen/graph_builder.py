@@ -280,19 +280,23 @@ def export_graph(g: Graph, format: str = "edge-list") -> bytes:
     raise ValueError(f"unsupported format {format!r}")
 
 
-def parse_graph(data, format: str = "edge-list") -> Graph:
-    """Inverse of export_graph; raises GraphFormatError on bad input."""
+def parse_graph(data, format: str = "edge-list", caps: Caps = DEFAULT_CAPS) -> Graph:
+    """Inverse of export_graph; raises GraphFormatError on bad input.
+
+    A vertex count over caps.vertex_cap raises CapExceeded before any
+    allocation, in either format.
+    """
     if isinstance(data, bytes):
         data = data.decode("ascii")
     if format == "edge-list":
         lines = data.splitlines()
-        graph, consumed = parse_edge_list_lines(lines)
+        graph, consumed = parse_edge_list_lines(lines, caps=caps)
         for extra in lines[consumed:]:
             if extra.strip():
                 raise GraphFormatError("trailing data after edge list", consumed + 1)
         return graph
     if format == "sparse6":
-        return _from_sparse6(data.strip())
+        return _from_sparse6(data.strip(), caps)
     raise ValueError(f"unsupported format {format!r}")
 
 
@@ -410,7 +414,7 @@ def _to_sparse6(g: Graph) -> str:
     return ":" + "".join(chr(63 + c) for c in chars) + payload
 
 
-def _from_sparse6(text: str) -> Graph:
+def _from_sparse6(text: str, caps: Caps) -> Graph:
     if text.startswith(">>sparse6<<"):
         text = text[11:]
     if not text.startswith(":"):
@@ -419,6 +423,8 @@ def _from_sparse6(text: str) -> Graph:
     if any(d < 0 or d > 63 for d in data):
         raise GraphFormatError("invalid character in sparse6 data")
     n, rest = _chars_to_n(data)
+    if n > caps.vertex_cap:
+        raise CapExceeded("vertex", caps.vertex_cap, f"sparse6 header declares {n} vertices")
     k = 1
     while (1 << k) < n:
         k += 1

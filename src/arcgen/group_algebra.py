@@ -125,8 +125,7 @@ class EBasisChange:
         With row vectors v = w @ from_e.T, the operator matrix transforms
         as A_e = from_e.T @ A_nat @ to_e.T.
         """
-        p = self.H.p
-        return FpMatrix((self.from_e.a.T @ m.a @ self.to_e.a.T) % p, p)
+        return self.from_e.transpose() @ m @ self.to_e.transpose()
 
 
 def build_e_basis(H: AbelianH) -> EBasisChange:
@@ -195,17 +194,34 @@ class GammaChain:
     chain[i] is the i-th term; the chain strictly descends from the whole
     algebra to zero at index 2q - 1, and each term is verified against
     its expected spanning set {e_xy : x + y >= i} during construction.
+
+    Each term is stored as its canonical basis in the smallest unsigned
+    type that holds p - 1 (one byte for p < 257, an eighth of int64), and
+    chain[i] rebuilds the subspace. The top term, which the claims read
+    many times, is also kept built.
     """
 
     p: int
     q: int
-    chain: list[FpSubspace]
+    bases: tuple[np.ndarray, ...]
+    top: FpSubspace
 
     def __len__(self) -> int:
-        return len(self.chain)
+        return len(self.bases)
 
     def __getitem__(self, i: int) -> FpSubspace:
-        return self.chain[i]
+        i = range(len(self.bases))[i]  # negative indices count from the end
+        if i == self.top_index:
+            return self.top
+        basis = self.bases[i]
+        return FpSubspace(basis.shape[1], FpMatrix(basis, self.p))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def dims(self) -> list[int]:
+        return [basis.shape[0] for basis in self.bases]
 
     @property
     def top_index(self) -> int:
@@ -214,17 +230,13 @@ class GammaChain:
 
 
 def _e_unit_span(H: AbelianH, level: int) -> FpSubspace:
+    """Span of the e_xy with x + y >= level; unit rows in index order are canonical."""
     n = H.ambient
-    idxs = [
-        H.index(x, y)
-        for x in range(H.q)
-        for y in range(H.q)
-        if x + y >= level
-    ]
+    x, y = np.divmod(np.arange(n), H.q)
+    idxs = np.flatnonzero(x + y >= level)
     rows = np.zeros((len(idxs), n), dtype=np.int64)
-    for r, k in enumerate(idxs):
-        rows[r, k] = 1
-    return FpSubspace.from_rows(FpMatrix(rows, H.p))
+    rows[np.arange(len(idxs)), idxs] = 1
+    return FpSubspace(n, FpMatrix(rows, H.p))
 
 
 def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
@@ -242,9 +254,11 @@ def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
     ident = FpMatrix.identity(n, p)
     a_step = a_e - ident
     b_step = b_e - ident
-    chain = [FpSubspace.full(n, p)]
+    compact = np.min_scalar_type(p - 1)
+    prev = FpSubspace.full(n, p)
+    bases = [prev.basis.a.astype(compact)]
+    top = None
     for i in range(1, 2 * q):
-        prev = chain[-1]
         nxt = prev.image(a_step) + prev.image(b_step)
         if nxt != _e_unit_span(H, i):
             raise AssertionError(
@@ -252,10 +266,13 @@ def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
             )
         if not nxt.dim < prev.dim:
             raise AssertionError(f"filtration fails to descend strictly at step {i}")
-        chain.append(nxt)
-    if chain[-1].dim != 0:
+        bases.append(nxt.basis.a.astype(compact))
+        if i == q - 1:
+            top = nxt
+        prev = nxt
+    if prev.dim != 0:
         raise AssertionError("filtration does not reach zero")
-    return GammaChain(p=p, q=q, chain=chain)
+    return GammaChain(p=p, q=q, bases=tuple(bases), top=top)
 
 
 def section_dims(chain: GammaChain) -> list[int]:
@@ -264,10 +281,10 @@ def section_dims(chain: GammaChain) -> list[int]:
     Entry i is dim chain[i] - dim chain[i+1] and must equal
     min(i + 1, 2q - 1 - i).
     """
-    q = chain.q
+    q, term_dims = chain.q, chain.dims
     dims = []
     for i in range(2 * q - 1):
-        d = chain[i].dim - chain[i + 1].dim
+        d = term_dims[i] - term_dims[i + 1]
         expected = min(i + 1, 2 * q - 1 - i)
         if d != expected:
             raise AssertionError(
@@ -383,7 +400,7 @@ def outer_action(
     chain = chain or gamma_chain(H, change)
     for name, m in (("phi", phi_m), ("psi", psi_m)):
         m_e = change.conjugate_to_e(m)
-        for i, sub in enumerate(chain.chain):
+        for i, sub in enumerate(chain):
             if not sub.image(m_e) <= sub:
                 raise AssertionError(
                     f"filtration term {i} is not invariant under {name}"

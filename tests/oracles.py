@@ -27,6 +27,20 @@ def algebra_mul(u, v, H):
     return out % H.p
 
 
+def matmul_by_int64(a, b, p):
+    """a @ b mod p by numpy's int64 product, without BLAS.
+
+    Where a sum of k products of residues could pass 2^63 - 1, the
+    product is taken over Python ints instead, which never overflow.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.shape[1] * (p - 1) ** 2 > 2**63 - 1:
+        exact = (a.astype(object) @ b.astype(object)) % p
+        return exact.astype(np.int64)
+    return (a @ b) % p
+
+
 def quotient_dim(inner, outer):
     """dim(outer / inner); every inner basis row must lie in outer."""
     if not outer.contains_space(inner):

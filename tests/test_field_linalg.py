@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from arcgen.field_linalg import (
+    MAX_MODULUS,
     FpMatrix,
     FpSubspace,
     ModulusMismatchError,
@@ -12,7 +13,7 @@ from arcgen.field_linalg import (
     rref,
     unipotent_matrix,
 )
-from oracles import quotient_dim
+from oracles import matmul_by_int64, quotient_dim
 
 
 def test_is_prime_small_values():
@@ -221,3 +222,138 @@ def test_mat_inverse_round_trip():
 def test_mat_inverse_singular():
     with pytest.raises(ValueError):
         mat_inverse(FpMatrix([[1, 1], [1, 1]], 2))
+
+
+# -- the product kernel ------------------------------------------------------
+
+
+def _random(rng, shape, p):
+    return rng.integers(0, p, size=shape, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 65521])
+def test_matmul_matches_int64_oracle(p):
+    rng = np.random.default_rng([p, 5])
+    # the last two shapes pass 2^20 multiply-adds, where BLAS takes over
+    shapes = [(0, 5, 3), (4, 3, 1), (1, 7, 1), (5, 1, 4), (3, 0, 2), (17, 33, 9), (64, 64, 64),
+              (128, 96, 100), (1, 1024, 1024)]
+    for m, k, n in shapes:
+        a, b = _random(rng, (m, k), p), _random(rng, (k, n), p)
+        got = (FpMatrix(a, p) @ FpMatrix(b, p)).a
+        assert got.dtype == np.int64
+        assert np.array_equal(got, matmul_by_int64(a, b, p)), (m, k, n)
+
+
+def test_matmul_1024_at_p2():
+    # the whole int64 product takes seconds, so the oracle checks 64 whole
+    # columns, and Freivalds' test with 16 vectors checks the rest (a wrong
+    # product passes it with probability at most 2^-16)
+    rng = np.random.default_rng(1024)
+    a, b = _random(rng, (1024, 1024), 2), _random(rng, (1024, 1024), 2)
+    c = (FpMatrix(a, 2) @ FpMatrix(b, 2)).a
+    cols = rng.choice(1024, size=64, replace=False)
+    assert np.array_equal(c[:, cols], matmul_by_int64(a, b[:, cols], 2))
+    x = _random(rng, (1024, 16), 2)
+    assert np.array_equal(matmul_by_int64(c, x, 2), matmul_by_int64(a, matmul_by_int64(b, x, 2), 2))
+
+
+# p = 2965819 puts the float64 bound k * (p-1)^2 < 2^53 at k = 1024 exactly
+BOUND_P = 2965819
+
+
+def test_bound_prime_sits_on_the_float64_bound():
+    assert is_prime(BOUND_P)
+    assert 1024 * (BOUND_P - 1) ** 2 < 2**53 <= 1025 * (BOUND_P - 1) ** 2
+
+
+@pytest.mark.parametrize("k", [1023, 1024, 1025, 1100])
+def test_matmul_on_both_sides_of_the_float64_bound(k):
+    p = BOUND_P
+    rng = np.random.default_rng([k, 53])
+    # entries near p - 1 push every inner sum close to k * (p-1)^2, and
+    # 32 * k * 32 multiply-adds are enough for BLAS below the bound
+    a = p - 1 - rng.integers(0, 1000, size=(32, k), dtype=np.int64)
+    b = p - 1 - rng.integers(0, 1000, size=(k, 32), dtype=np.int64)
+    assert np.array_equal((FpMatrix(a, p) @ FpMatrix(b, p)).a, matmul_by_int64(a, b, p))
+
+
+def test_matmul_large_modulus_does_not_overflow():
+    # 4 * (p-1)^2 passes 2^63; the plain int64 product returns [[0]]
+    p = 2**31 - 1
+    row = FpMatrix([[p - 1] * 4], p)
+    col = FpMatrix([[p - 1]] * 4, p)
+    assert (row @ col).a.tolist() == [[4]]
+    rng = np.random.default_rng(31)
+    a, b = _random(rng, (5, 9), p), _random(rng, (9, 3), p)
+    assert np.array_equal((FpMatrix(a, p) @ FpMatrix(b, p)).a, matmul_by_int64(a, b, p))
+    m = FpMatrix(a[:, :5], p)
+    assert np.array_equal((m**3).a, matmul_by_int64(matmul_by_int64(m.a, m.a, p), m.a, p))
+
+
+def test_modulus_at_or_above_the_limit_is_refused():
+    # one product of two residues of 4294967291 already passes 2^63
+    for p in (MAX_MODULUS, 4294967291):
+        with pytest.raises(ValueError):
+            FpMatrix([[p - 1]], p)
+    assert is_prime(4294967291)
+
+
+def test_rref_and_inverse_exact_at_a_large_modulus():
+    p = 2**31 - 1
+    rng = np.random.default_rng(7)
+    m = FpMatrix(_random(rng, (6, 6), p), p)
+    inv = mat_inverse(m)
+    assert m @ inv == FpMatrix.identity(6, p)
+    assert np.array_equal(matmul_by_int64(m.a, inv.a, p), np.eye(6, dtype=np.int64))
+
+
+# -- subspace arithmetic against stack-and-rref -------------------------------
+
+
+def _span_by_rref(rows, p):
+    red, rank = rref(FpMatrix(rows, p))
+    return red.a[:rank]
+
+
+def _random_rows(rng, count, rank, n, p):
+    """`count` rows spanning a random subspace of dimension at most `rank`."""
+    return matmul_by_int64(_random(rng, (count, rank), p), _random(rng, (rank, n), p), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_subspace_operations_match_stack_and_rref(p):
+    rng = np.random.default_rng([p, 2024])
+    n = 12
+    for _ in range(30):
+        r1, r2 = rng.integers(0, n + 1, size=2)
+        rows1 = _random_rows(rng, int(rng.integers(0, 15)), int(r1), n, p)
+        rows2 = _random_rows(rng, int(rng.integers(0, 15)), int(r2), n, p)
+        u = FpSubspace.from_rows(FpMatrix(rows1, p))
+        w = FpSubspace.from_rows(FpMatrix(rows2, p))
+        assert np.array_equal(u.basis.a, _span_by_rref(rows1, p))
+        stacked = np.vstack([u.basis.a, w.basis.a])
+        span = _span_by_rref(stacked, p)
+        assert np.array_equal((u + w).basis.a, span)
+        assert u + w == w + u
+        assert u.contains_space(w) == (len(span) == u.dim)
+        m = _random(rng, (n, n), p)
+        m[:, int(rng.integers(0, n))] = 0
+        image = u.image(FpMatrix(m, p))
+        assert np.array_equal(image.basis.a, _span_by_rref(matmul_by_int64(u.basis.a, m, p), p))
+        assert (u + w).contains_space(u) and (u + w).contains_space(w)
+
+
+def test_from_rows_keeps_canonical_rows_and_reduces_the_rest():
+    p = 3
+    canonical = [[1, 0, 2, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+    assert FpSubspace.from_rows(FpMatrix(canonical, p)).basis.a.tolist() == canonical
+    # pivots in place but a pivot column not cleared: not canonical
+    uncleared = [[1, 1, 0, 0], [0, 1, 0, 0]]
+    assert FpSubspace.from_rows(FpMatrix(uncleared, p)).basis.a.tolist() == [
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+    ]
+    # leading entry 2, zero rows and a repeated row
+    messy = [[0, 0, 0, 0], [0, 2, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0]]
+    assert FpSubspace.from_rows(FpMatrix(messy, p)).basis.a.tolist() == [[0, 1, 0, 0]]
+    assert FpSubspace.from_rows(FpMatrix.zeros(3, 4, p)).dim == 0

@@ -223,6 +223,18 @@ def test_sparse6_round_trip():
         assert parse_graph(data, "sparse6") == g
 
 
+def test_sparse6_header_over_vertex_cap():
+    # ":J" declares 11 vertices (chr(63 + 11)) and no edges
+    caps = Caps(vertex_cap=10)
+    with pytest.raises(CapExceeded) as exc:
+        parse_graph(":J", "sparse6", caps)
+    assert exc.value.cap_name == "vertex"
+    assert parse_graph(":I", "sparse6", caps) == Graph(10, [])
+    with pytest.raises(CapExceeded) as exc:
+        parse_graph("11 0\n", caps=caps)
+    assert exc.value.cap_name == "vertex"
+
+
 def test_sparse6_matches_reference_implementation():
     nx = pytest.importorskip("networkx")
     rng = random.Random(99)

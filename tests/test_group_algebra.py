@@ -154,7 +154,7 @@ def test_unknown_generator_and_basis_rejected():
 
 def test_chain_dims_q2():
     chain = gamma_chain(AbelianH(2, 1))
-    assert [s.dim for s in chain.chain] == [4, 3, 1, 0]
+    assert [s.dim for s in chain] == [4, 3, 1, 0]
 
 
 def test_chain_dims_against_pair_counting():
@@ -162,7 +162,7 @@ def test_chain_dims_against_pair_counting():
         H = AbelianH(p, h)
         chain = gamma_chain(H)
         q = H.q
-        for i, sub in enumerate(chain.chain):
+        for i, sub in enumerate(chain):
             count = len([1 for x in range(q) for y in range(q) if x + y >= i])
             assert sub.dim == count
 
