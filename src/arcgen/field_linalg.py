@@ -306,16 +306,16 @@ class FpSubspace:
             return rows
         return (rows - _matmul(rows[:, self._pivots], self.basis.a, self.p)) % self.p
 
-    def contains(self, vec) -> bool:
-        """Membership of a single coefficient row vector."""
-        v = np.mod(np.asarray(vec, dtype=np.int64), self.p)
-        if v.shape != (self.ambient_dim,):
+    def contains(self, rows) -> bool:
+        """Whether a coefficient row vector, or every row of a stack, lies here."""
+        v = np.mod(np.asarray(rows, dtype=np.int64), self.p)
+        if v.ndim not in (1, 2) or v.shape[-1] != self.ambient_dim:
             raise ValueError("vector length does not match the ambient dimension")
-        return not self._reduce(v[None, :]).any()
+        return not self._reduce(v.reshape(-1, self.ambient_dim)).any()
 
     def contains_space(self, other: "FpSubspace") -> bool:
         self._check_compatible(other)
-        return not self._reduce(other.basis.a).any()
+        return self.contains(other.basis.a)
 
     def _check_compatible(self, other: "FpSubspace") -> None:
         if self.p != other.p:

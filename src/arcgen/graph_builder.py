@@ -146,17 +146,8 @@ def cayley(spec: CayleySpec) -> Graph:
             raise ValueError("connection set contains the identity")
         if H.inv(s) not in conn:
             raise ValueError("connection set is not inverse-closed")
-    n = H.order
-    edges = []
-    for k in range(n):
-        x = H.element(k)
-        for s in conn:
-            t = H.index(*H.mul(x, s))
-            if k < t:
-                edges.append((k, t))
-            elif t < k:
-                edges.append((t, k))
-    g = Graph(n, edges)
+    edges = [(k, t) for s in conn for k, t in enumerate(H.index_map(s).tolist())]
+    g = Graph(H.order, edges)
     # connectivity must agree with generation
     generated = {(0, 0)}
     frontier = [(0, 0)]

@@ -20,7 +20,6 @@ actions multiply on the right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .field_linalg import (
     FpMatrix,
     FpSubspace,
     is_prime,
+    kron,
     mat_inverse,
 )
 
@@ -88,20 +88,32 @@ class AbelianH:
     def inv(self, x: tuple[int, int]) -> tuple[int, int]:
         return ((-x[0]) % self.q, (-x[1]) % self.q)
 
-    def elements(self):
-        for i in range(self.q):
-            for j in range(self.q):
-                yield (i, j)
+    def index_map(self, s) -> np.ndarray:
+        """Entry k is the index of the image of element k under s.
+
+        s is "a" or "b" (right multiplication by that generator), an
+        element (i, j) (right multiplication by it), "phi" (swap the two
+        coordinates) or "psi" (invert both). Anything else is a ValueError.
+        """
+        i, j = np.divmod(np.arange(self.order), self.q)
+        if s == "a":
+            i = i + 1
+        elif s == "b":
+            j = j + 1
+        elif s == "phi":
+            i, j = j, i
+        elif s == "psi":
+            i, j = self.q - i, self.q - j
+        elif isinstance(s, tuple) and len(s) == 2:
+            i, j = i + s[0], j + s[1]
+        else:
+            raise ValueError(f"unknown group item {s!r}")
+        return (i % self.q) * self.q + j % self.q
 
 
-@lru_cache(maxsize=None)
-def _pascal(n: int, p: int) -> np.ndarray:
-    """Binomial coefficients C(x, i) mod p for 0 <= i <= x < n."""
-    t = np.zeros((n, n), dtype=np.int64)
-    t[:, 0] = 1
-    for x in range(1, n):
-        t[x, 1:] = (t[x - 1, 1:] + t[x - 1, :-1]) % p
-    return t
+def _permutation_matrix(H: AbelianH, s) -> FpMatrix:
+    """Natural-basis matrix of s: row k is the unit row at index_map(s)[k]."""
+    return FpMatrix(np.eye(H.ambient, dtype=np.int64)[H.index_map(s)], H.p)
 
 
 @dataclass(frozen=True)
@@ -109,15 +121,14 @@ class EBasisChange:
     """Mutually inverse change matrices between the two bases of F_p[H].
 
     Column index(x, y) of ``from_e`` holds the expansion of
-    (a-1)^x (b-1)^y in the natural basis; ``to_e`` is its inverse.
+    (a-1)^x (b-1)^y in the natural basis, so ``from_e`` is P ⊗ P with
+    column x of the q x q matrix P the expansion of (a-1)^x; ``to_e`` is
+    its inverse P^-1 ⊗ P^-1.
     """
 
     H: AbelianH
     from_e: FpMatrix
     to_e: FpMatrix
-
-    def natural_to_e(self, vec: np.ndarray) -> np.ndarray:
-        return (np.asarray(vec, dtype=np.int64) @ self.to_e.a.T) % self.H.p
 
     def conjugate_to_e(self, m: FpMatrix) -> FpMatrix:
         """Rewrite a right-action operator from natural to e coordinates.
@@ -129,28 +140,25 @@ class EBasisChange:
 
 
 def build_e_basis(H: AbelianH) -> EBasisChange:
-    """Expand every (a-1)^x (b-1)^y in the natural basis and invert.
+    """Expand every (a-1)^x in the natural basis of C_q, invert, and tensor.
 
-    The coefficient of a^i b^j in (a-1)^x (b-1)^y is
-    C(x, i) * C(y, j) * (-1)^(x-i+y-j) mod p.
+    Column x of the q x q matrix P is (a-1)^x = (a-1)^(x-1) * a - (a-1)^(x-1)
+    over 1, a, ..., a^(q-1). Since (a-1)^x (b-1)^y expands to column
+    index(x, y) of P ⊗ P, only P is inverted.
     """
-    q, p, n = H.q, H.p, H.ambient
-    binom = _pascal(q, p)
-    sign = np.where(np.arange(q) % 2 == 0, 1, p - 1)
-    from_e = np.zeros((n, n), dtype=np.int64)
-    for x in range(q):
-        colx = (binom[x] * sign[(x - np.arange(q)) % q]) % p
-        for y in range(q):
-            coly = (binom[y] * sign[(y - np.arange(q)) % q]) % p
-            from_e[:, H.index(x, y)] = np.outer(colx, coly).reshape(-1) % p
-    F = FpMatrix(from_e, p)
+    q, p = H.q, H.p
+    cols = np.zeros((q, q), dtype=np.int64)
+    cols[0, 0] = 1
+    for x in range(1, q):
+        cols[:, x] = (np.roll(cols[:, x - 1], 1) - cols[:, x - 1]) % p
+    P = FpMatrix(cols, p)
     try:
-        T = mat_inverse(F)
+        P_inv = mat_inverse(P)
     except ValueError as exc:
         raise AssertionError(
             "filtered-basis change matrix is singular, construction defect"
         ) from exc
-    return EBasisChange(H=H, from_e=F, to_e=T)
+    return EBasisChange(H=H, from_e=kron(P, P), to_e=kron(P_inv, P_inv))
 
 
 def action_matrix(
@@ -169,16 +177,7 @@ def action_matrix(
     """
     if generator not in ("a", "b"):
         raise ValueError(f"unknown generator {generator!r}")
-    q, p, n = H.q, H.p, H.ambient
-    nat = np.zeros((n, n), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            if generator == "a":
-                target = H.index(i + 1, j)
-            else:
-                target = H.index(i, j + 1)
-            nat[H.index(i, j), target] = 1
-    nat_m = FpMatrix(nat, p)
+    nat_m = _permutation_matrix(H, generator)
     if basis == "natural":
         return nat_m
     if basis == "e":
@@ -341,7 +340,7 @@ def min_generators_local(
             raise ValueError(
                 "acting group is not unipotent over F_p; Nakayama inapplicable"
             )
-        if not V.image(g) <= V:
+        if not V.contains((V.basis @ g).a):
             raise ValueError("action matrix does not map the subspace into itself")
         deltas.append(g - ident)
 
@@ -381,17 +380,9 @@ def outer_action(
     chain: GammaChain | None = None,
 ) -> OuterAction:
     """Build phi and psi and assert every filtration term is invariant."""
-    q, p, n = H.q, H.p, H.ambient
-    phi = np.zeros((n, n), dtype=np.int64)
-    psi = np.zeros((n, n), dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            src = H.index(i, j)
-            phi[src, H.index(j, i)] = 1
-            psi[src, H.index(-i, -j)] = 1
-    phi_m = FpMatrix(phi, p)
-    psi_m = FpMatrix(psi, p)
-    ident = FpMatrix.identity(n, p)
+    phi_m = _permutation_matrix(H, "phi")
+    psi_m = _permutation_matrix(H, "psi")
+    ident = FpMatrix.identity(H.ambient, H.p)
     if phi_m @ phi_m != ident or psi_m @ psi_m != ident:
         raise AssertionError("outer symmetries must be involutions")
     if phi_m @ psi_m != psi_m @ phi_m:
@@ -401,7 +392,7 @@ def outer_action(
     for name, m in (("phi", phi_m), ("psi", psi_m)):
         m_e = change.conjugate_to_e(m)
         for i, sub in enumerate(chain):
-            if not sub.image(m_e) <= sub:
+            if not sub.contains((sub.basis @ m_e).a):
                 raise AssertionError(
                     f"filtration term {i} is not invariant under {name}"
                 )

@@ -204,6 +204,19 @@ def test_subspace_membership():
     assert v.contains([0, 0, 0])
 
 
+def test_subspace_membership_of_a_stack():
+    v = FpSubspace.from_rows(FpMatrix([[1, 0, 1], [0, 1, 0]], 2))
+    assert v.contains([[1, 1, 1], [0, 1, 0], [1, 0, 1]])
+    # one row outside, in any position, fails the whole stack
+    assert not v.contains([[1, 1, 1], [0, 0, 1]])
+    assert not v.contains([[0, 0, 1], [1, 1, 1]])
+    assert v.contains(np.zeros((0, 3), dtype=np.int64))
+    assert FpSubspace.zero(3, 2).contains([[0, 0, 0], [0, 2, 0]])
+    for bad in ([1, 1], [[1, 1]], np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError):
+            v.contains(bad)
+
+
 def test_mat_inverse_round_trip():
     rng = np.random.default_rng(12)
     for p in (2, 3, 5):
@@ -336,6 +349,8 @@ def test_subspace_operations_match_stack_and_rref(p):
         assert np.array_equal((u + w).basis.a, span)
         assert u + w == w + u
         assert u.contains_space(w) == (len(span) == u.dim)
+        assert u.contains(rows2) == u.contains_space(w)
+        assert u.contains(rows2) == all(u.contains(row) for row in rows2)
         m = _random(rng, (n, n), p)
         m[:, int(rng.integers(0, n))] = 0
         image = u.image(FpMatrix(m, p))

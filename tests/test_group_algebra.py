@@ -28,6 +28,27 @@ def test_abelian_h_validation():
     assert H.inv((1, 0)) == (3, 0)
 
 
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (5, 1)])
+def test_index_map_against_element_operations(p, h):
+    H = AbelianH(p, h)
+    t = (1, H.q - 2)
+    expected = {
+        "a": lambda x: H.mul(x, (1, 0)),
+        "b": lambda x: H.mul(x, (0, 1)),
+        "phi": lambda x: (x[1], x[0]),
+        "psi": H.inv,
+        t: lambda x: H.mul(x, t),
+    }
+    for s, act in expected.items():
+        images = H.index_map(s)
+        assert images.shape == (H.order,)
+        for k in range(H.order):
+            assert images[k] == H.index(*act(H.element(k)))
+    for bad in ("c", "", (1,), (1, 2, 3), 5, None):
+        with pytest.raises(ValueError):
+            H.index_map(bad)
+
+
 # -- e-basis -----------------------------------------------------------------
 
 

@@ -43,7 +43,7 @@ def test_params_validation():
 
 def test_zero_vector_gives_identity():
     asm = Bundle(ConstructionParams(2, 2))
-    perm = module_vertex_action(asm, np.zeros(16, dtype=int))
+    [perm] = module_vertex_action(asm, np.zeros((1, 16), dtype=int))
     assert perm.is_identity()
 
 
@@ -53,15 +53,15 @@ def test_e11_q2_shifts_every_copy():
     asm = Bundle(ConstructionParams(2, 1))
     e11 = asm.change.from_e.a[:, asm.H.index(1, 1)]
     assert e11.tolist() == [1, 1, 1, 1]
-    perm = module_vertex_action(asm, e11)
+    [perm] = module_vertex_action(asm, e11[None, :])
     assert perm.order() == 2
     assert all(perm(2 * k) == 2 * k + 1 for k in range(4))
 
 
 def test_module_action_preserves_adjacency():
     asm = Bundle(ConstructionParams(2, 2))
-    for vec in asm.module_basis:
-        assert is_automorphism(asm.graph, module_vertex_action(asm, vec))
+    for perm in module_vertex_action(asm, asm.module_basis):
+        assert is_automorphism(asm.graph, perm)
 
 
 def test_module_action_membership_check():
@@ -69,13 +69,34 @@ def test_module_action_membership_check():
     outside = np.zeros(16, dtype=int)
     outside[0] = 1  # the identity element spans the whole algebra, not the top term
     with pytest.raises(ValueError, match="top filtration module"):
-        module_vertex_action(asm, outside)
+        module_vertex_action(asm, outside[None, :])
+
+
+def test_module_action_rejects_a_stack_with_one_row_outside():
+    asm = Bundle(ConstructionParams(2, 2))
+    outside = np.zeros((1, 16), dtype=int)
+    outside[0, 0] = 1
+    stack = np.vstack([asm.module_basis, outside])
+    with pytest.raises(ValueError, match="top filtration module"):
+        module_vertex_action(asm, stack)
+
+
+def test_module_action_stack_matches_one_row_calls():
+    for p, h in [(2, 2), (3, 1)]:
+        asm = Bundle(ConstructionParams(p, h))
+        basis = asm.module_basis
+        # a few sums of basis rows, so the stack is not only unit e-vectors
+        rows = np.vstack([basis, (basis[:-1] + basis[1:]) % p])
+        stacked = module_vertex_action(asm, rows)
+        assert len(stacked) == len(rows)
+        for row, perm in zip(rows, stacked):
+            [single] = module_vertex_action(asm, row[None, :])
+            assert perm == single
 
 
 def test_module_action_order_divides_p():
     asm = Bundle(ConstructionParams(3, 1))
-    for vec in asm.module_basis:
-        perm = module_vertex_action(asm, vec)
+    for perm in module_vertex_action(asm, asm.module_basis):
         assert perm.order() in (1, 3)
 
 
@@ -90,6 +111,22 @@ def test_group_action_translation_order():
     assert a.order() == 4
     b = group_vertex_action(asm, (0, 1))
     assert b.order() == 4
+
+
+def test_group_action_moves_the_first_coordinate_only():
+    asm = Bundle(ConstructionParams(3, 1))
+    H, p = asm.H, 3
+    acts = {
+        (1, 2): lambda x: H.mul(x, (1, 2)),
+        "a": lambda x: H.mul(x, (1, 0)),
+        "phi": lambda x: (x[1], x[0]),
+        "psi": H.inv,
+    }
+    for item, act in acts.items():
+        perm = group_vertex_action(asm, item)
+        for k in range(H.order):
+            for c in range(p):
+                assert perm(k * p + c) == H.index(*act(H.element(k))) * p + c
 
 
 def test_outer_action_involution():
