@@ -3,7 +3,8 @@
 This module carries the algebraic half of the construction:
 
 * the change of basis between the natural basis {a^i b^j} and the
-  filtered basis {(a-1)^x (b-1)^y},
+  filtered basis {(a-1)^x (b-1)^y}, which is P ⊗ P for a q x q matrix P
+  and is kept and applied as that factor alone,
 * the descending chain of iterated augmentation images
   V, [V, H], [[V, H], H], ... starting from the whole algebra,
 * minimal generator counts of H-submodules via Nakayama's lemma (the
@@ -23,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_linalg import (
-    FpMatrix,
-    FpSubspace,
-    is_prime,
-    kron,
-    mat_inverse,
-)
+from .field_linalg import FpMatrix, FpSubspace, is_prime, mat_inverse
 
 __all__ = [
     "AbelianH",
@@ -116,31 +111,48 @@ def _permutation_matrix(H: AbelianH, s) -> FpMatrix:
     return FpMatrix(np.eye(H.ambient, dtype=np.int64)[H.index_map(s)], H.p)
 
 
+def _kron_rows(rows: FpMatrix, m: FpMatrix) -> FpMatrix:
+    """rows @ kron(m, m) for a stack of rows of length q^2, m being q x q.
+
+    Row entry i*q + j is X[i, j] of a q x q array X, and its image is
+    m^T X m: each of the two products is one (d*q x q) by (q x q) product
+    over the whole stack, not a q^2 x q^2 one.
+    """
+    d, q, p = rows.rows, m.rows, m.p
+    x = rows.a.reshape(d, q, q)
+    for _ in range(2):  # X -> X^T m -> (X^T m)^T m = m^T X m
+        flat = x.transpose(0, 2, 1).reshape(d * q, q)
+        x = (FpMatrix._make(flat, p) @ m).a.reshape(d, q, q)
+    return FpMatrix._make(x.reshape(d, q * q), p)
+
+
 @dataclass(frozen=True)
 class EBasisChange:
-    """Mutually inverse change matrices between the two bases of F_p[H].
+    """The q x q factor of the change between the two bases of F_p[H].
 
-    Column index(x, y) of ``from_e`` holds the expansion of
-    (a-1)^x (b-1)^y in the natural basis, so ``from_e`` is P ⊗ P with
-    column x of the q x q matrix P the expansion of (a-1)^x; ``to_e`` is
-    its inverse P^-1 ⊗ P^-1.
+    Column x of P holds the expansion of (a-1)^x over 1, a, ..., a^(q-1),
+    so (a-1)^x (b-1)^y expands to column index(x, y) of P ⊗ P. A row w of
+    e coordinates is the natural row w (P ⊗ P)^T, and a natural row v has
+    e coordinates v (P^-1 ⊗ P^-1)^T; both are applied factor by factor
+    (`_kron_rows`), and no q^2 x q^2 change matrix is formed.
     """
 
     H: AbelianH
-    from_e: FpMatrix
-    to_e: FpMatrix
+    P: FpMatrix
+    P_inv: FpMatrix
 
     def conjugate_to_e(self, m: FpMatrix) -> FpMatrix:
         """Rewrite a right-action operator from natural to e coordinates.
 
-        With row vectors v = w @ from_e.T, the operator matrix transforms
-        as A_e = from_e.T @ A_nat @ to_e.T.
+        With row vectors v = w (P ⊗ P)^T, the operator matrix transforms
+        as A_e = (P ⊗ P)^T A_nat (P^-1 ⊗ P^-1)^T.
         """
-        return self.from_e.transpose() @ m @ self.to_e.transpose()
+        right = _kron_rows(m, self.P_inv.transpose())
+        return _kron_rows(right.transpose(), self.P).transpose()
 
 
 def build_e_basis(H: AbelianH) -> EBasisChange:
-    """Expand every (a-1)^x in the natural basis of C_q, invert, and tensor.
+    """Expand every (a-1)^x in the natural basis of C_q and invert.
 
     Column x of the q x q matrix P is (a-1)^x = (a-1)^(x-1) * a - (a-1)^(x-1)
     over 1, a, ..., a^(q-1). Since (a-1)^x (b-1)^y expands to column
@@ -158,7 +170,7 @@ def build_e_basis(H: AbelianH) -> EBasisChange:
         raise AssertionError(
             "filtered-basis change matrix is singular, construction defect"
         ) from exc
-    return EBasisChange(H=H, from_e=kron(P, P), to_e=kron(P_inv, P_inv))
+    return EBasisChange(H=H, P=P, P_inv=P_inv)
 
 
 def action_matrix(
@@ -191,36 +203,30 @@ class GammaChain:
     """Descending filtration of F_p[H], in e-basis coordinates.
 
     chain[i] is the i-th term; the chain strictly descends from the whole
-    algebra to zero at index 2q - 1, and each term is verified against
-    its expected spanning set {e_xy : x + y >= i} during construction.
+    algebra to zero at index 2q - 1, and gamma_chain checks each term
+    against its expected spanning set {e_xy : x + y >= i}.
 
-    Each term is stored as its canonical basis in the smallest unsigned
-    type that holds p - 1 (one byte for p < 257, an eighth of int64), and
-    chain[i] rebuilds the subspace. The top term, which the claims read
-    many times, is also kept built.
+    Only the term dimensions and the top term, which the claims read many
+    times, are kept; chain[i] rebuilds any other term as that checked
+    unit-row basis.
     """
 
     p: int
     q: int
-    bases: tuple[np.ndarray, ...]
+    dims: list[int]
     top: FpSubspace
 
     def __len__(self) -> int:
-        return len(self.bases)
+        return len(self.dims)
 
     def __getitem__(self, i: int) -> FpSubspace:
-        i = range(len(self.bases))[i]  # negative indices count from the end
+        i = range(len(self.dims))[i]  # negative indices count from the end
         if i == self.top_index:
             return self.top
-        basis = self.bases[i]
-        return FpSubspace(basis.shape[1], FpMatrix(basis, self.p))
+        return _e_unit_span(self.q, self.p, i)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
-
-    @property
-    def dims(self) -> list[int]:
-        return [basis.shape[0] for basis in self.bases]
 
     @property
     def top_index(self) -> int:
@@ -228,14 +234,14 @@ class GammaChain:
         return self.q - 1
 
 
-def _e_unit_span(H: AbelianH, level: int) -> FpSubspace:
+def _e_unit_span(q: int, p: int, level: int) -> FpSubspace:
     """Span of the e_xy with x + y >= level; unit rows in index order are canonical."""
-    n = H.ambient
-    x, y = np.divmod(np.arange(n), H.q)
+    n = q * q
+    x, y = np.divmod(np.arange(n), q)
     idxs = np.flatnonzero(x + y >= level)
     rows = np.zeros((len(idxs), n), dtype=np.int64)
     rows[np.arange(len(idxs)), idxs] = 1
-    return FpSubspace(n, FpMatrix(rows, H.p))
+    return FpSubspace(n, FpMatrix(rows, p))
 
 
 def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
@@ -248,30 +254,27 @@ def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
     """
     change = change or build_e_basis(H)
     p, q, n = H.p, H.q, H.ambient
-    a_e = action_matrix(H, "a", "e", change)
-    b_e = action_matrix(H, "b", "e", change)
     ident = FpMatrix.identity(n, p)
-    a_step = a_e - ident
-    b_step = b_e - ident
-    compact = np.min_scalar_type(p - 1)
+    a_step = action_matrix(H, "a", "e", change) - ident
+    b_step = action_matrix(H, "b", "e", change) - ident
     prev = FpSubspace.full(n, p)
-    bases = [prev.basis.a.astype(compact)]
+    dims = [prev.dim]
     top = None
     for i in range(1, 2 * q):
         nxt = prev.image(a_step) + prev.image(b_step)
-        if nxt != _e_unit_span(H, i):
+        if nxt != _e_unit_span(q, p, i):
             raise AssertionError(
                 f"filtration step {i} does not match its expected spanning set"
             )
         if not nxt.dim < prev.dim:
             raise AssertionError(f"filtration fails to descend strictly at step {i}")
-        bases.append(nxt.basis.a.astype(compact))
+        dims.append(nxt.dim)
         if i == q - 1:
             top = nxt
         prev = nxt
     if prev.dim != 0:
         raise AssertionError("filtration does not reach zero")
-    return GammaChain(p=p, q=q, bases=tuple(bases), top=top)
+    return GammaChain(p=p, q=q, dims=dims, top=top)
 
 
 def section_dims(chain: GammaChain) -> list[int]:
@@ -380,13 +383,13 @@ def outer_action(
     chain: GammaChain | None = None,
 ) -> OuterAction:
     """Build phi and psi and assert every filtration term is invariant."""
-    phi_m = _permutation_matrix(H, "phi")
-    psi_m = _permutation_matrix(H, "psi")
-    ident = FpMatrix.identity(H.ambient, H.p)
-    if phi_m @ phi_m != ident or psi_m @ psi_m != ident:
+    phi, psi = H.index_map("phi"), H.index_map("psi")
+    ident = np.arange(H.order)
+    if not (np.array_equal(phi[phi], ident) and np.array_equal(psi[psi], ident)):
         raise AssertionError("outer symmetries must be involutions")
-    if phi_m @ psi_m != psi_m @ phi_m:
+    if not np.array_equal(phi[psi], psi[phi]):
         raise AssertionError("outer symmetries must commute")
+    phi_m, psi_m = _permutation_matrix(H, "phi"), _permutation_matrix(H, "psi")
     change = change or build_e_basis(H)
     chain = chain or gamma_chain(H, change)
     for name, m in (("phi", phi_m), ("psi", psi_m)):

@@ -20,7 +20,7 @@ right actions are the designated tripwire for convention drift.
 `build_bundle`, behind the `construct` command, runs every tripwire: the
 automorphism checks, the order formulas and `semidirect_consistency`.
 `verify_theorem1`, behind `verify-t1`, does not run
-`semidirect_consistency`. At (2,4) that check takes about 0.09 s, against
+`semidirect_consistency`. At (2,4) that check takes about 0.1 s, against
 about 0.8 s for three fresh `verify-t1` processes at (3,2), (7,1) and
 (2,4) under the default caps (2-core x86-64, Python 3.11, numpy 2.4 with
 OpenBLAS).
@@ -41,6 +41,7 @@ from .group_algebra import (
     AbelianH,
     EBasisChange,
     GammaChain,
+    _kron_rows,
     action_matrix,
     build_e_basis,
     gamma_chain,
@@ -156,13 +157,10 @@ class Bundle:
 
         Using the full basis keeps generation of the module group
         obviously correct; minimality is measured later, not assumed.
+        gamma_chain checked that the top term's canonical basis is exactly
+        those unit rows, so they are converted by (P ⊗ P)^T.
         """
-        H, top = self.H, self.top_space
-        x, y = np.divmod(np.arange(H.ambient), H.q)
-        basis = self.change.from_e.a[:, x + y >= H.q - 1].T
-        if len(basis) != top.dim:
-            raise AssertionError("top module basis size mismatch")
-        return basis
+        return _kron_rows(self.top_space.basis, self.change.P.transpose()).a
 
     @cached_property
     def generators(self) -> dict:
@@ -208,7 +206,7 @@ def module_vertex_action(bundle: Bundle, rows: np.ndarray) -> list[Perm]:
     v = np.mod(np.asarray(rows, dtype=np.int64), p)
     if v.ndim != 2 or v.shape[1] != H.ambient:
         raise ValueError("coefficient rows have the wrong length")
-    in_e = FpMatrix(v, p) @ bundle.change.to_e.transpose()
+    in_e = _kron_rows(FpMatrix(v, p), bundle.change.P_inv.transpose())
     if not bundle.top_space.contains(in_e.a):
         raise ValueError("a row is not in the top filtration module")
     vertices = np.arange(H.order * p)
@@ -245,18 +243,15 @@ def semidirect_consistency(bundle: Bundle) -> bool:
     computed on the algebra side. A False return is a construction
     defect, not an input error.
     """
-    H = bundle.H
-    outer = outer_action(H, bundle.change, bundle.chain)
+    H, basis = bundle.H, bundle.module_basis
+    # asserts that phi and psi leave every filtration term invariant
+    outer_action(H, bundle.change, bundle.chain)
     (a, b), (phi, psi) = bundle.translation_gens, bundle.outer_gens
-    side = [
-        (a, action_matrix(H, "a", "natural")),
-        (b, action_matrix(H, "b", "natural")),
-        (phi, outer.phi),
-        (psi, outer.psi),
-    ]
-    basis = FpMatrix(bundle.module_basis, H.p)
-    for s, matrix in side:
-        moved = module_vertex_action(bundle, (basis @ matrix).a)
+    for s, name in ((a, "a"), (b, "b"), (phi, "phi"), (psi, "psi")):
+        # v . s moves the coefficient at element k to element index_map(s)[k]
+        rows = np.empty_like(basis)
+        rows[:, H.index_map(name)] = basis
+        moved = module_vertex_action(bundle, rows)
         s_inv = s.inverse()
         for vperm, mperm in zip(bundle.module_gens, moved):
             if s_inv * vperm * s != mperm:

@@ -4,6 +4,7 @@ import pytest
 from arcgen.field_linalg import FpMatrix, FpSubspace, kron, unipotent_matrix
 from arcgen.group_algebra import (
     AbelianH,
+    _kron_rows,
     action_matrix,
     build_e_basis,
     gamma_chain,
@@ -56,7 +57,8 @@ def test_e00_is_the_identity_element():
     for p, h in [(2, 1), (3, 1), (2, 2)]:
         H = AbelianH(p, h)
         change = build_e_basis(H)
-        col = change.from_e.a[:, H.index(0, 0)]
+        from_e = kron(change.P, change.P)
+        col = from_e.a[:, H.index(0, 0)]
         expected = np.zeros(H.ambient)
         expected[0] = 1
         assert np.array_equal(col, expected)
@@ -66,7 +68,7 @@ def test_e10_q2_is_a_plus_one():
     H = AbelianH(2, 1)
     change = build_e_basis(H)
     # (a - 1) mod 2 has coefficient 1 on both 1 and a
-    col = change.from_e.a[:, H.index(1, 0)]
+    col = kron(change.P, change.P).a[:, H.index(1, 0)]
     assert col.tolist() == [1, 0, 1, 0]
 
 
@@ -74,7 +76,7 @@ def test_e20_q3_binomial_expansion():
     H = AbelianH(3, 1)
     change = build_e_basis(H)
     # (a - 1)^2 = 1 - 2a + a^2 = 1 + a + a^2 mod 3
-    col = change.from_e.a[:, H.index(2, 0)]
+    col = kron(change.P, change.P).a[:, H.index(2, 0)]
     expected = np.zeros(9, dtype=int)
     expected[H.index(0, 0)] = 1
     expected[H.index(1, 0)] = 1
@@ -86,9 +88,11 @@ def test_change_matrices_are_mutually_inverse():
     for p, h in [(2, 1), (2, 2), (3, 1), (5, 1)]:
         H = AbelianH(p, h)
         change = build_e_basis(H)
+        from_e = kron(change.P, change.P)
+        to_e = kron(change.P_inv, change.P_inv)
         ident = FpMatrix.identity(H.ambient, p)
-        assert change.to_e @ change.from_e == ident
-        assert change.from_e @ change.to_e == ident
+        assert to_e @ from_e == ident
+        assert from_e @ to_e == ident
 
 
 def test_e_basis_against_convolution_oracle():
@@ -96,6 +100,7 @@ def test_e_basis_against_convolution_oracle():
     for p, h in [(2, 1), (2, 2), (3, 1)]:
         H = AbelianH(p, h)
         change = build_e_basis(H)
+        from_e = kron(change.P, change.P)
         a_minus_1 = np.zeros(H.ambient, dtype=np.int64)
         a_minus_1[H.index(1, 0)] = 1
         a_minus_1[H.index(0, 0)] = p - 1
@@ -110,7 +115,40 @@ def test_e_basis_against_convolution_oracle():
                     vec = algebra_mul(vec, a_minus_1, H)
                 for _ in range(y):
                     vec = algebra_mul(vec, b_minus_1, H)
-                assert np.array_equal(vec, change.from_e.a[:, H.index(x, y)])
+                assert np.array_equal(vec, from_e.a[:, H.index(x, y)])
+
+
+@pytest.mark.parametrize("p, h", [(2, 1), (2, 2), (3, 1), (5, 1), (3, 2)])
+def test_kron_rows_against_dense_kron(p, h):
+    q = p**h
+    rng = np.random.default_rng(1000 * p + h)
+    m = FpMatrix(rng.integers(0, p, (q, q)), p)
+    dense = kron(m, m)
+    for d in (0, 1, 7):
+        rows = FpMatrix(rng.integers(0, p, (d, q * q)), p)
+        out = _kron_rows(rows, m)
+        assert out.a.shape == (d, q * q)
+        assert out == rows @ dense
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (5, 1), (2, 3)])
+def test_conjugate_to_e_against_dense_reference(p, h):
+    H = AbelianH(p, h)
+    change = build_e_basis(H)
+    from_e = kron(change.P, change.P)
+    to_e = kron(change.P_inv, change.P_inv)
+    outer = outer_action(H, change)
+    rng = np.random.default_rng(p + h)
+    operators = [
+        action_matrix(H, "a"),
+        action_matrix(H, "b"),
+        outer.phi,
+        outer.psi,
+        FpMatrix(rng.integers(0, p, (H.ambient, H.ambient)), p),
+    ]
+    for m in operators:
+        expected = from_e.transpose() @ m @ to_e.transpose()
+        assert change.conjugate_to_e(m) == expected
 
 
 # -- action matrices ---------------------------------------------------------
@@ -157,8 +195,8 @@ def test_action_matrix_conjugation_between_bases():
         for gen in ("a", "b"):
             nat = action_matrix(H, gen, "natural")
             e = action_matrix(H, gen, "e", change)
-            n_mat = change.from_e.transpose()
-            n_inv = change.to_e.transpose()
+            n_mat = kron(change.P, change.P).transpose()
+            n_inv = kron(change.P_inv, change.P_inv).transpose()
             assert e == FpMatrix((n_mat @ nat @ n_inv).a, p)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from arcgen.caps import CapExceeded, Caps
+from arcgen.field_linalg import kron
 from arcgen.perm_group import (
     is_automorphism,
     is_vertex_transitive,
@@ -51,7 +52,8 @@ def test_e11_q2_shifts_every_copy():
     # (a-1)(b-1) = 1 + a + b + ab mod 2: every position gets its copy
     # index shifted, one free cyclic factor
     asm = Bundle(ConstructionParams(2, 1))
-    e11 = asm.change.from_e.a[:, asm.H.index(1, 1)]
+    from_e = kron(asm.change.P, asm.change.P)
+    e11 = from_e.a[:, asm.H.index(1, 1)]
     assert e11.tolist() == [1, 1, 1, 1]
     [perm] = module_vertex_action(asm, e11[None, :])
     assert perm.order() == 2
@@ -190,6 +192,14 @@ def test_semidirect_consistency(bundle_22, bundle_31):
     assert semidirect_consistency(bundle_31)
 
 
+def test_semidirect_consistency_fails_with_swapped_translations():
+    for p, h in [(2, 2), (3, 1)]:
+        bundle = Bundle(ConstructionParams(p, h))
+        a, b = bundle.translation_gens
+        bundle.generators["translations"] = (b, a)
+        assert not semidirect_consistency(bundle)
+
+
 def test_small_group_vertex_transitive_with_four_local_orbits(bundle_22):
     graph = bundle_22.graph
     assert is_vertex_transitive(graph, bundle_22.small_group)
@@ -235,6 +245,54 @@ def test_module_basis_matches_top_dimension():
     for p, h in [(2, 1), (2, 2), (3, 1)]:
         asm = Bundle(ConstructionParams(p, h))
         assert len(asm.module_basis) == asm.top_space.dim
+
+
+# -- sympy oracles past 2^10 -------------------------------------------------
+
+
+def _sympy_group(sympy_comb, perms):
+    return sympy_comb.PermutationGroup(
+        [sympy_comb.Permutation([int(x) for x in g.images]) for g in perms]
+    )
+
+
+@pytest.mark.parametrize(
+    "p, h, which",
+    [(3, 1, "small"), (5, 1, "small"), (2, 3, "small"), (2, 3, "big")],
+)
+def test_frattini_closure_order_against_sympy(p, h, which):
+    # |Phi(G)|, the normal closure of the p-th powers and commutators of
+    # the generators, on groups of order 3^8 up to 2^44
+    sympy_comb = pytest.importorskip("sympy.combinatorics")
+    from arcgen.perm_group import commutator, normal_closure
+
+    G = getattr(Bundle(ConstructionParams(p, h)), f"{which}_group")
+    gens = G.generators
+    seeds = [g**p for g in gens] + [
+        commutator(gens[i], gens[j])
+        for i in range(len(gens))
+        for j in range(i + 1, len(gens))
+    ]
+    theirs = _sympy_group(sympy_comb, gens).normal_closure(
+        _sympy_group(sympy_comb, seeds)
+    )
+    assert G.order() > 2**10
+    assert normal_closure(G, seeds).order() == theirs.order()
+
+
+@pytest.mark.parametrize("p, h", [(3, 1), (5, 1), (2, 3)])
+def test_local_orbit_count_against_sympy(p, h):
+    # C4's orbit count: orbits of the stabilizer of vertex 0 on its neighbours
+    sympy_comb = pytest.importorskip("sympy.combinatorics")
+    bundle = Bundle(ConstructionParams(p, h))
+    G = bundle.small_group
+    nbrs = set(bundle.graph.adj[0])
+    stab = _sympy_group(sympy_comb, G.generators).stabilizer(0)
+    orbits = {frozenset(stab.orbit(v)) for v in nbrs}
+    assert all(orbit <= nbrs for orbit in orbits)
+    assert G.order() > 2**10
+    _, ours = local_action(bundle.graph, G, 0)
+    assert ours == len(orbits)
 
 
 # -- claim checklist ---------------------------------------------------------
