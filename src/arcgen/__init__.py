@@ -17,7 +17,6 @@ from .group_algebra import (
     AbelianH,
     build_e_basis,
     gamma_chain,
-    index_lower_bound,
     min_generators_local,
     outer_action,
     section_dims,
@@ -71,7 +70,6 @@ __all__ = [
     "frattini_decomposition_check",
     "frattini_rank",
     "gamma_chain",
-    "index_lower_bound",
     "is_arc_transitive",
     "is_automorphism",
     "is_vertex_transitive",

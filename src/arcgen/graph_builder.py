@@ -291,29 +291,28 @@ def parse_graph(data, format: str = "edge-list", caps: Caps = DEFAULT_CAPS) -> G
     raise ValueError(f"unsupported format {format!r}")
 
 
-def parse_edge_list_lines(lines, offset: int = 0, caps: Caps = DEFAULT_CAPS) -> tuple[Graph, int]:
+def parse_edge_list_lines(lines, caps: Caps = DEFAULT_CAPS) -> tuple[Graph, int]:
     """Parse "n m" plus m edge lines; returns (graph, lines consumed).
 
-    Line numbers in errors are 1-based and shifted by `offset` so callers
-    embedding an edge list inside a larger file can report real positions.
-    A header over caps.vertex_cap raises CapExceeded before any allocation.
+    Line numbers in errors count from 1 at the header line. A header over
+    caps.vertex_cap raises CapExceeded before any allocation.
     """
     if not lines:
-        raise GraphFormatError("missing header line", offset + 1)
+        raise GraphFormatError("missing header line", 1)
     header = lines[0].split()
     if len(header) != 2:
-        raise GraphFormatError('header must be "n m"', offset + 1)
+        raise GraphFormatError('header must be "n m"', 1)
     try:
         n, m = int(header[0]), int(header[1])
     except ValueError:
-        raise GraphFormatError('header must be "n m" with integers', offset + 1) from None
+        raise GraphFormatError('header must be "n m" with integers', 1) from None
     if n < 0 or m < 0:
-        raise GraphFormatError("negative counts in header", offset + 1)
+        raise GraphFormatError("negative counts in header", 1)
     if n > caps.vertex_cap:
         raise CapExceeded("vertex", caps.vertex_cap, f"edge list declares {n} vertices")
     edges = []
     for k in range(m):
-        lineno = offset + 2 + k
+        lineno = 2 + k
         if 1 + k >= len(lines):
             raise GraphFormatError(f"expected {m} edges, file ends early", lineno)
         parts = lines[1 + k].split()
@@ -330,7 +329,7 @@ def parse_edge_list_lines(lines, offset: int = 0, caps: Caps = DEFAULT_CAPS) -> 
         edges.append((u, v))
     graph = Graph(n, edges)
     if graph.m != m:
-        raise GraphFormatError("duplicate edges in edge list", offset + 1)
+        raise GraphFormatError("duplicate edges in edge list", 1)
     return graph, 1 + m
 
 

@@ -10,8 +10,8 @@ This module carries the algebraic half of the construction:
 * minimal generator counts of H-submodules via Nakayama's lemma (the
   group algebra of a p-group over F_p is local, so generation is
   spanning modulo the augmentation image),
-* the swap and inversion outer symmetries and the lower bound they give
-  for generator counts over the extended group.
+* the swap and inversion outer symmetries, checked to keep every term
+  of the filtration, read as the level x + y of each e_xy.
 
 Conventions, used everywhere downstream: coefficient vectors are rows
 over the natural basis ordered by index(i, j) = i*q + j, and all module
@@ -30,14 +30,12 @@ __all__ = [
     "AbelianH",
     "EBasisChange",
     "GammaChain",
-    "OuterAction",
     "build_e_basis",
     "action_matrix",
     "gamma_chain",
     "section_dims",
     "min_generators_local",
     "outer_action",
-    "index_lower_bound",
 ]
 
 
@@ -104,11 +102,6 @@ class AbelianH:
         else:
             raise ValueError(f"unknown group item {s!r}")
         return (i % self.q) * self.q + j % self.q
-
-
-def _permutation_matrix(H: AbelianH, s) -> FpMatrix:
-    """Natural-basis matrix of s: row k is the unit row at index_map(s)[k]."""
-    return FpMatrix(np.eye(H.ambient, dtype=np.int64)[H.index_map(s)], H.p)
 
 
 def _kron_rows(rows: FpMatrix, m: FpMatrix) -> FpMatrix:
@@ -179,17 +172,17 @@ def action_matrix(
     basis: str = "natural",
     change: EBasisChange | None = None,
 ) -> FpMatrix:
-    """Matrix of right multiplication by a generator of H.
+    """Matrix of "a", "b", "phi" or "psi" (see `AbelianH.index_map`).
 
     Vectors are rows and the matrix acts on the right: row index(i, j)
-    holds the image of the basis element a^i b^j. The e-basis matrix is
-    obtained by honestly conjugating the natural one through the basis
-    change (never by assuming the closed form, which is what the tests
-    verify against).
+    holds the image of the basis element a^i b^j, the unit row at
+    index_map(generator)[index(i, j)]. The e-basis matrix is obtained by
+    honestly conjugating the natural one through the basis change (never
+    by assuming the closed form, which is what the tests verify against).
     """
-    if generator not in ("a", "b"):
+    if generator not in ("a", "b", "phi", "psi"):
         raise ValueError(f"unknown generator {generator!r}")
-    nat_m = _permutation_matrix(H, generator)
+    nat_m = FpMatrix(np.eye(H.ambient, dtype=np.int64)[H.index_map(generator)], H.p)
     if basis == "natural":
         return nat_m
     if basis == "e":
@@ -202,36 +195,14 @@ def action_matrix(
 class GammaChain:
     """Descending filtration of F_p[H], in e-basis coordinates.
 
-    chain[i] is the i-th term; the chain strictly descends from the whole
-    algebra to zero at index 2q - 1, and gamma_chain checks each term
-    against its expected spanning set {e_xy : x + y >= i}.
-
-    Only the term dimensions and the top term, which the claims read many
-    times, are kept; chain[i] rebuilds any other term as that checked
-    unit-row basis.
+    Term i is the span of the e_xy of level x + y >= i, as gamma_chain
+    checks; it strictly descends from the whole algebra (i = 0) to zero
+    (i = 2q - 1). dims[i] is the dimension of term i, and top is term
+    q - 1, the one the family construction uses.
     """
 
-    p: int
-    q: int
     dims: list[int]
     top: FpSubspace
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __getitem__(self, i: int) -> FpSubspace:
-        i = range(len(self.dims))[i]  # negative indices count from the end
-        if i == self.top_index:
-            return self.top
-        return _e_unit_span(self.q, self.p, i)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    @property
-    def top_index(self) -> int:
-        """Index q - 1, the deepest term the family construction uses."""
-        return self.q - 1
 
 
 def _e_unit_span(q: int, p: int, level: int) -> FpSubspace:
@@ -274,16 +245,17 @@ def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
         prev = nxt
     if prev.dim != 0:
         raise AssertionError("filtration does not reach zero")
-    return GammaChain(p=p, q=q, dims=dims, top=top)
+    return GammaChain(dims=dims, top=top)
 
 
 def section_dims(chain: GammaChain) -> list[int]:
     """Dimensions of consecutive quotients, checked against the closed form.
 
-    Entry i is dim chain[i] - dim chain[i+1] and must equal
-    min(i + 1, 2q - 1 - i).
+    Entry i is the dimension of term i minus that of term i + 1 and must
+    equal min(i + 1, 2q - 1 - i).
     """
-    q, term_dims = chain.q, chain.dims
+    term_dims = chain.dims
+    q = len(term_dims) // 2
     dims = []
     for i in range(2 * q - 1):
         d = term_dims[i] - term_dims[i + 1]
@@ -365,54 +337,23 @@ def min_generators_local(
     return V.dim - vi.dim
 
 
-@dataclass(frozen=True)
-class OuterAction:
-    """Natural-basis permutation matrices of the two outer symmetries.
+def outer_action(H: AbelianH, change: EBasisChange | None = None) -> None:
+    """Assert phi and psi are commuting involutions that keep every filtration term.
 
-    phi swaps the two coordinates of H ((i, j) -> (j, i)); psi inverts
-    them ((i, j) -> (-i, -j)). Both are involutions and they commute.
+    Term i is the span of the e_xy of level x + y >= i (gamma_chain checks
+    this), so an operator keeps every term exactly when its e-basis matrix
+    has no nonzero entry from a row of some level to a column of lower
+    level.
     """
-
-    phi: FpMatrix
-    psi: FpMatrix
-
-
-def outer_action(
-    H: AbelianH,
-    change: EBasisChange | None = None,
-    chain: GammaChain | None = None,
-) -> OuterAction:
-    """Build phi and psi and assert every filtration term is invariant."""
     phi, psi = H.index_map("phi"), H.index_map("psi")
     ident = np.arange(H.order)
     if not (np.array_equal(phi[phi], ident) and np.array_equal(psi[psi], ident)):
         raise AssertionError("outer symmetries must be involutions")
     if not np.array_equal(phi[psi], psi[phi]):
         raise AssertionError("outer symmetries must commute")
-    phi_m, psi_m = _permutation_matrix(H, "phi"), _permutation_matrix(H, "psi")
     change = change or build_e_basis(H)
-    chain = chain or gamma_chain(H, change)
-    for name, m in (("phi", phi_m), ("psi", psi_m)):
-        m_e = change.conjugate_to_e(m)
-        for i, sub in enumerate(chain):
-            if not sub.contains((sub.basis @ m_e).a):
-                raise AssertionError(
-                    f"filtration term {i} is not invariant under {name}"
-                )
-    return OuterAction(phi=phi_m, psi=psi_m)
-
-
-def index_lower_bound(d_h: int, index: int) -> int:
-    """ceil(d_h / index): a generating-set bound over a supergroup.
-
-    A k-element module generating set over a group containing H with the
-    given index yields a (k * index)-element generating set over H by
-    multiplying with a transversal, so d over the big group is at least
-    d_h / index.
-    """
-    if index < 1:
-        raise ValueError("index must be at least 1")
-    if d_h < 0:
-        raise ValueError("generator count cannot be negative")
-    return -(-d_h // index)
-
+    level = ident // H.q + ident % H.q
+    lowers = level[:, None] > level[None, :]
+    for name in ("phi", "psi"):
+        if action_matrix(H, name, "e", change).a[lowers].any():
+            raise AssertionError(f"filtration is not invariant under {name}")

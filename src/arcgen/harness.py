@@ -181,13 +181,13 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
-def bound_report(inst: VTInstance, double_check: bool = True) -> BoundReport:
+def bound_report(inst: VTInstance) -> BoundReport:
     """Execute the whole bound procedure and report every quantity.
 
-    With double_check on (the default), the extraction re-runs with a
-    second choice of coset representatives and all boolean outcomes must
-    agree; the procedure is choice-independent, so a disagreement is a
-    defect and raises AssertionError.
+    The extraction re-runs with a second choice of coset representatives
+    and all boolean outcomes must agree; the procedure is
+    choice-independent, so a disagreement is a defect and raises
+    AssertionError.
     """
     graph, G, base = inst.graph, inst.group, inst.base_vertex
     d = graph.valency()
@@ -218,21 +218,20 @@ def bound_report(inst: VTInstance, double_check: bool = True) -> BoundReport:
     )
     generation_ok = verify_generation(inst, gens)
     order_equality = G_order == H_order * G_alpha_order
-    if double_check:
-        gens2 = connection_generators(inst, reverse=True)
-        H2, transitive2 = verify_connection_subgroup(inst, gens2)
-        second = (
-            transitive2,
-            frattini_decomposition_check(G, H2, base),
-            graph.n <= H2.order()
-            and G_order <= H2.order() * math.factorial(graph.n - 1),
-            verify_generation(inst, gens2),
+    gens2 = connection_generators(inst, reverse=True)
+    H2, transitive2 = verify_connection_subgroup(inst, gens2)
+    second = (
+        transitive2,
+        frattini_decomposition_check(G, H2, base),
+        graph.n <= H2.order()
+        and G_order <= H2.order() * math.factorial(graph.n - 1),
+        verify_generation(inst, gens2),
+    )
+    first = (transitive, decomposition_ok, size_bound_ok, generation_ok)
+    if first != second:
+        raise AssertionError(
+            "bound outcomes changed under a different representative choice"
         )
-        first = (transitive, decomposition_ok, size_bound_ok, generation_ok)
-        if first != second:
-            raise AssertionError(
-                "bound outcomes changed under a different representative choice"
-            )
     return BoundReport(
         n=graph.n,
         d=d,

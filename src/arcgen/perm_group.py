@@ -649,15 +649,16 @@ def frattini_rank(G: PermGroup, p: int) -> int:
 EXPONENT_BLOCK = 1024
 
 
-def exponent(G: PermGroup, cap: int | None = None) -> int:
+def exponent(G: PermGroup) -> int:
     """Least common multiple of all element orders.
 
     With v_i over the transversal inverses of chain level i, the products
     v_0 v_1 ... v_(L-1) invert the normal forms u_(L-1) ... u_0, so they
     list G once each. The deepest levels are multiplied into one block of
     rows; each product of the top levels is applied to the whole block.
+    Groups of order over G.caps.exponent_cap raise CapExceeded.
     """
-    cap = cap if cap is not None else G.caps.exponent_cap
+    cap = G.caps.exponent_cap
     order = G.order()
     if order > cap:
         raise CapExceeded(

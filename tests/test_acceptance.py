@@ -85,7 +85,7 @@ def test_criterion_03_module_rank():
             action_matrix(H, "a", "e", change),
             action_matrix(H, "b", "e", change),
         ]
-        ok = ok and min_generators_local(chain[chain.top_index], actions, p) == H.q
+        ok = ok and min_generators_local(chain.top, actions, p) == H.q
     elapsed = time.perf_counter() - start
     record(3, ok and elapsed < 1.0, f"top module rank equals q, {elapsed:.3f}s")
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from arcgen.field_linalg import FpMatrix, FpSubspace, kron, unipotent_matrix
+from arcgen.field_linalg import FpMatrix, FpSubspace, kron, mat_inverse, unipotent_matrix
 from arcgen.group_algebra import (
     AbelianH,
+    EBasisChange,
+    _e_unit_span,
     _kron_rows,
     action_matrix,
     build_e_basis,
     gamma_chain,
-    index_lower_bound,
     min_generators_local,
     outer_action,
     section_dims,
@@ -137,13 +138,9 @@ def test_conjugate_to_e_against_dense_reference(p, h):
     change = build_e_basis(H)
     from_e = kron(change.P, change.P)
     to_e = kron(change.P_inv, change.P_inv)
-    outer = outer_action(H, change)
     rng = np.random.default_rng(p + h)
     operators = [
-        action_matrix(H, "a"),
-        action_matrix(H, "b"),
-        outer.phi,
-        outer.psi,
+        *(action_matrix(H, s) for s in ("a", "b", "phi", "psi")),
         FpMatrix(rng.integers(0, p, (H.ambient, H.ambient)), p),
     ]
     for m in operators:
@@ -213,7 +210,8 @@ def test_unknown_generator_and_basis_rejected():
 
 def test_chain_dims_q2():
     chain = gamma_chain(AbelianH(2, 1))
-    assert [s.dim for s in chain] == [4, 3, 1, 0]
+    assert chain.dims == [4, 3, 1, 0]
+    assert chain.top == _e_unit_span(2, 2, 1)
 
 
 def test_chain_dims_against_pair_counting():
@@ -221,29 +219,30 @@ def test_chain_dims_against_pair_counting():
         H = AbelianH(p, h)
         chain = gamma_chain(H)
         q = H.q
-        for i, sub in enumerate(chain):
+        assert len(chain.dims) == 2 * q
+        for i, dim in enumerate(chain.dims):
             count = len([1 for x in range(q) for y in range(q) if x + y >= i])
-            assert sub.dim == count
+            assert dim == count
+        assert chain.top.dim == chain.dims[q - 1]
 
 
 def test_chain_specific_dims():
-    assert gamma_chain(AbelianH(2, 2))[3].dim == 10
-    assert gamma_chain(AbelianH(3, 1))[2].dim == 6
+    assert gamma_chain(AbelianH(2, 2)).dims[3] == 10
+    assert gamma_chain(AbelianH(3, 1)).dims[2] == 6
 
 
 def test_chain_multiplicativity():
     # each term times (a-1) or (b-1) lands one level deeper
     H = AbelianH(2, 2)
     change = build_e_basis(H)
-    chain = gamma_chain(H, change)
     ident = FpMatrix.identity(H.ambient, H.p)
     steps = [
         action_matrix(H, "a", "e", change) - ident,
         action_matrix(H, "b", "e", change) - ident,
     ]
-    for i in range(len(chain) - 1):
+    for i in range(2 * H.q - 1):
         for s in steps:
-            assert chain[i].image(s) <= chain[i + 1]
+            assert _e_unit_span(H.q, H.p, i).image(s) <= _e_unit_span(H.q, H.p, i + 1)
 
 
 def test_section_dims_formula():
@@ -277,7 +276,7 @@ def test_top_module_rank_is_q():
             action_matrix(H, "a", "e", change),
             action_matrix(H, "b", "e", change),
         ]
-        assert min_generators_local(chain[chain.top_index], actions, p) == H.q
+        assert min_generators_local(chain.top, actions, p) == H.q
 
 
 def test_whole_algebra_is_cyclic():
@@ -324,16 +323,14 @@ def test_nakayama_cross_check_regenerates_module():
     for p, h in [(2, 1), (2, 2), (3, 1)]:
         H = AbelianH(p, h)
         change = build_e_basis(H)
-        chain = gamma_chain(H, change)
         actions = [
             action_matrix(H, "a", "e", change),
             action_matrix(H, "b", "e", change),
         ]
-        ident = FpMatrix.identity(H.ambient, p)
-        for i in range(len(chain) - 1):
-            v = chain[i]
+        for i in range(2 * H.q - 1):
+            v = _e_unit_span(H.q, p, i)
             rank = min_generators_local(v, actions, p)
-            vi = chain[i + 1]  # V*I equals the next term for this filtration
+            vi = _e_unit_span(H.q, p, i + 1)  # V*I equals the next term here
             lifts = []
             span = vi
             for row in v.basis.a:
@@ -359,49 +356,81 @@ def test_nakayama_cross_check_regenerates_module():
 def test_outer_action_involutions():
     for p, h in [(2, 1), (3, 1), (2, 2)]:
         H = AbelianH(p, h)
-        out = outer_action(H)
+        outer_action(H)
+        phi, psi = action_matrix(H, "phi"), action_matrix(H, "psi")
         ident = FpMatrix.identity(H.ambient, p)
-        assert out.phi @ out.phi == ident
-        assert out.psi @ out.psi == ident
-        assert out.phi @ out.psi == out.psi @ out.phi
+        assert phi @ phi == ident
+        assert psi @ psi == ident
+        assert phi @ psi == psi @ phi
 
 
 def test_phi_q2_fixes_identity_and_ab():
     H = AbelianH(2, 1)
-    out = outer_action(H)
     # basis order: 1, b, a, ab
     expect = np.zeros((4, 4), dtype=int)
     expect[H.index(0, 0), H.index(0, 0)] = 1
     expect[H.index(1, 0), H.index(0, 1)] = 1
     expect[H.index(0, 1), H.index(1, 0)] = 1
     expect[H.index(1, 1), H.index(1, 1)] = 1
-    assert out.phi.a.tolist() == expect.tolist()
+    assert action_matrix(H, "phi").a.tolist() == expect.tolist()
 
 
 def test_top_term_invariance_under_outer_maps():
     for p, h in [(2, 1), (3, 1), (2, 2)]:
         H = AbelianH(p, h)
         change = build_e_basis(H)
-        chain = gamma_chain(H, change)
-        out = outer_action(H, change, chain)
-        top = chain[chain.top_index]
-        for m in (out.phi, out.psi):
-            m_e = change.conjugate_to_e(m)
-            assert top.image(m_e) <= top
+        top = gamma_chain(H, change).top
+        outer_action(H, change)
+        for name in ("phi", "psi"):
+            assert top.image(action_matrix(H, name, "e", change)) <= top
 
 
-# -- index lower bound -------------------------------------------------------
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1)])
+def test_outer_action_rejects_the_natural_basis(p, h):
+    # psi sends a^(q-1), of level q - 1, to a, of level 1
+    H = AbelianH(p, h)
+    ident = FpMatrix.identity(H.q, p)
+    with pytest.raises(AssertionError, match="invariant"):
+        outer_action(H, EBasisChange(H, ident, ident))
 
 
-def test_index_lower_bound_values():
-    assert index_lower_bound(4, 4) == 1
-    assert index_lower_bound(8, 4) == 2
-    assert index_lower_bound(5, 4) == 2
-    assert index_lower_bound(0, 4) == 0
+def _keeps_every_term(H, change):
+    """The per-term reference: phi and psi map each filtration term into itself."""
+    for name in ("phi", "psi"):
+        m_e = change.conjugate_to_e(action_matrix(H, name))
+        for i in range(2 * H.q):
+            span = _e_unit_span(H.q, H.p, i)
+            if not span.contains((span.basis @ m_e).a):
+                return False
+    return True
 
 
-def test_index_lower_bound_validation():
-    with pytest.raises(ValueError):
-        index_lower_bound(4, 0)
-    with pytest.raises(ValueError):
-        index_lower_bound(-1, 2)
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (5, 1), (2, 3)])
+def test_outer_action_level_test_against_per_term_reference(p, h):
+    H = AbelianH(p, h)
+    q, P_true = H.q, build_e_basis(H).P
+    rng = np.random.default_rng(10 * p + h)
+    unit = np.eye(q, dtype=np.int64)
+    factors = []
+    for _ in range(4):
+        # upper unitriangular; P_true times lower unitriangular, a basis of
+        # the same filtration; and unstructured
+        factors.append(FpMatrix(np.triu(rng.integers(0, p, (q, q)), 1) + unit, p))
+        lower = FpMatrix(np.tril(rng.integers(0, p, (q, q)), -1) + unit, p)
+        factors.append(P_true @ lower)
+        factors.append(FpMatrix(rng.integers(0, p, (q, q)), p))
+    outcomes = set()
+    for P in factors:
+        try:
+            P_inv = mat_inverse(P)
+        except ValueError:
+            continue
+        change = EBasisChange(H, P, P_inv)
+        keeps = _keeps_every_term(H, change)
+        outcomes.add(keeps)
+        if keeps:
+            outer_action(H, change)
+        else:
+            with pytest.raises(AssertionError, match="invariant"):
+                outer_action(H, change)
+    assert outcomes == {True, False}

@@ -434,9 +434,9 @@ def test_exponent_matches_table_oracle():
 
 
 def test_exponent_cap():
-    G = PermGroup([cycle(12)])
+    G = PermGroup([cycle(12)], caps=Caps(exponent_cap=5))
     with pytest.raises(CapExceeded) as exc:
-        exponent(G, cap=5)
+        exponent(G)
     assert exc.value.cap_name == "exponent"
 
 

@@ -190,6 +190,9 @@ def test_bundle_stabilizer_order(bundle_22):
 def test_semidirect_consistency(bundle_22, bundle_31):
     assert semidirect_consistency(bundle_22)
     assert semidirect_consistency(bundle_31)
+    # ambient 256 and 81; build_bundle would hit the order cap here
+    assert semidirect_consistency(Bundle(ConstructionParams(2, 4)))
+    assert semidirect_consistency(Bundle(ConstructionParams(3, 2)))
 
 
 def test_semidirect_consistency_fails_with_swapped_translations():
