@@ -1,19 +1,23 @@
 """Permutation groups on graph vertices, exact and deterministic.
 
-Orders, membership and stabilizers come from an incremental
-Schreier-Sims stabilizer chain; base points are chosen deterministically
-(the smallest point moved by the first generator that reaches a level),
-no randomization is used anywhere, so every quantity is reproducible
-across runs. The chain sifts a level's Schreier generators in chunks of
-int32 rows, all rows of a chunk through one level at a time, and tests
-for the identity once, at the bottom. It installs only the first
-residue of a chunk, in row order, and defers the rest to be sifted again
-once the deeper levels are complete, so the install order depends on
-the input alone. On top of the chain sit the predicates the verification
-pipeline needs: vertex/arc transitivity, local actions, the Frattini
-decomposition check, minimal generator ranks of p-groups (Burnside basis
-theorem) and exponents, read off one walk of the group through its chain.
-Orbits, transversals and arc orbits share one breadth-first walk.
+Orders, membership and stabilizers come from an incremental stabilizer
+chain; base points are chosen deterministically (the smallest point
+moved by the first generator that reaches a level), no randomization is
+used anywhere, so every quantity is reproducible across runs. A
+generator g that normalizes the group N built so far (its conjugates of
+N's strong generators sift to the identity) is added by Sims's method
+for soluble groups: gN has some order m, and each prime r of m takes one
+step that multiplies one level's orbit, and |N|, by exactly r, with no
+Schreier generator sifted. Any other generator is closed in by
+Schreier-Sims, which sifts Schreier generators in chunks of int32 rows
+and installs only each chunk's first residue, so the install order
+depends on the input alone. The family groups' generators, listed in a
+polycyclic order, all take the first route. On top of the chain sit the
+predicates the verification pipeline needs: vertex/arc transitivity,
+local actions, the Frattini decomposition check, minimal generator ranks
+of p-groups (Burnside basis theorem) and exponents, read off one walk of
+the group through its chain. Orbits, transversals and arc orbits share
+one breadth-first walk.
 
 Composition convention: permutations act on the right, x^(g*h) = (x^g)^h,
 and (g * h).images[x] == h.images[g.images[x]].
@@ -61,6 +65,40 @@ def _inverse_arr(a: np.ndarray) -> np.ndarray:
     inv = np.empty_like(a)
     inv[a] = np.arange(len(a), dtype=a.dtype)
     return inv
+
+
+def _power(a: np.ndarray, k: int) -> np.ndarray:
+    if k < 0:
+        a, k = _inverse_arr(a), -k
+    result = np.arange(len(a), dtype=a.dtype)
+    while k:
+        if k & 1:
+            result = a[result]
+        a = a[a]
+        k >>= 1
+    return result
+
+
+def _order(a: np.ndarray) -> int:
+    """Least common multiple of the cycle lengths of a."""
+    low = np.arange(len(a), dtype=a.dtype)
+    # after k rounds low[x] is the least of x, x^a, ..., x^(a^(2^k - 1))
+    for _ in range(max(len(a) - 1, 0).bit_length()):
+        low = np.minimum(low, low[a])
+        a = a[a]
+    lengths = np.bincount(low)
+    return math.lcm(*set(lengths[lengths > 0].tolist()))
+
+
+def _prime_factors(m: int) -> list[int]:
+    """Primes of m, a permutation's order, with multiplicity and ascending."""
+    out, r = [], 2
+    while m > 1:
+        while m % r == 0:
+            out.append(r)
+            m //= r
+        r += 1
+    return out
 
 
 # Points a breadth-first walk expands at once, which bounds its temporaries
@@ -135,16 +173,7 @@ class Perm:
         return Perm._wrap(_inverse_arr(self.images))
 
     def __pow__(self, k: int) -> "Perm":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Perm.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return Perm._wrap(_power(self.images, k))
 
     def __call__(self, point: int) -> int:
         return int(self.images[point])
@@ -170,10 +199,7 @@ class Perm:
         return out
 
     def order(self) -> int:
-        o = 1
-        for cyc in self.cycles():
-            o = math.lcm(o, len(cyc))
-        return o
+        return _order(self.images)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Perm):
@@ -216,42 +242,59 @@ class _Level:
         # before any further pending pair
         self.deferred = np.empty((0, n), dtype=_DTYPE)
 
-    def extend(self, point: int, u: np.ndarray) -> None:
-        """Append point to the orbit with transversal u (base^u = point)."""
-        k = len(self.points)
-        n = len(u)
-        if k == len(self.inv):
-            grown = np.empty((min(2 * k, n), n), dtype=_DTYPE)
-            grown[:k] = self.inv
+    def extend(self, points: np.ndarray, inv: np.ndarray) -> None:
+        """Append new orbit points, with the inverses of their transversals as rows."""
+        if (self.pos[points] >= 0).any():
+            raise AssertionError("orbit extension reached a point already in the orbit")
+        k, n = len(self.points), self.inv.shape[1]
+        end = k + len(points)
+        if end > len(self.inv):
+            grown = np.empty((min(max(2 * k, end), n), n), dtype=_DTYPE)
+            grown[:k] = self.inv[:k]
             self.inv = grown
-        self.inv[k, u] = np.arange(n, dtype=_DTYPE)
-        self.pos[point] = k
-        self.points.append(point)
+        self.inv[k:end] = inv
+        self.pos[points] = np.arange(k, end, dtype=_DTYPE)
+        self.points.extend(points.tolist())
 
 
-# Rows sifted together: a level's Schreier generators are gathered into
-# chunks of at most this many rows before they go down the chain.
+# Rows sifted together: a level's Schreier generators, or a new generator's
+# conjugates of the strong generators, go down the chain in chunks of at
+# most this many rows.
 SIFT_CHUNK = 64
 
 
 class StabChain:
-    """Deterministic incremental Schreier-Sims stabilizer chain.
+    """Deterministic incremental stabilizer chain.
 
     Works on raw numpy image arrays; Perm objects only appear at the
-    PermGroup boundary. The closure always works on the deepest level
-    with work left. A level takes its pending (orbit point, generator)
-    pairs in order: a pair whose image point is new extends the orbit at
-    once; every other pair yields a Schreier generator, and these are
-    collected into chunks of up to SIFT_CHUNK rows that are sifted down
-    the deeper levels together (one gather per level, one identity test
-    at the bottom). Of a chunk's residues only the first in row order is
-    installed; the later ones are deferred on the level and sifted again,
-    before its next pending pair, once the deeper levels are complete.
-    The install order is therefore fixed by the input alone.
+    PermGroup boundary. After every add_generator the chain is a complete
+    base and strong generating set of the group so far, N, so either
+    route may take the next generator g.
 
-    Budget checks (order cap, optional wall-clock cap) run inside the
-    closure loop so oversize groups fail fast with CapExceeded instead
-    of running away.
+    If g normalizes N (g^-1 s g sifts to the identity for every strong
+    generator s that does not commute with g), the order m of gN is found
+    by sifting powers of g. For each prime r of m in turn, x = g^e sifts
+    to a residue h at some level j, where e is m over the primes taken so
+    far; h has order r modulo the group so far, the orbit at level j
+    becomes the r disjoint images of itself under h^0 .. h^(r-1), and h
+    joins the generators of levels 0..j (Sims 1990; Seress 2003, ch. 7).
+
+    Otherwise Schreier-Sims closes the chain. It always works on the
+    deepest level with work left. A level takes its pending (orbit point,
+    generator) pairs in order: a pair whose image point is new extends
+    the orbit at once; every other pair yields a Schreier generator, and
+    these are collected into chunks of up to SIFT_CHUNK rows that are
+    sifted down the deeper levels together (one gather per level, one
+    identity test at the bottom). Of a chunk's residues only the first in
+    row order is installed; the later ones are deferred on the level and
+    sifted again, before its next pending pair, once the deeper levels
+    are complete. The install order is therefore fixed by the input alone.
+
+    Budget checks (order cap, optional wall-clock cap) run after every
+    prime step and inside the closure loop, so oversize groups fail fast
+    with CapExceeded instead of running away. Every partial order divides
+    the final one, so the order cap fires on both routes exactly when the
+    group's order exceeds it.
     """
 
     def __init__(self, degree: int, gens=(), *, caps: Caps = DEFAULT_CAPS, base_prefix=()):
@@ -302,11 +345,16 @@ class StabChain:
 
     def _budget_check(self) -> None:
         self._steps += 1
-        if self.deadline is not None and self._steps % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise CapExceeded(
-                    "time", self.caps.time_cap_s, "stabilizer-chain construction"
-                )
+        if self._steps % 256 == 0:
+            self._deadline_check()
+
+    def _deadline_check(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise CapExceeded("time", self.caps.time_cap_s, "stabilizer-chain construction")
+
+    def _order_check(self) -> None:
+        if self.order() > self.caps.order_cap:
+            raise CapExceeded("order", self.caps.order_cap, "stabilizer chain grew past the cap")
 
     def _sift_rows(self, g: np.ndarray, start: int):
         """Sift every row of g through the levels from start on.
@@ -375,17 +423,71 @@ class StabChain:
         residue, level = self.sift(arr)
         if residue is None:
             return False
-        self._install(residue, level)
-        self._process_all()
+        if self._normalizes(arr):
+            self._extend_normal(arr)
+        else:
+            self._install(residue, level)
+            self._process_all()
         return True
+
+    def _normalizes(self, g: np.ndarray) -> bool:
+        """True if g^-1 s g lies in the group for every strong generator s."""
+        gens = self.levels[0].gens if self.levels else []
+        g_inv = _inverse_arr(g)
+        for start in range(0, len(gens), SIFT_CHUNK):
+            s = np.array(gens[start : start + SIFT_CHUNK])
+            conj = g[s[:, g_inv]]
+            # a conjugate equal to s (s commutes with g) needs no sift
+            moved = (conj != s).any(axis=1)
+            if moved.any() and len(self._sift_rows(conj[moved], 0)[0]):
+                return False
+        return True
+
+    def _extend_normal(self, g: np.ndarray) -> None:
+        # g normalizes the group N, so <N, g> / N is cyclic of order m.
+        # Each step adds x = g^e for the next prime r of m: x has order r
+        # modulo the group so far, and so does its residue h.
+        m = _order(g)
+        for r in sorted(set(_prime_factors(m))):
+            # g itself is not in N, so m = r needs no sift
+            while m % r == 0 and m > r and self.contains(_power(g, m // r)):
+                m //= r
+        e = m
+        for r in _prime_factors(m):
+            e //= r
+            h, j = self.sift(_power(g, e))
+            self._extend_level(h, j, r)
+            self._deadline_check()
+            self._order_check()
+
+    def _extend_level(self, h: np.ndarray, j: int, r: int) -> None:
+        # h fixes the bases above level j, normalizes the group N and has
+        # h^r in N, so |<N, h> : N| = r. The level's stabilizer K gains h,
+        # and <K, h> is the union of the cosets K h^t, t < r. Its orbit is
+        # therefore the union of the images of the orbit under h^t, which
+        # are r disjoint orbits of K because base_j^h is not in the orbit;
+        # every other level keeps its orbit. The transversal of x^(h^t) is
+        # u h^t for the transversal u of x, with inverse inv(u)[h^-t].
+        self._open_level(h, j)
+        lv = self.levels[j]
+        h_inv = _inverse_arr(h)
+        points, inv = np.array(lv.points), lv.inv[: len(lv.points)]
+        for _ in range(r - 1):
+            points, inv = h[points], inv[:, h_inv]
+            lv.extend(points, inv)
+        for k in range(j + 1):
+            self.levels[k].gens.append(h)
+
+    def _open_level(self, arr: np.ndarray, anchor: int) -> None:
+        # a residue that fixes every base opens a level at its first moved point
+        if anchor == len(self.levels):
+            self._new_level(int(np.flatnonzero(arr != self._ident)[0]))
 
     def _install(self, arr: np.ndarray, anchor: int) -> None:
         # The residue fixes every base above its anchor level, so it joins
         # the effective generator list of the anchor and of every level
         # above it; each of those levels gets fresh (point, gen) work.
-        if anchor == len(self.levels):
-            moved = np.nonzero(arr != self._ident)[0]
-            self._new_level(int(moved[0]))
+        self._open_level(arr, anchor)
         for k in range(anchor + 1):
             lv = self.levels[k]
             gi = len(lv.gens)
@@ -432,15 +534,10 @@ class StabChain:
                     if self._sift_chunk(i, chunk):
                         return
                 continue
-            lv.extend(t, su)
+            lv.extend(np.array([t]), _inverse_arr(su)[None, :])
             npos = len(lv.points) - 1
             lv.pending.extend((npos, j) for j in range(len(lv.gens)))
-            if self.order() > self.caps.order_cap:
-                raise CapExceeded(
-                    "order",
-                    self.caps.order_cap,
-                    "stabilizer chain grew past the cap",
-                )
+            self._order_check()
         if k:
             self._sift_chunk(i, chunk[:k])
 

@@ -1,11 +1,12 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from arcgen import perm_group
-from arcgen.caps import CapExceeded, Caps
+from arcgen.caps import DEFAULT_CAPS, CapExceeded, Caps
 from arcgen.graph_builder import Graph
 from arcgen.perm_group import (
     NotTransitiveError,
@@ -78,6 +79,23 @@ def test_perm_order_and_cycles():
     assert p.order() == 6
     assert (p ** 6).is_identity()
     assert p ** -1 == p.inverse()
+
+
+def test_perm_order_matches_cycle_lengths():
+    rng = random.Random(41)
+    perms = [Perm([]), Perm.identity(6), cycle(12), Perm([1, 2, 0, 4, 3])]
+    for n in (2, 7, 60, 301):
+        for _ in range(3):
+            images = list(range(n))
+            rng.shuffle(images)
+            perms.append(Perm(images))
+    for p, h in ((2, 2), (3, 1)):
+        gens = Bundle(ConstructionParams(p, h)).big_group.generators
+        perms += gens
+        perms += [rng.choice(gens) * rng.choice(gens) * rng.choice(gens) for _ in range(10)]
+    for g in perms:
+        assert g.order() == math.lcm(*(len(c) for c in g.cycles()))
+        assert (g ** g.order()).is_identity()
 
 
 def test_perm_interchange_round_trip():
@@ -317,9 +335,40 @@ def test_order_cap_failure_is_cached(monkeypatch):
 
 
 def test_time_cap_zero_fires_and_is_not_cached(monkeypatch):
-    # 300 orbit points, one generator: more than 256 closure steps
+    # one generator of order 300: the deadline is checked after its first prime step
     builds = count_chain_builds(monkeypatch)
     G = PermGroup([cycle(300)], caps=Caps(time_cap_s=0.0))
+    for _ in range(2):
+        with pytest.raises(CapExceeded) as exc:
+            G.order()
+        assert exc.value.cap_name == "time"
+    assert len(builds) == 2
+
+
+def test_deadline_fires_inside_schreier_sims():
+    # the 12-cycle does not normalize <(0 1)>, so Schreier-Sims closes S12,
+    # and the deadline is checked every 256 of its steps
+    chain = StabChain(12, [Perm([1, 0] + list(range(2, 12))).images])
+    chain.deadline = time.monotonic()
+    with pytest.raises(CapExceeded) as exc:
+        chain.add_generator(cycle(12).images)
+    assert exc.value.cap_name == "time"
+
+
+def test_family_order_cap_fires_on_the_prime_steps_and_is_cached(monkeypatch):
+    builds = count_chain_builds(monkeypatch)
+    G = Bundle(ConstructionParams(2, 4)).small_group
+    for _ in range(2):
+        with pytest.raises(CapExceeded) as exc:
+            G.order()
+        assert exc.value.cap_name == "order"
+        assert exc.value.limit == DEFAULT_CAPS.order_cap
+    assert len(builds) == 1
+
+
+def test_family_time_cap_zero_fires_and_is_not_cached(monkeypatch):
+    builds = count_chain_builds(monkeypatch)
+    G = Bundle(ConstructionParams(2, 2, Caps(time_cap_s=0.0))).small_group
     for _ in range(2):
         with pytest.raises(CapExceeded) as exc:
             G.order()
@@ -634,6 +683,91 @@ def test_chunk_residues_after_the_first_are_deferred(monkeypatch):
     ]
     assert resifted and all(resifted)
     assert G.chain().verify()
+
+
+# -- prime-index extensions by normalizing generators ------------------------
+
+
+def refuse_closure(monkeypatch):
+    def closing(self, i):
+        raise AssertionError("Schreier-Sims closure ran")
+
+    monkeypatch.setattr(StabChain, "_close_level", closing)
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (5, 1), (2, 3), (3, 2)])
+def test_family_chains_take_prime_steps_only(monkeypatch, p, h):
+    bundle = Bundle(ConstructionParams(p, h, Caps(order_cap=2**2000)))
+    q, n = p**h, bundle.graph.n
+    small = p ** (q * (q + 1) // 2) * q * q
+    refuse_closure(monkeypatch)
+    for G, order in ((bundle.small_group, small), (bundle.big_group, 4 * small)):
+        for prefix in ((), (0,)):
+            chain = G.fresh_chain(base_prefix=prefix)
+            assert chain.order() == order
+            assert chain.verify()
+        assert G.stabilizer(0).order() == order // n
+
+
+def assert_chain_matches_sympy(chain, gens, seed):
+    sympy_comb = pytest.importorskip("sympy.combinatorics")
+    theirs = sympy_comb.PermutationGroup(
+        [sympy_comb.Permutation([int(x) for x in g.images]) for g in gens]
+    )
+    assert chain.order() == theirs.order()
+    assert chain.verify()
+    n, rng = gens[0].degree, random.Random(seed)
+    for _ in range(10):
+        word = Perm.identity(n)
+        for _ in range(rng.randrange(1, 15)):
+            word = word * rng.choice(gens)
+        assert chain.contains(word.images)
+        images = list(range(n))
+        rng.shuffle(images)
+        expected = theirs.contains(sympy_comb.Permutation(images))
+        assert chain.contains(Perm(images).images) == expected
+
+
+def test_composite_relative_orders_against_sympy(monkeypatch):
+    bundle = Bundle(ConstructionParams(2, 2))
+    a = bundle.translation_gens[0]
+    refuse_closure(monkeypatch)
+    # an 8-cycle of order 8 over the trivial group; a of order 4 over M
+    for seed, gens in enumerate(([cycle(8)], [*bundle.module_gens, a])):
+        chain = StabChain(gens[0].degree, [g.images for g in gens])
+        assert_chain_matches_sympy(chain, gens, seed)
+    assert StabChain(8, [cycle(8).images]).levels[0].points == [0, 4, 2, 6, 1, 5, 3, 7]
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        # (0 1 2) then a 5-cycle that does not normalize it: A5; then (0 1): S5
+        [Perm([1, 2, 0, 3, 4]), cycle(5), Perm([1, 0, 2, 3, 4])],
+        # S4 on {0..3} and on {4..7} at once, then the swap of the halves
+        [Perm([1, 0, 2, 3, 5, 4, 6, 7]), Perm([1, 2, 3, 0, 5, 6, 7, 4]),
+         Perm([4, 5, 6, 7, 0, 1, 2, 3])],
+        # C2 wr C4, then a reflection of the 8-cycle's blocks
+        [Perm([1, 0, 2, 3, 4, 5, 6, 7]), Perm([(x + 2) % 8 for x in range(8)]),
+         Perm([0, 1, 6, 7, 4, 5, 2, 3])],
+    ],
+    ids=["A5-then-S5", "S4-diagonal-then-swap", "C2wrC4-then-reflection"],
+)
+def test_fallback_then_prime_steps_against_sympy(monkeypatch, gens):
+    closures = []
+    close_level = StabChain._close_level
+
+    def counted(self, i):
+        closures.append(i)
+        close_level(self, i)
+
+    monkeypatch.setattr(StabChain, "_close_level", counted)
+    chain = StabChain(gens[0].degree, [g.images for g in gens[:-1]])
+    assert closures  # the second generator does not normalize the first
+    assert not chain.contains(gens[-1].images)
+    refuse_closure(monkeypatch)
+    assert chain.add_generator(gens[-1].images)
+    assert_chain_matches_sympy(chain, gens, len(gens[0].images))
 
 
 # -- breadth-first walks and the exponent against queue references ------------
