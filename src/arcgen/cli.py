@@ -92,16 +92,11 @@ def _cmd_construct(args) -> int:
     suffix = ".edges" if args.format == "edge-list" else ".s6"
     graph_path = out.with_name(out.name + suffix)
     graph_path.write_bytes(export_graph(bundle.graph, args.format))
-    big_path = out.with_name(out.name + ".big.gens")
-    small_path = out.with_name(out.name + ".small.gens")
-    big_gens = [*bundle.module_gens, *bundle.translation_gens, *bundle.outer_gens]
-    small_gens = [*bundle.module_gens, *bundle.translation_gens]
-    big_path.write_text(
-        "\n".join(perm_to_line(g) for g in big_gens) + "\n", encoding="ascii"
-    )
-    small_path.write_text(
-        "\n".join(perm_to_line(g) for g in small_gens) + "\n", encoding="ascii"
-    )
+    for ext, group in ((".big.gens", bundle.big_group), (".small.gens", bundle.small_group)):
+        out.with_name(out.name + ext).write_text(
+            "\n".join(perm_to_line(g) for g in group.generators) + "\n",
+            encoding="ascii",
+        )
     print(
         f"{params.p} {params.h} {bundle.graph.n} {bundle.graph.valency()} "
         f"{bundle.big_group.order()}"

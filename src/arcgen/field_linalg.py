@@ -343,9 +343,12 @@ class FpSubspace:
 
         Only the part of `other` outside this subspace is eliminated; the
         existing rows are then cleared in the new pivot columns and the two
-        row sets merged by pivot, which is again the canonical basis.
+        row sets merged by pivot, which is again the canonical basis. A sum
+        with the zero subspace is the other summand, with no copy.
         """
         self._check_compatible(other)
+        if not self.dim:
+            return other
         extra = FpSubspace.from_rows(FpMatrix._make(self._reduce(other.basis.a), self.p))
         if not extra.dim:
             return self

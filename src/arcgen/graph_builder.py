@@ -21,7 +21,6 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "CayleySpec",
-    "FamilyGraph",
     "cayley",
     "wreath_product",
     "empty_graph",
@@ -219,26 +218,14 @@ def standard_connection(H: AbelianH) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FamilyGraph:
-    """One member of the constant-valency family, with its base quotient."""
-
-    p: int
-    h: int
-    q: int
-    delta: Graph
-    graph: Graph
-    degenerate: bool
-
-
-def build_family_graph(p: int, h: int, caps: Caps = DEFAULT_CAPS) -> FamilyGraph:
+def build_family_graph(p: int, h: int, caps: Caps = DEFAULT_CAPS) -> Graph:
     """Build the family graph for parameters (p, h).
 
     The graph is the wreath product of p isolated vertices by the Cayley
     graph of C_q x C_q over the standard connection set. Valency is 4p
     except in the degenerate case (p, h) = (2, 1), where the connection
-    set collapses and the valency is 2p; that case is flagged, not
-    rejected.
+    set collapses and the valency is 2p; that case is built, not
+    rejected (`ConstructionParams.degenerate` flags it).
     """
     H = AbelianH(p, h)
     n = p * H.order
@@ -254,7 +241,7 @@ def build_family_graph(p: int, h: int, caps: Caps = DEFAULT_CAPS) -> FamilyGraph
         raise AssertionError("family graph valency is off")
     if not graph.is_connected():
         raise AssertionError("family graph is not connected")
-    return FamilyGraph(p=p, h=h, q=H.q, delta=delta, graph=graph, degenerate=degenerate)
+    return graph
 
 
 # -- serialization ----------------------------------------------------------

@@ -5,13 +5,15 @@ This module carries the algebraic half of the construction:
 * the change of basis between the natural basis {a^i b^j} and the
   filtered basis {(a-1)^x (b-1)^y}, which is P ⊗ P for a q x q matrix P
   and is kept and applied as that factor alone,
-* the descending chain of iterated augmentation images
-  V, [V, H], [[V, H], H], ... starting from the whole algebra,
-* minimal generator counts of H-submodules via Nakayama's lemma (the
-  group algebra of a p-group over F_p is local, so generation is
-  spanning modulo the augmentation image),
+* the descent V ⊃ VI ⊃ VI^2 ⊃ ... by the augmentation ideal I, one
+  walk with two uses: from the whole algebra it is the filtration, and
+  from a submodule V it gives dim V/VI, the minimal number of module
+  generators by Nakayama's lemma (the group algebra of a p-group over
+  F_p is local); no term is closed under the actions again, because
+  the images of a submodule under the s - 1 already sum to one,
 * the swap and inversion outer symmetries, checked to keep every term
-  of the filtration, read as the level x + y of each e_xy.
+  of the filtration, read as the level x + y of each e_xy from their
+  q x q factors.
 
 Conventions, used everywhere downstream: coefficient vectors are rows
 over the natural basis ordered by index(i, j) = i*q + j, and all module
@@ -215,57 +217,62 @@ def _e_unit_span(q: int, p: int, level: int) -> FpSubspace:
     return FpSubspace(n, FpMatrix(rows, p))
 
 
+def _descent(space: FpSubspace, deltas: list[FpMatrix]):
+    """Yield space*I, space*I^2, ... for the ideal I spanned by the deltas.
+
+    Each term is the sum of the previous term's images under the deltas,
+    starting from the zero subspace. The walk stops after the zero term,
+    or after the first term that does not shrink, so a caller that finds
+    a nonzero last term knows the descent stalled.
+    """
+    n, p = space.ambient_dim, space.p
+    while True:
+        nxt = FpSubspace.zero(n, p)
+        for d in deltas:
+            nxt = nxt + space.image(d)
+        yield nxt
+        if nxt.dim == 0 or nxt.dim >= space.dim:
+            return
+        space = nxt
+
+
 def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
-    """Iterate V -> V(a-1) + V(b-1) from the whole algebra down to zero.
+    """Walk the descent V -> V(a-1) + V(b-1) from the whole algebra to zero.
 
     This computes [V, H] using only the two generators, which suffices
-    because (gh - 1) = (g - 1)h + (h - 1) and H is abelian. Each step is
+    because (gh - 1) = (g - 1)h + (h - 1) and H is abelian. Each term is
     checked against the expected spanning set {e_xy : x + y >= i}; a
-    mismatch is a defect and raises AssertionError.
+    mismatch, or a walk that stops short of zero, is a defect and raises
+    AssertionError.
     """
     change = change or build_e_basis(H)
     p, q, n = H.p, H.q, H.ambient
     ident = FpMatrix.identity(n, p)
     a_step = action_matrix(H, "a", "e", change) - ident
     b_step = action_matrix(H, "b", "e", change) - ident
-    prev = FpSubspace.full(n, p)
-    dims = [prev.dim]
+    dims = [n]
     top = None
-    for i in range(1, 2 * q):
-        nxt = prev.image(a_step) + prev.image(b_step)
-        if nxt != _e_unit_span(q, p, i):
+    for i, term in enumerate(_descent(FpSubspace.full(n, p), [a_step, b_step]), 1):
+        if term != _e_unit_span(q, p, i):
             raise AssertionError(
                 f"filtration step {i} does not match its expected spanning set"
             )
-        if not nxt.dim < prev.dim:
-            raise AssertionError(f"filtration fails to descend strictly at step {i}")
-        dims.append(nxt.dim)
+        dims.append(term.dim)
         if i == q - 1:
-            top = nxt
-        prev = nxt
-    if prev.dim != 0:
+            top = term
+    if dims[-1] != 0:
         raise AssertionError("filtration does not reach zero")
     return GammaChain(dims=dims, top=top)
 
 
 def section_dims(chain: GammaChain) -> list[int]:
-    """Dimensions of consecutive quotients, checked against the closed form.
+    """Dimensions of consecutive quotients: entry i is dims[i] - dims[i + 1].
 
-    Entry i is the dimension of term i minus that of term i + 1 and must
-    equal min(i + 1, 2q - 1 - i).
+    gamma_chain checked every term against its spanning set, which fixes
+    entry i at min(i + 1, 2q - 1 - i).
     """
-    term_dims = chain.dims
-    q = len(term_dims) // 2
-    dims = []
-    for i in range(2 * q - 1):
-        d = term_dims[i] - term_dims[i + 1]
-        expected = min(i + 1, 2 * q - 1 - i)
-        if d != expected:
-            raise AssertionError(
-                f"section {i} has dimension {d}, expected {expected}"
-            )
-        dims.append(d)
-    return dims
+    d = chain.dims
+    return [d[i] - d[i + 1] for i in range(len(d) - 1)]
 
 
 def _is_nilpotent(m: FpMatrix) -> bool:
@@ -279,16 +286,6 @@ def _is_nilpotent(m: FpMatrix) -> bool:
     return power.is_zero()
 
 
-def _module_closure(space: FpSubspace, actions: list[FpMatrix]) -> FpSubspace:
-    while True:
-        grown = space
-        for g in actions:
-            grown = grown + grown.image(g)
-        if grown == space:
-            return space
-        space = grown
-
-
 def min_generators_local(
     V: FpSubspace, actions: list[FpMatrix], p: int
 ) -> int:
@@ -296,12 +293,18 @@ def min_generators_local(
 
     Valid for unipotent action groups over F_p (the p-group case, where
     the group algebra is local and Nakayama's lemma applies): the answer
-    is dim V / (V * I) with I the augmentation ideal.
+    is dim V / (V * I) with I the augmentation ideal, and dim V for an
+    empty action list.
 
     Preconditions, all checked: every action matrix is unipotent and maps
     V into V, and the iterated augmentation images of V descend to zero.
     The descent check matters because per-generator unipotence alone does
     not force the generated group to be a p-group.
+
+    V * I is the sum of the V(g - 1), with no closure under the actions:
+    for an invariant W, W(g - 1)h = W(g - 1) + W(g - 1)(h - 1), the last
+    inside W(h - 1), so that sum is invariant, and it holds
+    W(gh - 1) = W(g - 1)h + W(h - 1).
     """
     n = V.ambient_dim
     ident = FpMatrix.identity(n, p)
@@ -319,21 +322,14 @@ def min_generators_local(
             raise ValueError("action matrix does not map the subspace into itself")
         deltas.append(g - ident)
 
-    def augmentation_image(space: FpSubspace) -> FpSubspace:
-        img = FpSubspace.zero(n, p)
-        for d in deltas:
-            img = img + space.image(d)
-        return _module_closure(img, actions)
-
-    vi = augmentation_image(V)
-    w = vi
-    while w.dim:
-        nxt = augmentation_image(w)
-        if nxt == w:
-            raise ValueError(
-                "acting group is not unipotent over F_p; Nakayama inapplicable"
-            )
-        w = nxt
+    walk = _descent(V, deltas)
+    vi = last = next(walk)
+    for last in walk:
+        pass
+    if last.dim:
+        raise ValueError(
+            "acting group is not unipotent over F_p; Nakayama inapplicable"
+        )
     return V.dim - vi.dim
 
 
@@ -343,17 +339,29 @@ def outer_action(H: AbelianH, change: EBasisChange | None = None) -> None:
     Term i is the span of the e_xy of level x + y >= i (gamma_chain checks
     this), so an operator keeps every term exactly when its e-basis matrix
     has no nonzero entry from a row of some level to a column of lower
-    level.
+    level. Both matrices are read from q x q factors. phi swaps the
+    tensor factors, which commutes with P ⊗ P, so its e-basis matrix is
+    the swap itself. psi is R ⊗ R, R the inversion of C_q, so its e-basis
+    matrix is M ⊗ M with M = P^T R P^-T; for an invertible M that keeps
+    every term exactly when M has no nonzero entry below the diagonal (an
+    entry M[x, x'] with x' < x, times some M[y, y'] with y' <= y on a
+    permutation of nonzero entries, lowers the level of e_xy).
     """
+    q = H.q
     phi, psi = H.index_map("phi"), H.index_map("psi")
     ident = np.arange(H.order)
     if not (np.array_equal(phi[phi], ident) and np.array_equal(psi[psi], ident)):
         raise AssertionError("outer symmetries must be involutions")
     if not np.array_equal(phi[psi], psi[phi]):
         raise AssertionError("outer symmetries must commute")
+    r = psi[:q]
+    if not np.array_equal(psi, (r[:, None] * q + r[None, :]).reshape(-1)):
+        raise AssertionError("psi must be the Kronecker square of its first factor")
     change = change or build_e_basis(H)
-    level = ident // H.q + ident % H.q
-    lowers = level[:, None] > level[None, :]
-    for name in ("phi", "psi"):
-        if action_matrix(H, name, "e", change).a[lowers].any():
-            raise AssertionError(f"filtration is not invariant under {name}")
+    level = ident // q + ident % q
+    if not np.array_equal(level[phi], level):
+        raise AssertionError("filtration is not invariant under phi")
+    R = FpMatrix(np.eye(q, dtype=np.int64)[r], H.p)
+    M = change.P.transpose() @ R @ change.P_inv.transpose()
+    if np.tril(M.a, -1).any():
+        raise AssertionError("filtration is not invariant under psi")

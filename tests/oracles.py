@@ -11,6 +11,8 @@ from itertools import combinations
 
 import numpy as np
 
+from arcgen.field_linalg import FpMatrix, FpSubspace
+
 
 def algebra_mul(u, v, H):
     """Convolution product of two coefficient vectors of F_p[H]."""
@@ -25,6 +27,43 @@ def algebra_mul(u, v, H):
             y = H.element(int(l))
             out[H.index(*H.mul(x, y))] += u[k] * v[l]
     return out % H.p
+
+
+def module_closure(space, actions):
+    """Smallest subspace containing `space` that every action matrix maps into itself."""
+    while True:
+        grown = space
+        for g in actions:
+            grown = grown + grown.image(g)
+        if grown == space:
+            return space
+        space = grown
+
+
+def nakayama_count_by_closure(V, actions, p):
+    """dim V/VI, closing every augmentation image under the actions again.
+
+    The reference for the library's count, which sums the images V(g - 1)
+    and never closes them. Raises ValueError when the iterated images of V
+    stall above zero. The actions must be unipotent and keep V.
+    """
+    ident = FpMatrix.identity(V.ambient_dim, p)
+    deltas = [g - ident for g in actions]
+
+    def augmentation_image(space):
+        img = FpSubspace.zero(V.ambient_dim, p)
+        for d in deltas:
+            img = img + space.image(d)
+        return module_closure(img, actions)
+
+    vi = augmentation_image(V)
+    w = vi
+    while w.dim:
+        nxt = augmentation_image(w)
+        if nxt == w:
+            raise ValueError("acting group is not unipotent over F_p")
+        w = nxt
+    return V.dim - vi.dim
 
 
 def matmul_by_int64(a, b, p):

@@ -146,30 +146,28 @@ def test_wreath_of_isolated_vertices_is_p_times_regular():
 
 
 def test_family_graph_2_2():
-    fam = build_family_graph(2, 2)
-    assert fam.graph.n == 32
-    assert fam.graph.valency() == 8
-    assert fam.graph.is_connected()
-    assert not fam.degenerate
+    graph = build_family_graph(2, 2)
+    assert graph.n == 32
+    assert graph.valency() == 8
+    assert graph.is_connected()
 
 
 def test_family_graph_3_1():
-    fam = build_family_graph(3, 1)
-    assert fam.graph.n == 27
-    assert fam.graph.valency() == 12
+    graph = build_family_graph(3, 1)
+    assert graph.n == 27
+    assert graph.valency() == 12
 
 
 def test_family_graph_degenerate_2_1():
-    fam = build_family_graph(2, 1)
-    assert fam.degenerate
-    assert fam.graph.n == 8
-    assert fam.graph.valency() == 4
+    graph = build_family_graph(2, 1)
+    assert graph.n == 8
+    assert graph.valency() == 4
 
 
 def test_family_graph_vertex_count_formula():
     for p, h in [(2, 1), (2, 2), (3, 1), (5, 1)]:
-        fam = build_family_graph(p, h)
-        assert fam.graph.n == p ** (2 * h + 1)
+        graph = build_family_graph(p, h)
+        assert graph.n == p ** (2 * h + 1)
 
 
 def test_family_graph_vertex_cap():
@@ -190,7 +188,7 @@ def test_edge_list_four_cycle():
 
 
 def test_edge_list_round_trip_family_graph():
-    g = build_family_graph(2, 2).graph
+    g = build_family_graph(2, 2)
     assert parse_graph(export_graph(g)) == g
 
 
@@ -217,7 +215,7 @@ def test_sparse6_round_trip():
             if rng.random() < 0.3
         ]
         graphs.append(Graph(n, edges))
-    graphs.append(build_family_graph(2, 2).graph)
+    graphs.append(build_family_graph(2, 2))
     for g in graphs:
         data = export_graph(g, "sparse6")
         assert parse_graph(data, "sparse6") == g
@@ -238,7 +236,7 @@ def test_sparse6_header_over_vertex_cap():
 def test_sparse6_matches_reference_implementation():
     nx = pytest.importorskip("networkx")
     rng = random.Random(99)
-    graphs = [k2(), c4(), build_family_graph(2, 2).graph, build_family_graph(3, 1).graph]
+    graphs = [k2(), c4(), build_family_graph(2, 2), build_family_graph(3, 1)]
     # powers of two exercise the padding special case
     for n in (2, 4, 8, 16, 32, 11, 27):
         for density in (0.05, 0.4, 0.8):

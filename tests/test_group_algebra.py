@@ -14,7 +14,7 @@ from arcgen.group_algebra import (
     outer_action,
     section_dims,
 )
-from oracles import algebra_mul
+from oracles import algebra_mul, module_closure, nakayama_count_by_closure
 
 
 def test_abelian_h_validation():
@@ -348,6 +348,49 @@ def test_nakayama_cross_check_regenerates_module():
                     break
                 gen = grown
             assert gen == v
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (2, 3)])
+def test_nakayama_count_against_closure_reference_on_every_term(p, h):
+    H = AbelianH(p, h)
+    change = build_e_basis(H)
+    actions = [
+        action_matrix(H, "a", "e", change),
+        action_matrix(H, "b", "e", change),
+    ]
+    for i in range(2 * H.q):
+        v = _e_unit_span(H.q, p, i)
+        expected = nakayama_count_by_closure(v, actions, p)
+        assert min_generators_local(v, actions, p) == expected
+
+
+@pytest.mark.parametrize("n, p", [(3, 3), (4, 2)])
+def test_nakayama_count_against_closure_reference_on_unitriangular_groups(n, p):
+    # UT_n(F_p), generated by the elementary matrices I + E_ij (i < j), is a
+    # non-abelian p-group; it acts on F_p^n ⊗ F_p^n by g ⊗ g
+    actions = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.eye(n, dtype=np.int64)
+            e[i, j] = 1
+            actions.append(kron(FpMatrix(e, p), FpMatrix(e, p)))
+    # I + E_12 and I + E_23 do not commute
+    assert actions[0] @ actions[n - 1] != actions[n - 1] @ actions[0]
+    rng = np.random.default_rng(10 * n + p)
+    counts = set()
+    for _ in range(12):
+        seeds = rng.integers(0, p, (int(rng.integers(1, 4)), n * n))
+        v = module_closure(FpSubspace.from_rows(FpMatrix(seeds, p)), actions)
+        expected = nakayama_count_by_closure(v, actions, p)
+        assert min_generators_local(v, actions, p) == expected
+        counts.add(expected)
+    assert len(counts) > 1
+
+
+def test_empty_action_list_needs_every_vector():
+    v = _e_unit_span(4, 2, 3)
+    assert min_generators_local(v, [], 2) == v.dim == 10
+    assert nakayama_count_by_closure(v, [], 2) == v.dim
 
 
 # -- outer symmetries --------------------------------------------------------

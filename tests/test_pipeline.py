@@ -196,11 +196,13 @@ def test_semidirect_consistency(bundle_22, bundle_31):
 
 
 def test_semidirect_consistency_fails_with_swapped_translations():
+    # swapped outer generators (phi <-> psi) must fail the same way
     for p, h in [(2, 2), (3, 1)]:
-        bundle = Bundle(ConstructionParams(p, h))
-        a, b = bundle.translation_gens
-        bundle.generators["translations"] = (b, a)
-        assert not semidirect_consistency(bundle)
+        for role in ("translations", "outer"):
+            bundle = Bundle(ConstructionParams(p, h))
+            x, y = bundle.generators[role]
+            bundle.generators[role] = (y, x)
+            assert not semidirect_consistency(bundle)
 
 
 def test_small_group_vertex_transitive_with_four_local_orbits(bundle_22):
