@@ -200,11 +200,13 @@ class GammaChain:
     Term i is the span of the e_xy of level x + y >= i, as gamma_chain
     checks; it strictly descends from the whole algebra (i = 0) to zero
     (i = 2q - 1). dims[i] is the dimension of term i, and top is term
-    q - 1, the one the family construction uses.
+    q - 1, the one the family construction uses. actions holds the
+    e-basis matrices of a and b, whose g - 1 the descent walked.
     """
 
     dims: list[int]
     top: FpSubspace
+    actions: tuple[FpMatrix, FpMatrix]
 
 
 def _e_unit_span(q: int, p: int, level: int) -> FpSubspace:
@@ -247,12 +249,12 @@ def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
     """
     change = change or build_e_basis(H)
     p, q, n = H.p, H.q, H.ambient
-    ident = FpMatrix.identity(n, p)
-    a_step = action_matrix(H, "a", "e", change) - ident
-    b_step = action_matrix(H, "b", "e", change) - ident
+    actions = (action_matrix(H, "a", "e", change), action_matrix(H, "b", "e", change))
+    # no identity is kept through the walk, which already holds both actions
+    deltas = [g - FpMatrix.identity(n, p) for g in actions]
     dims = [n]
     top = None
-    for i, term in enumerate(_descent(FpSubspace.full(n, p), [a_step, b_step]), 1):
+    for i, term in enumerate(_descent(FpSubspace.full(n, p), deltas), 1):
         if term != _e_unit_span(q, p, i):
             raise AssertionError(
                 f"filtration step {i} does not match its expected spanning set"
@@ -262,7 +264,7 @@ def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
             top = term
     if dims[-1] != 0:
         raise AssertionError("filtration does not reach zero")
-    return GammaChain(dims=dims, top=top)
+    return GammaChain(dims=dims, top=top, actions=actions)
 
 
 def section_dims(chain: GammaChain) -> list[int]:
@@ -275,31 +277,23 @@ def section_dims(chain: GammaChain) -> list[int]:
     return [d[i] - d[i + 1] for i in range(len(d) - 1)]
 
 
-def _is_nilpotent(m: FpMatrix) -> bool:
-    n = m.rows
-    power = m
-    steps = max(1, n.bit_length())
-    for _ in range(steps):
-        if power.is_zero():
-            return True
-        power = power @ power
-    return power.is_zero()
-
-
 def min_generators_local(
     V: FpSubspace, actions: list[FpMatrix], p: int
 ) -> int:
     """Minimal number of module generators of V over the acting group.
 
-    Valid for unipotent action groups over F_p (the p-group case, where
-    the group algebra is local and Nakayama's lemma applies): the answer
-    is dim V / (V * I) with I the augmentation ideal, and dim V for an
-    empty action list.
+    Valid when the acting group is unipotent on V over F_p (the p-group
+    case, where the group algebra is local and Nakayama's lemma applies):
+    the answer is dim V / (V * I) with I the augmentation ideal, and dim V
+    for an empty action list.
 
-    Preconditions, all checked: every action matrix is unipotent and maps
-    V into V, and the iterated augmentation images of V descend to zero.
-    The descent check matters because per-generator unipotence alone does
-    not force the generated group to be a p-group.
+    Preconditions, both checked: every action matrix maps V into V, and
+    the iterated augmentation images of V descend to zero. The descent
+    reaching zero means V * I^k = 0 for some k, so every product of k of
+    the g - 1 kills V: each g - 1 is nilpotent on V, every g is unipotent
+    there, and the acting group on V is a p-group, which is what
+    Nakayama's lemma needs. It also catches generators that are each
+    unipotent but together generate a group that is not a p-group.
 
     V * I is the sum of the V(g - 1), with no closure under the actions:
     for an invariant W, W(g - 1)h = W(g - 1) + W(g - 1)(h - 1), the last
@@ -314,10 +308,6 @@ def min_generators_local(
             raise ValueError("moduli of subspace and actions must all equal p")
         if g.rows != n or g.cols != n:
             raise ValueError("action matrix shape does not match the ambient space")
-        if not _is_nilpotent(g - ident):
-            raise ValueError(
-                "acting group is not unipotent over F_p; Nakayama inapplicable"
-            )
         if not V.contains((V.basis @ g).a):
             raise ValueError("action matrix does not map the subspace into itself")
         deltas.append(g - ident)

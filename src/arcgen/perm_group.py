@@ -370,7 +370,7 @@ class StabChain:
         depth = len(self.levels)
         bases = self._bases
         i = start
-        while i < depth:
+        while i < depth and len(rows):
             # The images of all remaining bases, one line per level, find
             # the next level whose base some row moves; the levels before
             # it would apply only identity transversals.
@@ -388,8 +388,6 @@ class StabChain:
                 found.append((rows[gone], i, g[gone]))
                 keep = ~gone
                 g, rows, p = g[keep], rows[keep], p[keep]
-                if not len(rows):
-                    break
             g = lv.inv.take(np.multiply(p, n, dtype=np.intp)[:, None] + g)
             i += 1
         if len(rows):
@@ -633,8 +631,7 @@ class PermGroup:
 
     def _images(self) -> np.ndarray:
         """The generators' image arrays, one row each."""
-        arrs = np.array([g.images for g in self.generators], dtype=_DTYPE)
-        return arrs.reshape(len(self.generators), self.degree)
+        return _rows(self.generators, self.degree)
 
     def orbit(self, points) -> list[int]:
         """Closure of the given point, or sequence of points, under all generators, sorted."""
@@ -686,32 +683,58 @@ def commutator(g: Perm, h: Perm) -> Perm:
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing the seeds and closed under G-conjugation.
 
-    Tries the seeds, then the conjugates a^-1 x a of each added x in order
-    of adding; a conjugate is formed only when its turn comes.
+    Tries the seeds in order, and closes each seed that grows the closure
+    under conjugation by G's generators before trying the next. The
+    conjugates a^-1 x a of an added x by all the generators form one block
+    of rows, sifted together; its residues are added in row order, and the
+    rest of the block is sifted again after each add. That makes the same
+    add decisions as trying the seeds and conjugates one at a time in this
+    order, and a block costs one batched sift per add, plus one.
     """
     chain = StabChain(G.degree, caps=G.caps)
-    gen_arrs = [g.images for g in G.generators]
-    gen_invs = [_inverse_arr(a) for a in gen_arrs]
+    gens = G._images()
+    invs = np.empty_like(gens)
+    np.put_along_axis(invs, gens, np.arange(G.degree, dtype=_DTYPE)[None, :], axis=1)
     added: list[np.ndarray] = []
     for s in seeds:
+        done = len(added)
         x = (s if isinstance(s, Perm) else Perm(s)).images
         if chain.add_generator(x):
             added.append(x)
-    for x in added:  # also reaches the elements appended while it runs
-        for a, ainv in zip(gen_arrs, gen_invs):
-            y = a[x[ainv]]
-            if chain.add_generator(y):
+        while done < len(added):  # also reaches the elements added while it runs
+            block = np.take_along_axis(gens, added[done][invs], axis=1)
+            done += 1
+            while True:
+                rows = chain._sift_rows(block, 0)[0]
+                if not len(rows):
+                    break
+                # a copy, so the added element does not pin the whole block
+                y = block[rows[0]].copy()
+                chain.add_generator(y)
                 added.append(y)
+                block = block[rows[1:]]
     return PermGroup._with_chain([Perm._wrap(x) for x in added], chain, G.degree, G.caps)
 
 
-def frattini_rank(G: PermGroup, p: int) -> int:
+def _rows(perms, degree: int) -> np.ndarray:
+    """The image arrays of a sequence of permutations, one row each."""
+    return np.array([g.images for g in perms], dtype=_DTYPE).reshape(len(perms), degree)
+
+
+def frattini_rank(G: PermGroup, p: int, gens=None) -> int:
     """Minimal number of generators of a p-group (Burnside basis theorem).
 
-    Computes the rank of G modulo the normal closure of all generator
-    p-th powers and pairwise generator commutators. That closure is the
-    Frattini subgroup for p-groups; the elementary-abelian quotient
-    condition is re-verified at runtime rather than trusted.
+    gens (G's generators by default) must lie in G. Phi is the normal
+    closure in <gens> of their pairwise commutators, then their p-th
+    powers, and every one of these seeds is checked to lie in it. Phi's
+    chain is then extended by each element of gens in turn: the gens
+    commute and have order p modulo Phi, so each step must multiply the
+    order by 1 or p. The last order must be |G|, which proves <gens> = G,
+    so Phi is normal in G and G/Phi is elementary abelian. Commutators and
+    p-th powers lie in the Frattini subgroup, and so does their normal
+    closure, so Phi is the Frattini subgroup and the rank is the number of
+    steps that grew the order. A few gens that generate G keep the
+    closure small: it conjugates by gens, not by all of G's generators.
     """
     order = G.order()
     rest = order
@@ -719,26 +742,26 @@ def frattini_rank(G: PermGroup, p: int) -> int:
         rest //= p
     if rest != 1:
         raise ValueError("Frattini rank defined here only for p-groups")
-    gens = G.generators
-    seeds = [g**p for g in gens]
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            seeds.append(commutator(gens[i], gens[j]))
-    phi = normal_closure(G, seeds)
-    phi_order = phi.order()
-    # quotient is elementary abelian iff all seeds landed in the closure
-    for s in seeds:
-        if not phi.contains(s):
-            raise AssertionError("Frattini closure lost one of its own seeds")
-    if order % phi_order != 0:
-        raise AssertionError("Frattini subgroup order does not divide the group order")
-    ratio = order // phi_order
-    rank = 0
-    while ratio % p == 0:
-        ratio //= p
-        rank += 1
-    if ratio != 1:
-        raise AssertionError("Frattini quotient is not a p-power")
+    gens = G.generators if gens is None else tuple(gens)
+    arrs = _rows(gens, G.degree)
+    if len(G.chain()._sift_rows(arrs, 0)[0]):
+        raise ValueError("a generator does not lie in the group")
+    seeds = [commutator(g, h) for g, h in itertools.combinations(gens, 2)]
+    seeds += [g**p for g in gens]
+    chain = normal_closure(PermGroup(gens, degree=G.degree, caps=G.caps), seeds).chain()
+    if len(chain._sift_rows(_rows(seeds, G.degree), 0)[0]):
+        raise AssertionError("Frattini closure lost one of its own seeds")
+    size, rank = chain.order(), 0
+    for g in arrs:
+        chain.add_generator(g)
+        grown = chain.order()
+        if grown == size * p:
+            rank += 1
+        elif grown != size:
+            raise AssertionError("a generator step grew the order by neither 1 nor p")
+        size = grown
+    if size != order:
+        raise AssertionError("the generators and the Frattini closure do not generate the group")
     return rank
 
 

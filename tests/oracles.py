@@ -3,7 +3,9 @@
 Everything here recomputes quantities from first principles (full element
 enumeration, Cayley tables, subset search) and deliberately avoids the
 library's stabilizer-chain and Nakayama code paths, so tests that compare
-against these functions are genuine dual-route checks.
+against these functions are genuine dual-route checks. The one exception
+is `normal_closure_one_at_a_time`, the reference for the batched normal
+closure: it drives the library's chain, but one element at a time.
 """
 
 from collections import deque
@@ -12,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from arcgen.field_linalg import FpMatrix, FpSubspace
+from arcgen.perm_group import Perm, StabChain
 
 
 def algebra_mul(u, v, H):
@@ -114,6 +117,31 @@ def enumerate_elements(G):
                     nxt.append(y)
         frontier = nxt
     return list(seen.values())
+
+
+def normal_closure_one_at_a_time(G, seeds):
+    """The elements a normal closure adds, trying seeds and conjugates singly.
+
+    Takes the seeds in order, and closes each seed that grows the closure
+    under conjugation by G's generators before trying the next: every
+    conjugate a^-1 x a of every added x, in order of adding and then of
+    the generators, goes to `StabChain.add_generator` on its own. Returns
+    the added image arrays and the chain.
+    """
+    chain = StabChain(G.degree, caps=G.caps)
+    added = []
+    for s in seeds:
+        done = len(added)
+        if chain.add_generator(s.images):
+            added.append(s.images)
+        while done < len(added):
+            x = added[done]
+            done += 1
+            for a in G.generators:
+                y = (a.inverse() * Perm(x) * a).images
+                if chain.add_generator(y):
+                    added.append(y)
+    return added, chain
 
 
 def transversal_by_queue(G, v, reverse=False):

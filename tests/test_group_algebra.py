@@ -298,6 +298,26 @@ def test_non_unipotent_generator_rejected():
         min_generators_local(v, [swap], p)
 
 
+def test_action_keeping_v_but_not_unipotent_on_it_rejected_by_descent():
+    # g = diag(2, 1, 1) over F_3 keeps V = <e0, e1>, and V(g - 1) = <e0>
+    # is fixed by g - 1, so the descent stalls above zero; no other check
+    # rejects g
+    p = 3
+    g = FpMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]], p)
+    v = FpSubspace.from_rows(FpMatrix([[1, 0, 0], [0, 1, 0]], p))
+    with pytest.raises(ValueError, match="not unipotent"):
+        min_generators_local(v, [g], p)
+
+
+def test_action_unipotent_on_v_only_is_counted():
+    # g = diag(1, 2) over F_3 is not unipotent on F_3^2, but it fixes
+    # V = <e0> pointwise: V is one trivial module, generated by one vector
+    p = 3
+    g = FpMatrix([[1, 0], [0, 2]], p)
+    v = FpSubspace.from_rows(FpMatrix([[1, 0]], p))
+    assert min_generators_local(v, [g], p) == 1
+
+
 def test_unipotent_generators_with_non_p_group_rejected():
     # both generators are unipotent over F_2 but together they generate
     # all of GL_2(F_2), which has order 6; the descent certificate must

@@ -33,6 +33,7 @@ from oracles import (
     enumerate_elements,
     exponent_by_table,
     is_automorphism_by_neighbourhoods,
+    normal_closure_one_at_a_time,
     transversal_by_queue,
 )
 
@@ -456,6 +457,32 @@ def test_normal_closure_transposition_s4():
     assert len(enumerate_elements(ncl)) == 24
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_normal_closure_matches_one_at_a_time(seed):
+    # the batched closure makes the same add decisions as trying every
+    # seed and conjugate on its own, in the same order
+    rng = random.Random(seed)
+    n = rng.randrange(5, 10)
+    if seed % 2:  # C_2 wr C_m on 2m points: the closure of a swap adds m times
+        m = n // 2
+        swap = Perm([1, 0] + list(range(2, 2 * m)))
+        gens = [swap, Perm([(i + 2) % (2 * m) for i in range(2 * m)])]
+    else:
+        gens = [Perm(rng.sample(range(n), n)) for _ in range(rng.randrange(1, 4))]
+    G = PermGroup(gens)
+    seeds = []
+    for _ in range(rng.randrange(1, 5)):
+        g = rng.choice(gens)
+        for _ in range(rng.randrange(0, 4)):
+            g = g * rng.choice(gens) ** rng.choice((1, 2, -1))
+        seeds.append(g)
+    ours = normal_closure(G, seeds)
+    added, chain = normal_closure_one_at_a_time(G, seeds)
+    assert ours.order() == chain.order()
+    assert [g.images.tolist() for g in ours.generators] == [x.tolist() for x in added]
+    assert all(ours.contains(s) for s in seeds)
+
+
 def test_contains_rejects_outsider():
     G = PermGroup([cycle(5)])
     assert not G.contains(Perm([0, 4, 3, 2, 1]))
@@ -512,6 +539,29 @@ def test_frattini_rank_quaternion():
     assert Q8.order() == 8
     assert exponent(Q8) == 4
     assert frattini_rank(Q8, 2) == 2
+
+
+def test_frattini_rank_from_given_generators():
+    D8 = PermGroup([cycle(4), Perm([0, 3, 2, 1])])
+    r, s = D8.generators
+    assert frattini_rank(D8, 2, [r * s, s]) == 2
+    assert frattini_rank(D8, 2, [r, s, r * s, r**2]) == 2
+
+
+def test_frattini_rank_rejects_generators_of_a_proper_subgroup():
+    E8 = PermGroup(
+        [Perm([1, 0, 2, 3, 4, 5]), Perm([0, 1, 3, 2, 4, 5]), Perm([0, 1, 2, 3, 5, 4])]
+    )
+    with pytest.raises(AssertionError, match="do not generate"):
+        frattini_rank(E8, 2, E8.generators[:2])
+    D8 = PermGroup([cycle(4), Perm([0, 3, 2, 1])])
+    with pytest.raises(AssertionError, match="do not generate"):
+        frattini_rank(D8, 2, [cycle(4)])
+
+
+def test_frattini_rank_rejects_generators_outside_the_group():
+    with pytest.raises(ValueError, match="does not lie"):
+        frattini_rank(PermGroup([cycle(4)]), 2, [Perm([1, 0, 2, 3])])
 
 
 def test_frattini_rank_rejects_non_p_group():

@@ -4,6 +4,8 @@ import pytest
 from arcgen.caps import CapExceeded, Caps
 from arcgen.field_linalg import kron
 from arcgen.perm_group import (
+    StabChain,
+    frattini_rank,
     is_automorphism,
     is_vertex_transitive,
     local_action,
@@ -240,6 +242,56 @@ def test_permutation_rank_ties_to_algebra_rank(bundle_22, bundle_31):
         assert frattini_rank(bundle.small_group, p) == module_rank + 2
 
 
+# the t1-decided cases of the benchmark; (3,2) and (7,1) need the order cap raised
+T1_DECIDED = [(2, 2), (3, 1), (5, 1), (2, 3), (3, 2), (7, 1)]
+
+
+def _raised_bundle(p, h):
+    return Bundle(ConstructionParams(p, h, caps=Caps(order_cap=2**400)))
+
+
+def test_layer_gens_are_the_level_q_minus_1_vectors():
+    for p, h in [(2, 1), (2, 2), (3, 1), (2, 3)]:
+        bundle = Bundle(ConstructionParams(p, h))
+        q = bundle.params.q
+        layer = bundle.layer_gens
+        # (a-1)^x (b-1)^y has the term a^x b^y and no a^i b^j with i > x
+        # or j > y, so its last shifted copy index is x * q + y
+        last = [np.flatnonzero(g.images[::p] != np.arange(q * q) * p)[-1] for g in layer]
+        assert last == [x * q + (q - 1 - x) for x in range(q)]
+
+
+@pytest.mark.parametrize("p, h", T1_DECIDED)
+def test_layer_ranks_equal_all_generator_ranks(p, h):
+    bundle = _raised_bundle(p, h)
+    small, big = bundle.small_group, bundle.big_group
+    layer = [*bundle.layer_gens, *bundle.translation_gens]
+    assert frattini_rank(small, p, layer) == frattini_rank(small, p) == bundle.params.q + 2
+    if p == 2:
+        big_layer = layer + list(bundle.outer_gens)
+        assert frattini_rank(big, 2, big_layer) == frattini_rank(big, 2)
+
+
+@pytest.mark.parametrize("p, h", [(2, 3), (3, 2)])
+def test_frattini_builds_run_no_schreier_sims(p, h, monkeypatch):
+    # every chain step of the Frattini closure and its extension by the
+    # layer generators is a prime-index extension
+    bundle = _raised_bundle(p, h)
+    groups = [bundle.small_group] + ([bundle.big_group] if p == 2 else [])
+    for G in groups:
+        G.order()  # the groups' own chains are not under test
+    runs = []
+    process_all = StabChain._process_all
+    monkeypatch.setattr(
+        StabChain, "_process_all", lambda chain: runs.append(1) or process_all(chain)
+    )
+    layer = [*bundle.layer_gens, *bundle.translation_gens]
+    assert frattini_rank(bundle.small_group, p, layer) == bundle.params.q + 2
+    if p == 2:
+        frattini_rank(bundle.big_group, 2, layer + list(bundle.outer_gens))
+    assert runs == []
+
+
 def test_assembly_respects_ambient_cap():
     with pytest.raises(CapExceeded) as exc:
         Bundle(ConstructionParams(2, 3, caps=Caps(ambient_cap=16))).module_basis
@@ -378,6 +430,26 @@ def test_checklist_builds_each_stage_once(monkeypatch):
     report = verify_theorem1(ConstructionParams(2, 2))
     assert report.all_pass
     assert calls == {"build_family_graph": 1, "gamma_chain": 1}
+
+
+def test_checklist_builds_the_e_basis_actions_once(monkeypatch):
+    # gamma_chain builds the e-basis a and b, and C6 reuses them
+    import arcgen.group_algebra as group_algebra
+    import arcgen.pipeline as pipeline
+
+    calls = []
+    action_matrix = group_algebra.action_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return action_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(group_algebra, "action_matrix", counted)
+    # also any name the pipeline module imported before the patch
+    monkeypatch.setattr(pipeline, "action_matrix", counted, raising=False)
+    report = verify_theorem1(ConstructionParams(2, 2))
+    assert report.claim("C6").status == "pass"
+    assert calls == [("a", "e"), ("b", "e")]
 
 
 def test_report_renders_one_line_per_claim():
