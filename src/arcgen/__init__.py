@@ -28,7 +28,6 @@ from .perm_group import (
     exponent,
     frattini_decomposition_check,
     frattini_rank,
-    is_arc_transitive,
     is_automorphism,
     is_vertex_transitive,
     local_action,
@@ -70,7 +69,6 @@ __all__ = [
     "frattini_decomposition_check",
     "frattini_rank",
     "gamma_chain",
-    "is_arc_transitive",
     "is_automorphism",
     "is_vertex_transitive",
     "kron",

@@ -13,6 +13,7 @@ resource cap fired, 4 all evaluated checks pass but some were skipped.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +30,17 @@ EXIT_CAP = 3
 EXIT_PARTIAL = 4
 
 
+def cap(text: str) -> int:
+    """An integer N, or a power B^E such as 2^20000 up to 2^(2^20)."""
+    power = re.fullmatch(r"(\d+)\^(\d+)", text, re.ASCII)
+    if power is None:
+        return int(text)
+    base, exp = int(power[1]), int(power[2])
+    if (base - 1).bit_length() * exp > 1 << 20:  # B^E <= 2^(E * bits(B - 1))
+        raise ValueError("power past 2^(2^20)")
+    return base**exp
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arcgen",
@@ -40,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_caps(p):
-        p.add_argument("--order-cap", type=int, default=None, metavar="N")
-        p.add_argument("--exponent-cap", type=int, default=None, metavar="N")
+        p.add_argument("--order-cap", type=cap, default=None, metavar="N|B^E")
+        p.add_argument("--exponent-cap", type=cap, default=None, metavar="N|B^E")
 
     def add_params(p):
         p.add_argument("--p", type=int, required=True, help="prime p")

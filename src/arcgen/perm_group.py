@@ -25,6 +25,7 @@ and (g * h).images[x] == h.images[g.images[x]].
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -42,7 +43,6 @@ __all__ = [
     "NotTransitiveError",
     "is_automorphism",
     "is_vertex_transitive",
-    "is_arc_transitive",
     "arc_orbit_size",
     "local_action",
     "frattini_decomposition_check",
@@ -278,6 +278,8 @@ class StabChain:
     far; h has order r modulo the group so far, the orbit at level j
     becomes the r disjoint images of itself under h^0 .. h^(r-1), and h
     joins the generators of levels 0..j (Sims 1990; Seress 2003, ch. 7).
+    When m is prime, x is g itself, and the sift that found g new gives
+    h: each such generator is sifted once.
 
     Otherwise Schreier-Sims closes the chain. It always works on the
     deepest level with work left. A level takes its pending (orbit point,
@@ -298,15 +300,7 @@ class StabChain:
     """
 
     def __init__(self, degree: int, gens=(), *, caps: Caps = DEFAULT_CAPS, base_prefix=()):
-        self.degree = degree
-        self.caps = caps
-        self.deadline = (
-            time.monotonic() + caps.time_cap_s if caps.time_cap_s is not None else None
-        )
-        self._ident = np.arange(degree, dtype=_DTYPE)
-        self.levels: list[_Level] = []
-        self._bases = np.empty(0, dtype=np.intp)
-        self._steps = 0
+        self._start(degree, [], caps)
         for b in base_prefix:
             self._new_level(int(b))
         for g in gens:
@@ -314,15 +308,18 @@ class StabChain:
 
     @classmethod
     def _from_levels(cls, degree: int, levels: list[_Level], caps: Caps) -> "StabChain":
-        chain = object.__new__(cls)
-        chain.degree = degree
-        chain.caps = caps
-        chain.deadline = None
-        chain._ident = np.arange(degree, dtype=_DTYPE)
-        chain.levels = levels
-        chain._bases = np.array([lv.base for lv in levels], dtype=np.intp)
-        chain._steps = 0
+        chain = object.__new__(cls)  # with a deadline of its own
+        chain._start(degree, levels, caps)
         return chain
+
+    def _start(self, degree: int, levels: list[_Level], caps: Caps) -> None:
+        self.degree = degree
+        self.caps = caps
+        self.deadline = time.monotonic() + caps.time_cap_s if caps.time_cap_s is not None else None
+        self._ident = np.arange(degree, dtype=_DTYPE)
+        self.levels = levels
+        self._bases = np.array([lv.base for lv in levels], dtype=np.intp)
+        self._steps = 0
 
     def _new_level(self, base: int) -> None:
         self.levels.append(_Level(base, self._ident))
@@ -422,7 +419,7 @@ class StabChain:
         if residue is None:
             return False
         if self._normalizes(arr):
-            self._extend_normal(arr)
+            self._extend_normal(arr, residue, level)
         else:
             self._install(residue, level)
             self._process_all()
@@ -441,7 +438,7 @@ class StabChain:
                 return False
         return True
 
-    def _extend_normal(self, g: np.ndarray) -> None:
+    def _extend_normal(self, g: np.ndarray, residue: np.ndarray, level: int) -> None:
         # g normalizes the group N, so <N, g> / N is cyclic of order m.
         # Each step adds x = g^e for the next prime r of m: x has order r
         # modulo the group so far, and so does its residue h.
@@ -453,7 +450,7 @@ class StabChain:
         e = m
         for r in _prime_factors(m):
             e //= r
-            h, j = self.sift(_power(g, e))
+            h, j = (residue, level) if r == m else self.sift(_power(g, e))
             self._extend_level(h, j, r)
             self._deadline_check()
             self._order_check()
@@ -563,7 +560,10 @@ class StabChain:
 
 
 class PermGroup:
-    """Group generated by permutations, with a cached stabilizer chain."""
+    """Group generated by permutations, with a cached stabilizer chain.
+
+    A group made by _extension copies its subgroup's chain and extends it.
+    """
 
     def __init__(self, generators, degree: int | None = None, caps: Caps | None = None):
         gens = [g if isinstance(g, Perm) else Perm(g) for g in generators]
@@ -582,6 +582,8 @@ class PermGroup:
         # only on a partial order, which never exceeds |G|), so it is
         # remembered and re-raised; a time-cap failure is not.
         self._order_cap_hit: CapExceeded | None = None
+        self._sub: PermGroup | None = None
+        self._automorphisms_of: Graph | None = None
 
     @classmethod
     def trivial(cls, degree: int, caps: Caps | None = None) -> "PermGroup":
@@ -593,9 +595,15 @@ class PermGroup:
         g._chain = chain
         return g
 
+    @classmethod
+    def _extension(cls, sub: "PermGroup", gens) -> "PermGroup":
+        group = cls([*sub.generators, *gens], degree=sub.degree, caps=sub.caps)
+        group._sub = sub
+        return group
+
     def chain(self) -> StabChain:
         if self._chain is None:
-            self._chain = self.fresh_chain()
+            self._chain = self._build((), self._sub)
         return self._chain
 
     def fresh_chain(self, base_prefix=()) -> StabChain:
@@ -604,16 +612,23 @@ class PermGroup:
         Once a build has hit the order cap, every later call raises a new
         CapExceeded with the same cap name and limit without building.
         """
+        return self._build(base_prefix, None)
+
+    def _build(self, base_prefix, sub: "PermGroup | None") -> StabChain:
         hit = self._order_cap_hit
         if hit is not None:
             raise CapExceeded(hit.cap_name, hit.limit, hit.detail)
+        gens = [g.images for g in self.generators]
         try:
-            return StabChain(
-                self.degree,
-                [g.images for g in self.generators],
-                caps=self.caps,
-                base_prefix=base_prefix,
-            )
+            if sub is None:
+                return StabChain(self.degree, gens, caps=self.caps, base_prefix=base_prefix)
+            # the chain a fresh build with sub's base prefix gives; sub.chain()
+            # re-raises sub's order cap at once
+            levels = copy.deepcopy(sub.chain().levels)
+            chain = StabChain._from_levels(self.degree, levels, self.caps)
+            for g in gens[len(sub.generators) :]:
+                chain.add_generator(g)
+            return chain
         except CapExceeded as exc:
             if exc.cap_name == "order":
                 # not exc itself: its traceback would keep the partial
@@ -820,9 +835,12 @@ def is_automorphism(graph: Graph, perm: Perm) -> bool:
 
 
 def _require_automorphisms(graph: Graph, G: PermGroup) -> None:
-    for i, g in enumerate(G.generators):
-        if not is_automorphism(graph, g):
-            raise ValueError(f"generator {i + 1} is not an automorphism")
+    # a graph and a group's generators are immutable, so one check holds for good
+    if G._automorphisms_of is not graph:
+        for i, g in enumerate(G.generators):
+            if not is_automorphism(graph, g):
+                raise ValueError(f"generator {i + 1} is not an automorphism")
+        G._automorphisms_of = graph
 
 
 def is_vertex_transitive(graph: Graph, G: PermGroup) -> bool:
@@ -854,11 +872,6 @@ def arc_orbit_size(graph: Graph, G: PermGroup, arc: tuple[int, int] | None = Non
         return np.searchsorted(codes, arrs[:, tails[f]] * n + arrs[:, heads[f]]).T
 
     return len(_bfs(step, [np.searchsorted(codes, u * n + w)], len(codes))[0])
-
-
-def is_arc_transitive(graph: Graph, G: PermGroup) -> bool:
-    """True iff one arc orbit covers all 2m arcs of the graph."""
-    return arc_orbit_size(graph, G) == 2 * graph.m
 
 
 def local_action(graph: Graph, G: PermGroup, v: int) -> tuple[PermGroup, int]:

@@ -21,9 +21,9 @@ right actions are the designated tripwire for convention drift.
 automorphism checks, the order formulas and `semidirect_consistency`.
 `verify_theorem1`, behind `verify-t1`, does not run
 `semidirect_consistency`. At (2,4) that check takes about 0.02 s once the
-bundle's stages are built (0.22 s at (2,5)), against about 2.0 s for
+bundle's stages are built (0.22 s at (2,5)), against about 1.2 s for
 three fresh `verify-t1` processes at (3,2), (7,1) and (2,4) under the
-default caps, and about 2 s for one at (2,4) with the order cap raised
+default caps, and about 1.7 s for one at (2,4) with the order cap raised
 to 2^2000 (2-core x86-64, Python 3.11, numpy 2.4 with OpenBLAS).
 """
 
@@ -196,8 +196,8 @@ class Bundle:
 
     @cached_property
     def big_group(self) -> PermGroup:
-        gens = [*self.module_gens, *self.translation_gens, *self.outer_gens]
-        return PermGroup(gens, degree=self.graph.n, caps=self.params.caps)
+        """The small group, then phi and psi; its chain extends a copy of the small one's."""
+        return PermGroup._extension(self.small_group, self.outer_gens)
 
     @property
     def big_to_small_ratio(self) -> int:

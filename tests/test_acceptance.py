@@ -26,7 +26,6 @@ from arcgen.perm_group import (
     PermGroup,
     arc_orbit_size,
     frattini_rank,
-    is_arc_transitive,
     is_vertex_transitive,
     local_action,
 )
@@ -109,7 +108,7 @@ def test_criterion_05_checklist_2_2():
     ok = ok and is_vertex_transitive(graph, bundle.small_group)
     _, orbits = local_action(graph, bundle.small_group, 0)
     ok = ok and orbits == 4
-    ok = ok and is_arc_transitive(graph, bundle.big_group)
+    ok = ok and arc_orbit_size(graph, bundle.big_group) == 2 * graph.m
     ok = ok and arc_orbit_size(graph, bundle.big_group) == 256
     rank = frattini_rank(bundle.big_group, 2)
     ok = ok and rank >= 4

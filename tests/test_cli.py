@@ -1,7 +1,15 @@
 import pytest
 
 from arcgen.caps import Caps
-from arcgen.cli import EXIT_CAP, EXIT_FAIL, EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, main
+from arcgen.cli import (
+    EXIT_CAP,
+    EXIT_FAIL,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_PARTIAL,
+    build_parser,
+    main,
+)
 from arcgen.graph_builder import parse_graph
 from arcgen.pipeline import ConstructionParams, verify_theorem1
 
@@ -217,6 +225,36 @@ def test_bad_cap_values_rejected(capsys):
     )
     assert code == EXIT_INPUT
     assert "order cap" in stderr
+
+
+def exit_code(capsys, *argv):
+    """main's exit code, also when argparse refuses the arguments."""
+    try:
+        return run_cli(capsys, *argv)[0]
+    except SystemExit as exc:
+        capsys.readouterr()
+        return exc.code
+
+
+def test_caps_accept_powers(tmp_path, capsys):
+    # 2^20000 has 6,021 digits, past the 4,300 that int() reads
+    for cap in ("2^2000", "2^20000", "2^1048576"):
+        args = build_parser().parse_args(["verify-t1", "--p", "2", "--h", "2", "--order-cap", cap])
+        base, exp = map(int, cap.split("^"))
+        assert args.order_cap == base**exp
+        assert exit_code(capsys, "verify-t1", "--p", "2", "--h", "2", "--order-cap", cap) == EXIT_OK
+    code, stdout, _ = run_cli(capsys, "verify-t1", "--p", "2", "--h", "2", "--order-cap", "10^2")
+    assert code == EXIT_PARTIAL and "skipped:order_cap" in stdout
+    path = tmp_path / "c5.instance"
+    path.write_text(C5_INSTANCE)
+    code, _, stderr = run_cli(capsys, "verify-t2", str(path), "--exponent-cap", "2^2")
+    assert code == EXIT_CAP and "exponent cap (4) exceeded" in stderr
+
+
+@pytest.mark.parametrize("cap", ["2^", "^3", "2^-1", "0^5", "2^1048577", "10^99999999999"])
+def test_bad_power_caps_rejected(capsys, cap):
+    for flag in ("--order-cap", "--exponent-cap"):
+        assert exit_code(capsys, "verify-t1", "--p", "2", "--h", "1", flag, cap) == EXIT_INPUT
 
 
 # -- golden certificates -----------------------------------------------------

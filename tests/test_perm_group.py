@@ -18,7 +18,6 @@ from arcgen.perm_group import (
     exponent,
     frattini_decomposition_check,
     frattini_rank,
-    is_arc_transitive,
     is_automorphism,
     is_vertex_transitive,
     local_action,
@@ -183,21 +182,45 @@ def test_rotation_only_is_vertex_but_not_arc_transitive():
     G = PermGroup([cycle(5)])
     g = c5_graph()
     assert is_vertex_transitive(g, G)
-    assert arc_orbit_size(g, G) == 5
-    assert not is_arc_transitive(g, G)
+    assert arc_orbit_size(g, G) == 5 < 2 * g.m
 
 
 def test_dihedral_is_arc_transitive():
     g = c5_graph()
     G = dihedral_c5()
-    assert is_arc_transitive(g, G)
-    assert arc_orbit_size(g, G) == 10
+    assert arc_orbit_size(g, G) == 10 == 2 * g.m
 
 
 def test_transitivity_checks_generators():
     bad = PermGroup([Perm([1, 2, 0])])
     with pytest.raises(ValueError, match="generator 1 is not an automorphism"):
         is_vertex_transitive(p3_graph(), bad)
+
+
+def test_failed_automorphism_check_is_not_remembered():
+    # every predicate raises on the same group, however often it is asked
+    bad, graph = PermGroup([Perm([1, 2, 0])]), p3_graph()
+    for check in (is_vertex_transitive, arc_orbit_size, lambda g, G: local_action(g, G, 0)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="generator 1 is not an automorphism"):
+                check(graph, bad)
+
+
+def test_automorphism_check_is_remembered_per_graph(monkeypatch):
+    checked = []
+    monkeypatch.setattr(
+        perm_group, "is_automorphism", lambda g, p: checked.append(p) or is_automorphism(g, p)
+    )
+    G, graph = dihedral_c5(), c5_graph()
+    assert is_vertex_transitive(graph, G)
+    assert arc_orbit_size(graph, G) == 10
+    assert local_action(graph, G, 0)[1] == 1
+    assert len(checked) == 2
+    # another graph is checked afresh: here the 5-cycle is not an automorphism
+    path = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    with pytest.raises(ValueError, match="generator 1 is not an automorphism"):
+        is_vertex_transitive(path, G)
+    assert len(checked) == 3
 
 
 # -- orders, stabilizers, chains ---------------------------------------------
@@ -375,6 +398,89 @@ def test_family_time_cap_zero_fires_and_is_not_cached(monkeypatch):
             G.order()
         assert exc.value.cap_name == "time"
     assert len(builds) == 2
+
+
+def _chain_levels(chain):
+    """Every level's base, orbit, positions, transversal rows and generators."""
+    return [
+        (lv.base, list(lv.points), lv.pos.tobytes(), lv.inv[: len(lv.points)].tobytes(),
+         [g.tobytes() for g in lv.gens])
+        for lv in chain.levels
+    ]
+
+
+@pytest.mark.parametrize("first", ["stabilizer", "order"])
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (2, 3)])
+def test_big_chain_extends_the_small_chain(monkeypatch, p, h, first):
+    bundle = Bundle(ConstructionParams(p, h))
+    small, big = bundle.small_group, bundle.big_group
+    if first == "stabilizer":
+        small.stabilizer(0)  # as C4 builds it, with base prefix (0,)
+    else:
+        small.order()
+    before = _chain_levels(small.chain())
+    builds = count_chain_builds(monkeypatch)
+    ours = big.chain()
+    assert builds == [] and big.order() == 4 * small.order()
+    assert _chain_levels(small.chain()) == before
+    prefix = small.chain().base()[:1]
+    fresh = StabChain(bundle.graph.n, [g.images for g in big.generators], base_prefix=prefix)
+    assert _chain_levels(ours) == _chain_levels(fresh)
+
+
+def test_big_group_reraises_the_small_groups_order_cap(monkeypatch):
+    bundle = Bundle(ConstructionParams(2, 4))
+    with pytest.raises(CapExceeded):
+        bundle.small_group.order()
+    builds = count_chain_builds(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(CapExceeded) as exc:
+            bundle.big_group.order()
+        assert exc.value.cap_name == "order"
+        assert exc.value.limit == DEFAULT_CAPS.order_cap
+    assert builds == []
+
+
+def test_big_group_order_cap_met_while_extending_is_cached(monkeypatch):
+    # the small group's order 2^14 is under the cap; phi and psi take it past
+    bundle = Bundle(ConstructionParams(2, 2, Caps(order_cap=2**15)))
+    assert bundle.small_group.order() == 2**14
+    adds = []
+    add_generator = StabChain.add_generator
+    monkeypatch.setattr(
+        StabChain, "add_generator", lambda chain, arr: adds.append(1) or add_generator(chain, arr)
+    )
+    for _ in range(2):
+        with pytest.raises(CapExceeded) as exc:
+            bundle.big_group.order()
+        assert exc.value.cap_name == "order"
+    assert len(adds) == 2  # phi reaches the cap, psi passes it; the second call adds none
+
+
+def count_sifts(monkeypatch):
+    sifts = []
+    sift = StabChain.sift
+
+    def counted(self, arr, start=0):
+        sifts.append(len(arr))
+        return sift(self, arr, start)
+
+    monkeypatch.setattr(StabChain, "sift", counted)
+    return sifts
+
+
+def test_prime_coset_order_generator_is_sifted_once(monkeypatch):
+    bundle = Bundle(ConstructionParams(2, 2))
+    chain = StabChain(bundle.graph.n, [g.images for g in bundle.small_group.generators])
+    order = chain.order()
+    sifts = count_sifts(monkeypatch)
+    # phi is an involution outside the small group, which it normalizes
+    assert chain.add_generator(bundle.outer_gens[0].images)
+    assert sifts == [bundle.graph.n] and chain.order() == 2 * order
+    assert chain.verify()
+    sifts.clear()
+    chain = StabChain(7, [cycle(7).images])
+    assert sifts == [7] and chain.order() == 7
 
 
 def test_transversal_images():

@@ -5,6 +5,7 @@ from arcgen.caps import CapExceeded, Caps
 from arcgen.field_linalg import kron
 from arcgen.perm_group import (
     StabChain,
+    arc_orbit_size,
     frattini_rank,
     is_automorphism,
     is_vertex_transitive,
@@ -219,10 +220,8 @@ def test_big_group_orbit_covers_all_vertices(bundle_22):
 
 
 def test_arc_transitivity_implies_local_transitivity(bundle_22, bundle_31):
-    from arcgen.perm_group import is_arc_transitive
-
     for bundle in (bundle_22, bundle_31):
-        assert is_arc_transitive(bundle.graph, bundle.big_group)
+        assert arc_orbit_size(bundle.graph, bundle.big_group) == 2 * bundle.graph.m
         _, orbits = local_action(bundle.graph, bundle.big_group, 0)
         assert orbits == 1
 
@@ -450,6 +449,21 @@ def test_checklist_builds_the_e_basis_actions_once(monkeypatch):
     report = verify_theorem1(ConstructionParams(2, 2))
     assert report.claim("C6").status == "pass"
     assert calls == [("a", "e"), ("b", "e")]
+
+
+def test_checklist_checks_each_generator_set_once(monkeypatch):
+    # C3 and C4 check the small group's generators, C5 the big group's
+    import arcgen.perm_group as perm_group
+
+    checked = []
+    is_automorphism = perm_group.is_automorphism
+    monkeypatch.setattr(
+        perm_group, "is_automorphism", lambda g, x: checked.append(x) or is_automorphism(g, x)
+    )
+    report = verify_theorem1(ConstructionParams(2, 2))
+    assert report.all_pass
+    bundle = Bundle(ConstructionParams(2, 2))
+    assert len(checked) == len(bundle.small_group.generators) + len(bundle.big_group.generators)
 
 
 def test_report_renders_one_line_per_claim():
