@@ -3,7 +3,7 @@ groups need unboundedly many generators, verified exactly at desk scale.
 """
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .field_linalg import FpMatrix, FpSubspace, kron, rref, unipotent_matrix
+from .field_linalg import FpMatrix, FpSubspace, rref
 from .graph_builder import (
     CayleySpec,
     Graph,
@@ -71,7 +71,6 @@ __all__ = [
     "gamma_chain",
     "is_automorphism",
     "is_vertex_transitive",
-    "kron",
     "load_instance",
     "local_action",
     "min_generators_local",
@@ -80,7 +79,6 @@ __all__ = [
     "parse_graph",
     "rref",
     "section_dims",
-    "unipotent_matrix",
     "verify_theorem1",
     "wreath_product",
 ]

@@ -3,8 +3,15 @@
 Matrices are numpy integer arrays with every entry reduced into [0, p);
 scalars are plain Python ints. The modulus travels with each object and is
 checked on every binary operation: mixing moduli is a hard error, never a
-coercion. Subspaces are kept in canonical reduced row-echelon form, so two
-subspaces are equal exactly when their stored bases are identical.
+coercion. Subspaces have a canonical reduced row-echelon basis, so two
+subspaces are equal exactly when their canonical bases are identical.
+
+A subspace is kept in one of two forms. A coordinate subspace, whose
+canonical basis is unit rows, keeps only its pivot columns: its images,
+sums and membership tests index and compare column sets, with no
+product, and its dense basis is built only when a caller reads it. Any
+other subspace keeps its dense basis. Both forms give identical results
+for every operation.
 
 Vectors are rows throughout the library and operators multiply on the
 right.
@@ -42,8 +49,6 @@ __all__ = [
     "is_prime",
     "prime_power_exponent",
     "rref",
-    "kron",
-    "unipotent_matrix",
     "mat_inverse",
 ]
 
@@ -86,6 +91,13 @@ def prime_power_exponent(q: int, p: int) -> int | None:
     return h if q == 1 else None
 
 
+def _check_modulus_value(p: int) -> None:
+    if p >= MAX_MODULUS:
+        raise ValueError(f"modulus {p} is not below MAX_MODULUS = 2^31")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+
+
 def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for int64 arrays with entries in [0, p), p < MAX_MODULUS."""
     k = a.shape[1]
@@ -108,10 +120,7 @@ class FpMatrix:
     __slots__ = ("a", "p")
 
     def __init__(self, entries, p: int):
-        if p >= MAX_MODULUS:
-            raise ValueError(f"modulus {p} is not below MAX_MODULUS = 2^31")
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+        _check_modulus_value(p)
         a = np.asarray(entries, dtype=np.int64)
         if a.ndim != 2:
             raise ValueError("matrix entries must form a two-dimensional grid")
@@ -226,24 +235,6 @@ def rref(m: FpMatrix) -> tuple[FpMatrix, int]:
     return FpMatrix._make(a, p), r
 
 
-def kron(a: FpMatrix, b: FpMatrix) -> FpMatrix:
-    """Kronecker product: block (i, j) equals a[i][j] * b."""
-    a._check_modulus(b)
-    return FpMatrix._make(np.kron(a.a, b.a) % a.p, a.p)
-
-
-def unipotent_matrix(q: int, p: int) -> FpMatrix:
-    """The q x q matrix with ones on the diagonal and superdiagonal.
-
-    Requires q to be a positive power of the prime p; the result then has
-    multiplicative order exactly q in GL_q(F_p).
-    """
-    if prime_power_exponent(q, p) is None:
-        raise ValueError(f"{q} is not a positive power of the prime {p}")
-    a = np.eye(q, dtype=np.int64) + np.eye(q, k=1, dtype=np.int64)
-    return FpMatrix(a, p)
-
-
 def mat_inverse(m: FpMatrix) -> FpMatrix:
     """Exact inverse; raises ValueError if the matrix is singular."""
     if m.rows != m.cols:
@@ -259,21 +250,52 @@ def mat_inverse(m: FpMatrix) -> FpMatrix:
 
 
 class FpSubspace:
-    """A subspace of F_p^ambient_dim stored as a canonical RREF basis.
+    """A subspace of F_p^ambient_dim with a canonical RREF basis.
 
-    The basis has no zero rows and strictly increasing pivot columns, so
-    equality of subspaces is equality of representations.
+    The canonical basis has no zero rows and strictly increasing pivot
+    columns, so equality of subspaces is equality of canonical bases. A
+    subspace is kept in one of two forms, chosen from that basis by every
+    constructor:
+
+    * a coordinate subspace, whose canonical basis is the unit rows at
+      its pivot columns, keeps only those columns; its dense `basis` is
+      built when it is first read, and images, sums, reductions and
+      containment work on the column sets;
+    * any other subspace keeps its canonical basis as a dense matrix.
+
+    Every operation gives the same result in either form, and `==`,
+    `hash` and `basis` do not depend on the form a subspace was built in.
     """
 
-    __slots__ = ("ambient_dim", "basis", "p", "_pivots")
+    __slots__ = ("ambient_dim", "p", "_basis", "_pivots", "_unit")
 
     def __init__(self, ambient_dim: int, basis: FpMatrix):
         if basis.cols != ambient_dim:
             raise ValueError("basis width does not match the ambient dimension")
         self.ambient_dim = ambient_dim
-        self.basis = basis
         self.p = basis.p
+        self._basis = basis
         self._pivots = _pivot_columns(basis.a)
+        # one nonzero entry per row and canonical: the unit rows at the pivots
+        self._unit = np.count_nonzero(basis.a) == basis.rows and _is_canonical(basis.a)
+
+    @classmethod
+    def coordinate(cls, ambient_dim: int, columns, p: int) -> "FpSubspace":
+        """The span of the unit rows at the given columns (repeats allowed)."""
+        _check_modulus_value(p)
+        cols = np.asarray(columns, dtype=np.int64)
+        if cols.size and not (0 <= cols.min() and cols.max() < ambient_dim):
+            raise ValueError("column index outside the ambient dimension")
+        # a mask, not np.unique, which imports numpy.ma (about 0.6 MB resident)
+        mask = np.zeros(ambient_dim, dtype=bool)
+        mask[cols] = True
+        space = object.__new__(cls)
+        space.ambient_dim = ambient_dim
+        space.p = p
+        space._basis = None
+        space._pivots = np.flatnonzero(mask)
+        space._unit = True
+        return space
 
     @classmethod
     def from_rows(cls, rows: FpMatrix) -> "FpSubspace":
@@ -286,24 +308,43 @@ class FpSubspace:
 
     @classmethod
     def zero(cls, ambient_dim: int, p: int) -> "FpSubspace":
-        return cls(ambient_dim, FpMatrix.zeros(0, ambient_dim, p))
+        return cls.coordinate(ambient_dim, [], p)
 
     @classmethod
     def full(cls, ambient_dim: int, p: int) -> "FpSubspace":
-        return cls(ambient_dim, FpMatrix.identity(ambient_dim, p))
+        return cls.coordinate(ambient_dim, range(ambient_dim), p)
+
+    @property
+    def basis(self) -> FpMatrix:
+        """The canonical basis as a dense matrix."""
+        if self._basis is None:
+            a = np.zeros((self.dim, self.ambient_dim), dtype=np.int64)
+            a[np.arange(self.dim), self._pivots] = 1
+            self._basis = FpMatrix._make(a, self.p)
+        return self._basis
+
+    @property
+    def pivots(self) -> np.ndarray:
+        """The pivot column of each canonical basis row, increasing."""
+        return self._pivots.copy()
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self._pivots)
 
     def _reduce(self, rows: np.ndarray) -> np.ndarray:
         """Each row minus the basis combination that matches it on the pivots.
 
         A row comes out zero exactly when it lies in the subspace, and every
-        row comes out zero in the pivot columns.
+        row comes out zero in the pivot columns. For a coordinate subspace
+        that combination is the row's own entries there.
         """
         if not self.dim:
             return rows
+        if self._unit:
+            out = rows.copy()
+            out[:, self._pivots] = 0
+            return out
         return (rows - _matmul(rows[:, self._pivots], self.basis.a, self.p)) % self.p
 
     def contains(self, rows) -> bool:
@@ -315,6 +356,8 @@ class FpSubspace:
 
     def contains_space(self, other: "FpSubspace") -> bool:
         self._check_compatible(other)
+        if self._unit and other._unit:
+            return bool(np.isin(other._pivots, self._pivots).all())
         return self.contains(other.basis.a)
 
     def _check_compatible(self, other: "FpSubspace") -> None:
@@ -329,11 +372,11 @@ class FpSubspace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpSubspace):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.ambient_dim == other.ambient_dim
-            and np.array_equal(self.basis.a, other.basis.a)
-        )
+        if self.p != other.p or self.ambient_dim != other.ambient_dim:
+            return False
+        if self._unit and other._unit:
+            return np.array_equal(self._pivots, other._pivots)
+        return np.array_equal(self.basis.a, other.basis.a)
 
     def __hash__(self):
         return hash((self.p, self.ambient_dim, self.basis.a.tobytes()))
@@ -341,14 +384,20 @@ class FpSubspace:
     def __add__(self, other: "FpSubspace") -> "FpSubspace":
         """Subspace spanned by the union of the two bases.
 
-        Only the part of `other` outside this subspace is eliminated; the
-        existing rows are then cleared in the new pivot columns and the two
-        row sets merged by pivot, which is again the canonical basis. A sum
-        with the zero subspace is the other summand, with no copy.
+        Two coordinate subspaces sum to the union of their columns.
+        Otherwise only the part of `other` outside this subspace is
+        eliminated; the existing rows are then cleared in the new pivot
+        columns and the two row sets merged by pivot, which is again the
+        canonical basis. A sum with the zero subspace, or with a subspace
+        already inside, is the other summand, with no copy.
         """
         self._check_compatible(other)
         if not self.dim:
             return other
+        if self._unit and other._unit:
+            cols = np.concatenate([self._pivots, other._pivots])
+            union = FpSubspace.coordinate(self.ambient_dim, cols, self.p)
+            return self if union.dim == self.dim else union
         extra = FpSubspace.from_rows(FpMatrix._make(self._reduce(other.basis.a), self.p))
         if not extra.dim:
             return self
@@ -357,11 +406,25 @@ class FpSubspace:
         return FpSubspace(self.ambient_dim, FpMatrix._make(rows[order], self.p))
 
     def image(self, m: FpMatrix) -> "FpSubspace":
-        """Image of the subspace under right multiplication by m."""
-        self.basis._check_modulus(m)
+        """Image of the subspace under right multiplication by m.
+
+        A coordinate subspace maps to the span of m's rows at its columns,
+        with no product; when each of those rows has at most one nonzero
+        entry, that span is the coordinate subspace on their columns.
+        """
+        if self.p != m.p:
+            raise ModulusMismatchError(f"moduli differ: {self.p} vs {m.p}")
         if self.dim == 0:
             return FpSubspace.zero(m.cols, self.p)
-        return FpSubspace.from_rows(self.basis @ m)
+        if not self._unit:
+            return FpSubspace.from_rows(self.basis @ m)
+        if m.rows != self.ambient_dim:
+            raise ValueError("matrix rows do not match the ambient dimension")
+        rows = m.a[self._pivots]
+        nonzero = rows != 0
+        if (np.count_nonzero(nonzero, axis=1) <= 1).all():
+            return FpSubspace.coordinate(m.cols, np.flatnonzero(nonzero.any(axis=0)), self.p)
+        return FpSubspace.from_rows(FpMatrix._make(rows, self.p))
 
     def __repr__(self) -> str:
         return f"FpSubspace(dim={self.dim}, ambient={self.ambient_dim}, p={self.p})"
@@ -381,4 +444,3 @@ def _pivot_columns(a: np.ndarray) -> np.ndarray:
     if a.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     return np.argmax(a != 0, axis=1)
-

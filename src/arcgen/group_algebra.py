@@ -200,8 +200,9 @@ class GammaChain:
     Term i is the span of the e_xy of level x + y >= i, as gamma_chain
     checks; it strictly descends from the whole algebra (i = 0) to zero
     (i = 2q - 1). dims[i] is the dimension of term i, and top is term
-    q - 1, the one the family construction uses. actions holds the
-    e-basis matrices of a and b, whose g - 1 the descent walked.
+    q - 1, the one the family construction uses. Every term is a
+    coordinate subspace, kept as the indices of its e_xy. actions holds
+    the e-basis matrices of a and b, whose g - 1 the descent walked.
     """
 
     dims: list[int]
@@ -210,13 +211,9 @@ class GammaChain:
 
 
 def _e_unit_span(q: int, p: int, level: int) -> FpSubspace:
-    """Span of the e_xy with x + y >= level; unit rows in index order are canonical."""
-    n = q * q
-    x, y = np.divmod(np.arange(n), q)
-    idxs = np.flatnonzero(x + y >= level)
-    rows = np.zeros((len(idxs), n), dtype=np.int64)
-    rows[np.arange(len(idxs)), idxs] = 1
-    return FpSubspace(n, FpMatrix(rows, p))
+    """Span of the e_xy with x + y >= level: the coordinate subspace on their indices."""
+    x, y = np.divmod(np.arange(q * q), q)
+    return FpSubspace.coordinate(q * q, np.flatnonzero(x + y >= level), p)
 
 
 def _descent(space: FpSubspace, deltas: list[FpMatrix]):
@@ -288,11 +285,13 @@ def min_generators_local(
     for an empty action list.
 
     Preconditions, both checked: every action matrix maps V into V, and
-    the iterated augmentation images of V descend to zero. The descent
-    reaching zero means V * I^k = 0 for some k, so every product of k of
-    the g - 1 kills V: each g - 1 is nilpotent on V, every g is unipotent
-    there, and the acting group on V is a p-group, which is what
-    Nakayama's lemma needs. It also catches generators that are each
+    the iterated augmentation images of V descend to zero. The first is
+    checked on the descent's first term: V g lies in V exactly when
+    V(g - 1) does, so every g maps V into V exactly when V * I <= V. The
+    descent reaching zero means V * I^k = 0 for some k, so every product
+    of k of the g - 1 kills V: each g - 1 is nilpotent on V, every g is
+    unipotent there, and the acting group on V is a p-group, which is
+    what Nakayama's lemma needs. It also catches generators that are each
     unipotent but together generate a group that is not a p-group.
 
     V * I is the sum of the V(g - 1), with no closure under the actions:
@@ -308,12 +307,12 @@ def min_generators_local(
             raise ValueError("moduli of subspace and actions must all equal p")
         if g.rows != n or g.cols != n:
             raise ValueError("action matrix shape does not match the ambient space")
-        if not V.contains((V.basis @ g).a):
-            raise ValueError("action matrix does not map the subspace into itself")
         deltas.append(g - ident)
 
     walk = _descent(V, deltas)
     vi = last = next(walk)
+    if not V.contains_space(vi):
+        raise ValueError("action matrix does not map the subspace into itself")
     for last in walk:
         pass
     if last.dim:

@@ -676,16 +676,18 @@ class PermGroup:
         """Point stabilizer, generated by the chain's deeper strong generators.
 
         The group's own chain serves when its first base point is v; with
-        no chain yet, the group's one chain is built with base v first.
+        no chain yet, the group's one chain is built with base v first,
+        unless the group extends a subgroup, whose chain it then extends.
         Only a different first base point costs a fresh chain.
         """
         if not 0 <= v < self.degree:
             raise ValueError(f"point {v} out of range")
-        chain = self._chain
-        if chain is None:
+        if self._chain is None and self._sub is None:
             chain = self._chain = self.fresh_chain(base_prefix=(v,))
-        elif chain.base()[:1] != [v]:
-            chain = self.fresh_chain(base_prefix=(v,))
+        else:
+            chain = self.chain()
+            if chain.base()[:1] != [v]:
+                chain = self.fresh_chain(base_prefix=(v,))
         gens = [Perm._wrap(a.copy()) for a in chain.strong_generators(1)]
         sub = StabChain._from_levels(self.degree, chain.levels[1:], self.caps)
         return PermGroup._with_chain(gens, sub, self.degree, self.caps)

@@ -174,11 +174,11 @@ class Bundle:
         They are the e_xy on the layer that spans the top module modulo
         its augmentation images under a and b, so with a and b they
         generate the small group. Row k of module_basis is the unit row
-        at the pivot of row k of top_space.basis (gamma_chain checked
-        that those are unit rows), and that pivot is x * q + y.
+        at pivot k of top_space (gamma_chain checked that the top term's
+        basis is unit rows), and that pivot is x * q + y.
         """
         q = self.params.q
-        pivots = self.top_space.basis.a.argmax(axis=1)
+        pivots = self.top_space.pivots
         return [g for g, k in zip(self.module_gens, pivots) if k // q + k % q == q - 1]
 
     @property

@@ -13,8 +13,26 @@ from itertools import combinations
 
 import numpy as np
 
-from arcgen.field_linalg import FpMatrix, FpSubspace
+from arcgen.field_linalg import FpMatrix, FpSubspace, ModulusMismatchError, prime_power_exponent
 from arcgen.perm_group import Perm, StabChain
+
+
+def kron(a, b):
+    """Kronecker product of two FpMatrix: block (i, j) equals a[i][j] * b."""
+    if a.p != b.p:
+        raise ModulusMismatchError(f"moduli differ: {a.p} vs {b.p}")
+    return FpMatrix(np.kron(a.a, b.a), a.p)
+
+
+def unipotent_matrix(q, p):
+    """The q x q matrix with ones on the diagonal and superdiagonal.
+
+    Requires q to be a positive power of the prime p; the result then has
+    multiplicative order exactly q in GL_q(F_p).
+    """
+    if prime_power_exponent(q, p) is None:
+        raise ValueError(f"{q} is not a positive power of the prime {p}")
+    return FpMatrix(np.eye(q, dtype=np.int64) + np.eye(q, k=1, dtype=np.int64), p)
 
 
 def algebra_mul(u, v, H):

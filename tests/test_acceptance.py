@@ -10,7 +10,7 @@ import time
 import pytest
 
 from arcgen.caps import CapExceeded, Caps
-from arcgen.field_linalg import FpMatrix, kron, unipotent_matrix
+from arcgen.field_linalg import FpMatrix
 from arcgen.graph_builder import CayleySpec, Graph, cayley, standard_connection
 from arcgen.group_algebra import (
     AbelianH,
@@ -37,7 +37,7 @@ from arcgen.pipeline import (
     semidirect_consistency,
     verify_theorem1,
 )
-from oracles import brute_force_min_generators
+from oracles import brute_force_min_generators, kron, unipotent_matrix
 
 SECTION_CASES = [(2, 1), (2, 2), (2, 3), (3, 1), (5, 1)]  # (p, q) in {4,8,... }
 

@@ -7,13 +7,11 @@ from arcgen.field_linalg import (
     FpSubspace,
     ModulusMismatchError,
     is_prime,
-    kron,
     mat_inverse,
     prime_power_exponent,
     rref,
-    unipotent_matrix,
 )
-from oracles import matmul_by_int64, quotient_dim
+from oracles import kron, matmul_by_int64, quotient_dim, unipotent_matrix
 
 
 def test_is_prime_small_values():
@@ -372,3 +370,102 @@ def test_from_rows_keeps_canonical_rows_and_reduces_the_rest():
     messy = [[0, 0, 0, 0], [0, 2, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0]]
     assert FpSubspace.from_rows(FpMatrix(messy, p)).basis.a.tolist() == [[0, 1, 0, 0]]
     assert FpSubspace.from_rows(FpMatrix.zeros(3, 4, p)).dim == 0
+
+
+# -- coordinate subspaces against the dense route -----------------------------
+
+
+def _dense_form(space):
+    """The same subspace in the dense form, so every operation takes the general route."""
+    dense = FpSubspace(space.ambient_dim, space.basis)
+    dense._unit = False
+    return dense
+
+
+def _monomial(rng, n, p):
+    """An n x n matrix with at most one nonzero entry, of any value, in each row."""
+    m = np.zeros((n, n), dtype=np.int64)
+    rows = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+    m[rows, rng.integers(0, n, size=len(rows))] = rng.integers(1, p, size=len(rows))
+    return m
+
+
+def _same(a, b):
+    return np.array_equal(a.basis.a, b.basis.a) and a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_coordinate_subspace_matches_the_dense_route(p):
+    rng = np.random.default_rng([p, 13])
+    n = 10
+    fast_images = 0
+    for _ in range(40):
+        cols = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        c = FpSubspace.coordinate(n, cols, p)
+        d = _dense_form(c)
+        units = np.eye(n, dtype=np.int64)[np.sort(cols)]
+        assert c._unit and c.dim == len(cols)
+        assert np.array_equal(c.basis.a, units) and np.array_equal(c.pivots, np.sort(cols))
+        for built in (FpSubspace.from_rows(FpMatrix(units[::-1], p)), FpSubspace(n, FpMatrix(units, p)), d):
+            assert _same(c, built)
+        general = FpSubspace.from_rows(FpMatrix(_random_rows(rng, 4, 3, n, p), p))
+        other = FpSubspace.coordinate(n, rng.choice(n, size=int(rng.integers(0, n + 1))), p)
+        for w in (general, other, _dense_form(other)):
+            assert _same(c + w, d + w) and _same(w + c, w + d)
+            assert c.contains_space(w) == d.contains_space(w)
+            assert w.contains_space(c) == w.contains_space(d)
+            assert (c == w) == (d == w) == np.array_equal(c.basis.a, w.basis.a)
+        inside = matmul_by_int64(_random(rng, (3, max(c.dim, 1)), p), c.basis.a, p) if c.dim else None
+        for rows in (_random(rng, (3, n), p), inside):
+            if rows is not None:
+                assert c.contains(rows) == d.contains(rows)
+                assert all(c.contains(row) == d.contains(row) for row in rows)
+        # monomial, up to two nonzero entries a row, and dense
+        sparse = (_monomial(rng, n, p) + _monomial(rng, n, p)) % p
+        for m in (_monomial(rng, n, p), sparse, _random(rng, (n, n), p)):
+            image = c.image(FpMatrix(m, p))
+            if (np.count_nonzero(m, axis=1) <= 1).all():
+                # no dense basis was formed on the way
+                assert image._unit and image._basis is None
+                fast_images += 1
+            assert _same(image, d.image(FpMatrix(m, p)))
+            assert np.array_equal(image.basis.a, _span_by_rref(matmul_by_int64(c.basis.a, m, p), p))
+    assert fast_images >= 40
+
+
+def test_coordinate_subspace_edge_cases():
+    p = 5
+    assert FpSubspace.zero(4, p)._unit and FpSubspace.full(4, p)._unit
+    assert FpSubspace.full(4, p).basis == FpMatrix.identity(4, p)
+    assert FpSubspace.coordinate(4, [3, 1, 3], p).pivots.tolist() == [1, 3]
+    for bad in ([4], [-1]):
+        with pytest.raises(ValueError):
+            FpSubspace.coordinate(4, bad, p)
+    with pytest.raises(ValueError):
+        FpSubspace.coordinate(4, [0], 4)
+    with pytest.raises(ModulusMismatchError):
+        FpSubspace.coordinate(4, [0], p).image(FpMatrix.identity(4, 3))
+    with pytest.raises(ModulusMismatchError):
+        FpSubspace.coordinate(4, [0], p) + FpSubspace.coordinate(4, [0], 3)
+    with pytest.raises(ValueError):
+        FpSubspace.coordinate(4, [0], p).image(FpMatrix.identity(3, p))
+    # unit rows out of order are no canonical basis: dense form, as built
+    rows = FpMatrix([[0, 0, 1, 0], [1, 0, 0, 0]], p)
+    assert not FpSubspace(4, rows)._unit
+    assert FpSubspace(4, rows) != FpSubspace.coordinate(4, [0, 2], p)
+
+
+def test_hand_built_row_with_a_non_unit_entry_takes_the_dense_route():
+    # a basis row whose one nonzero entry is 2 is no unit row: the subspace
+    # keeps its dense form and answers exactly as the dense route does
+    p = 3
+    row = np.array([[0, 2, 0, 0]])
+    s = FpSubspace(4, FpMatrix(row, p))
+    assert not s._unit
+    assert s.basis.a.tolist() == row.tolist()
+    assert s != FpSubspace.coordinate(4, [1], p)
+    e1 = np.array([[0, 1, 0, 0]])
+    assert s.contains(e1) == (not ((e1 - e1[:, [1]] @ row) % p).any())
+    shift = FpMatrix(np.eye(4, k=1, dtype=np.int64), p)
+    assert s.image(shift) == FpSubspace.from_rows(FpMatrix(matmul_by_int64(row, shift.a, p), p))
+    assert FpSubspace.from_rows(FpMatrix(row, p)) == FpSubspace.coordinate(4, [1], p)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from arcgen.field_linalg import FpMatrix, FpSubspace, kron, mat_inverse, unipotent_matrix
+from arcgen import field_linalg, group_algebra
+from arcgen.field_linalg import FpMatrix, FpSubspace, mat_inverse
 from arcgen.group_algebra import (
     AbelianH,
     EBasisChange,
@@ -14,7 +15,13 @@ from arcgen.group_algebra import (
     outer_action,
     section_dims,
 )
-from oracles import algebra_mul, module_closure, nakayama_count_by_closure
+from oracles import (
+    algebra_mul,
+    kron,
+    module_closure,
+    nakayama_count_by_closure,
+    unipotent_matrix,
+)
 
 
 def test_abelian_h_validation():
@@ -243,6 +250,34 @@ def test_chain_multiplicativity():
     for i in range(2 * H.q - 1):
         for s in steps:
             assert _e_unit_span(H.q, H.p, i).image(s) <= _e_unit_span(H.q, H.p, i + 1)
+
+
+def test_descent_and_nakayama_count_form_no_ambient_wide_product(monkeypatch):
+    # every term of the filtration and the top module are coordinate
+    # subspaces, and the shifts a - 1 and b - 1 map unit rows to unit rows
+    # or zero, so neither walk multiplies by a q^2 x q^2 matrix; only the
+    # basis change inside action_matrix multiplies, and by q x q factors
+    H = AbelianH(2, 4)
+    inner_dims, in_action = [], []
+    matmul, action = field_linalg._matmul, group_algebra.action_matrix
+
+    def counted_matmul(a, b, p):
+        if not in_action:
+            inner_dims.append(a.shape[1])
+        return matmul(a, b, p)
+
+    def traced_action(*args, **kwargs):
+        in_action.append(1)
+        try:
+            return action(*args, **kwargs)
+        finally:
+            in_action.pop()
+
+    monkeypatch.setattr(field_linalg, "_matmul", counted_matmul)
+    monkeypatch.setattr(group_algebra, "action_matrix", traced_action)
+    chain = gamma_chain(H)
+    assert min_generators_local(chain.top, list(chain.actions), 2) == H.q
+    assert H.ambient not in inner_dims
 
 
 def test_section_dims_formula():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from arcgen.caps import CapExceeded, Caps
-from arcgen.field_linalg import kron
 from arcgen.perm_group import (
     StabChain,
     arc_orbit_size,
@@ -21,6 +20,7 @@ from arcgen.pipeline import (
     semidirect_consistency,
     verify_theorem1,
 )
+from oracles import kron
 
 
 @pytest.fixture(scope="module")
@@ -186,8 +186,24 @@ def test_bundle_generators_are_automorphisms(bundle_22):
         assert is_automorphism(bundle_22.graph, g)
 
 
-def test_bundle_stabilizer_order(bundle_22):
+def test_bundle_stabilizer_order(bundle_22, monkeypatch):
     assert bundle_22.big_group.stabilizer(0).order() == 2**16 // 32
+    # the big group's stabilizer extends the small group's chain, built
+    # with base point 0 first, and constructs no chain of its own
+    builds = []
+    init = StabChain.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    for (p, h), order in [((2, 2), 2048), ((3, 1), 972), ((2, 3), 2**37)]:
+        bundle = Bundle(ConstructionParams(p, h))
+        bundle.small_group.stabilizer(0)
+        monkeypatch.setattr(StabChain, "__init__", counted)
+        assert bundle.big_group.stabilizer(0).order() == order
+        assert builds == []
+        monkeypatch.undo()
 
 
 def test_semidirect_consistency(bundle_22, bundle_31):
