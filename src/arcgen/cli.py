@@ -7,7 +7,8 @@ Subcommands:
 
 Certificates go to stdout, diagnostics to stderr. Exit codes: 0 all
 checks pass, 1 some evaluated check failed, 2 invalid input, 3 a
-resource cap fired, 4 all evaluated checks pass but some were skipped.
+resource cap fired, 4 all evaluated checks pass but some were skipped
+(for verify-t2: the exponent cap fired, so e=skipped:exponent_cap).
 """
 
 from __future__ import annotations
@@ -137,7 +138,11 @@ def _cmd_verify_t2(args) -> int:
     inst = load_instance(text, caps=_caps_from_args(args))
     report = bound_report(inst)
     sys.stdout.write(report.render())
-    return EXIT_OK if report.all_ok else EXIT_FAIL
+    if not report.all_ok:
+        return EXIT_FAIL
+    if report.e is None:
+        return EXIT_PARTIAL
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

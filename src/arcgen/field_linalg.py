@@ -47,7 +47,6 @@ __all__ = [
     "FpMatrix",
     "FpSubspace",
     "is_prime",
-    "prime_power_exponent",
     "rref",
     "mat_inverse",
 ]
@@ -78,17 +77,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def prime_power_exponent(q: int, p: int) -> int | None:
-    """Return h >= 1 with q = p**h, or None if there is no such h."""
-    if not is_prime(p) or q < p:
-        return None
-    h = 0
-    while q % p == 0:
-        q //= p
-        h += 1
-    return h if q == 1 else None
 
 
 def _check_modulus_value(p: int) -> None:

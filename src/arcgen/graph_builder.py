@@ -1,15 +1,16 @@
 """Finite simple graphs and the constant-valency family construction.
 
-Graphs are immutable once built: vertices are 0..n-1, neighbor lists are
-sorted tuples, adjacency is symmetric, loop-free and duplicate-free.
-Besides the generic Cayley and wreath (lexicographic) product builders,
-this module serializes graphs to an exact edge-list format and to the
+Graphs are immutable once built: vertices are 0..n-1, and a graph is
+kept as its arcs, two read-only int64 arrays sorted by (tail, head), with
+per-vertex offsets into them. Adjacency is symmetric, loop-free and
+duplicate-free. Besides the generic Cayley and wreath (lexicographic)
+product builders, which hand `Graph` whole arrays of vertex pairs, this
+module serializes graphs to an exact edge-list format and to the
 standard sparse6 encoding.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,68 +44,72 @@ class GraphFormatError(ValueError):
 
 
 class Graph:
-    """Simple undirected graph with indexed vertices."""
+    """Simple undirected graph on the vertices 0..n-1, kept as its 2m arcs.
 
-    __slots__ = ("n", "adj", "_arcs")
+    `edges` is an (m, 2) array (or sequence) of vertex pairs, in any order
+    and direction; a repeated edge counts once. The arcs are two read-only
+    int64 arrays, tails and heads, sorted by (tail, head), and the arcs
+    out of v sit at positions offsets[v] up to offsets[v + 1].
+    """
+
+    __slots__ = ("n", "_tails", "_heads", "_offsets")
 
     def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError("vertex count cannot be negative")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            u, v = int(u), int(v)
+        try:
+            pairs = np.asarray(edges, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("edge endpoint out of range") from None
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be an (m, 2) array of vertex pairs")
+        u, v = pairs.T
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+        if bad.any():
+            u, v = pairs[bad.argmax()].tolist()
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            raise ValueError(f"self-loop at vertex {u}")
+        # codes tail * n + head of the arcs both ways; one sort orders them and finds repeats
+        codes = np.sort(np.concatenate((u * n + v, v * n + u)))
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+        tails, heads = np.divmod(codes, max(n, 1))
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=n), out=offsets[1:])
+        for a in (tails, heads, offsets):
+            a.flags.writeable = False
         self.n = n
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in nbrs
-        )
-        self._arcs: tuple[np.ndarray, np.ndarray] | None = None
+        self._tails, self._heads, self._offsets = tails, heads, offsets
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return len(self._heads) // 2
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
+    def neighbors(self, v: int) -> np.ndarray:
+        """The neighbors of v in increasing order (a read-only view)."""
+        return self._heads[self._offsets[v] : self._offsets[v + 1]]
 
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Tails and heads (int64) of all 2m arcs, sorted by (tail, head)."""
-        if self._arcs is None:
-            tails = np.repeat(
-                np.arange(self.n, dtype=np.int64), [len(a) for a in self.adj]
-            )
-            heads = np.fromiter(
-                (w for a in self.adj for w in a), dtype=np.int64, count=len(tails)
-            )
-            self._arcs = (tails, heads)
-        return self._arcs
+        """Tails and heads (int64, read-only) of all 2m arcs, sorted by (tail, head)."""
+        return self._tails, self._heads
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, sorted lexicographically."""
-        out = []
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    out.append((u, v))
-        return out
+        up = self._tails < self._heads
+        return list(zip(self._tails[up].tolist(), self._heads[up].tolist()))
 
     def is_regular(self) -> bool:
-        if self.n == 0:
-            return True
-        d = len(self.adj[0])
-        return all(len(a) == d for a in self.adj)
+        degrees = np.diff(self._offsets)
+        return self.n == 0 or bool((degrees == degrees[0]).all())
 
     def valency(self) -> int:
         if self.n == 0:
             raise ValueError("valency undefined on the empty graph")
         if not self.is_regular():
             raise ValueError("valency undefined: graph is not regular")
-        return len(self.adj[0])
+        return int(self._offsets[1])
 
     def is_connected(self) -> bool:
         return self.n == 0 or _component_size(self, 0) == self.n
@@ -112,10 +117,14 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.adj == other.adj
+        return (
+            self.n == other.n
+            and np.array_equal(self._offsets, other._offsets)
+            and np.array_equal(self._heads, other._heads)
+        )
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        return hash((self.n, self._offsets.tobytes(), self._heads.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -145,8 +154,9 @@ def cayley(spec: CayleySpec) -> Graph:
             raise ValueError("connection set contains the identity")
         if H.inv(s) not in conn:
             raise ValueError("connection set is not inverse-closed")
-    edges = [(k, t) for s in conn for k, t in enumerate(H.index_map(s).tolist())]
-    g = Graph(H.order, edges)
+    tails = np.tile(np.arange(H.order, dtype=np.int64), len(conn))
+    heads = np.array([H.index_map(s) for s in conn], dtype=np.int64).reshape(-1)
+    g = Graph(H.order, np.column_stack((tails, heads)))
     # connectivity must agree with generation
     generated = {(0, 0)}
     frontier = [(0, 0)]
@@ -166,15 +176,35 @@ def cayley(spec: CayleySpec) -> Graph:
 
 
 def _component_size(g: Graph, v: int) -> int:
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen)
+    """Number of vertices reachable from v, by breadth-first levels.
+
+    Each level reads the arcs out of the whole frontier at once: as rows
+    of heads in a regular graph (every graph checked here is one: Cayley,
+    family and vertex-transitive graphs), where that costs two numpy
+    calls, and range by range otherwise. A vertex reached along several
+    arcs keeps the slot of one, which is how the next frontier lists it
+    once.
+    """
+    offsets, heads = g._offsets, g._heads
+    rows = heads.reshape(g.n, int(offsets[1])) if g.is_regular() else None
+    slot = np.full(g.n, -1, dtype=np.int64)  # -1 until reached
+    slot[v] = 0
+    frontier = np.array([v], dtype=np.int64)
+    size = 1
+    while len(frontier):
+        if rows is not None:  # the arcs out of u are row u
+            reached = rows[frontier].ravel()
+        else:  # the ranges offsets[u]:offsets[u + 1], one after another
+            counts = offsets[frontier + 1] - offsets[frontier]
+            ends = np.cumsum(counts)
+            starts = np.repeat(offsets[frontier] - ends + counts, counts)
+            reached = heads[starts + np.arange(ends[-1])]
+        reached = reached[slot[reached] < 0]
+        ids = np.arange(len(reached))
+        slot[reached] = ids
+        frontier = reached[slot[reached] == ids]
+        size += len(frontier)
+    return size
 
 
 def empty_graph(p: int) -> Graph:
@@ -192,19 +222,15 @@ def wreath_product(gamma: Graph, delta: Graph) -> Graph:
     in gamma, or d1 ~ d2 in delta.
     """
     inner = gamma.n
-    n = delta.n * inner
-    edges = []
-    inner_edges = gamma.edges()
-    for d in range(delta.n):
-        base = d * inner
-        for c1, c2 in inner_edges:
-            edges.append((base + c1, base + c2))
-        for d2 in delta.adj[d]:
-            if d2 > d:
-                for c1 in range(inner):
-                    for c2 in range(inner):
-                        edges.append((base + c1, d2 * inner + c2))
-    return Graph(n, edges)
+    # (d, c1) ~ (d, c2) for every vertex d of delta and arc c1 -> c2 of gamma
+    blocks = np.arange(delta.n, dtype=np.int64)[:, None, None] * inner
+    inside = (blocks + np.column_stack(gamma.arcs())).reshape(-1, 2)
+    # (d1, c1) ~ (d2, c2) for every edge d1 < d2 of delta and all c1, c2
+    tails, heads = delta.arcs()
+    up = tails < heads
+    c1, c2 = np.divmod(np.arange(inner * inner, dtype=np.int64), inner)
+    across = np.stack((tails[up, None] * inner + c1, heads[up, None] * inner + c2), axis=-1)
+    return Graph(delta.n * inner, np.concatenate((inside, across.reshape(-1, 2))))
 
 
 def standard_connection(H: AbelianH) -> tuple[tuple[int, int], ...]:
@@ -297,7 +323,7 @@ def parse_edge_list_lines(lines, caps: Caps = DEFAULT_CAPS) -> tuple[Graph, int]
         raise GraphFormatError("negative counts in header", 1)
     if n > caps.vertex_cap:
         raise CapExceeded("vertex", caps.vertex_cap, f"edge list declares {n} vertices")
-    edges = []
+    ends = []  # u, v of each edge in turn
     for k in range(m):
         lineno = 2 + k
         if 1 + k >= len(lines):
@@ -313,8 +339,8 @@ def parse_edge_list_lines(lines, caps: Caps = DEFAULT_CAPS) -> tuple[Graph, int]
             raise GraphFormatError(f"edge ({u}, {v}) out of range", lineno)
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        edges.append((u, v))
-    graph = Graph(n, edges)
+        ends += (u, v)
+    graph = Graph(n, np.array(ends, dtype=np.int64).reshape(m, 2))
     if graph.m != m:
         raise GraphFormatError("duplicate edges in edge list", 1)
     return graph, 1 + m
@@ -353,41 +379,29 @@ def _chars_to_n(data: list[int]) -> tuple[int, list[int]]:
 def _to_sparse6(g: Graph) -> str:
     n = g.n
     chars = _n_to_chars(n)
-    k = 1
-    while (1 << k) < n:
-        k += 1
-    bits: list[int] = []
-
-    def put(x: int, width: int) -> None:
-        for i in range(width - 1, -1, -1):
-            bits.append((x >> i) & 1)
-
+    k = max(1, (n - 1).bit_length())  # bits per vertex number
+    fields = []
     curv = 0
-    for u, v in sorted((max(e), min(e)) for e in g.edges()):
-        # u is the larger endpoint here
+    tails, heads = g.arcs()
+    down = heads < tails
+    # each edge once as (u, v) with u > v, sorted by (u, v)
+    for u, v in zip(tails[down].tolist(), heads[down].tolist()):
         if u == curv:
-            bits.append(0)
-            put(v, k)
+            fields.append(f"0{v:0{k}b}")
         elif u == curv + 1:
             curv += 1
-            bits.append(1)
-            put(v, k)
+            fields.append(f"1{v:0{k}b}")
         else:
             curv = u
-            bits.append(1)
-            put(u, k)
-            bits.append(0)
-            put(v, k)
+            fields.append(f"1{u:0{k}b}0{v:0{k}b}")
+    bits = "".join(fields)
     pad = (-len(bits)) % 6
     if k < 6 and n == (1 << k) and pad >= k and curv < n - 1:
         # all-ones padding would decode as a loop on vertex n-1
-        bits.append(0)
+        bits += "0"
         pad = (-len(bits)) % 6
-    bits.extend([1] * pad)
-    payload = "".join(
-        chr(63 + int("".join(map(str, bits[i : i + 6])), 2))
-        for i in range(0, len(bits), 6)
-    )
+    bits += "1" * pad
+    payload = "".join(chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6))
     return ":" + "".join(chr(63 + c) for c in chars) + payload
 
 
@@ -402,26 +416,13 @@ def _from_sparse6(text: str, caps: Caps) -> Graph:
     n, rest = _chars_to_n(data)
     if n > caps.vertex_cap:
         raise CapExceeded("vertex", caps.vertex_cap, f"sparse6 header declares {n} vertices")
-    k = 1
-    while (1 << k) < n:
-        k += 1
-    stream = 0
-    length = 0
-    for d in rest:
-        stream = (stream << 6) + d
-        length += 6
-
-    def read(width: int, pos: int) -> int:
-        return (stream >> (length - pos - width)) & ((1 << width) - 1)
-
+    k = max(1, (n - 1).bit_length())
+    bits = "".join(f"{d:06b}" for d in rest)
     edges = []
     v = 0
-    pos = 0
-    while pos + 1 + k <= length:
-        b = read(1, pos)
-        x = read(k, pos + 1)
-        pos += 1 + k
-        if b:
+    for pos in range(0, len(bits) - k, 1 + k):
+        x = int(bits[pos + 1 : pos + 1 + k], 2)
+        if bits[pos] == "1":
             v += 1
         if x >= n or v >= n:
             break

@@ -20,14 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .caps import DEFAULT_CAPS, Caps
+from .caps import DEFAULT_CAPS, CapExceeded, Caps
 from .graph_builder import Graph, GraphFormatError, parse_edge_list_lines
 from .perm_group import (
     Perm,
     PermGroup,
     exponent,
     frattini_decomposition_check,
-    is_automorphism,
+    is_vertex_transitive,
     perm_to_line,
     perms_from_lines,
 )
@@ -73,10 +73,7 @@ class VTInstance:
             )
         if not 0 <= self.base_vertex < self.graph.n:
             raise ValueError("base vertex out of range")
-        for i, g in enumerate(self.group.generators):
-            if not is_automorphism(self.graph, g):
-                raise ValueError(f"generator {i + 1} is not an automorphism")
-        if len(self.group.orbit(self.base_vertex)) != self.graph.n:
+        if not is_vertex_transitive(self.graph, self.group):
             raise ValueError("group is not vertex-transitive")
         if not self.graph.is_connected():
             raise ValueError("graph is not connected")
@@ -149,9 +146,11 @@ def verify_generation(inst: VTInstance, gens: list[Perm]) -> bool:
 
 @dataclass
 class BoundReport:
+    """Every quantity of the order bound; e is None when the exponent cap fired."""
+
     n: int
     d: int
-    e: int
+    e: int | None
     connection_gens: list[Perm]
     H_order: int
     G_order: int
@@ -167,8 +166,9 @@ class BoundReport:
 
     def render(self) -> str:
         flag = lambda b: str(b).lower()  # noqa: E731
+        e = "skipped:exponent_cap" if self.e is None else self.e
         lines = [
-            f"bound-certificate n={self.n} d={self.d} e={self.e}",
+            f"bound-certificate n={self.n} d={self.d} e={e}",
             f"H_order={self.H_order}",
             f"G_order={self.G_order}",
             f"G_alpha_order={self.G_alpha_order}",
@@ -187,7 +187,8 @@ def bound_report(inst: VTInstance) -> BoundReport:
     The extraction re-runs with a second choice of coset representatives
     and all boolean outcomes must agree; the procedure is
     choice-independent, so a disagreement is a defect and raises
-    AssertionError.
+    AssertionError. When only the exponent cap fires, e is None and every
+    other quantity is still computed.
     """
     graph, G, base = inst.graph, inst.group, inst.base_vertex
     d = graph.valency()
@@ -211,7 +212,12 @@ def bound_report(inst: VTInstance) -> BoundReport:
         raise AssertionError("Lagrange divisibility failed")
     if graph.n > H_order:
         raise AssertionError("orbit size exceeds the subgroup order")
-    e = exponent(G)
+    try:
+        e = exponent(G)
+    except CapExceeded as exc:
+        if exc.cap_name != "exponent":
+            raise
+        e = None
     decomposition_ok = frattini_decomposition_check(G, H_sub, base)
     size_bound_ok = graph.n <= H_order and G_order <= H_order * math.factorial(
         graph.n - 1

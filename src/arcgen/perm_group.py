@@ -855,18 +855,15 @@ def is_vertex_transitive(graph: Graph, G: PermGroup) -> bool:
 def arc_orbit_size(graph: Graph, G: PermGroup, arc: tuple[int, int] | None = None) -> int:
     """Size of the orbit of one arc under the induced action on arcs."""
     _require_automorphisms(graph, G)
+    tails, heads = graph.arcs()
     if arc is None:
-        for u in range(graph.n):
-            if graph.adj[u]:
-                arc = (u, graph.adj[u][0])
-                break
-        else:
+        if not len(tails):
             raise ValueError("graph has no arcs")
+        arc = (tails[0], heads[0])
     u, w = arc
-    if w not in graph.adj[u]:
+    if not 0 <= u < graph.n or w not in graph.neighbors(u):
         raise ValueError(f"({u}, {w}) is not an arc of the graph")
     n = graph.n
-    tails, heads = graph.arcs()
     codes = tails * n + heads
     arrs = G._images().astype(np.int64)
 
@@ -883,14 +880,14 @@ def local_action(graph: Graph, G: PermGroup, v: int) -> tuple[PermGroup, int]:
     order) together with its number of orbits.
     """
     _require_automorphisms(graph, G)
-    nbrs = list(graph.adj[v])
+    nbrs = graph.neighbors(v)
     pos = np.full(graph.n, -1, dtype=_DTYPE)
     pos[nbrs] = np.arange(len(nbrs))
     restricted = pos[G.stabilizer(v)._images()[:, nbrs]]
     if (restricted < 0).any():
         raise AssertionError("stabilizer generator does not preserve the neighborhood")
     induced = PermGroup([Perm(r) for r in restricted], degree=len(nbrs), caps=G.caps)
-    orbit_count = len(induced.orbits()) if nbrs else 0
+    orbit_count = len(induced.orbits()) if len(nbrs) else 0
     return induced, orbit_count
 
 

@@ -13,8 +13,19 @@ from itertools import combinations
 
 import numpy as np
 
-from arcgen.field_linalg import FpMatrix, FpSubspace, ModulusMismatchError, prime_power_exponent
+from arcgen.field_linalg import FpMatrix, FpSubspace, ModulusMismatchError, is_prime
 from arcgen.perm_group import Perm, StabChain
+
+
+def prime_power_exponent(q, p):
+    """Return h >= 1 with q = p**h, or None if there is no such h."""
+    if not is_prime(p) or q < p:
+        return None
+    h = 0
+    while q % p == 0:
+        q //= p
+        h += 1
+    return h if q == 1 else None
 
 
 def kron(a, b):
@@ -112,8 +123,8 @@ def is_automorphism_by_neighbourhoods(graph, perm):
     """Per-vertex rule: the image of N(u) is N(u^g) for every vertex u."""
     img = perm.images
     for u in range(graph.n):
-        mapped = sorted(int(img[w]) for w in graph.adj[u])
-        if tuple(mapped) != graph.adj[int(img[u])]:
+        mapped = sorted(int(img[w]) for w in graph.neighbors(u))
+        if mapped != graph.neighbors(int(img[u])).tolist():
             return False
     return True
 

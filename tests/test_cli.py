@@ -210,13 +210,36 @@ def test_verify_t2_round_trip_with_construct(tmp_path, capsys):
 
 
 def test_verify_t2_exponent_cap(tmp_path, capsys):
+    # only e is skipped: every other line is the uncapped certificate's
     path = tmp_path / "c5.instance"
     path.write_text(C5_INSTANCE)
-    code, _, stderr = run_cli(
+    _, full, _ = run_cli(capsys, "verify-t2", str(path))
+    code, stdout, stderr = run_cli(
         capsys, "verify-t2", str(path), "--exponent-cap", "4"
     )
+    assert code == EXIT_PARTIAL
+    assert stdout == full.replace("e=10\n", "e=skipped:exponent_cap\n")
+    assert "e=skipped:exponent_cap" in stdout and "G_order=10" in stdout
+    assert stderr == ""
+
+
+def test_verify_t2_round_trip_under_the_exponent_cap(tmp_path, capsys):
+    instance = round_trip_instance(tmp_path, capsys, 2, 2)
+    _, full, _ = run_cli(capsys, "verify-t2", str(instance))
+    code, stdout, _ = run_cli(capsys, "verify-t2", str(instance), "--exponent-cap", "2^10")
+    assert code == EXIT_PARTIAL
+    assert stdout == full.replace(" e=8\n", " e=skipped:exponent_cap\n")
+    for line in ("G_order=65536", "decomposition_ok=true", "size_bound_ok=true", "generation_ok=true"):
+        assert line in stdout.splitlines()
+
+
+def test_verify_t2_order_cap_still_exits_3(tmp_path, capsys):
+    path = tmp_path / "c5.instance"
+    path.write_text(C5_INSTANCE)
+    code, stdout, stderr = run_cli(capsys, "verify-t2", str(path), "--order-cap", "4")
     assert code == EXIT_CAP
-    assert "exponent cap (4) exceeded" in stderr
+    assert stdout == ""
+    assert "order cap (4) exceeded" in stderr
 
 
 def test_bad_cap_values_rejected(capsys):
@@ -247,8 +270,9 @@ def test_caps_accept_powers(tmp_path, capsys):
     assert code == EXIT_PARTIAL and "skipped:order_cap" in stdout
     path = tmp_path / "c5.instance"
     path.write_text(C5_INSTANCE)
-    code, _, stderr = run_cli(capsys, "verify-t2", str(path), "--exponent-cap", "2^2")
-    assert code == EXIT_CAP and "exponent cap (4) exceeded" in stderr
+    code, stdout, _ = run_cli(capsys, "verify-t2", str(path), "--exponent-cap", "2^2")
+    assert code == EXIT_PARTIAL and "e=skipped:exponent_cap" in stdout
+    assert "G_order=10" in stdout and "generation_ok=true" in stdout
 
 
 @pytest.mark.parametrize("cap", ["2^", "^3", "2^-1", "0^5", "2^1048577", "10^99999999999"])

@@ -8,10 +8,9 @@ from arcgen.field_linalg import (
     ModulusMismatchError,
     is_prime,
     mat_inverse,
-    prime_power_exponent,
     rref,
 )
-from oracles import kron, matmul_by_int64, quotient_dim, unipotent_matrix
+from oracles import kron, matmul_by_int64, prime_power_exponent, quotient_dim, unipotent_matrix
 
 
 def test_is_prime_small_values():

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from arcgen.caps import CapExceeded, Caps
@@ -28,15 +30,97 @@ def c4():
 
 def test_graph_canonical_form():
     g = Graph(3, [(2, 1), (1, 2), (0, 2)])
-    assert g.adj == ((2,), (2,), (0, 1))
+    assert [g.neighbors(v).tolist() for v in range(3)] == [[2], [2], [0, 1]]
     assert g.m == 2
 
 
 def test_graph_rejects_bad_edges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"self-loop at vertex 0"):
         Graph(2, [(0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) out of range"):
         Graph(2, [(0, 5)])
+    # the first bad edge is reported, a range error before a loop on it
+    with pytest.raises(ValueError, match=r"edge \(-1, 1\) out of range"):
+        Graph(3, [(0, 1), (-1, 1), (2, 2)])
+    with pytest.raises(ValueError, match=r"self-loop at vertex 2"):
+        Graph(3, np.array([(0, 1), (2, 2), (3, 1)]))
+    with pytest.raises(GraphFormatError, match=r"line 3: edge \(0, 2\) out of range"):
+        parse_graph("2 2\n0 1\n0 2\n")
+    with pytest.raises(GraphFormatError, match="line 2: self-loop at vertex 1"):
+        parse_graph("2 1\n1 1\n")
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(3, [(0, 2**70)])
+    with pytest.raises(ValueError):
+        Graph(3, [(0, 1, 2)])
+
+
+def test_graph_arrays_are_read_only():
+    g = c4()
+    tails, heads = g.arcs()
+    for arr in (tails, heads, g.neighbors(1)):
+        with pytest.raises(ValueError):
+            arr[0] = 3
+    assert g == c4()
+
+
+def reference_neighbors(n, edges):
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return [sorted(s) for s in nbrs]
+
+
+def test_graph_is_canonical_in_its_edges():
+    # any order, direction or repetition of the edges gives one graph
+    rng = random.Random(14)
+    for n in (1, 2, 5, 9, 16):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        g = Graph(n, edges)
+        assert g.m == len(edges)
+        shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        shuffled += rng.choices(shuffled, k=len(shuffled) // 2)
+        rng.shuffle(shuffled)
+        other = Graph(n, np.array(shuffled, dtype=np.int64).reshape(-1, 2))
+        assert other == g and hash(other) == hash(g)
+        tails, heads = g.arcs()
+        assert len(tails) == 2 * g.m
+        codes = tails * n + heads
+        assert (np.diff(codes) > 0).all()
+        expected = reference_neighbors(n, edges)
+        for v in range(n):
+            nbrs = g.neighbors(v).tolist()
+            assert nbrs == expected[v]
+            assert all(v in g.neighbors(w).tolist() for w in nbrs)
+        assert g.edges() == sorted(edges)
+    assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
+    assert Graph(2, []) != Graph(3, [])
+
+
+def reference_connected(n, edges):
+    nbrs = reference_neighbors(n, edges)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+def test_is_connected_against_a_reference():
+    rng = random.Random(7)
+    cases = []
+    for n in (1, 2, 3, 6, 10, 25):
+        for density in (0.05, 0.15, 0.4):
+            cases.append((n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]))
+        # circulants are regular: connected exactly when the steps generate Z_n
+        steps = rng.sample(range(1, n), min(2, n - 1))
+        cases.append((n, [(u, (u + s) % n) for u in range(n) for s in steps if (u + s) % n != u]))
+    cases.append((8, [(u, u ^ 1) for u in range(8)]))  # a perfect matching
+    for n, edges in cases:
+        assert Graph(n, edges).is_connected() == reference_connected(n, edges), (n, edges)
+    assert Graph(0, []).is_connected()
 
 
 def test_predicates():
@@ -59,7 +143,7 @@ def test_cayley_klein_four_cycle():
     g = cayley(CayleySpec(H, ((1, 0), (0, 1))))
     # vertices 1, b, a, ab; edges checked by hand
     assert g.n == 4
-    assert g.adj == ((1, 2), (0, 3), (0, 3), (1, 2))
+    assert [g.neighbors(v).tolist() for v in range(4)] == [[1, 2], [0, 3], [0, 3], [1, 2]]
     assert g.valency() == 2
     assert g.is_connected()
 
@@ -120,7 +204,24 @@ def test_wreath_two_isolated_by_k2_is_four_cycle():
     g = wreath_product(empty_graph(2), k2())
     # K4 minus a perfect matching: vertices 0,1 vs 2,3 fully joined
     assert g.n == 4 and g.m == 4
-    assert g.adj == ((2, 3), (2, 3), (0, 1), (0, 1))
+    assert [g.neighbors(v).tolist() for v in range(4)] == [[2, 3], [2, 3], [0, 1], [0, 1]]
+
+
+def test_wreath_matches_its_definition():
+    rng = random.Random(5)
+    for inner_n, outer_n in [(1, 4), (2, 5), (3, 4), (4, 3)]:
+        inner = [(u, v) for u in range(inner_n) for v in range(u + 1, inner_n) if rng.random() < 0.5]
+        outer = [(u, v) for u in range(outer_n) for v in range(u + 1, outer_n) if rng.random() < 0.5]
+        gamma, delta = Graph(inner_n, inner), Graph(outer_n, outer)
+        edges = [
+            (d1 * inner_n + c1, d2 * inner_n + c2)
+            for d1 in range(outer_n)
+            for d2 in range(outer_n)
+            for c1 in range(inner_n)
+            for c2 in range(inner_n)
+            if (d1 == d2 and (c1, c2) in inner) or (d1, d2) in outer
+        ]
+        assert wreath_product(gamma, delta) == Graph(inner_n * outer_n, edges)
 
 
 def test_wreath_valency_law():
@@ -219,6 +320,24 @@ def test_sparse6_round_trip():
     for g in graphs:
         data = export_graph(g, "sparse6")
         assert parse_graph(data, "sparse6") == g
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "sparse6"])
+def test_parse_at_the_vertex_cap_stays_small(fmt):
+    # 2^20 isolated vertices, the default vertex cap: the arrays take
+    # 8 bytes per vertex, far below the 232 MB of per-vertex sets
+    n = 2**20
+    data = export_graph(Graph(n, []), fmt)
+    assert data == (b"1048576 0\n" if fmt == "edge-list" else b":~~??C???\n")
+    tracemalloc.start()
+    try:
+        g = parse_graph(data, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == n and g.m == 0
+    assert not g.is_connected()
+    assert peak < 32 * 2**20
 
 
 def test_sparse6_header_over_vertex_cap():

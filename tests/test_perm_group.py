@@ -946,7 +946,7 @@ def test_family_walks_match_queue_references(p, h):
     bundle = Bundle(ConstructionParams(p, h))
     graph = bundle.graph
     mid = graph.n // 2
-    arcs = [(0, w) for w in graph.adj[0]] + [(mid, graph.adj[mid][-1])]
+    arcs = [(0, w) for w in graph.neighbors(0)] + [(mid, graph.neighbors(mid)[-1])]
     for G in (bundle.small_group, bundle.big_group):
         assert_walks_match_queues(graph, G, (0, mid, graph.n - 1), arcs)
 

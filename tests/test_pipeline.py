@@ -358,7 +358,7 @@ def test_local_orbit_count_against_sympy(p, h):
     sympy_comb = pytest.importorskip("sympy.combinatorics")
     bundle = Bundle(ConstructionParams(p, h))
     G = bundle.small_group
-    nbrs = set(bundle.graph.adj[0])
+    nbrs = set(bundle.graph.neighbors(0).tolist())
     stab = _sympy_group(sympy_comb, G.generators).stabilizer(0)
     orbits = {frozenset(stab.orbit(v)) for v in nbrs}
     assert all(orbit <= nbrs for orbit in orbits)
