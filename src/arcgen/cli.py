@@ -140,9 +140,7 @@ def _cmd_verify_t2(args) -> int:
     sys.stdout.write(report.render())
     if not report.all_ok:
         return EXIT_FAIL
-    if report.e is None:
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return EXIT_PARTIAL if report.e is None else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -179,11 +179,12 @@ def _component_size(g: Graph, v: int) -> int:
     """Number of vertices reachable from v, by breadth-first levels.
 
     Each level reads the arcs out of the whole frontier at once: as rows
-    of heads in a regular graph (every graph checked here is one: Cayley,
-    family and vertex-transitive graphs), where that costs two numpy
-    calls, and range by range otherwise. A vertex reached along several
-    arcs keeps the slot of one, which is how the next frontier lists it
-    once.
+    of heads in a regular graph, in two numpy calls, and range by range
+    otherwise, in about ten. Every graph the program checks is regular
+    (Cayley, family and vertex-transitive graphs), and on a small one,
+    such as the (2,4) family graph, the rows take half the time of the
+    ranges. A vertex reached along several arcs keeps the slot of one,
+    which is how the next frontier lists it once.
     """
     offsets, heads = g._offsets, g._heads
     rows = heads.reshape(g.n, int(offsets[1])) if g.is_regular() else None
