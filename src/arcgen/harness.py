@@ -136,12 +136,12 @@ def verify_connection_subgroup(
 
 
 def verify_generation(inst: VTInstance, gens: list[Perm]) -> bool:
-    """Stabilizer generators plus the extracted elements generate the group."""
+    """Stabilizer generators plus the extracted elements generate the group.
+
+    Extends a copy of the stabilizer's chain, which is cut from the group's.
+    """
     stab = inst.group.stabilizer(inst.base_vertex)
-    combined = PermGroup(
-        [*stab.generators, *gens], degree=inst.graph.n, caps=inst.group.caps
-    )
-    return combined.order() == inst.group.order()
+    return PermGroup._extension(stab, gens).order() == inst.group.order()
 
 
 @dataclass
@@ -181,19 +181,15 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
-def bound_report(inst: VTInstance) -> BoundReport:
-    """Execute the whole bound procedure and report every quantity.
+def _choice_outcomes(inst: VTInstance, gens: list[Perm]) -> tuple[PermGroup, tuple]:
+    """Check one choice of connection elements; return H and its outcomes.
 
-    The extraction re-runs with a second choice of coset representatives
-    and all boolean outcomes must agree; the procedure is
-    choice-independent, so a disagreement is a defect and raises
-    AssertionError. When only the exponent cap fires, e is None and every
-    other quantity is still computed.
+    The outcomes are (decomposition, size bound, generation). A failed
+    precondition (neighbor, membership, transitivity, Lagrange, orbit
+    size) is a defect and raises AssertionError.
     """
     graph, G, base = inst.graph, inst.group, inst.base_vertex
-    d = graph.valency()
-    gens = connection_generators(inst)
-    if len(gens) != d:
+    if len(gens) != graph.valency():
         raise AssertionError("expected exactly one element per neighbor")
     for g, beta in zip(gens, graph.neighbors(base)):
         if g(base) != beta:
@@ -205,49 +201,43 @@ def bound_report(inst: VTInstance) -> BoundReport:
         raise AssertionError(
             "connection subgroup of a connected instance must be transitive"
         )
-    H_order = H_sub.order()
-    G_order = G.order()
-    G_alpha_order = G.stabilizer(base).order()
+    H_order, G_order = H_sub.order(), G.order()
     if H_order % graph.n != 0 or G_order % H_order != 0:
         raise AssertionError("Lagrange divisibility failed")
     if graph.n > H_order:
         raise AssertionError("orbit size exceeds the subgroup order")
+    decomposition_ok = frattini_decomposition_check(G, H_sub, base)
+    # n <= |H| holds here, so the size bound rests on |G| <= |H| (n-1)!
+    size_bound_ok = G_order <= H_order * math.factorial(graph.n - 1)
+    return H_sub, (decomposition_ok, size_bound_ok, verify_generation(inst, gens))
+
+
+def bound_report(inst: VTInstance) -> BoundReport:
+    """Execute the whole bound procedure and report every quantity.
+
+    Both choices of coset representatives, the BFS transversal over the
+    generators and over them reversed, go through the same checks, and
+    their outcomes must agree; the procedure is choice-independent, so a
+    disagreement is a defect and raises AssertionError. The certificate
+    reports the first choice. When only the exponent cap fires, e is None
+    and every other quantity is still computed.
+    """
+    graph, G, base = inst.graph, inst.group, inst.base_vertex
+    gens = connection_generators(inst)
+    H_sub, outcomes = _choice_outcomes(inst, gens)
     try:
         e = exponent(G)
     except CapExceeded as exc:
         if exc.cap_name != "exponent":
             raise
         e = None
-    decomposition_ok = frattini_decomposition_check(G, H_sub, base)
-    size_bound_ok = graph.n <= H_order and G_order <= H_order * math.factorial(
-        graph.n - 1
-    )
-    generation_ok = verify_generation(inst, gens)
-    order_equality = G_order == H_order * G_alpha_order
-    gens2 = connection_generators(inst, reverse=True)
-    H2, transitive2 = verify_connection_subgroup(inst, gens2)
-    second = (
-        transitive2,
-        frattini_decomposition_check(G, H2, base),
-        graph.n <= H2.order()
-        and G_order <= H2.order() * math.factorial(graph.n - 1),
-        verify_generation(inst, gens2),
-    )
-    first = (transitive, decomposition_ok, size_bound_ok, generation_ok)
-    if first != second:
+    if _choice_outcomes(inst, connection_generators(inst, reverse=True))[1] != outcomes:
         raise AssertionError(
             "bound outcomes changed under a different representative choice"
         )
-    return BoundReport(
-        n=graph.n,
-        d=d,
-        e=e,
-        connection_gens=gens,
-        H_order=H_order,
-        G_order=G_order,
-        G_alpha_order=G_alpha_order,
-        decomposition_ok=decomposition_ok,
-        size_bound_ok=size_bound_ok,
-        generation_ok=generation_ok,
-        order_equality=order_equality,
+    H_order, G_order = H_sub.order(), G.order()
+    G_alpha_order = G.stabilizer(base).order()
+    return BoundReport(  # the outcomes fill decomposition_ok .. generation_ok
+        graph.n, graph.valency(), e, gens, H_order, G_order, G_alpha_order,
+        *outcomes, G_order == H_order * G_alpha_order,
     )

@@ -16,8 +16,9 @@ polycyclic order, all take the first route. On top of the chain sit the
 predicates the verification pipeline needs: vertex/arc transitivity,
 local actions, the Frattini decomposition check, minimal generator ranks
 of p-groups (Burnside basis theorem) and exponents, read off one walk of
-the group through its chain. Orbits, transversals and arc orbits share
-one breadth-first walk.
+the group through its chain by the pointer-doubling cycle-length kernel
+that also gives each element's order. Orbits, transversals and arc orbits
+share one breadth-first walk.
 
 Composition convention: permutations act on the right, x^(g*h) = (x^g)^h,
 and (g * h).images[x] == h.images[g.images[x]].
@@ -79,15 +80,24 @@ def _power(a: np.ndarray, k: int) -> np.ndarray:
     return result
 
 
+def _cycle_lengths(rows: np.ndarray) -> list[int]:
+    """The distinct cycle lengths of the permutations in a block of rows, ascending."""
+    k, n = rows.shape
+    # row r's point x is entry r*n + x of the flat block
+    a = (rows + n * np.arange(k)[:, None]).ravel()
+    # the smallest dtype that holds a flat position: exponent peaks in this loop
+    low = np.arange(k * n, dtype=np.min_scalar_type(k * n))
+    # after j rounds low[x] is the least of x, x^a, ..., x^(a^(2^j - 1))
+    for _ in range(max(n - 1, 0).bit_length()):
+        np.minimum(low, low[a], out=low)
+        a = a[a]
+    # a cycle's length is the count of its least point in low
+    return (np.flatnonzero(np.bincount(np.bincount(low))[1:]) + 1).tolist()
+
+
 def _order(a: np.ndarray) -> int:
     """Least common multiple of the cycle lengths of a."""
-    low = np.arange(len(a), dtype=a.dtype)
-    # after k rounds low[x] is the least of x, x^a, ..., x^(a^(2^k - 1))
-    for _ in range(max(len(a) - 1, 0).bit_length()):
-        low = np.minimum(low, low[a])
-        a = a[a]
-    lengths = np.bincount(low)
-    return math.lcm(*set(lengths[lengths > 0].tolist()))
+    return math.lcm(*_cycle_lengths(a[None, :]))
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -116,20 +126,23 @@ def _bfs(step, starts, size: int):
     """
     seen = np.zeros(size, dtype=bool)
     seen[np.asarray(starts, dtype=np.intp)] = True
-    points = np.flatnonzero(seen)
-    edges = np.full(len(points), -1)
+    points, edges = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+    end = np.count_nonzero(seen)
+    points[:end], edges[:end] = np.flatnonzero(seen), -1
     done = 0
-    while done < len(points):
-        images = step(points[done : done + BFS_BATCH])
+    while done < end:
+        images = step(points[done : min(done + BFS_BATCH, end)])
         cand = images.ravel()
         fresh = np.flatnonzero(~seen[cand])
         order = np.argsort(cand[fresh], kind="stable")  # to find first occurrences
         image = cand[fresh][order]
         hit = fresh[np.sort(order[np.diff(image, prepend=-1) != 0])]
         seen[cand[hit]] = True
-        edges = np.concatenate([edges, done * images.shape[1] + hit])
-        done, points = done + len(images), np.concatenate([points, cand[hit]])
-    return points, edges
+        new = end + len(hit)
+        edges[end:new] = done * images.shape[1] + hit
+        points[end:new] = cand[hit]
+        done, end = done + len(images), new
+    return points[:end], edges[:end]
 
 
 class Perm:
@@ -782,7 +795,8 @@ def frattini_rank(G: PermGroup, p: int, gens=None) -> int:
     return rank
 
 
-# Rows of the block exponent forms over the deepest levels (more if one orbit is longer)
+# Rows of the block exponent forms over the deepest levels, and so the most
+# rows any one call of the cycle-length kernel receives
 EXPONENT_BLOCK = 1024
 
 
@@ -791,9 +805,11 @@ def exponent(G: PermGroup) -> int:
 
     With v_i over the transversal inverses of chain level i, the products
     v_0 v_1 ... v_(L-1) invert the normal forms u_(L-1) ... u_0, so they
-    list G once each. The deepest levels are multiplied into one block of
-    rows; each product of the top levels is applied to the whole block.
-    Groups of order over G.caps.exponent_cap raise CapExceeded.
+    list G once each. The deepest levels whose product fits are multiplied
+    into one block of at most EXPONENT_BLOCK rows; each product of the top
+    levels is applied to the whole block, and the exponent is the lcm of
+    the block's cycle lengths, read by pointer doubling as Perm.order reads
+    them. Groups of order over G.caps.exponent_cap raise CapExceeded.
     """
     cap = G.caps.exponent_cap
     order = G.order()
@@ -804,20 +820,12 @@ def exponent(G: PermGroup) -> int:
     levels = [lv.inv[: len(lv.points)] for lv in G.chain().levels]
     ident = np.arange(G.degree, dtype=_DTYPE)
     block = ident[None, :]
-    while levels and (len(block) == 1 or len(block) * len(levels[-1]) <= EXPONENT_BLOCK):
+    while levels and len(block) * len(levels[-1]) <= EXPONENT_BLOCK:
         block = block[:, levels.pop()].reshape(-1, G.degree)  # row (b, v) is v * b = b[v]
     exp = 1
-    offsets = np.arange(len(block))[:, None] * G.degree
     for top in itertools.product(*levels):
         x = block[:, functools.reduce(lambda t, v: v[t], top, ident)]
-        # power holds x^k; a row leaves once it is the identity, at k = its order
-        power, k = x, 1
-        while len(x):
-            home = (power == ident).all(axis=1)
-            if home.any():
-                exp = math.lcm(exp, k)
-                x, power = x[~home], power[~home]
-            power, k = x.ravel()[power + offsets[: len(x)]], k + 1
+        exp = math.lcm(exp, *_cycle_lengths(x))
     return exp
 
 

@@ -173,6 +173,33 @@ def normal_closure_one_at_a_time(G, seeds):
     return added, chain
 
 
+def bfs_by_queue(arrs, starts, size):
+    """(points, edges) of a breadth-first walk, as `perm_group._bfs` defines them.
+
+    A FIFO queue over plain Python lists: the starts, sorted and without
+    repeats, come first with edge -1; then each popped point's images
+    under the generators, in generator order, join when new, with edge
+    i*k + g for the popped point's index i and the generator g.
+    """
+    arrs = [a.tolist() for a in arrs]
+    points = sorted(set(int(v) for v in starts))
+    edges = [-1] * len(points)
+    seen = [False] * size
+    for v in points:
+        seen[v] = True
+    i = 0
+    while i < len(points):
+        w = points[i]
+        for g, a in enumerate(arrs):
+            t = a[w]
+            if not seen[t]:
+                seen[t] = True
+                points.append(t)
+                edges.append(i * len(arrs) + g)
+        i += 1
+    return points, edges
+
+
 def transversal_by_queue(G, v, reverse=False):
     """Coset representatives {point: images} from a FIFO queue over the generators."""
     arrs = [g.images for g in G.generators]

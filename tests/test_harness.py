@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from arcgen import harness
 from arcgen.caps import CapExceeded, Caps
 from arcgen.graph_builder import CayleySpec, Graph, cayley, standard_connection
 from arcgen.group_algebra import AbelianH
@@ -14,7 +15,7 @@ from arcgen.harness import (
     verify_connection_subgroup,
     verify_generation,
 )
-from arcgen.perm_group import Perm, PermGroup, exponent
+from arcgen.perm_group import Perm, PermGroup, StabChain, exponent
 from arcgen.pipeline import ConstructionParams, build_bundle
 
 
@@ -147,6 +148,23 @@ def test_verify_generation_c5():
     assert verify_generation(inst, connection_generators(inst))
 
 
+@pytest.mark.parametrize("make", [c5_instance, regular_cayley_instance])
+def test_verify_generation_reuses_the_group_chain(make, monkeypatch):
+    inst = make()
+    inst.group.order()  # the group's one chain
+    builds = []
+    init = StabChain.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabChain, "__init__", counted)
+    assert verify_generation(inst, connection_generators(inst))
+    assert verify_generation(inst, connection_generators(inst, reverse=True))
+    assert not builds
+
+
 # -- bound reports -----------------------------------------------------------
 
 
@@ -181,6 +199,13 @@ def test_bound_report_family_graph(family_instance):
     # |H| * |G_alpha| overcounts whenever the two subgroups intersect
     assert not rep.order_equality
     assert rep.G_order <= rep.H_order * rep.G_alpha_order
+
+
+def test_bound_report_rejects_outcomes_that_change_with_the_choice(monkeypatch):
+    answers = iter([True, False])
+    monkeypatch.setattr(harness, "verify_generation", lambda inst, gens: next(answers))
+    with pytest.raises(AssertionError, match="changed under a different representative"):
+        bound_report(c5_instance())
 
 
 def test_exponent_of_connection_subgroup_divides_group_exponent():

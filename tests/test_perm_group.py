@@ -28,6 +28,7 @@ from arcgen.perm_group import (
 from arcgen.pipeline import Bundle, ConstructionParams
 from oracles import (
     arc_orbit_size_by_queue,
+    bfs_by_queue,
     brute_force_min_generators,
     enumerate_elements,
     exponent_by_table,
@@ -974,13 +975,60 @@ def test_exponent_matches_element_orders(gens):
     assert exponent(G) == math.lcm(*(Perm(x).order() for x in enumerate_elements(G)))
 
 
+def regular_cyclic(n):
+    return PermGroup([cycle(n)])
+
+
+def dihedral(n):
+    return PermGroup([cycle(n), Perm([(-i) % n for i in range(n)])])
+
+
+@pytest.mark.parametrize("make", [regular_cyclic, dihedral])
+@pytest.mark.parametrize("n", [64, 1100])
+def test_exponent_matches_element_orders_on_cycles(make, n):
+    G = make(n)
+    if n > perm_group.EXPONENT_BLOCK:  # the first level's orbit is longer than a block
+        assert len(G.chain().levels[0].points) > perm_group.EXPONENT_BLOCK
+    assert exponent(G) == math.lcm(*(Perm(x).order() for x in enumerate_elements(G)))
+
+
+@pytest.mark.parametrize("make", [regular_cyclic, dihedral])
+def test_exponent_kernel_calls_stay_within_the_block(make, monkeypatch):
+    rows = []
+    kernel = perm_group._cycle_lengths
+
+    def counted(block):
+        rows.append(len(block))
+        return kernel(block)
+
+    monkeypatch.setattr(perm_group, "_cycle_lengths", counted)
+    assert exponent(make(1100)) == 1100
+    assert rows and max(rows) <= perm_group.EXPONENT_BLOCK
+    rows.clear()
+    assert exponent(PermGroup(_symmetric(7))) == 420
+    assert rows and max(rows) <= perm_group.EXPONENT_BLOCK
+
+
+def test_bfs_matches_queue_reference():
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randrange(1, 300)
+        arrs = np.array([rng.sample(range(n), n) for _ in range(rng.randrange(1, 4))])
+        starts = [rng.randrange(n) for _ in range(rng.randrange(1, 4))]
+        points, edges = perm_group._bfs(lambda f: arrs[:, f].T, starts, n)
+        assert (points.tolist(), edges.tolist()) == bfs_by_queue(arrs, starts, n)
+    arrs = dihedral(16384)._images()
+    points, edges = perm_group._bfs(lambda f: arrs[:, f].T, 0, 16384)
+    assert (points.tolist(), edges.tolist()) == bfs_by_queue(arrs, [0], 16384)
+
+
 def test_exponent_blocks(monkeypatch):
     S8 = PermGroup(_symmetric(8))
     assert S8.order() > perm_group.EXPONENT_BLOCK  # more than one block
     assert exponent(S8) == 840
     assert exponent(PermGroup.trivial(5)) == 1
     assert exponent(PermGroup([Perm.identity(4)])) == 1
-    # a block of one level only, longer than the block size
+    # a block too small for any level: every level is walked on top
     monkeypatch.setattr(perm_group, "EXPONENT_BLOCK", 1)
     assert exponent(PermGroup(_symmetric(6))) == 60
     assert exponent(dihedral_c5()) == 10
