@@ -32,11 +32,11 @@ EXIT_PARTIAL = 4
 
 
 def cap(text: str) -> int:
-    """An integer N, or a power B^E such as 2^20000 up to 2^(2^20)."""
-    power = re.fullmatch(r"(\d+)\^(\d+)", text, re.ASCII)
-    if power is None:
-        return int(text)
-    base, exp = int(power[1]), int(power[2])
+    """An ASCII decimal N, or a power B^E such as 2^20000 up to 2^(2^20)."""
+    form = re.fullmatch(r"(\d+)(?:\^(\d+))?", text, re.ASCII)
+    if form is None:
+        raise ValueError(f"not a decimal N or B^E: {text!r}")
+    base, exp = int(form[1]), int(form[2] or 1)
     if (base - 1).bit_length() * exp > 1 << 20:  # B^E <= 2^(E * bits(B - 1))
         raise ValueError("power past 2^(2^20)")
     return base**exp
@@ -103,13 +103,16 @@ def _cmd_construct(args) -> int:
         )
     out = Path(args.out)
     suffix = ".edges" if args.format == "edge-list" else ".s6"
-    graph_path = out.with_name(out.name + suffix)
-    graph_path.write_bytes(export_graph(bundle.graph, args.format))
+    files = {suffix: export_graph(bundle.graph, args.format)}
     for ext, group in ((".big.gens", bundle.big_group), (".small.gens", bundle.small_group)):
-        out.with_name(out.name + ext).write_text(
-            "\n".join(perm_to_line(g) for g in group.generators) + "\n",
-            encoding="ascii",
-        )
+        files[ext] = ("\n".join(perm_to_line(g) for g in group.generators) + "\n").encode("ascii")
+    for ext, data in files.items():
+        path = out.with_name(out.name + ext)
+        try:
+            path.write_bytes(data)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     print(
         f"{params.p} {params.h} {bundle.graph.n} {bundle.graph.valency()} "
         f"{bundle.big_group.order()}"

@@ -8,6 +8,8 @@ the subgroup is transitive, the group factors as stabilizer times
 subgroup, the vertex count is at most the subgroup order, the group
 order is at most subgroup order times (n-1)!, and stabilizer generators
 together with the extracted elements generate the whole group.
+The subgroup's orbit of the base vertex is its component, so that walk
+is the connectivity check; each group gets one chain, based there.
 
 The factorial bound uses the concrete subgroup order where the abstract
 argument would use the restricted-Burnside value for the valency and
@@ -59,7 +61,8 @@ class VTInstance:
     """A vertex-transitive pair: graph plus automorphism group.
 
     Validation happens at load: degrees must match, every generator must
-    be an automorphism, and the group must be vertex-transitive.
+    be an automorphism, and the group must be vertex-transitive;
+    bound_report checks connectivity.
     """
 
     graph: Graph
@@ -75,8 +78,6 @@ class VTInstance:
             raise ValueError("base vertex out of range")
         if not is_vertex_transitive(self.graph, self.group):
             raise ValueError("group is not vertex-transitive")
-        if not self.graph.is_connected():
-            raise ValueError("graph is not connected")
 
 
 def load_instance(text: str, caps: Caps = DEFAULT_CAPS) -> VTInstance:
@@ -116,13 +117,12 @@ def connection_generators(inst: VTInstance, reverse: bool = False) -> list[Perm]
     `reverse` re-runs the BFS with the generator list reversed, which
     exercises a different (equally valid) choice of coset representatives.
     """
-    reps = inst.group.transversal(inst.base_vertex, reverse=reverse)
-    out = []
-    for beta in inst.graph.neighbors(inst.base_vertex):
-        g = reps[beta]
-        if g(inst.base_vertex) != beta:
+    base = inst.base_vertex
+    nbrs = inst.graph.neighbors(base)
+    out = inst.group.transversal(base, nbrs, reverse=reverse)
+    for g, beta in zip(out, nbrs):
+        if g(base) != beta:
             raise AssertionError("transversal element misses its neighbor")
-        out.append(g)
     return out
 
 
@@ -181,35 +181,25 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
-def _choice_outcomes(inst: VTInstance, gens: list[Perm]) -> tuple[PermGroup, tuple]:
-    """Check one choice of connection elements; return H and its outcomes.
+def _choice_outcomes(inst: VTInstance, gens: list[Perm]) -> tuple[int, tuple]:
+    """Check one choice of connection elements; return |H| and its outcomes.
 
-    The outcomes are (decomposition, size bound, generation). A failed
-    precondition (neighbor, membership, transitivity, Lagrange, orbit
-    size) is a defect and raises AssertionError.
+    The outcomes are (decomposition, size bound, generation). H's orbit of
+    the base vertex is its component, so a disconnected graph raises
+    ValueError before any chain is built; a failed Lagrange check is a
+    defect and raises AssertionError. H's chain dies with the call.
     """
     graph, G, base = inst.graph, inst.group, inst.base_vertex
-    if len(gens) != graph.valency():
-        raise AssertionError("expected exactly one element per neighbor")
-    for g, beta in zip(gens, graph.neighbors(base)):
-        if g(base) != beta:
-            raise AssertionError("connection element misses its neighbor")
-        if not G.contains(g):
-            raise AssertionError("connection element escaped the group")
     H_sub, transitive = verify_connection_subgroup(inst, gens)
     if not transitive:
-        raise AssertionError(
-            "connection subgroup of a connected instance must be transitive"
-        )
+        raise ValueError("graph is not connected")
+    decomposition_ok = frattini_decomposition_check(G, H_sub, base)
     H_order, G_order = H_sub.order(), G.order()
     if H_order % graph.n != 0 or G_order % H_order != 0:
         raise AssertionError("Lagrange divisibility failed")
-    if graph.n > H_order:
-        raise AssertionError("orbit size exceeds the subgroup order")
-    decomposition_ok = frattini_decomposition_check(G, H_sub, base)
     # n <= |H| holds here, so the size bound rests on |G| <= |H| (n-1)!
     size_bound_ok = G_order <= H_order * math.factorial(graph.n - 1)
-    return H_sub, (decomposition_ok, size_bound_ok, verify_generation(inst, gens))
+    return H_order, (decomposition_ok, size_bound_ok, verify_generation(inst, gens))
 
 
 def bound_report(inst: VTInstance) -> BoundReport:
@@ -224,7 +214,7 @@ def bound_report(inst: VTInstance) -> BoundReport:
     """
     graph, G, base = inst.graph, inst.group, inst.base_vertex
     gens = connection_generators(inst)
-    H_sub, outcomes = _choice_outcomes(inst, gens)
+    H_order, outcomes = _choice_outcomes(inst, gens)
     try:
         e = exponent(G)
     except CapExceeded as exc:
@@ -235,8 +225,7 @@ def bound_report(inst: VTInstance) -> BoundReport:
         raise AssertionError(
             "bound outcomes changed under a different representative choice"
         )
-    H_order, G_order = H_sub.order(), G.order()
-    G_alpha_order = G.stabilizer(base).order()
+    G_order, G_alpha_order = G.order(), G.stabilizer(base).order()
     return BoundReport(  # the outcomes fill decomposition_ok .. generation_ok
         graph.n, graph.valency(), e, gens, H_order, G_order, G_alpha_order,
         *outcomes, G_order == H_order * G_alpha_order,

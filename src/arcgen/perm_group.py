@@ -674,33 +674,42 @@ class PermGroup:
             left[out[-1]] = False
         return out
 
-    def transversal(self, v: int, reverse: bool = False) -> dict[int, Perm]:
-        """Deterministic coset representatives u with v^u = point (BFS)."""
+    def transversal(self, v: int, points, reverse: bool = False) -> list[Perm]:
+        """Coset representatives u with v^u = x, one per requested point x.
+
+        Each u is the product of the generators along x's breadth-first
+        path from v (over the generators reversed if reverse), so no
+        table of the orbit is kept.
+        """
         arrs = self._images()[::-1] if reverse else self._images()
-        points, edges = _bfs(lambda f: arrs[:, f].T, v, self.degree)
-        reps = np.empty((len(points), self.degree), dtype=_DTYPE)
-        reps[0] = np.arange(self.degree)
-        for j, e in enumerate(edges[1:].tolist(), 1):
-            i, g = divmod(e, len(arrs))
-            reps[j] = arrs[g][reps[i]]  # u_j = u_i * a_g
-        return {int(x): Perm._wrap(r) for x, r in zip(points, reps)}
+        reached, edges = _bfs(lambda f: arrs[:, f].T, v, self.degree)
+        where = np.full(self.degree, -1, dtype=np.intp)
+        where[reached] = np.arange(len(reached))
+        reps = []
+        for x in points:
+            j = int(where[x])
+            if j < 0:
+                raise ValueError(f"point {x} is not in the orbit of {v}")
+            u = np.arange(self.degree, dtype=_DTYPE)
+            while j:  # reached[0] is v; u_j = u_i * a_g, built from the right
+                j, g = divmod(int(edges[j]), len(arrs))
+                u = u[arrs[g]]
+            reps.append(Perm._wrap(u))
+        return reps
 
     def stabilizer(self, v: int) -> "PermGroup":
         """Point stabilizer, generated by the chain's deeper strong generators.
 
-        The group's own chain serves when its first base point is v; with
-        no chain yet, the group's one chain is built with base v first,
-        unless the group extends a subgroup, whose chain it then extends.
-        Only a different first base point costs a fresh chain.
+        The group's own chain serves when its first base point is v (a
+        group that extends a subgroup first extends the subgroup's chain).
+        Otherwise the chain is rebuilt with base v first and kept as the
+        group's chain, so a second call at v builds nothing.
         """
         if not 0 <= v < self.degree:
             raise ValueError(f"point {v} out of range")
-        if self._chain is None and self._sub is None:
+        chain = self._chain if self._sub is None else self.chain()
+        if chain is None or chain.base()[:1] != [v]:
             chain = self._chain = self.fresh_chain(base_prefix=(v,))
-        else:
-            chain = self.chain()
-            if chain.base()[:1] != [v]:
-                chain = self.fresh_chain(base_prefix=(v,))
         gens = [Perm._wrap(a.copy()) for a in chain.strong_generators(1)]
         sub = StabChain._from_levels(self.degree, chain.levels[1:], self.caps)
         return PermGroup._with_chain(gens, sub, self.degree, self.caps)
@@ -902,27 +911,24 @@ def local_action(graph: Graph, G: PermGroup, v: int) -> tuple[PermGroup, int]:
 def frattini_decomposition_check(G: PermGroup, H_sub: PermGroup, v: int) -> bool:
     """Certify G = G_v * H_sub for a transitive subgroup H_sub.
 
+    G_v and H_v are taken first, so each group's one chain is based at v.
     Preconditions: H_sub's generators lie in G (checked by sifting) and
-    H_sub is transitive on all points; a violation of transitivity raises
+    H_sub is transitive on all points, read off orbit-stabilizer as
+    |H| = |H_v| * n; a violation of transitivity raises
     NotTransitiveError, which is distinct from the check returning False.
     The decomposition itself is certified by the two order identities
     |G| = |G_v| * n and |G_v| * |H| / |H_v| = |G|.
     """
     if H_sub.degree != G.degree:
         raise ValueError("degree mismatch")
+    gv_order, hv_order = G.stabilizer(v).order(), H_sub.stabilizer(v).order()
     for g in H_sub.generators:
         if not G.contains(g):
             raise ValueError("subgroup generator does not lie in the ambient group")
-    n = G.degree
-    if len(H_sub.orbit(v)) != n:
+    n, g_order, h_order = G.degree, G.order(), H_sub.order()
+    if h_order != hv_order * n:
         raise NotTransitiveError("subgroup is not transitive on the vertex set")
-    g_order = G.order()
-    gv_order = G.stabilizer(v).order()
-    h_order = H_sub.order()
-    hv_order = H_sub.stabilizer(v).order()
-    if g_order != gv_order * n:
-        return False
-    return gv_order * h_order // hv_order == g_order
+    return g_order == gv_order * n and gv_order * h_order // hv_order == g_order
 
 
 def perm_to_line(perm: Perm) -> str:

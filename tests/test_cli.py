@@ -91,6 +91,16 @@ def test_construct_cap_exit(tmp_path, capsys):
     assert "order cap (100) exceeded" in stderr
 
 
+def test_construct_unwritable_out_is_invalid_input(tmp_path, capsys):
+    out = tmp_path / "missing" / "g"
+    code, stdout, stderr = run_cli(
+        capsys, "construct", "--p", "2", "--h", "1", "--out", str(out)
+    )
+    assert code == EXIT_INPUT
+    assert stdout == ""
+    assert stderr.splitlines()[-1].startswith(f"error: cannot write {out}.edges: ")
+
+
 # -- verify-t1 ---------------------------------------------------------------
 
 
@@ -233,6 +243,31 @@ def test_verify_t2_round_trip_under_the_exponent_cap(tmp_path, capsys):
         assert line in stdout.splitlines()
 
 
+TWO_TRIANGLES_INSTANCE = """6 6
+0 1
+1 2
+0 2
+3 4
+4 5
+3 5
+
+1 2 0 4 5 3
+3 4 5 0 1 2
+"""
+
+
+@pytest.mark.parametrize("caps", [(), ("--order-cap", "1")])
+def test_verify_t2_disconnected_instance(tmp_path, capsys, caps):
+    # vertex-transitive but two components: the connection subgroup's
+    # orbit of vertex 0 is its triangle, found before any chain is built
+    path = tmp_path / "two_triangles.instance"
+    path.write_text(TWO_TRIANGLES_INSTANCE)
+    code, stdout, stderr = run_cli(capsys, "verify-t2", str(path), *caps)
+    assert code == EXIT_INPUT
+    assert stdout == ""
+    assert stderr == "error: graph is not connected\n"
+
+
 def test_verify_t2_order_cap_still_exits_3(tmp_path, capsys):
     path = tmp_path / "c5.instance"
     path.write_text(C5_INSTANCE)
@@ -275,7 +310,9 @@ def test_caps_accept_powers(tmp_path, capsys):
     assert "G_order=10" in stdout and "generation_ok=true" in stdout
 
 
-@pytest.mark.parametrize("cap", ["2^", "^3", "2^-1", "0^5", "2^1048577", "10^99999999999"])
+@pytest.mark.parametrize(
+    "cap", ["2^", "^3", "2^-1", "0^5", "2^1048577", "10^99999999999", "５", "1_0", "+5", " 5"]
+)
 def test_bad_power_caps_rejected(capsys, cap):
     for flag in ("--order-cap", "--exponent-cap"):
         assert exit_code(capsys, "verify-t1", "--p", "2", "--h", "1", flag, cap) == EXIT_INPUT

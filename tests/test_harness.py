@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -15,8 +16,9 @@ from arcgen.harness import (
     verify_connection_subgroup,
     verify_generation,
 )
-from arcgen.perm_group import Perm, PermGroup, StabChain, exponent
+from arcgen.perm_group import Perm, PermGroup, exponent
 from arcgen.pipeline import ConstructionParams, build_bundle
+from test_perm_group import count_chain_builds
 
 
 def c5_instance():
@@ -34,6 +36,14 @@ def regular_cayley_instance():
 
     group = PermGroup([translation((1, 0)), translation((0, 1))])
     return VTInstance(graph=graph, group=group)
+
+
+def dihedral_instance(n, reflection_first=False):
+    graph = Graph(n, [(k, (k + 1) % n) for k in range(n)])
+    rotation = Perm([(k + 1) % n for k in range(n)])
+    reflection = Perm([(-k) % n for k in range(n)])
+    gens = [reflection, rotation] if reflection_first else [rotation, reflection]
+    return VTInstance(graph=graph, group=PermGroup(gens))
 
 
 @pytest.fixture(scope="module")
@@ -152,14 +162,7 @@ def test_verify_generation_c5():
 def test_verify_generation_reuses_the_group_chain(make, monkeypatch):
     inst = make()
     inst.group.order()  # the group's one chain
-    builds = []
-    init = StabChain.__init__
-
-    def counted(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(StabChain, "__init__", counted)
+    builds = count_chain_builds(monkeypatch)
     assert verify_generation(inst, connection_generators(inst))
     assert verify_generation(inst, connection_generators(inst, reverse=True))
     assert not builds
@@ -199,6 +202,41 @@ def test_bound_report_family_graph(family_instance):
     # |H| * |G_alpha| overcounts whenever the two subgroups intersect
     assert not rep.order_equality
     assert rep.G_order <= rep.H_order * rep.G_alpha_order
+
+
+@pytest.mark.parametrize("reflection_first", [False, True])
+def test_bound_report_builds_one_chain_per_group(monkeypatch, reflection_first):
+    # G, then the connection subgroup of each representative choice; the
+    # stabilizers, the generation checks and the exponent reuse them
+    inst = dihedral_instance(64, reflection_first)
+    builds = count_chain_builds(monkeypatch)
+    rep = bound_report(inst)
+    assert len(builds) == 3
+    assert (rep.G_order, rep.G_alpha_order, rep.e) == (128, 2, 64)
+    assert inst.group.chain().base()[0] == inst.base_vertex
+
+
+def test_connection_elements_own_their_images():
+    inst = dihedral_instance(64)
+    for reverse in (False, True):
+        gens = connection_generators(inst, reverse=reverse)
+        assert all(g.images.base is None for g in gens)
+    assert all(g.images.base is None for g in bound_report(inst).connection_gens)
+
+
+def test_bound_report_memory_is_not_held_by_transversal_tables():
+    # a level whose orbit is the whole 1,024-cycle holds 1,024 rows of 4 KB
+    # (4 MB); G, one subgroup and one generation check hold such a level
+    # at once, so one more table or chain that outlives its use passes 20 MB
+    inst = dihedral_instance(1024)
+    tracemalloc.start()
+    try:
+        rep = bound_report(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.all_ok and rep.e == 1024
+    assert peak < 20 * 2**20, peak
 
 
 def test_bound_report_rejects_outcomes_that_change_with_the_choice(monkeypatch):

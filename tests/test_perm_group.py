@@ -294,6 +294,17 @@ def test_stabilizer_first_builds_the_one_chain(monkeypatch):
     assert all(g(0) == 0 for g in stab.generators)
 
 
+def test_stabilizer_at_a_new_first_base_keeps_its_chain(monkeypatch):
+    G = dihedral_c5()
+    assert G.order() == 10 and G.chain().base()[0] == 0
+    builds = count_chain_builds(monkeypatch)
+    assert G.stabilizer(3).order() == 2
+    assert len(builds) == 1 and G.chain().base()[0] == 3
+    assert G.stabilizer(3).order() == 2 and G.order() == 10
+    assert G.contains(cycle(5))
+    assert len(builds) == 1
+
+
 def test_stabilizer_generators_independent_of_call_order():
     # a cached chain must hand out exactly the generators a fresh chain
     # with the same first base point would
@@ -486,10 +497,12 @@ def test_prime_coset_order_generator_is_sifted_once(monkeypatch):
 
 def test_transversal_images():
     G = dihedral_c5()
-    reps = G.transversal(0)
-    assert sorted(reps) == list(range(5))
-    for point, g in reps.items():
-        assert g(0) == point
+    reps = G.transversal(0, [3, 0, 1])
+    assert [g(0) for g in reps] == [3, 0, 1]
+    assert all(g.images.base is None for g in reps)  # nothing pins a table
+    assert G.transversal(0, [2], reverse=True)[0](0) == 2
+    with pytest.raises(ValueError, match="not in the orbit"):
+        PermGroup([Perm([1, 2, 0, 3])]).transversal(0, [3])
 
 
 # -- local action ------------------------------------------------------------
@@ -933,10 +946,10 @@ def test_fallback_then_prime_steps_against_sympy(monkeypatch, gens):
 def assert_walks_match_queues(graph, G, points, arcs):
     for v in points:
         for reverse in (False, True):
-            ours = G.transversal(v, reverse=reverse)
             ref = transversal_by_queue(G, v, reverse)
-            assert list(ours) == list(ref)
-            assert all(np.array_equal(ours[x].images, ref[x]) for x in ref)
+            ours = G.transversal(v, list(ref), reverse=reverse)
+            assert len(ours) == len(ref)
+            assert all(np.array_equal(u.images, ref[x]) for u, x in zip(ours, ref))
         assert G.orbit(v) == sorted(ref)
     for arc in arcs:
         assert arc_orbit_size(graph, G, arc) == arc_orbit_size_by_queue(graph, G, arc)
