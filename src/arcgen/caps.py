@@ -41,7 +41,8 @@ class Caps:
     order_cap: largest permutation-group order a stabilizer chain may reach.
     exponent_cap: largest group order for which full element enumeration
         (exponent computation) is attempted.
-    ambient_cap: largest ambient dimension for dense group-algebra matrices.
+    ambient_cap: largest group-algebra dimension q^2; it bounds the module
+        basis (q(q+1)/2 rows of length q^2) and the module permutations.
     vertex_cap: largest vertex count for constructed or parsed graphs.
     time_cap_s: optional wall-clock budget, per stabilizer-chain build.
     """

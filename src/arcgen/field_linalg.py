@@ -7,11 +7,12 @@ coercion. Subspaces have a canonical reduced row-echelon basis, so two
 subspaces are equal exactly when their canonical bases are identical.
 
 A subspace is kept in one of two forms. A coordinate subspace, whose
-canonical basis is unit rows, keeps only its pivot columns: its images,
-sums and membership tests index and compare column sets, with no
-product, and its dense basis is built only when a caller reads it. Any
-other subspace keeps its dense basis. Both forms give identical results
-for every operation.
+canonical basis is unit rows, keeps only its pivot columns: its sums and
+membership tests compare column sets, and its image under an index map
+(e_k -> e_t[k], or zero) is the set of targets, all with no product;
+its dense basis is built only when a caller reads it. Any other subspace
+keeps its dense basis. Both forms give identical results for every
+operation.
 
 Vectors are rows throughout the library and operators multiply on the
 right.
@@ -393,26 +394,24 @@ class FpSubspace:
         order = np.argsort(np.concatenate([self._pivots, extra._pivots]), kind="stable")
         return FpSubspace(self.ambient_dim, FpMatrix._make(rows[order], self.p))
 
-    def image(self, m: FpMatrix) -> "FpSubspace":
-        """Image of the subspace under right multiplication by m.
+    def image(self, targets) -> "FpSubspace":
+        """Image under the index map e_k -> e_targets[k], a target -1 meaning zero.
 
-        A coordinate subspace maps to the span of m's rows at its columns,
-        with no product; when each of those rows has at most one nonzero
-        entry, that span is the coordinate subspace on their columns.
+        A coordinate subspace maps to the coordinate subspace on its
+        columns' targets, with no product; any other subspace to the span
+        of its basis rows with entry k moved to column targets[k].
         """
-        if self.p != m.p:
-            raise ModulusMismatchError(f"moduli differ: {self.p} vs {m.p}")
-        if self.dim == 0:
-            return FpSubspace.zero(m.cols, self.p)
-        if not self._unit:
-            return FpSubspace.from_rows(self.basis @ m)
-        if m.rows != self.ambient_dim:
-            raise ValueError("matrix rows do not match the ambient dimension")
-        rows = m.a[self._pivots]
-        nonzero = rows != 0
-        if (np.count_nonzero(nonzero, axis=1) <= 1).all():
-            return FpSubspace.coordinate(m.cols, np.flatnonzero(nonzero.any(axis=0)), self.p)
-        return FpSubspace.from_rows(FpMatrix._make(rows, self.p))
+        t = np.asarray(targets, dtype=np.int64)
+        n = self.ambient_dim
+        if t.shape != (n,) or (n and not (-1 <= t.min() and t.max() < n)):
+            raise ValueError("index map does not match the ambient dimension")
+        if self._unit:
+            cols = t[self._pivots]
+            return FpSubspace.coordinate(n, cols[cols >= 0], self.p)
+        keep = np.flatnonzero(t >= 0)
+        rows = np.zeros((self.dim, n), dtype=np.int64)
+        np.add.at(rows, (slice(None), t[keep]), self.basis.a[:, keep])
+        return FpSubspace.from_rows(FpMatrix._make(rows % self.p, self.p))
 
     def __repr__(self) -> str:
         return f"FpSubspace(dim={self.dim}, ambient={self.ambient_dim}, p={self.p})"

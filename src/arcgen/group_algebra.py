@@ -5,12 +5,12 @@ This module carries the algebraic half of the construction:
 * the change of basis between the natural basis {a^i b^j} and the
   filtered basis {(a-1)^x (b-1)^y}, which is P ⊗ P for a q x q matrix P
   and is kept and applied as that factor alone,
-* the descent V ⊃ VI ⊃ VI^2 ⊃ ... by the augmentation ideal I, one
-  walk with two uses: from the whole algebra it is the filtration, and
-  from a submodule V it gives dim V/VI, the minimal number of module
-  generators by Nakayama's lemma (the group algebra of a p-group over
-  F_p is local); no term is closed under the actions again, because
-  the images of a submodule under the s - 1 already sum to one,
+* the descent V ⊃ VI ⊃ VI^2 ⊃ ... by the augmentation ideal I, walked
+  on coordinate subspaces along the index shifts a - 1: e_xy -> e_(x+1,y)
+  and b - 1: e_xy -> e_(x,y+1), which one tripwire on a q x q factor
+  proves; from the whole algebra it is the filtration, and from a
+  submodule V it gives dim V/VI, the minimal number of module generators
+  by Nakayama's lemma (the group algebra of a p-group over F_p is local),
 * the swap and inversion outer symmetries, checked to keep every term
   of the filtration, read as the level x + y of each e_xy from their
   q x q factors.
@@ -33,7 +33,6 @@ __all__ = [
     "EBasisChange",
     "GammaChain",
     "build_e_basis",
-    "action_matrix",
     "gamma_chain",
     "section_dims",
     "min_generators_local",
@@ -137,13 +136,12 @@ class EBasisChange:
     P_inv: FpMatrix
 
     def conjugate_to_e(self, m: FpMatrix) -> FpMatrix:
-        """Rewrite a right-action operator from natural to e coordinates.
+        """P^T m P^-T for a q x q factor m of a right-action operator.
 
-        With row vectors v = w (P ⊗ P)^T, the operator matrix transforms
-        as A_e = (P ⊗ P)^T A_nat (P^-1 ⊗ P^-1)^T.
+        With rows v = w (P ⊗ P)^T, the operator m ⊗ m' has the e-basis
+        matrix (P^T m P^-T) ⊗ (P^T m' P^-T) by the mixed-product rule.
         """
-        right = _kron_rows(m, self.P_inv.transpose())
-        return _kron_rows(right.transpose(), self.P).transpose()
+        return self.P.transpose() @ m @ self.P_inv.transpose()
 
 
 def build_e_basis(H: AbelianH) -> EBasisChange:
@@ -168,31 +166,6 @@ def build_e_basis(H: AbelianH) -> EBasisChange:
     return EBasisChange(H=H, P=P, P_inv=P_inv)
 
 
-def action_matrix(
-    H: AbelianH,
-    generator: str,
-    basis: str = "natural",
-    change: EBasisChange | None = None,
-) -> FpMatrix:
-    """Matrix of "a", "b", "phi" or "psi" (see `AbelianH.index_map`).
-
-    Vectors are rows and the matrix acts on the right: row index(i, j)
-    holds the image of the basis element a^i b^j, the unit row at
-    index_map(generator)[index(i, j)]. The e-basis matrix is obtained by
-    honestly conjugating the natural one through the basis change (never
-    by assuming the closed form, which is what the tests verify against).
-    """
-    if generator not in ("a", "b", "phi", "psi"):
-        raise ValueError(f"unknown generator {generator!r}")
-    nat_m = FpMatrix(np.eye(H.ambient, dtype=np.int64)[H.index_map(generator)], H.p)
-    if basis == "natural":
-        return nat_m
-    if basis == "e":
-        change = change or build_e_basis(H)
-        return change.conjugate_to_e(nat_m)
-    raise ValueError(f"unknown basis {basis!r}")
-
-
 @dataclass(frozen=True)
 class GammaChain:
     """Descending filtration of F_p[H], in e-basis coordinates.
@@ -201,13 +174,13 @@ class GammaChain:
     checks; it strictly descends from the whole algebra (i = 0) to zero
     (i = 2q - 1). dims[i] is the dimension of term i, and top is term
     q - 1, the one the family construction uses. Every term is a
-    coordinate subspace, kept as the indices of its e_xy. actions holds
-    the e-basis matrices of a and b, whose g - 1 the descent walked.
+    coordinate subspace, kept as the indices of its e_xy. shifts holds the
+    read-only index maps of a - 1 and b - 1 that the descent walked.
     """
 
     dims: list[int]
     top: FpSubspace
-    actions: tuple[FpMatrix, FpMatrix]
+    shifts: tuple[np.ndarray, np.ndarray]
 
 
 def _e_unit_span(q: int, p: int, level: int) -> FpSubspace:
@@ -216,19 +189,20 @@ def _e_unit_span(q: int, p: int, level: int) -> FpSubspace:
     return FpSubspace.coordinate(q * q, np.flatnonzero(x + y >= level), p)
 
 
-def _descent(space: FpSubspace, deltas: list[FpMatrix]):
-    """Yield space*I, space*I^2, ... for the ideal I spanned by the deltas.
+def _descent(space: FpSubspace, shifts):
+    """Yield space*I, space*I^2, ... for the ideal I spanned by the shifts.
 
-    Each term is the sum of the previous term's images under the deltas,
-    starting from the zero subspace. The walk stops after the zero term,
+    Each term is the sum of the previous term's images under the shifts,
+    index maps (see `FpSubspace.image`), starting from the zero subspace.
+    The walk stops after the zero term,
     or after the first term that does not shrink, so a caller that finds
     a nonzero last term knows the descent stalled.
     """
     n, p = space.ambient_dim, space.p
     while True:
         nxt = FpSubspace.zero(n, p)
-        for d in deltas:
-            nxt = nxt + space.image(d)
+        for s in shifts:
+            nxt = nxt + space.image(s)
         yield nxt
         if nxt.dim == 0 or nxt.dim >= space.dim:
             return
@@ -239,19 +213,28 @@ def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
     """Walk the descent V -> V(a-1) + V(b-1) from the whole algebra to zero.
 
     This computes [V, H] using only the two generators, which suffices
-    because (gh - 1) = (g - 1)h + (h - 1) and H is abelian. Each term is
-    checked against the expected spanning set {e_xy : x + y >= i}; a
-    mismatch, or a walk that stops short of zero, is a defect and raises
-    AssertionError.
+    because (gh - 1) = (g - 1)h + (h - 1) and H is abelian. a is A ⊗ I and
+    b is I ⊗ A on the natural basis, A the cyclic shift of C_q; once the
+    tripwire finds P^T A P^-T = I + N (N the superdiagonal shift), a - 1
+    and b - 1 send e_xy to e_(x+1,y) and e_(x,y+1), or to zero at x or
+    y = q - 1, and the walk follows those index maps. That check failing,
+    a term other than {e_xy : x + y >= i}, or a walk that stops short of
+    zero is a defect and raises AssertionError.
     """
     change = change or build_e_basis(H)
     p, q, n = H.p, H.q, H.ambient
-    actions = (action_matrix(H, "a", "e", change), action_matrix(H, "b", "e", change))
-    # no identity is kept through the walk, which already holds both actions
-    deltas = [g - FpMatrix.identity(n, p) for g in actions]
+    unit, shift = np.eye(q, dtype=np.int64), np.eye(q, k=1, dtype=np.int64)
+    a_factor = FpMatrix(np.roll(unit, 1, axis=1), p)  # row i is the unit row at i + 1 mod q
+    if change.conjugate_to_e(a_factor) != FpMatrix(unit + shift, p):
+        raise AssertionError("a does not act on the e basis as I + N, construction defect")
+    k = np.arange(n)
+    x, y = np.divmod(k, q)
+    shifts = (np.where(x < q - 1, k + q, -1), np.where(y < q - 1, k + 1, -1))
+    for s in shifts:
+        s.setflags(write=False)
     dims = [n]
     top = None
-    for i, term in enumerate(_descent(FpSubspace.full(n, p), deltas), 1):
+    for i, term in enumerate(_descent(FpSubspace.full(n, p), shifts), 1):
         if term != _e_unit_span(q, p, i):
             raise AssertionError(
                 f"filtration step {i} does not match its expected spanning set"
@@ -261,7 +244,7 @@ def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
             top = term
     if dims[-1] != 0:
         raise AssertionError("filtration does not reach zero")
-    return GammaChain(dims=dims, top=top, actions=actions)
+    return GammaChain(dims=dims, top=top, shifts=shifts)
 
 
 def section_dims(chain: GammaChain) -> list[int]:
@@ -274,51 +257,38 @@ def section_dims(chain: GammaChain) -> list[int]:
     return [d[i] - d[i + 1] for i in range(len(d) - 1)]
 
 
-def min_generators_local(
-    V: FpSubspace, actions: list[FpMatrix], p: int
-) -> int:
+def min_generators_local(V: FpSubspace, shifts) -> int:
     """Minimal number of module generators of V over the acting group.
 
-    Valid when the acting group is unipotent on V over F_p (the p-group
-    case, where the group algebra is local and Nakayama's lemma applies):
-    the answer is dim V / (V * I) with I the augmentation ideal, and dim V
-    for an empty action list.
+    Each shift is the index map of g - 1 for a generator g of the acting
+    group, as in `GammaChain.shifts`. Valid when the acting group is
+    unipotent on V over F_p (the p-group case, where the group algebra is
+    local and Nakayama's lemma applies): the answer is dim V / (V * I)
+    with I the augmentation ideal, and dim V for an empty shift list.
 
-    Preconditions, both checked: every action matrix maps V into V, and
-    the iterated augmentation images of V descend to zero. The first is
-    checked on the descent's first term: V g lies in V exactly when
-    V(g - 1) does, so every g maps V into V exactly when V * I <= V. The
-    descent reaching zero means V * I^k = 0 for some k, so every product
-    of k of the g - 1 kills V: each g - 1 is nilpotent on V, every g is
-    unipotent there, and the acting group on V is a p-group, which is
-    what Nakayama's lemma needs. It also catches generators that are each
-    unipotent but together generate a group that is not a p-group.
+    Preconditions, both checked: every g maps V into V, and the iterated
+    augmentation images of V descend to zero. The first is checked on the
+    descent's first term: V g lies in V exactly when V(g - 1) does, so
+    every g maps V into V exactly when V * I <= V. The descent reaching
+    zero means V * I^k = 0 for some k, so every product of k of the g - 1
+    kills V: each g - 1 is nilpotent on V, every g is unipotent there, and
+    the acting group on V is a p-group, which is what Nakayama's lemma
+    needs. It also catches generators that are each unipotent but together
+    generate a group that is not a p-group.
 
     V * I is the sum of the V(g - 1), with no closure under the actions:
     for an invariant W, W(g - 1)h = W(g - 1) + W(g - 1)(h - 1), the last
     inside W(h - 1), so that sum is invariant, and it holds
     W(gh - 1) = W(g - 1)h + W(h - 1).
     """
-    n = V.ambient_dim
-    ident = FpMatrix.identity(n, p)
-    deltas = []
-    for g in actions:
-        if g.p != p or V.p != p:
-            raise ValueError("moduli of subspace and actions must all equal p")
-        if g.rows != n or g.cols != n:
-            raise ValueError("action matrix shape does not match the ambient space")
-        deltas.append(g - ident)
-
-    walk = _descent(V, deltas)
+    walk = _descent(V, shifts)
     vi = last = next(walk)
     if not V.contains_space(vi):
-        raise ValueError("action matrix does not map the subspace into itself")
+        raise ValueError("action does not map the subspace into itself")
     for last in walk:
         pass
     if last.dim:
-        raise ValueError(
-            "acting group is not unipotent over F_p; Nakayama inapplicable"
-        )
+        raise ValueError("acting group is not unipotent over F_p; Nakayama inapplicable")
     return V.dim - vi.dim
 
 
@@ -331,10 +301,11 @@ def outer_action(H: AbelianH, change: EBasisChange | None = None) -> None:
     level. Both matrices are read from q x q factors. phi swaps the
     tensor factors, which commutes with P ⊗ P, so its e-basis matrix is
     the swap itself. psi is R ⊗ R, R the inversion of C_q, so its e-basis
-    matrix is M ⊗ M with M = P^T R P^-T; for an invertible M that keeps
-    every term exactly when M has no nonzero entry below the diagonal (an
-    entry M[x, x'] with x' < x, times some M[y, y'] with y' <= y on a
-    permutation of nonzero entries, lowers the level of e_xy).
+    matrix is M ⊗ M with M = P^T R P^-T (`conjugate_to_e`); for an
+    invertible M that keeps every term exactly when M has no nonzero entry
+    below the diagonal (an entry M[x, x'] with x' < x, times some M[y, y']
+    with y' <= y on a permutation of nonzero entries, lowers the level of
+    e_xy).
     """
     q = H.q
     phi, psi = H.index_map("phi"), H.index_map("psi")
@@ -350,7 +321,6 @@ def outer_action(H: AbelianH, change: EBasisChange | None = None) -> None:
     level = ident // q + ident % q
     if not np.array_equal(level[phi], level):
         raise AssertionError("filtration is not invariant under phi")
-    R = FpMatrix(np.eye(q, dtype=np.int64)[r], H.p)
-    M = change.P.transpose() @ R @ change.P_inv.transpose()
+    M = change.conjugate_to_e(FpMatrix(np.eye(q, dtype=np.int64)[r], H.p))
     if np.tril(M.a, -1).any():
         raise AssertionError("filtration is not invariant under psi")

@@ -21,10 +21,10 @@ right actions are the designated tripwire for convention drift.
 automorphism checks, the order formulas and `semidirect_consistency`.
 `verify_theorem1`, behind `verify-t1`, does not run
 `semidirect_consistency`. At (2,4) that check takes about 0.02 s once the
-bundle's stages are built (0.22 s at (2,5)), against about 1.2 s for
+bundle's stages are built (0.15-0.2 s at (2,5)), against about 1.1 s for
 three fresh `verify-t1` processes at (3,2), (7,1) and (2,4) under the
-default caps, and about 1.7 s for one at (2,4) with the order cap raised
-to 2^2000 (2-core x86-64, Python 3.11, numpy 2.4 with OpenBLAS).
+default caps, and about 1.4-1.6 s for one at (2,4) with the order cap
+raised to 2^2000 (2-core x86-64, Python 3.11, numpy 2.4 with OpenBLAS).
 """
 
 from __future__ import annotations
@@ -431,7 +431,7 @@ def verify_theorem1(params: ConstructionParams) -> ClaimReport:
     run("C5", c5_expected(), c5)
 
     def c6():
-        rank = min_generators_local(bundle.top_space, list(bundle.chain.actions), p)
+        rank = min_generators_local(bundle.top_space, bundle.chain.shifts)
         return f"module_rank={rank}", rank == q
 
     run("C6", f"module_rank={q}", c6)

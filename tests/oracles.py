@@ -6,6 +6,11 @@ library's stabilizer-chain and Nakayama code paths, so tests that compare
 against these functions are genuine dual-route checks. The one exception
 is `normal_closure_one_at_a_time`, the reference for the batched normal
 closure: it drives the library's chain, but one element at a time.
+
+The dense route for the group algebra lives here too: q^2 x q^2 action
+matrices, conjugated honestly into the e basis, images under dense
+matrices, and the Nakayama count on them. The library walks index maps
+instead, and the tests compare the two.
 """
 
 from collections import deque
@@ -14,6 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from arcgen.field_linalg import FpMatrix, FpSubspace, ModulusMismatchError, is_prime
+from arcgen.group_algebra import _kron_rows, build_e_basis
 from arcgen.perm_group import Perm, StabChain
 
 
@@ -61,12 +67,99 @@ def algebra_mul(u, v, H):
     return out % H.p
 
 
+def conjugate_to_e_dense(change, m):
+    """The e-basis matrix (P ⊗ P)^T m (P^-1 ⊗ P^-1)^T of a q^2 x q^2 operator m.
+
+    Rows are vectors and operators act on the right, so with v = w (P ⊗ P)^T
+    an operator rewrites this way; P ⊗ P is applied factor by factor.
+    """
+    right = _kron_rows(m, change.P_inv.transpose())
+    return _kron_rows(right.transpose(), change.P).transpose()
+
+
+def action_matrix(H, generator, basis="natural", change=None):
+    """Dense q^2 x q^2 matrix of "a", "b", "phi" or "psi" (see `AbelianH.index_map`).
+
+    Row index(i, j) holds the image of the basis element a^i b^j, the unit
+    row at index_map(generator)[index(i, j)]. The e-basis matrix is the
+    natural one conjugated through the basis change, never the closed form
+    the library reads off its q x q factor.
+    """
+    if generator not in ("a", "b", "phi", "psi"):
+        raise ValueError(f"unknown generator {generator!r}")
+    nat_m = FpMatrix(np.eye(H.ambient, dtype=np.int64)[H.index_map(generator)], H.p)
+    if basis == "natural":
+        return nat_m
+    if basis == "e":
+        return conjugate_to_e_dense(change or build_e_basis(H), nat_m)
+    raise ValueError(f"unknown basis {basis!r}")
+
+
+def index_map_matrix(targets, p):
+    """Dense matrix of an index map: row k is the unit row at targets[k], zero at -1."""
+    targets = np.asarray(targets)
+    n = len(targets)
+    m = np.zeros((n, n), dtype=np.int64)
+    k = np.flatnonzero(targets >= 0)
+    m[k, targets[k]] = 1
+    return FpMatrix(m, p)
+
+
+def image_by_matrix(space, m):
+    """Image of a subspace under right multiplication by a dense matrix: the span of basis @ m.
+
+    When the basis is unit rows that product is m's rows at the pivots,
+    which are picked without multiplying.
+    """
+    if space._unit:
+        return FpSubspace.from_rows(FpMatrix._make(m.a[space.pivots], m.p))
+    return FpSubspace.from_rows(space.basis @ m)
+
+
+def dense_descent(space, actions, p):
+    """space*I, space*I^2, ... for dense actions g, I spanned by the g - 1.
+
+    Stops after the zero term or after the first term that does not shrink.
+    """
+    ident = FpMatrix.identity(space.ambient_dim, p)
+    deltas = [g - ident for g in actions]
+    terms = []
+    while True:
+        nxt = FpSubspace.zero(space.ambient_dim, p)
+        for d in deltas:
+            nxt = nxt + image_by_matrix(space, d)
+        terms.append(nxt)
+        if nxt.dim == 0 or nxt.dim >= space.dim:
+            return terms
+        space = nxt
+
+
+def nakayama_count_dense(V, actions, p):
+    """dim V/VI for dense action matrices, summing the images V(g - 1).
+
+    Raises ValueError when some g does not map V into V, or when the
+    descent stalls above zero (the acting group is not unipotent on V).
+    """
+    n = V.ambient_dim
+    for g in actions:
+        if g.p != p or V.p != p:
+            raise ValueError("moduli of subspace and actions must all equal p")
+        if g.rows != n or g.cols != n:
+            raise ValueError("action matrix shape does not match the ambient space")
+    terms = dense_descent(V, actions, p)
+    if not V.contains_space(terms[0]):
+        raise ValueError("action matrix does not map the subspace into itself")
+    if terms[-1].dim:
+        raise ValueError("acting group is not unipotent over F_p")
+    return V.dim - terms[0].dim
+
+
 def module_closure(space, actions):
     """Smallest subspace containing `space` that every action matrix maps into itself."""
     while True:
         grown = space
         for g in actions:
-            grown = grown + grown.image(g)
+            grown = grown + image_by_matrix(grown, g)
         if grown == space:
             return space
         space = grown
@@ -75,7 +168,7 @@ def module_closure(space, actions):
 def nakayama_count_by_closure(V, actions, p):
     """dim V/VI, closing every augmentation image under the actions again.
 
-    The reference for the library's count, which sums the images V(g - 1)
+    The reference for the dense count, which sums the images V(g - 1)
     and never closes them. Raises ValueError when the iterated images of V
     stall above zero. The actions must be unipotent and keep V.
     """
@@ -85,7 +178,7 @@ def nakayama_count_by_closure(V, actions, p):
     def augmentation_image(space):
         img = FpSubspace.zero(V.ambient_dim, p)
         for d in deltas:
-            img = img + space.image(d)
+            img = img + image_by_matrix(space, d)
         return module_closure(img, actions)
 
     vi = augmentation_image(V)

@@ -10,7 +10,14 @@ from arcgen.field_linalg import (
     mat_inverse,
     rref,
 )
-from oracles import kron, matmul_by_int64, prime_power_exponent, quotient_dim, unipotent_matrix
+from oracles import (
+    index_map_matrix,
+    kron,
+    matmul_by_int64,
+    prime_power_exponent,
+    quotient_dim,
+    unipotent_matrix,
+)
 
 
 def test_is_prime_small_values():
@@ -348,9 +355,9 @@ def test_subspace_operations_match_stack_and_rref(p):
         assert u.contains_space(w) == (len(span) == u.dim)
         assert u.contains(rows2) == u.contains_space(w)
         assert u.contains(rows2) == all(u.contains(row) for row in rows2)
-        m = _random(rng, (n, n), p)
-        m[:, int(rng.integers(0, n))] = 0
-        image = u.image(FpMatrix(m, p))
+        t = _index_map(rng, n)
+        m = index_map_matrix(t, p).a
+        image = u.image(t)
         assert np.array_equal(image.basis.a, _span_by_rref(matmul_by_int64(u.basis.a, m, p), p))
         assert (u + w).contains_space(u) and (u + w).contains_space(w)
 
@@ -381,12 +388,11 @@ def _dense_form(space):
     return dense
 
 
-def _monomial(rng, n, p):
-    """An n x n matrix with at most one nonzero entry, of any value, in each row."""
-    m = np.zeros((n, n), dtype=np.int64)
-    rows = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
-    m[rows, rng.integers(0, n, size=len(rows))] = rng.integers(1, p, size=len(rows))
-    return m
+def _index_map(rng, n):
+    """A random index map on n coordinates: repeated targets, and -1 (zero) at some entries."""
+    t = rng.integers(0, n, size=n)
+    t[rng.random(n) < 0.3] = -1
+    return t
 
 
 def _same(a, b):
@@ -419,15 +425,14 @@ def test_coordinate_subspace_matches_the_dense_route(p):
             if rows is not None:
                 assert c.contains(rows) == d.contains(rows)
                 assert all(c.contains(row) == d.contains(row) for row in rows)
-        # monomial, up to two nonzero entries a row, and dense
-        sparse = (_monomial(rng, n, p) + _monomial(rng, n, p)) % p
-        for m in (_monomial(rng, n, p), sparse, _random(rng, (n, n), p)):
-            image = c.image(FpMatrix(m, p))
-            if (np.count_nonzero(m, axis=1) <= 1).all():
-                # no dense basis was formed on the way
-                assert image._unit and image._basis is None
-                fast_images += 1
-            assert _same(image, d.image(FpMatrix(m, p)))
+        # a random index map, a permutation and the shift k -> k + 1
+        for t in (_index_map(rng, n), rng.permutation(n), np.where(np.arange(n) < n - 1, np.arange(1, n + 1), -1)):
+            image = c.image(t)
+            # no dense basis was formed on the way
+            assert image._unit and image._basis is None
+            fast_images += 1
+            m = index_map_matrix(t, p).a
+            assert _same(image, d.image(t))
             assert np.array_equal(image.basis.a, _span_by_rref(matmul_by_int64(c.basis.a, m, p), p))
     assert fast_images >= 40
 
@@ -443,11 +448,12 @@ def test_coordinate_subspace_edge_cases():
     with pytest.raises(ValueError):
         FpSubspace.coordinate(4, [0], 4)
     with pytest.raises(ModulusMismatchError):
-        FpSubspace.coordinate(4, [0], p).image(FpMatrix.identity(4, 3))
-    with pytest.raises(ModulusMismatchError):
         FpSubspace.coordinate(4, [0], p) + FpSubspace.coordinate(4, [0], 3)
-    with pytest.raises(ValueError):
-        FpSubspace.coordinate(4, [0], p).image(FpMatrix.identity(3, p))
+    # an index map must have one target in [-1, 4) per coordinate
+    for bad in (np.arange(3), np.arange(5), [0, 1, 2, 4], [-2, 0, 1, 2], np.zeros((4, 1), dtype=int)):
+        for space in (FpSubspace.coordinate(4, [0], p), FpSubspace(4, FpMatrix([[1, 2, 0, 0]], p))):
+            with pytest.raises(ValueError):
+                space.image(bad)
     # unit rows out of order are no canonical basis: dense form, as built
     rows = FpMatrix([[0, 0, 1, 0], [1, 0, 0, 0]], p)
     assert not FpSubspace(4, rows)._unit
@@ -465,6 +471,7 @@ def test_hand_built_row_with_a_non_unit_entry_takes_the_dense_route():
     assert s != FpSubspace.coordinate(4, [1], p)
     e1 = np.array([[0, 1, 0, 0]])
     assert s.contains(e1) == (not ((e1 - e1[:, [1]] @ row) % p).any())
-    shift = FpMatrix(np.eye(4, k=1, dtype=np.int64), p)
-    assert s.image(shift) == FpSubspace.from_rows(FpMatrix(matmul_by_int64(row, shift.a, p), p))
+    shift = np.array([1, 2, 3, -1])
+    dense_shift = index_map_matrix(shift, p).a
+    assert s.image(shift) == FpSubspace.from_rows(FpMatrix(matmul_by_int64(row, dense_shift, p), p))
     assert FpSubspace.from_rows(FpMatrix(row, p)) == FpSubspace.coordinate(4, [1], p)

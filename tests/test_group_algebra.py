@@ -1,14 +1,16 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from arcgen import field_linalg, group_algebra
+from arcgen import field_linalg
 from arcgen.field_linalg import FpMatrix, FpSubspace, mat_inverse
 from arcgen.group_algebra import (
     AbelianH,
     EBasisChange,
+    _descent,
     _e_unit_span,
     _kron_rows,
-    action_matrix,
     build_e_basis,
     gamma_chain,
     min_generators_local,
@@ -16,12 +18,24 @@ from arcgen.group_algebra import (
     section_dims,
 )
 from oracles import (
+    action_matrix,
     algebra_mul,
+    conjugate_to_e_dense,
+    dense_descent,
+    image_by_matrix,
+    index_map_matrix,
     kron,
     module_closure,
     nakayama_count_by_closure,
+    nakayama_count_dense,
     unipotent_matrix,
 )
+
+
+def _e_actions(H, change=None):
+    """The dense e-basis matrices of a and b, by the oracle's q^2-wide conjugation."""
+    change = change or build_e_basis(H)
+    return [action_matrix(H, "a", "e", change), action_matrix(H, "b", "e", change)]
 
 
 def test_abelian_h_validation():
@@ -141,8 +155,10 @@ def test_kron_rows_against_dense_kron(p, h):
 
 @pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (5, 1), (2, 3)])
 def test_conjugate_to_e_against_dense_reference(p, h):
+    # the oracle's q^2-wide conjugation against full Kronecker products, and
+    # the library's q x q one against both by the mixed-product rule
     H = AbelianH(p, h)
-    change = build_e_basis(H)
+    q, change = H.q, build_e_basis(H)
     from_e = kron(change.P, change.P)
     to_e = kron(change.P_inv, change.P_inv)
     rng = np.random.default_rng(p + h)
@@ -152,7 +168,12 @@ def test_conjugate_to_e_against_dense_reference(p, h):
     ]
     for m in operators:
         expected = from_e.transpose() @ m @ to_e.transpose()
-        assert change.conjugate_to_e(m) == expected
+        assert conjugate_to_e_dense(change, m) == expected
+    for _ in range(3):
+        m, m2 = (FpMatrix(rng.integers(0, p, (q, q)), p) for _ in range(2))
+        dense = conjugate_to_e_dense(change, kron(m, m2))
+        assert change.conjugate_to_e(m) == change.P.transpose() @ m @ change.P_inv.transpose()
+        assert kron(change.conjugate_to_e(m), change.conjugate_to_e(m2)) == dense
 
 
 # -- action matrices ---------------------------------------------------------
@@ -239,45 +260,84 @@ def test_chain_specific_dims():
 
 
 def test_chain_multiplicativity():
-    # each term times (a-1) or (b-1) lands one level deeper
+    # each term times (a-1) or (b-1) lands one level deeper, by the index
+    # shifts and by the dense e-basis matrices alike
     H = AbelianH(2, 2)
-    change = build_e_basis(H)
     ident = FpMatrix.identity(H.ambient, H.p)
-    steps = [
-        action_matrix(H, "a", "e", change) - ident,
-        action_matrix(H, "b", "e", change) - ident,
-    ]
+    steps = [g - ident for g in _e_actions(H)]
+    shifts = gamma_chain(H).shifts
     for i in range(2 * H.q - 1):
-        for s in steps:
-            assert _e_unit_span(H.q, H.p, i).image(s) <= _e_unit_span(H.q, H.p, i + 1)
+        term, below = _e_unit_span(H.q, H.p, i), _e_unit_span(H.q, H.p, i + 1)
+        for s, step in zip(shifts, steps):
+            assert term.image(s) <= below
+            assert image_by_matrix(term, step) <= below
 
 
 def test_descent_and_nakayama_count_form_no_ambient_wide_product(monkeypatch):
     # every term of the filtration and the top module are coordinate
-    # subspaces, and the shifts a - 1 and b - 1 map unit rows to unit rows
-    # or zero, so neither walk multiplies by a q^2 x q^2 matrix; only the
-    # basis change inside action_matrix multiplies, and by q x q factors
+    # subspaces, walked along the index shifts a - 1 and b - 1; the only
+    # products are the q x q conjugation of a's factor, P^T A P^-T
     H = AbelianH(2, 4)
-    inner_dims, in_action = [], []
-    matmul, action = field_linalg._matmul, group_algebra.action_matrix
+    change = build_e_basis(H)
+    shapes = []
+    matmul = field_linalg._matmul
 
     def counted_matmul(a, b, p):
-        if not in_action:
-            inner_dims.append(a.shape[1])
+        shapes.append((a.shape, b.shape))
         return matmul(a, b, p)
 
-    def traced_action(*args, **kwargs):
-        in_action.append(1)
-        try:
-            return action(*args, **kwargs)
-        finally:
-            in_action.pop()
-
     monkeypatch.setattr(field_linalg, "_matmul", counted_matmul)
-    monkeypatch.setattr(group_algebra, "action_matrix", traced_action)
-    chain = gamma_chain(H)
-    assert min_generators_local(chain.top, list(chain.actions), 2) == H.q
-    assert H.ambient not in inner_dims
+    chain = gamma_chain(H, change)
+    assert min_generators_local(chain.top, chain.shifts) == H.q
+    q = H.q
+    assert shapes == [((q, q), (q, q))] * 2
+
+
+# every (p, h) with q <= 32
+SMALL_Q = [(p, h) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for h in range(1, 6) if p**h <= 32]
+
+
+@pytest.mark.parametrize("p, h", SMALL_Q)
+def test_index_route_matches_the_dense_route(p, h):
+    # the shifts are the dense e-basis a - 1 and b - 1, the descent along
+    # them gives the dense descent's terms, and C6's count is the dense one
+    H = AbelianH(p, h)
+    n, change = H.ambient, build_e_basis(H)
+    chain = gamma_chain(H, change)
+    actions = _e_actions(H, change)
+    ident = FpMatrix.identity(n, p)
+    for s, g in zip(chain.shifts, actions):
+        assert index_map_matrix(s, p) == g - ident
+    full = FpSubspace.full(n, p)
+    terms = list(_descent(full, chain.shifts))
+    assert terms == dense_descent(full, actions, p)
+    assert [full.dim, *(t.dim for t in terms)] == chain.dims
+    assert terms[H.q - 2] == chain.top
+    rank = min_generators_local(chain.top, chain.shifts)
+    assert rank == nakayama_count_dense(chain.top, actions, p) == H.q
+
+
+@pytest.mark.parametrize("p, h", [(2, 6), (3, 4), (2, 7)])
+def test_filtration_and_module_rank_at_scale(p, h):
+    # q = 64, 81 and 128: ambient 4096 to 16384, where one dense q^2 x q^2
+    # matrix alone would take 128 MB to 2 GB
+    H = AbelianH(p, h)
+    q, chain = H.q, gamma_chain(H)
+    assert min_generators_local(chain.top, chain.shifts) == q
+    assert section_dims(chain) == [min(i + 1, 2 * q - 1 - i) for i in range(2 * q - 1)]
+
+
+@pytest.mark.parametrize("p, h", [(2, 1), (2, 3), (3, 1), (5, 1)])
+def test_gamma_chain_rejects_a_corrupted_basis_change(p, h):
+    # P with two columns swapped (and its true inverse) is still a basis
+    # change, but not to the filtered basis: a's factor is no longer I + N
+    H = AbelianH(p, h)
+    P = build_e_basis(H).P
+    cols = np.arange(H.q)
+    cols[[0, 1]] = cols[[1, 0]]
+    swapped = FpMatrix(P.a[:, cols], p)
+    with pytest.raises(AssertionError, match="I \\+ N"):
+        gamma_chain(H, EBasisChange(H, swapped, mat_inverse(swapped)))
 
 
 def test_section_dims_formula():
@@ -295,11 +355,16 @@ def test_section_dims_symmetry():
 # -- module generator counts -------------------------------------------------
 
 
+# Each library count below takes the index map of g - 1, and the dense
+# oracle count takes g itself; both must agree.
+
+
 def test_trivial_action_needs_every_vector():
     p = 2
     v = FpSubspace.from_rows(FpMatrix([[1, 0, 0], [0, 1, 0]], p))
     ident = FpMatrix.identity(3, p)
-    assert min_generators_local(v, [ident], p) == 2
+    assert min_generators_local(v, [[-1, -1, -1]]) == 2
+    assert nakayama_count_dense(v, [ident], p) == 2
 
 
 def test_top_module_rank_is_q():
@@ -307,30 +372,26 @@ def test_top_module_rank_is_q():
         H = AbelianH(p, h)
         change = build_e_basis(H)
         chain = gamma_chain(H, change)
-        actions = [
-            action_matrix(H, "a", "e", change),
-            action_matrix(H, "b", "e", change),
-        ]
-        assert min_generators_local(chain.top, actions, p) == H.q
+        assert min_generators_local(chain.top, chain.shifts) == H.q
+        assert nakayama_count_dense(chain.top, _e_actions(H, change), p) == H.q
 
 
 def test_whole_algebra_is_cyclic():
     H = AbelianH(2, 2)
-    change = build_e_basis(H)
-    actions = [
-        action_matrix(H, "a", "e", change),
-        action_matrix(H, "b", "e", change),
-    ]
-    assert min_generators_local(FpSubspace.full(H.ambient, 2), actions, 2) == 1
+    full = FpSubspace.full(H.ambient, 2)
+    assert min_generators_local(full, gamma_chain(H).shifts) == 1
+    assert nakayama_count_dense(full, _e_actions(H), 2) == 1
 
 
 def test_non_unipotent_generator_rejected():
-    # a swap matrix over F_3 is not unipotent
+    # a swap matrix over F_3 is not unipotent, and neither is 1 + swap
     p = 3
     swap = FpMatrix([[0, 1], [1, 0]], p)
     v = FpSubspace.full(2, p)
     with pytest.raises(ValueError, match="not unipotent"):
-        min_generators_local(v, [swap], p)
+        min_generators_local(v, [[1, 0]])
+    with pytest.raises(ValueError, match="not unipotent"):
+        nakayama_count_dense(v, [swap], p)
 
 
 def test_action_keeping_v_but_not_unipotent_on_it_rejected_by_descent():
@@ -341,7 +402,9 @@ def test_action_keeping_v_but_not_unipotent_on_it_rejected_by_descent():
     g = FpMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]], p)
     v = FpSubspace.from_rows(FpMatrix([[1, 0, 0], [0, 1, 0]], p))
     with pytest.raises(ValueError, match="not unipotent"):
-        min_generators_local(v, [g], p)
+        min_generators_local(v, [[0, -1, -1]])
+    with pytest.raises(ValueError, match="not unipotent"):
+        nakayama_count_dense(v, [g], p)
 
 
 def test_action_unipotent_on_v_only_is_counted():
@@ -350,7 +413,8 @@ def test_action_unipotent_on_v_only_is_counted():
     p = 3
     g = FpMatrix([[1, 0], [0, 2]], p)
     v = FpSubspace.from_rows(FpMatrix([[1, 0]], p))
-    assert min_generators_local(v, [g], p) == 1
+    assert min_generators_local(v, [[-1, 1]]) == 1
+    assert nakayama_count_dense(v, [g], p) == 1
 
 
 def test_unipotent_generators_with_non_p_group_rejected():
@@ -362,7 +426,9 @@ def test_unipotent_generators_with_non_p_group_rejected():
     g2 = FpMatrix([[1, 0], [1, 1]], p)
     v = FpSubspace.full(2, p)
     with pytest.raises(ValueError, match="not unipotent"):
-        min_generators_local(v, [g1, g2], p)
+        min_generators_local(v, [[1, -1], [-1, 0]])
+    with pytest.raises(ValueError, match="not unipotent"):
+        nakayama_count_dense(v, [g1, g2], p)
 
 
 def test_action_not_preserving_subspace_rejected():
@@ -370,21 +436,20 @@ def test_action_not_preserving_subspace_rejected():
     shift = FpMatrix([[1, 1], [0, 1]], p)
     line = FpSubspace.from_rows(FpMatrix([[1, 0]], p))
     with pytest.raises(ValueError, match="does not map"):
-        min_generators_local(line, [shift], p)
+        min_generators_local(line, [[1, -1]])
+    with pytest.raises(ValueError, match="does not map"):
+        nakayama_count_dense(line, [shift], p)
 
 
 def test_nakayama_cross_check_regenerates_module():
     # pick dim(V/VI) lifts and close under the actions: must regenerate V
     for p, h in [(2, 1), (2, 2), (3, 1)]:
         H = AbelianH(p, h)
-        change = build_e_basis(H)
-        actions = [
-            action_matrix(H, "a", "e", change),
-            action_matrix(H, "b", "e", change),
-        ]
+        actions = _e_actions(H)
+        shifts = gamma_chain(H).shifts
         for i in range(2 * H.q - 1):
             v = _e_unit_span(H.q, p, i)
-            rank = min_generators_local(v, actions, p)
+            rank = min_generators_local(v, shifts)
             vi = _e_unit_span(H.q, p, i + 1)  # V*I equals the next term here
             lifts = []
             span = vi
@@ -395,28 +460,19 @@ def test_nakayama_cross_check_regenerates_module():
             assert len(lifts) == rank
             # module closure of the lifts
             gen = FpSubspace.from_rows(FpMatrix(np.array(lifts), p))
-            while True:
-                grown = gen
-                for m in actions:
-                    grown = grown + grown.image(m)
-                if grown == gen:
-                    break
-                gen = grown
-            assert gen == v
+            assert module_closure(gen, actions) == v
 
 
 @pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (2, 3)])
 def test_nakayama_count_against_closure_reference_on_every_term(p, h):
     H = AbelianH(p, h)
-    change = build_e_basis(H)
-    actions = [
-        action_matrix(H, "a", "e", change),
-        action_matrix(H, "b", "e", change),
-    ]
+    actions = _e_actions(H)
+    shifts = gamma_chain(H).shifts
     for i in range(2 * H.q):
         v = _e_unit_span(H.q, p, i)
         expected = nakayama_count_by_closure(v, actions, p)
-        assert min_generators_local(v, actions, p) == expected
+        assert min_generators_local(v, shifts) == expected
+        assert nakayama_count_dense(v, actions, p) == expected
 
 
 @pytest.mark.parametrize("n, p", [(3, 3), (4, 2)])
@@ -437,14 +493,15 @@ def test_nakayama_count_against_closure_reference_on_unitriangular_groups(n, p):
         seeds = rng.integers(0, p, (int(rng.integers(1, 4)), n * n))
         v = module_closure(FpSubspace.from_rows(FpMatrix(seeds, p)), actions)
         expected = nakayama_count_by_closure(v, actions, p)
-        assert min_generators_local(v, actions, p) == expected
+        assert nakayama_count_dense(v, actions, p) == expected
         counts.add(expected)
     assert len(counts) > 1
 
 
 def test_empty_action_list_needs_every_vector():
     v = _e_unit_span(4, 2, 3)
-    assert min_generators_local(v, [], 2) == v.dim == 10
+    assert min_generators_local(v, []) == v.dim == 10
+    assert nakayama_count_dense(v, [], 2) == v.dim
     assert nakayama_count_by_closure(v, [], 2) == v.dim
 
 
@@ -480,7 +537,43 @@ def test_top_term_invariance_under_outer_maps():
         top = gamma_chain(H, change).top
         outer_action(H, change)
         for name in ("phi", "psi"):
-            assert top.image(action_matrix(H, name, "e", change)) <= top
+            assert image_by_matrix(top, action_matrix(H, name, "e", change)) <= top
+
+
+@dataclass(frozen=True)
+class _SwapAAndASquared(AbelianH):
+    """H whose psi swaps a and a^2 in each factor: for q > 3 an involution
+    that commutes with phi and is a Kronecker square, but no automorphism."""
+
+    def psi_factor(self):
+        r = np.arange(self.q)
+        r[[1, 2]] = [2, 1]
+        return r
+
+    def index_map(self, s):
+        if s != "psi":
+            return super().index_map(s)
+        r = self.psi_factor()
+        return (r[:, None] * self.q + r[None, :]).reshape(-1)
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (5, 1), (2, 3), (7, 1)])
+def test_outer_action_rejects_a_corrupted_psi_factor(p, h, monkeypatch):
+    # the corrupted factor passes the index-map checks, and only its e-basis
+    # factor from the shared conjugate_to_e shows the filtration is not kept
+    H = _SwapAAndASquared(p, h)
+    seen = []
+    conjugate = EBasisChange.conjugate_to_e
+
+    def spied(self, m):
+        seen.append(m.a.copy())
+        return conjugate(self, m)
+
+    monkeypatch.setattr(EBasisChange, "conjugate_to_e", spied)
+    with pytest.raises(AssertionError, match="not invariant under psi"):
+        outer_action(H, build_e_basis(H))
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], np.eye(H.q, dtype=np.int64)[H.psi_factor()])
 
 
 @pytest.mark.parametrize("p, h", [(2, 2), (3, 1)])
@@ -495,7 +588,7 @@ def test_outer_action_rejects_the_natural_basis(p, h):
 def _keeps_every_term(H, change):
     """The per-term reference: phi and psi map each filtration term into itself."""
     for name in ("phi", "psi"):
-        m_e = change.conjugate_to_e(action_matrix(H, name))
+        m_e = conjugate_to_e_dense(change, action_matrix(H, name))
         for i in range(2 * H.q):
             span = _e_unit_span(H.q, H.p, i)
             if not span.contains((span.basis @ m_e).a):

@@ -244,8 +244,9 @@ def test_arc_transitivity_implies_local_transitivity(bundle_22, bundle_31):
 
 def test_permutation_rank_ties_to_algebra_rank(bundle_22, bundle_31):
     # rank of the small group = module rank + the two translations
-    from arcgen.group_algebra import action_matrix, min_generators_local
+    # the module rank by the dense route, from the dense e-basis a and b
     from arcgen.perm_group import frattini_rank
+    from oracles import action_matrix, nakayama_count_dense
 
     for bundle in (bundle_22, bundle_31):
         H, p = bundle.H, bundle.params.p
@@ -253,7 +254,7 @@ def test_permutation_rank_ties_to_algebra_rank(bundle_22, bundle_31):
             action_matrix(H, "a", "e", bundle.change),
             action_matrix(H, "b", "e", bundle.change),
         ]
-        module_rank = min_generators_local(bundle.top_space, actions, p)
+        module_rank = nakayama_count_dense(bundle.top_space, actions, p)
         assert frattini_rank(bundle.small_group, p) == module_rank + 2
 
 
@@ -448,23 +449,53 @@ def test_checklist_builds_each_stage_once(monkeypatch):
 
 
 def test_checklist_builds_the_e_basis_actions_once(monkeypatch):
-    # gamma_chain builds the e-basis a and b, and C6 reuses them
-    import arcgen.group_algebra as group_algebra
+    # gamma_chain runs once and reads a - 1 and b - 1 as index shifts; C6
+    # walks the chain's own shifts, and no product in the algebra stages
+    # has an inner dimension above q
+    import arcgen.field_linalg as field_linalg
     import arcgen.pipeline as pipeline
 
-    calls = []
-    action_matrix = group_algebra.action_matrix
+    chains, shifts_read, inner = [], [], []
+    gamma, count, matmul = pipeline.gamma_chain, pipeline.min_generators_local, field_linalg._matmul
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return action_matrix(*args, **kwargs)
+    def counted_chain(*args, **kwargs):
+        chains.append(gamma(*args, **kwargs))
+        return chains[-1]
 
-    monkeypatch.setattr(group_algebra, "action_matrix", counted)
-    # also any name the pipeline module imported before the patch
-    monkeypatch.setattr(pipeline, "action_matrix", counted, raising=False)
+    def counted_count(V, shifts):
+        shifts_read.append(shifts)
+        return count(V, shifts)
+
+    def counted_matmul(a, b, p):
+        inner.append(a.shape[1])
+        return matmul(a, b, p)
+
+    monkeypatch.setattr(pipeline, "gamma_chain", counted_chain)
+    monkeypatch.setattr(pipeline, "min_generators_local", counted_count)
+    monkeypatch.setattr(field_linalg, "_matmul", counted_matmul)
     report = verify_theorem1(ConstructionParams(2, 2))
     assert report.claim("C6").status == "pass"
-    assert calls == [("a", "e"), ("b", "e")]
+    assert len(chains) == 1 and len(shifts_read) == 1
+    assert shifts_read[0] is chains[0].shifts
+    assert inner and max(inner) <= 4
+
+
+def test_checklist_at_2_4_stays_below_the_blas_route(monkeypatch):
+    # under the default caps every F_p product at (2,4) takes numpy's int64
+    # loop: the largest is a module-basis conversion of 2176 x 16 x 16
+    import arcgen.field_linalg as field_linalg
+
+    macs = []
+    matmul = field_linalg._matmul
+
+    def counted_matmul(a, b, p):
+        macs.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, p)
+
+    monkeypatch.setattr(field_linalg, "_matmul", counted_matmul)
+    report = verify_theorem1(ConstructionParams(2, 4))
+    assert report.claim("C6").status == "pass"
+    assert macs and max(macs) < field_linalg._BLAS_MIN_MACS
 
 
 def test_checklist_checks_each_generator_set_once(monkeypatch):
