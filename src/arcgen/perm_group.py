@@ -18,7 +18,7 @@ local actions, the Frattini decomposition check, minimal generator ranks
 of p-groups (Burnside basis theorem) and exponents, read off one walk of
 the group through its chain by the pointer-doubling cycle-length kernel
 that also gives each element's order. Orbits, transversals and arc orbits
-share one breadth-first walk.
+share one breadth-first walk; arc orbits read Schreier generators off it.
 
 Composition convention: permutations act on the right, x^(g*h) = (x^g)^h,
 and (g * h).images[x] == h.images[g.images[x]].
@@ -431,12 +431,16 @@ class StabChain:
         residue, level = self.sift(arr)
         if residue is None:
             return False
+        self._add_sifted(arr, residue, level)
+        return True
+
+    def _add_sifted(self, arr: np.ndarray, residue: np.ndarray, level: int) -> None:
+        """Add arr, whose sift left residue at level, by either route."""
         if self._normalizes(arr):
             self._extend_normal(arr, residue, level)
         else:
             self._install(residue, level)
             self._process_all()
-        return True
 
     def _normalizes(self, g: np.ndarray) -> bool:
         """True if g^-1 s g lies in the group for every strong generator s."""
@@ -744,13 +748,12 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
             block = np.take_along_axis(gens, added[done][invs], axis=1)
             done += 1
             while True:
-                rows = chain._sift_rows(block, 0)[0]
+                rows, levels, residues = chain._sift_rows(block, 0)
                 if not len(rows):
                     break
-                # a copy, so the added element does not pin the whole block
-                y = block[rows[0]].copy()
-                chain.add_generator(y)
-                added.append(y)
+                # copies, so the chain and the added element do not pin the whole block
+                added.append(block[rows[0]].copy())
+                chain._add_sifted(added[-1], residues[0].copy(), int(levels[0]))
                 block = block[rows[1:]]
     return PermGroup._with_chain([Perm._wrap(x) for x in added], chain, G.degree, G.caps)
 
@@ -870,7 +873,18 @@ def is_vertex_transitive(graph: Graph, G: PermGroup) -> bool:
 
 
 def arc_orbit_size(graph: Graph, G: PermGroup, arc: tuple[int, int] | None = None) -> int:
-    """Size of the orbit of one arc under the induced action on arcs."""
+    """Size of the orbit of one arc (u, w) under the induced action on arcs.
+
+    It is |u^G| * |w^(G_u)| by orbit-stabilizer. The walk from u gives
+    u's orbit, tree words t_x taking u to x, and frame[x] = N(u)^(t_x).
+    By Schreier's lemma the t_x s t_(x^s)^-1 over orbit vertices x and
+    generators s generate G_u; one sends position a of N(u) to the
+    position of frame[x][a]^s in frame[x^s]. Blocks of BFS_BATCH // d
+    vertices read these rows by one searchsorted on the arc codes, and
+    w's position is closed under all rows so far, stopping once it holds
+    all d neighbours; no chain or cap is needed. If G_u is intransitive
+    on N(u), all |u^G| * k * d images under the k generators are read.
+    """
     _require_automorphisms(graph, G)
     tails, heads = graph.arcs()
     if arc is None:
@@ -880,14 +894,29 @@ def arc_orbit_size(graph: Graph, G: PermGroup, arc: tuple[int, int] | None = Non
     u, w = arc
     if not 0 <= u < graph.n or w not in graph.neighbors(u):
         raise ValueError(f"({u}, {w}) is not an arc of the graph")
-    n = graph.n
-    codes = tails * n + heads
-    arrs = G._images().astype(np.int64)
-
-    def step(f):  # the generators map arcs onto arcs, so every code is found
-        return np.searchsorted(codes, arrs[:, tails[f]] * n + arrs[:, heads[f]]).T
-
-    return len(_bfs(step, [np.searchsorted(codes, u * n + w)], len(codes))[0])
+    n, nbrs, arrs = graph.n, graph.neighbors(u), G._images()
+    d, codes = len(nbrs), tails * n + heads
+    points, edges = _bfs(lambda f: arrs[:, f].T, u, n)
+    parent, gen = np.divmod(edges, max(len(arrs), 1))
+    frame = np.empty((len(points), d), dtype=np.int64)
+    frame[0], done = nbrs, 1
+    while done < len(points):  # one tree layer: the points whose parents are filled
+        end = int(np.searchsorted(parent, done))
+        frame[done:end] = arrs[gen[done:end, None], frame[parent[done:end]]]
+        done = end
+    rank = np.empty(len(codes), dtype=np.intp)  # rank[arc (x, frame[x][b])] = b
+    rank[np.searchsorted(codes, points[:, None] * n + frame)] = np.arange(d)
+    moves = np.zeros((d, d), dtype=bool)  # moves[a, b]: a row read so far sends a to b
+    reached, step = nbrs == w, max(BFS_BATCH // d, 1)
+    for start in range(0, len(points), step):
+        x, f = points[start : start + step], frame[start : start + step]
+        images = np.multiply(arrs[:, x, None], n, dtype=np.int64) + arrs[:, f]
+        moves[np.arange(d), rank[np.searchsorted(codes, images)].reshape(-1, d)] = True
+        while (grown := reached | moves[reached].any(axis=0)).sum() > reached.sum():
+            reached = grown
+        if reached.all():
+            break
+    return len(points) * int(np.count_nonzero(reached))
 
 
 def local_action(graph: Graph, G: PermGroup, v: int) -> tuple[PermGroup, int]:

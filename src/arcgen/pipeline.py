@@ -409,9 +409,10 @@ def verify_theorem1(params: ConstructionParams) -> ClaimReport:
 
     def c4():
         small, graph = bundle.small_group, bundle.graph
-        arc_orbit = arc_orbit_size(graph, small)
-        arc_trans = arc_orbit == 2 * graph.m
-        _, orbit_count = local_action(graph, small, 0)
+        # first, so an order cap skips C4 at once; G_0 moves the default
+        # arc's head N(0)[0] as induced moves 0
+        induced, orbit_count = local_action(graph, small, 0)
+        arc_trans = len(small.orbit(0)) * len(induced.orbit(0)) == 2 * graph.m
         computed = f"arc_transitive={str(arc_trans).lower()},orbits={orbit_count}"
         return computed, (not arc_trans) and orbit_count == 4
 

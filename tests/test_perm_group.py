@@ -577,10 +577,11 @@ def test_normal_closure_transposition_s4():
     assert len(enumerate_elements(ncl)) == 24
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(14))
 def test_normal_closure_matches_one_at_a_time(seed):
     # the batched closure makes the same add decisions as trying every
-    # seed and conjugate on its own, in the same order
+    # seed and conjugate on its own, in the same order; from seed 8 on,
+    # four generators give blocks of four rows, often with several residues
     rng = random.Random(seed)
     n = rng.randrange(5, 10)
     if seed % 2:  # C_2 wr C_m on 2m points: the closure of a swap adds m times
@@ -588,7 +589,8 @@ def test_normal_closure_matches_one_at_a_time(seed):
         swap = Perm([1, 0] + list(range(2, 2 * m)))
         gens = [swap, Perm([(i + 2) % (2 * m) for i in range(2 * m)])]
     else:
-        gens = [Perm(rng.sample(range(n), n)) for _ in range(rng.randrange(1, 4))]
+        k = 4 if seed >= 8 else rng.randrange(1, 4)
+        gens = [Perm(rng.sample(range(n), n)) for _ in range(k)]
     G = PermGroup(gens)
     seeds = []
     for _ in range(rng.randrange(1, 5)):
@@ -600,7 +602,31 @@ def test_normal_closure_matches_one_at_a_time(seed):
     added, chain = normal_closure_one_at_a_time(G, seeds)
     assert ours.order() == chain.order()
     assert [g.images.tolist() for g in ours.generators] == [x.tolist() for x in added]
+    # the same chain, level by level: each add takes the residue of its own row
+    for lv, ref in zip(ours.chain().levels, chain.levels, strict=True):
+        assert lv.points == ref.points
+        assert [g.tolist() for g in lv.gens] == [g.tolist() for g in ref.gens]
     assert all(ours.contains(s) for s in seeds)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_normal_closure_sifts_each_element_added_from_a_block_once(m, monkeypatch):
+    # C_2 wr C_m: the closure of a swap adds it, then m - 1 conjugates from
+    # its blocks; each conjugate's add reuses the residue of its block sift
+    swap = Perm([1, 0] + list(range(2, 2 * m)))
+    G = PermGroup([swap, Perm([(i + 2) % (2 * m) for i in range(2 * m)])])
+    sifted = []
+    sift = StabChain.sift
+
+    def recorded(chain, arr, start=0):
+        sifted.append(arr.tobytes())
+        return sift(chain, arr, start)
+
+    monkeypatch.setattr(StabChain, "sift", recorded)
+    ncl = normal_closure(G, [swap])
+    assert ncl.order() == 2**m and len(ncl.generators) == m
+    assert sifted.count(swap.images.tobytes()) == 1  # the seed, by add_generator
+    assert not set(sifted) & {g.images.tobytes() for g in ncl.generators[1:]}
 
 
 def test_contains_rejects_outsider():
@@ -963,6 +989,66 @@ def test_family_walks_match_queue_references(p, h):
     arcs = [(0, w) for w in graph.neighbors(0)] + [(mid, graph.neighbors(mid)[-1])]
     for G in (bundle.small_group, bundle.big_group):
         assert_walks_match_queues(graph, G, (0, mid, graph.n - 1), arcs)
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (5, 1), (2, 3), (3, 2)])
+def test_family_arc_orbits_match_queue_reference(p, h):
+    # one arc into each of the 4 neighbour blocks of p copies, at 0 and at one other vertex
+    bundle = Bundle(ConstructionParams(p, h))
+    graph = bundle.graph
+    arcs = []
+    for u in (0, graph.n // 3 + 1):
+        nbrs = graph.neighbors(u)
+        assert len(nbrs) == 4 * p
+        arcs += [(u, int(nbrs[k * p + k % p])) for k in range(4)]
+    for G in (bundle.small_group, bundle.big_group):
+        for arc in arcs:
+            assert arc_orbit_size(graph, G, arc) == arc_orbit_size_by_queue(graph, G, arc)
+
+
+def test_arc_orbits_of_a_group_that_is_not_vertex_transitive():
+    # two disjoint 5-cycles; the groups move only the first, or reflect the second too
+    graph = Graph(10, [(c + i, c + (i + 1) % 5) for c in (0, 5) for i in range(5)])
+    rotate = Perm([1, 2, 3, 4, 0, 5, 6, 7, 8, 9])
+    reflect = Perm([0, 1, 2, 3, 4, 5, 9, 8, 7, 6])
+    arcs = [(0, 1), (1, 0), (4, 0), (5, 6), (6, 5), (7, 8), (9, 5)]
+    for G, sizes in ((PermGroup([rotate]), [5, 5, 5, 1, 1, 1, 1]),
+                     (PermGroup([rotate, reflect]), [5, 5, 5, 2, 2, 2, 2])):
+        assert not is_vertex_transitive(graph, G)
+        for arc, size in zip(arcs, sizes):
+            assert arc_orbit_size(graph, G, arc) == size == arc_orbit_size_by_queue(graph, G, arc)
+
+
+def test_arc_orbit_of_the_trivial_group():
+    graph = c5_graph()
+    for arc in [(0, 1), (3, 2)]:
+        assert arc_orbit_size(graph, PermGroup.trivial(5), arc) == 1
+    assert arc_orbit_size(graph, PermGroup([Perm.identity(5)]), (0, 4)) == 1
+
+
+def test_arc_orbit_stops_once_the_stabilizer_covers_the_neighbourhood(monkeypatch):
+    # each block of BFS_BATCH // d orbit vertices reads its Schreier rows
+    # with one searchsorted of a 3-D query (generators x vertices x neighbours)
+    blocks = []
+    searchsorted = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        blocks.extend([1] if np.ndim(v) == 3 else [])
+        return searchsorted(a, v, *args, **kwargs)
+
+    bundle = Bundle(ConstructionParams(2, 4))
+    graph = bundle.graph
+    n_blocks = -(-graph.n // (perm_group.BFS_BATCH // graph.valency()))
+    assert n_blocks > 1
+    for G in (bundle.big_group, bundle.small_group):  # automorphism checks first
+        is_vertex_transitive(graph, G)
+    monkeypatch.setattr(np, "searchsorted", counted)
+    assert arc_orbit_size(graph, bundle.big_group) == 2 * graph.m
+    assert 0 < len(blocks) < n_blocks
+    blocks.clear()
+    # the small group's stabilizer has 4 orbits on N(0): every block is read
+    assert arc_orbit_size(graph, bundle.small_group) == 2 * graph.m // 4
+    assert len(blocks) == n_blocks
 
 
 @pytest.mark.parametrize("gens", [g for _, g in DUAL_ROUTE_GROUPS],

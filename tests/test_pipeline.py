@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from arcgen import pipeline
 from arcgen.caps import CapExceeded, Caps
 from arcgen.perm_group import (
     StabChain,
@@ -20,7 +21,7 @@ from arcgen.pipeline import (
     semidirect_consistency,
     verify_theorem1,
 )
-from oracles import kron
+from oracles import arc_orbit_size_by_queue, kron
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +230,39 @@ def test_small_group_vertex_transitive_with_four_local_orbits(bundle_22):
     assert is_vertex_transitive(graph, bundle_22.small_group)
     _, orbits = local_action(graph, bundle_22.small_group, 0)
     assert orbits == 4
+
+
+def refuse_arc_walk(monkeypatch):
+    def refused(*args):
+        raise CapExceeded("time", 0, "arc_orbit_size is refused in this test")
+
+    monkeypatch.setattr(pipeline, "arc_orbit_size", refused)
+
+
+def test_c4_skips_at_the_order_cap_without_an_arc_walk(monkeypatch):
+    refuse_arc_walk(monkeypatch)
+    report = verify_theorem1(ConstructionParams(3, 2))
+    line = report.claim("C4").line()
+    assert line.startswith("C4 arc_transitive=false,orbits=4 skipped:order_cap skipped ")
+    assert report.claim("C5").computed == "skipped:time_cap"  # the refusal was in force
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (2, 3)])
+def test_c4_passes_without_an_arc_walk(p, h, monkeypatch):
+    refuse_arc_walk(monkeypatch)
+    c4 = verify_theorem1(ConstructionParams(p, h)).claim("C4")
+    assert (c4.computed, c4.status) == ("arc_transitive=false,orbits=4", "pass")
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (5, 1), (2, 3)])
+def test_c4_arc_orbit_by_orbit_stabilizer_matches_queue_reference(p, h):
+    # C4's |0^G| * |w^(G_0)| for the default arc (0, w), w = N(0)[0]
+    bundle = Bundle(ConstructionParams(p, h))
+    graph, small = bundle.graph, bundle.small_group
+    induced, _ = local_action(graph, small, 0)
+    ours = len(small.orbit(0)) * len(induced.orbit(0))
+    assert ours == arc_orbit_size_by_queue(graph, small, (0, int(graph.neighbors(0)[0])))
+    assert ours == 2 * graph.m // 4
 
 
 def test_big_group_orbit_covers_all_vertices(bundle_22):
