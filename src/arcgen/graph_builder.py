@@ -88,7 +88,9 @@ class Graph:
         return len(self._heads) // 2
 
     def neighbors(self, v: int) -> np.ndarray:
-        """The neighbors of v in increasing order (a read-only view)."""
+        """The neighbors of v in increasing order (a read-only view); 0 <= v < n."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
         return self._heads[self._offsets[v] : self._offsets[v + 1]]
 
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,8 @@ This module carries the algebraic half of the construction:
 
 * the change of basis between the natural basis {a^i b^j} and the
   filtered basis {(a-1)^x (b-1)^y}, which is P ⊗ P for a q x q matrix P
-  and is kept and applied as that factor alone,
+  and is kept as that factor alone: (a-1)^x (b-1)^y is the outer product
+  of columns x and y of P, and operators are conjugated on the factor,
 * the descent V ⊃ VI ⊃ VI^2 ⊃ ... by the augmentation ideal I, walked
   on coordinate subspaces along the index shifts a - 1: e_xy -> e_(x+1,y)
   and b - 1: e_xy -> e_(x,y+1), which one tripwire on a q x q factor
@@ -105,30 +106,14 @@ class AbelianH:
         return (i % self.q) * self.q + j % self.q
 
 
-def _kron_rows(rows: FpMatrix, m: FpMatrix) -> FpMatrix:
-    """rows @ kron(m, m) for a stack of rows of length q^2, m being q x q.
-
-    Row entry i*q + j is X[i, j] of a q x q array X, and its image is
-    m^T X m: each of the two products is one (d*q x q) by (q x q) product
-    over the whole stack, not a q^2 x q^2 one.
-    """
-    d, q, p = rows.rows, m.rows, m.p
-    x = rows.a.reshape(d, q, q)
-    for _ in range(2):  # X -> X^T m -> (X^T m)^T m = m^T X m
-        flat = x.transpose(0, 2, 1).reshape(d * q, q)
-        x = (FpMatrix._make(flat, p) @ m).a.reshape(d, q, q)
-    return FpMatrix._make(x.reshape(d, q * q), p)
-
-
 @dataclass(frozen=True)
 class EBasisChange:
     """The q x q factor of the change between the two bases of F_p[H].
 
     Column x of P holds the expansion of (a-1)^x over 1, a, ..., a^(q-1),
-    so (a-1)^x (b-1)^y expands to column index(x, y) of P ⊗ P. A row w of
-    e coordinates is the natural row w (P ⊗ P)^T, and a natural row v has
-    e coordinates v (P^-1 ⊗ P^-1)^T; both are applied factor by factor
-    (`_kron_rows`), and no q^2 x q^2 change matrix is formed.
+    so (a-1)^x (b-1)^y expands to column index(x, y) of P ⊗ P, the outer
+    product P[:, x] ⊗ P[:, y]. Operators are conjugated on the q x q
+    factor (`conjugate_to_e`); no q^2 x q^2 change matrix is formed.
     """
 
     H: AbelianH
@@ -149,7 +134,9 @@ def build_e_basis(H: AbelianH) -> EBasisChange:
 
     Column x of the q x q matrix P is (a-1)^x = (a-1)^(x-1) * a - (a-1)^(x-1)
     over 1, a, ..., a^(q-1). Since (a-1)^x (b-1)^y expands to column
-    index(x, y) of P ⊗ P, only P is inverted.
+    index(x, y) of P ⊗ P, only P is inverted. P^-1 P = I is checked once:
+    by the mixed-product rule it is the round trip of every row through
+    P ⊗ P and back. A singular P or a wrong inverse raises AssertionError.
     """
     q, p = H.q, H.p
     cols = np.zeros((q, q), dtype=np.int64)
@@ -163,6 +150,8 @@ def build_e_basis(H: AbelianH) -> EBasisChange:
         raise AssertionError(
             "filtered-basis change matrix is singular, construction defect"
         ) from exc
+    if P_inv @ P != FpMatrix.identity(q, p):
+        raise AssertionError("filtered-basis change has a wrong inverse, construction defect")
     return EBasisChange(H=H, P=P, P_inv=P_inv)
 
 

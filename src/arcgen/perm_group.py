@@ -857,9 +857,13 @@ def is_automorphism(graph: Graph, perm: Perm) -> bool:
 
 
 def _require_automorphisms(graph: Graph, G: PermGroup) -> None:
-    # a graph and a group's generators are immutable, so one check holds for good
+    # a graph and a group's generators are immutable, so one check holds for
+    # good; a group made by _extension lists its subgroup's generators first,
+    # and once those are checked against this graph only the new ones remain
     if G._automorphisms_of is not graph:
-        for i, g in enumerate(G.generators):
+        sub = G._sub
+        done = len(sub.generators) if sub is not None and sub._automorphisms_of is graph else 0
+        for i, g in enumerate(G.generators[done:], done):
             if not is_automorphism(graph, g):
                 raise ValueError(f"generator {i + 1} is not an automorphism")
         G._automorphisms_of = graph

@@ -36,13 +36,12 @@ from functools import cached_property
 import numpy as np
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .field_linalg import FpMatrix, FpSubspace, is_prime
+from .field_linalg import FpSubspace, is_prime
 from .graph_builder import Graph, build_family_graph
 from .group_algebra import (
     AbelianH,
     EBasisChange,
     GammaChain,
-    _kron_rows,
     build_e_basis,
     gamma_chain,
     min_generators_local,
@@ -64,7 +63,6 @@ __all__ = [
     "Bundle",
     "ClaimResult",
     "ClaimReport",
-    "module_vertex_action",
     "group_vertex_action",
     "family_generators",
     "build_bundle",
@@ -153,9 +151,14 @@ class Bundle:
         Using the full basis keeps generation of the module group
         obviously correct; minimality is measured later, not assumed.
         gamma_chain checked that the top term's canonical basis is exactly
-        those unit rows, so they are converted by (P ⊗ P)^T.
+        those unit rows, and e_xy expands to the outer product
+        P[:, x] ⊗ P[:, y]: one broadcast multiply, no F_p product, exact
+        in int64 as entries stay below p^2 < 2^62.
         """
-        return _kron_rows(self.top_space.basis, self.change.P.transpose()).a
+        q, p = self.params.q, self.params.p
+        x, y = np.divmod(self.top_space.pivots, q)
+        cols = self.change.P.a.T  # row x is column x of P
+        return (cols[x, :, None] * cols[y, None, :] % p).reshape(len(x), q * q)
 
     @cached_property
     def generators(self) -> dict:
@@ -173,9 +176,10 @@ class Bundle:
 
         They are the e_xy on the layer that spans the top module modulo
         its augmentation images under a and b, so with a and b they
-        generate the small group. Row k of module_basis is the unit row
-        at pivot k of top_space (gamma_chain checked that the top term's
-        basis is unit rows), and that pivot is x * q + y.
+        generate the small group. Row k of module_basis is the natural
+        image of the unit row at pivot k of top_space (gamma_chain checked
+        that the top term's basis is unit rows), and that pivot is
+        x * q + y.
         """
         q = self.params.q
         pivots = self.top_space.pivots
@@ -204,27 +208,17 @@ class Bundle:
         return self.big_group.order() // self.small_group.order()
 
 
-def module_vertex_action(bundle: Bundle, rows: np.ndarray) -> list[Perm]:
-    """Vertex permutations of a stack of top-module vectors, one per row.
-
-    Each row is a natural-basis coefficient vector, and every row is
-    checked to lie in the top filtration term. Vertex (x, c) maps to
-    (x, c + coeff_x); the order of each result divides p.
-    """
-    H, p = bundle.H, bundle.params.p
-    v = np.mod(np.asarray(rows, dtype=np.int64), p)
-    if v.ndim != 2 or v.shape[1] != H.ambient:
-        raise ValueError("coefficient rows have the wrong length")
-    in_e = _kron_rows(FpMatrix(v, p), bundle.change.P_inv.transpose())
-    if not bundle.top_space.contains(in_e.a):
-        raise ValueError("a row is not in the top filtration module")
-    return _copy_shifts(v, p)
-
-
 def _copy_shifts(rows: np.ndarray, p: int) -> list[Perm]:
-    """Vertex (x, c) -> (x, c + row[x]) for each reduced coefficient row."""
-    vertices = np.arange(rows.shape[1] * p)
-    images = (vertices // p) * p + (vertices % p + np.repeat(rows, p, axis=1)) % p
+    """Vertex (x, c) -> (x, c + row[x]) for each reduced coefficient row.
+
+    In int32, as Perm keeps its images: the degree p * q^2 fits, and c + row[x] < 2p.
+    """
+    vertices = np.arange(rows.shape[1] * p, dtype=np.int32)
+    copy = vertices % p
+    images = np.repeat(rows.astype(np.int32), p, axis=1)
+    images += copy
+    images %= p
+    images += vertices - copy
     return [Perm(row) for row in images]
 
 
@@ -243,7 +237,7 @@ def group_vertex_action(bundle: Bundle, item) -> Perm:
 def family_generators(bundle: Bundle) -> dict:
     """All generating permutations, keyed by role."""
     return {
-        "module": module_vertex_action(bundle, bundle.module_basis),
+        "module": _copy_shifts(bundle.module_basis, bundle.params.p),
         "translations": tuple(group_vertex_action(bundle, s) for s in ("a", "b")),
         "outer": tuple(group_vertex_action(bundle, s) for s in ("phi", "psi")),
     }

@@ -10,7 +10,10 @@ closure: it drives the library's chain, but one element at a time.
 The dense route for the group algebra lives here too: q^2 x q^2 action
 matrices, conjugated honestly into the e basis, images under dense
 matrices, and the Nakayama count on them. The library walks index maps
-instead, and the tests compare the two.
+instead, and the tests compare the two. So does the natural-row route
+for the module generators: rows converted through P ⊗ P and back, each
+checked to lie in the top term, where the library takes outer products
+of P's columns.
 """
 
 from collections import deque
@@ -19,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from arcgen.field_linalg import FpMatrix, FpSubspace, ModulusMismatchError, is_prime
-from arcgen.group_algebra import _kron_rows, build_e_basis
+from arcgen.group_algebra import build_e_basis
 from arcgen.perm_group import Perm, StabChain
 
 
@@ -65,6 +68,39 @@ def algebra_mul(u, v, H):
             y = H.element(int(l))
             out[H.index(*H.mul(x, y))] += u[k] * v[l]
     return out % H.p
+
+
+def _kron_rows(rows, m):
+    """rows @ kron(m, m) for a stack of rows of length q^2, m being q x q.
+
+    Row entry i*q + j is X[i, j] of a q x q array X, and its image is
+    m^T X m: each of the two products is one (d*q x q) by (q x q) product
+    over the whole stack, not a q^2 x q^2 one.
+    """
+    d, q, p = rows.rows, m.rows, m.p
+    x = rows.a.reshape(d, q, q)
+    for _ in range(2):  # X -> X^T m -> (X^T m)^T m = m^T X m
+        flat = x.transpose(0, 2, 1).reshape(d * q, q)
+        x = (FpMatrix._make(flat, p) @ m).a.reshape(d, q, q)
+    return FpMatrix._make(x.reshape(d, q * q), p)
+
+
+def module_vertex_action(bundle, rows):
+    """Vertex permutations of a stack of top-module vectors, one per row.
+
+    Each row is a natural-basis coefficient vector, converted to e
+    coordinates through (P^-1 ⊗ P^-1)^T and checked to lie in the top
+    filtration term. Vertex (x, c) maps to (x, c + coeff_x).
+    """
+    H, p = bundle.H, bundle.params.p
+    v = np.mod(np.asarray(rows, dtype=np.int64), p)
+    if v.ndim != 2 or v.shape[1] != H.ambient:
+        raise ValueError("coefficient rows have the wrong length")
+    in_e = _kron_rows(FpMatrix(v, p), bundle.change.P_inv.transpose())
+    if not bundle.top_space.contains(in_e.a):
+        raise ValueError("a row is not in the top filtration module")
+    x, c = np.divmod(np.arange(H.ambient * p), p)  # vertex (x, c) has index x * p + c
+    return [Perm(x * p + (c + row[x]) % p) for row in v]
 
 
 def conjugate_to_e_dense(change, m):

@@ -54,6 +54,17 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 1, 2)])
 
 
+def test_neighbors_rejects_a_vertex_out_of_range():
+    # -1 would slice offsets[-1]:offsets[0] and return nothing
+    g = c4()
+    for v in (-1, 4, -5, 2**70):
+        with pytest.raises(ValueError, match="out of range"):
+            g.neighbors(v)
+    assert g.neighbors(0).tolist() == [1, 3] and g.neighbors(3).tolist() == [0, 2]
+    with pytest.raises(ValueError, match="vertex 0 out of range"):
+        Graph(0, []).neighbors(0)
+
+
 def test_graph_arrays_are_read_only():
     g = c4()
     tails, heads = g.arcs()

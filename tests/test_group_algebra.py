@@ -10,7 +10,6 @@ from arcgen.group_algebra import (
     EBasisChange,
     _descent,
     _e_unit_span,
-    _kron_rows,
     build_e_basis,
     gamma_chain,
     min_generators_local,
@@ -18,6 +17,7 @@ from arcgen.group_algebra import (
     section_dims,
 )
 from oracles import (
+    _kron_rows,
     action_matrix,
     algebra_mul,
     conjugate_to_e_dense,
@@ -115,6 +115,24 @@ def test_change_matrices_are_mutually_inverse():
         ident = FpMatrix.identity(H.ambient, p)
         assert to_e @ from_e == ident
         assert from_e @ to_e == ident
+
+
+@pytest.mark.parametrize("p, h", [(2, 1), (2, 3), (3, 1), (5, 1)])
+def test_build_e_basis_rejects_a_wrong_inverse(p, h, monkeypatch):
+    # the q x q check P^-1 P = I stands for the round trip of every module
+    # row through P ⊗ P and back; an inverse with one entry changed fails it
+    from arcgen import group_algebra
+
+    inverse = group_algebra.mat_inverse
+
+    def wrong_inverse(m):
+        inv = inverse(m).a.copy()
+        inv[0, -1] = (inv[0, -1] + 1) % m.p
+        return FpMatrix(inv, m.p)
+
+    monkeypatch.setattr(group_algebra, "mat_inverse", wrong_inverse)
+    with pytest.raises(AssertionError, match="wrong inverse"):
+        build_e_basis(AbelianH(p, h))
 
 
 def test_e_basis_against_convolution_oracle():

@@ -224,6 +224,34 @@ def test_automorphism_check_is_remembered_per_graph(monkeypatch):
     assert len(checked) == 3
 
 
+def test_extension_checks_only_the_generators_its_subgroup_lacks(monkeypatch):
+    checked = []
+    monkeypatch.setattr(
+        perm_group, "is_automorphism", lambda g, p: checked.append(p) or is_automorphism(g, p)
+    )
+    reflection, graph = Perm([0, 4, 3, 2, 1]), c5_graph()
+    # the subgroup is checked first, so the extension checks its new generator only
+    sub = PermGroup([cycle(5)])
+    assert is_vertex_transitive(graph, sub)
+    checked.clear()
+    assert arc_orbit_size(graph, PermGroup._extension(sub, [reflection])) == 10
+    assert checked == [reflection]
+    # an unchecked subgroup, or one checked against another graph object,
+    # leaves every generator to the extension
+    for sub_graph in (None, c5_graph()):
+        sub = PermGroup([cycle(5)])
+        if sub_graph is not None:
+            is_vertex_transitive(sub_graph, sub)
+        checked.clear()
+        is_vertex_transitive(graph, PermGroup._extension(sub, [reflection]))
+        assert checked == [cycle(5), reflection]
+    # a new generator that is not an automorphism keeps its place in the message
+    sub = PermGroup([cycle(5)])
+    is_vertex_transitive(graph, sub)
+    with pytest.raises(ValueError, match="generator 2 is not an automorphism"):
+        is_vertex_transitive(graph, PermGroup._extension(sub, [Perm([1, 0, 2, 3, 4])]))
+
+
 # -- orders, stabilizers, chains ---------------------------------------------
 
 
@@ -519,6 +547,14 @@ def test_local_action_rotation_only():
     induced, orbits = local_action(c5_graph(), PermGroup([cycle(5)]), 0)
     assert orbits == 2
     assert induced.order() == 1
+
+
+def test_local_action_rejects_a_vertex_out_of_range():
+    graph, G = c5_graph(), dihedral_c5()
+    for v in (-1, 5):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            local_action(graph, G, v)
+    assert local_action(graph, G, 4)[1] == 1
 
 
 # -- frattini decomposition --------------------------------------------------

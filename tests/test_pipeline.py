@@ -16,12 +16,12 @@ from arcgen.pipeline import (
     Bundle,
     ConstructionParams,
     build_bundle,
+    family_generators,
     group_vertex_action,
-    module_vertex_action,
     semidirect_consistency,
     verify_theorem1,
 )
-from oracles import arc_orbit_size_by_queue, kron
+from oracles import _kron_rows, arc_orbit_size_by_queue, kron, module_vertex_action
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +59,16 @@ def test_e11_q2_shifts_every_copy():
     from_e = kron(asm.change.P, asm.change.P)
     e11 = from_e.a[:, asm.H.index(1, 1)]
     assert e11.tolist() == [1, 1, 1, 1]
-    [perm] = module_vertex_action(asm, e11[None, :])
+    row = asm.top_space.pivots.tolist().index(asm.H.index(1, 1))
+    assert asm.module_basis[row].tolist() == e11.tolist()
+    perm = asm.module_gens[row]
     assert perm.order() == 2
     assert all(perm(2 * k) == 2 * k + 1 for k in range(4))
 
 
 def test_module_action_preserves_adjacency():
     asm = Bundle(ConstructionParams(2, 2))
-    for perm in module_vertex_action(asm, asm.module_basis):
+    for perm in asm.module_gens:
         assert is_automorphism(asm.graph, perm)
 
 
@@ -102,8 +104,27 @@ def test_module_action_stack_matches_one_row_calls():
 
 def test_module_action_order_divides_p():
     asm = Bundle(ConstructionParams(3, 1))
-    for perm in module_vertex_action(asm, asm.module_basis):
+    for perm in asm.module_gens:
         assert perm.order() in (1, 3)
+
+
+# every (p, h) with q <= 32
+SMALL_Q = [(p, h) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for h in range(1, 6) if p**h <= 32]
+
+
+@pytest.mark.parametrize("p, h", SMALL_Q)
+def test_module_generators_match_the_natural_row_route(p, h):
+    # the library's outer products of P's columns against the oracle's
+    # conversion of the top term's unit rows through P ⊗ P, and its copy
+    # shifts against the oracle's, which converts each row back and checks
+    # it lies in the top term
+    asm = Bundle(ConstructionParams(p, h))
+    basis = asm.module_basis
+    assert np.array_equal(basis, _kron_rows(asm.top_space.basis, asm.change.P.transpose()).a)
+    gens = family_generators(asm)["module"]
+    assert len(gens) == len(basis) == asm.top_space.dim
+    for start in range(0, len(basis), 64):  # blocks keep the oracle's rows small at q = 31
+        assert gens[start : start + 64] == module_vertex_action(asm, basis[start : start + 64])
 
 
 def test_group_action_identity_element():
@@ -515,25 +536,31 @@ def test_checklist_builds_the_e_basis_actions_once(monkeypatch):
 
 
 def test_checklist_at_2_4_stays_below_the_blas_route(monkeypatch):
-    # under the default caps every F_p product at (2,4) takes numpy's int64
-    # loop: the largest is a module-basis conversion of 2176 x 16 x 16
+    # the module generators are outer products of P's columns, so the only
+    # F_p products left on the family path are q x q ones: P^-1 P in
+    # build_e_basis and P^T A P^-T in gamma_chain; none reaches the BLAS route
     import arcgen.field_linalg as field_linalg
 
-    macs = []
+    shapes = []
     matmul = field_linalg._matmul
 
     def counted_matmul(a, b, p):
-        macs.append(a.shape[0] * a.shape[1] * b.shape[1])
+        shapes.append((a.shape, b.shape))
         return matmul(a, b, p)
 
     monkeypatch.setattr(field_linalg, "_matmul", counted_matmul)
-    report = verify_theorem1(ConstructionParams(2, 4))
-    assert report.claim("C6").status == "pass"
-    assert macs and max(macs) < field_linalg._BLAS_MIN_MACS
+    for p, h in [(2, 4), (2, 5), (3, 3), (5, 2)]:
+        q = p**h
+        shapes.clear()
+        report = verify_theorem1(ConstructionParams(p, h))
+        assert report.claim("C6").status == "pass"
+        assert shapes and set(shapes) == {((q, q), (q, q))}
+        assert q**3 < field_linalg._BLAS_MIN_MACS
 
 
 def test_checklist_checks_each_generator_set_once(monkeypatch):
-    # C3 and C4 check the small group's generators, C5 the big group's
+    # C3 and C4 check the small group's generators; C5 checks only phi and
+    # psi, the generators the big group adds to the already checked small one
     import arcgen.perm_group as perm_group
 
     checked = []
@@ -544,7 +571,7 @@ def test_checklist_checks_each_generator_set_once(monkeypatch):
     report = verify_theorem1(ConstructionParams(2, 2))
     assert report.all_pass
     bundle = Bundle(ConstructionParams(2, 2))
-    assert len(checked) == len(bundle.small_group.generators) + len(bundle.big_group.generators)
+    assert len(checked) == len(bundle.big_group.generators)
 
 
 def test_report_renders_one_line_per_claim():
