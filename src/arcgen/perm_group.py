@@ -15,10 +15,13 @@ depends on the input alone. The family groups' generators, listed in a
 polycyclic order, all take the first route. On top of the chain sit the
 predicates the verification pipeline needs: vertex/arc transitivity,
 local actions, the Frattini decomposition check, minimal generator ranks
-of p-groups (Burnside basis theorem) and exponents, read off one walk of
-the group through its chain by the pointer-doubling cycle-length kernel
-that also gives each element's order. Orbits, transversals and arc orbits
-share one breadth-first walk; arc orbits read Schreier generators off it.
+of p-groups (Burnside basis theorem) and exponents. The exponent is read
+off one walk of the group through its chain: each element walks one point
+of every orbit that holds a moved base point until it returns, and the lcm
+of these return times is the lcm of all element orders. A single
+element's order comes from a pointer-doubling cycle-length kernel. Orbits, transversals and arc
+orbits share one breadth-first walk; arc orbits read Schreier generators
+off it.
 
 Composition convention: permutations act on the right, x^(g*h) = (x^g)^h,
 and (g * h).images[x] == h.images[g.images[x]].
@@ -80,13 +83,11 @@ def _power(a: np.ndarray, k: int) -> np.ndarray:
     return result
 
 
-def _cycle_lengths(rows: np.ndarray) -> list[int]:
-    """The distinct cycle lengths of the permutations in a block of rows, ascending."""
-    k, n = rows.shape
-    # row r's point x is entry r*n + x of the flat block
-    a = (rows + n * np.arange(k)[:, None]).ravel()
-    # the smallest dtype that holds a flat position: exponent peaks in this loop
-    low = np.arange(k * n, dtype=np.min_scalar_type(k * n))
+def _cycle_lengths(a: np.ndarray) -> list[int]:
+    """The distinct cycle lengths of a permutation, ascending."""
+    n = len(a)
+    a = a.astype(np.intp)  # gathers through int32 indices convert them each time
+    low = np.arange(n, dtype=np.min_scalar_type(n))
     # after j rounds low[x] is the least of x, x^a, ..., x^(a^(2^j - 1))
     for _ in range(max(n - 1, 0).bit_length()):
         np.minimum(low, low[a], out=low)
@@ -97,7 +98,7 @@ def _cycle_lengths(rows: np.ndarray) -> list[int]:
 
 def _order(a: np.ndarray) -> int:
     """Least common multiple of the cycle lengths of a."""
-    return math.lcm(*_cycle_lengths(a[None, :]))
+    return math.lcm(*_cycle_lengths(a))
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -151,14 +152,15 @@ class Perm:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        try:
-            arr = np.array(images, dtype=_DTYPE)
-        except OverflowError:
-            raise ValueError("images do not form a permutation of 0..n-1") from None
+        arr = np.asarray(images)
         if arr.ndim != 1:
             raise ValueError("images must be a flat sequence")
-        if not np.array_equal(np.sort(arr), np.arange(len(arr))):
+        # checked before the int32 cast, which would truncate floats, take
+        # bools and digit strings, and wrap integers out of its range
+        integral = arr.dtype.kind in "iu" or not len(arr)
+        if not integral or not np.array_equal(np.sort(arr), np.arange(len(arr))):
             raise ValueError("images do not form a permutation of 0..n-1")
+        arr = arr.astype(_DTYPE)
         arr.setflags(write=False)
         self.images = arr
 
@@ -807,9 +809,33 @@ def frattini_rank(G: PermGroup, p: int, gens=None) -> int:
     return rank
 
 
-# Rows of the block exponent forms over the deepest levels, and so the most
-# rows any one call of the cycle-length kernel receives
+# The most rows of the block exponent forms over the deepest levels, and the
+# most top products one chunk stacks
 EXPONENT_BLOCK = 1024
+
+
+def _return_times(block: np.ndarray, tops: np.ndarray, starts: np.ndarray) -> list[int]:
+    """Distinct return times of the start points, ascending.
+
+    Element (i, r) maps x to block[r, tops[i, x]]. Each start b is walked
+    b, b^x, b^(x^2), ... with one gather per live walk a round, and a walk
+    drops out when it comes back to b, so no element's images are formed.
+    """
+    n, k, m = block.shape[1], len(tops), len(block)
+    top = np.repeat(np.arange(0, k * n, n), m * len(starts))
+    row = np.tile(np.repeat(np.arange(0, m * n, n), len(starts)), k)
+    start = np.tile(starts, k * m)
+    tops, block, cur = tops.ravel(), block.ravel(), start
+    times, steps = [], 0
+    while len(cur):
+        steps += 1
+        cur = block[row + tops[top + cur]]
+        back = cur == start
+        if back.any():
+            times.append(steps)
+            live = ~back
+            cur, start, top, row = cur[live], start[live], top[live], row[live]
+    return times
 
 
 def exponent(G: PermGroup) -> int:
@@ -818,10 +844,15 @@ def exponent(G: PermGroup) -> int:
     With v_i over the transversal inverses of chain level i, the products
     v_0 v_1 ... v_(L-1) invert the normal forms u_(L-1) ... u_0, so they
     list G once each. The deepest levels whose product fits are multiplied
-    into one block of at most EXPONENT_BLOCK rows; each product of the top
-    levels is applied to the whole block, and the exponent is the lcm of
-    the block's cycle lengths, read by pointer doubling as Perm.order reads
-    them. Groups of order over G.caps.exponent_cap raise CapExceeded.
+    into one block of at most EXPONENT_BLOCK rows, and the products of the
+    top levels are stacked in chunks. Each element walks one point b of
+    every orbit that holds a base point moved by its level until b returns,
+    and the exponent is the lcm of these return times. That is exact: an
+    element's order is the lcm of its cycle lengths on those orbits, since
+    only the identity fixes every base point, and a cycle of g of length l
+    through x = b^u puts b on a cycle of length l of u g u^-1, which is
+    enumerated too. Groups of order over G.caps.exponent_cap raise
+    CapExceeded.
     """
     cap = G.caps.exponent_cap
     order = G.order()
@@ -829,15 +860,28 @@ def exponent(G: PermGroup) -> int:
         raise CapExceeded(
             "exponent", cap, f"group order {order} exceeds the enumeration cap"
         )
-    levels = [lv.inv[: len(lv.points)] for lv in G.chain().levels]
-    ident = np.arange(G.degree, dtype=_DTYPE)
+    n, chain = G.degree, G.chain()
+    starts, covered = [], np.zeros(n, dtype=bool)
+    for lv in chain.levels:
+        if len(lv.points) > 1 and not covered[lv.base]:
+            starts.append(lv.base)
+            covered[G.orbit(lv.base)] = True
+    if not starts:
+        return 1
+    starts = np.array(starts, dtype=_DTYPE)
+    levels = [lv.inv[: len(lv.points)] for lv in chain.levels]
+    ident = np.arange(n, dtype=_DTYPE)
     block = ident[None, :]
     while levels and len(block) * len(levels[-1]) <= EXPONENT_BLOCK:
-        block = block[:, levels.pop()].reshape(-1, G.degree)  # row (b, v) is v * b = b[v]
-    exp = 1
-    for top in itertools.product(*levels):
-        x = block[:, functools.reduce(lambda t, v: v[t], top, ident)]
-        exp = math.lcm(exp, *_cycle_lengths(x))
+        block = block[:, levels.pop()].reshape(-1, n)  # row (b, v) is v * b = b[v]
+    # each chunk walks no more points than the block has entries
+    per_chunk = min(EXPONENT_BLOCK, n // len(starts))
+    products, exp = itertools.product(*levels), 1
+    while chunk := list(itertools.islice(products, per_chunk)):
+        tops = np.empty((len(chunk), n), dtype=_DTYPE)
+        for row, top in zip(tops, chunk):
+            row[:] = functools.reduce(lambda t, v: v[t], top, ident)
+        exp = math.lcm(exp, *_return_times(block, tops, starts))
     return exp
 
 

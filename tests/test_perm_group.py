@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -64,6 +65,14 @@ def test_perm_validation():
         Perm([0, 3, 1])
     with pytest.raises(ValueError):
         Perm([0, 99999999999])
+
+
+def test_perm_rejects_non_integer_images():
+    for images in ([1.5, 0.5], [1.0, 0.0], [True, False], ["1", "0"], np.array([1, 0], dtype=float)):
+        with pytest.raises(ValueError):
+            Perm(images)
+    assert Perm([]).degree == 0
+    assert Perm(np.array([1, 0], dtype=np.uint8)) == Perm([1, 0])
 
 
 def test_perm_composition_convention():
@@ -684,6 +693,12 @@ def test_exponent_examples():
     assert exponent(dihedral_c5()) == 10
     s3 = PermGroup([Perm([1, 0, 2]), Perm([1, 2, 0])])
     assert exponent(s3) == 6
+    # intransitive: every orbit's cycles count
+    assert exponent(PermGroup([Perm([1, 2, 0, 4, 3])])) == 6  # (0 1 2)(3 4)
+    # (0 1 2 3) and (4 5 6) on 8 points, 7 fixed
+    assert exponent(PermGroup([Perm([1, 2, 3, 0, 4, 5, 6, 7]), Perm([0, 1, 2, 3, 5, 6, 4, 7])])) == 12
+    assert exponent(PermGroup([Perm([1, 2, 3, 0, 5, 4])])) == 4  # (0 1 2 3)(4 5)
+    assert exponent(PermGroup([], degree=0)) == 1
 
 
 def test_exponent_matches_table_oracle():
@@ -1129,19 +1144,59 @@ def test_exponent_matches_element_orders_on_cycles(make, n):
 
 @pytest.mark.parametrize("make", [regular_cyclic, dihedral])
 def test_exponent_kernel_calls_stay_within_the_block(make, monkeypatch):
-    rows = []
-    kernel = perm_group._cycle_lengths
+    calls = []
+    walk = perm_group._return_times
 
-    def counted(block):
-        rows.append(len(block))
-        return kernel(block)
+    def counted(block, tops, starts):
+        calls.append((block.shape, tops.shape, len(starts)))
+        return walk(block, tops, starts)
 
-    monkeypatch.setattr(perm_group, "_cycle_lengths", counted)
-    assert exponent(make(1100)) == 1100
-    assert rows and max(rows) <= perm_group.EXPONENT_BLOCK
-    rows.clear()
-    assert exponent(PermGroup(_symmetric(7))) == 420
-    assert rows and max(rows) <= perm_group.EXPONENT_BLOCK
+    monkeypatch.setattr(perm_group, "_return_times", counted)
+    # S8 has a 720-row block, so its walks, not its top images, bound a chunk
+    S7, S8 = PermGroup(_symmetric(7)), PermGroup(_symmetric(8))
+    for G, e in ((make(1100), 1100), (S7, 420), (S8, 840)):
+        assert exponent(G) == e
+        assert calls, "exponent must walk its chunks"
+        bound = perm_group.EXPONENT_BLOCK * G.degree
+        for (m, n), (k, _), starts in calls:
+            assert n == G.degree and m <= perm_group.EXPONENT_BLOCK
+            assert k * n <= bound and k * m * starts <= m * n
+        # every element is walked once
+        assert sum(m * k for (m, _), (k, _), _ in calls) == G.order()
+        calls.clear()
+    # the first level's orbit is longer than a block, so its products are stacked
+    exponent(make(1100))
+    assert all(k > 1 for _, (k, _), _ in calls)
+
+
+def test_exponent_walks_one_orbit_per_moved_base_point(monkeypatch):
+    walks = []
+    orbit = PermGroup.orbit
+    monkeypatch.setattr(PermGroup, "orbit", lambda G, v: walks.append(v) or orbit(G, v))
+    # 4095 orbits, only one of them holding a moved base point
+    assert exponent(PermGroup([Perm([1, 0] + list(range(2, 4096)))])) == 2
+    assert walks == [0]
+    walks.clear()
+    S7 = PermGroup(_symmetric(7))
+    assert exponent(S7) == 420 and len(S7.chain().levels) > 1
+    assert walks == [S7.chain().levels[0].base]
+
+
+def test_exponent_matches_element_orders_on_random_intransitive_groups():
+    rng = random.Random(20)
+    for _ in range(30):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        cuts = list(itertools.accumulate(sizes, initial=0))
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = []
+            for lo, hi in zip(cuts, cuts[1:]):  # a random permutation of each block
+                images += rng.sample(range(lo, hi), hi - lo)
+            gens.append(Perm(images))
+        G = PermGroup(gens)
+        assert len(G.orbits()) > 1
+        orders = (math.lcm(*(len(c) for c in Perm(x).cycles())) for x in enumerate_elements(G))
+        assert exponent(G) == math.lcm(*orders)
 
 
 def test_bfs_matches_queue_reference():

@@ -6,6 +6,7 @@ from arcgen.caps import CapExceeded, Caps
 from arcgen.perm_group import (
     StabChain,
     arc_orbit_size,
+    exponent,
     frattini_rank,
     is_automorphism,
     is_vertex_transitive,
@@ -206,6 +207,15 @@ def test_bundle_generators_are_automorphisms(bundle_22):
     ]
     for g in gens:
         assert is_automorphism(bundle_22.graph, g)
+
+
+@pytest.mark.parametrize("p, h, big", [(2, 1, 4), (2, 2, 8), (3, 1, 18)])
+def test_family_exponents(p, h, big):
+    # e(small) = pq (ROADMAP Facts); the big group's quotient by the small
+    # group has exponent 2, so e(big) is pq or 2pq
+    bundle, pq = Bundle(ConstructionParams(p, h)), p * p**h
+    assert exponent(bundle.small_group) == pq
+    assert exponent(bundle.big_group) == big and big in (pq, 2 * pq)
 
 
 def test_bundle_stabilizer_order(bundle_22, monkeypatch):
