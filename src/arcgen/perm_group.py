@@ -12,16 +12,33 @@ Schreier generator sifted. Any other generator is closed in by
 Schreier-Sims, which sifts Schreier generators in chunks of int32 rows
 and installs only each chunk's first residue, so the install order
 depends on the input alone. The family groups' generators, listed in a
-polycyclic order, all take the first route. On top of the chain sit the
-predicates the verification pipeline needs: vertex/arc transitivity,
-local actions, the Frattini decomposition check, minimal generator ranks
-of p-groups (Burnside basis theorem) and exponents. The exponent is read
-off one walk of the group through its chain: each element walks one point
-of every orbit that holds a moved base point until it returns, and the lcm
-of these return times is the lcm of all element orders. A single
-element's order comes from a pointer-doubling cycle-length kernel. Orbits, transversals and arc
-orbits share one breadth-first walk; arc orbits read Schreier generators
-off it.
+polycyclic order, all take the first route.
+
+Below its permutation levels a chain may hold one linear level Λ: the
+stabilizer of every base, when it consists of fibre translations
+k*r + c -> k*r + (c + w[k]) mod r of the blocks of r consecutive points,
+r prime, kept as a subspace W of F_r^(n/r) in reduced rows. Λ opens below
+the first level, at the first residue that passes every level and is such
+a translation while those blocks are a block system of the group; the
+family's fibres {h} x F_p are these blocks, and its point stabilizers
+are translations. A translation that reaches Λ is reduced by one exact
+product and is added by one row insertion, so the order is the product
+of the level orbits times r^rank. Any other residue that passes every
+level splits Λ: a new level opens just above it, at the residue's first
+moved point b, with W's orbit of b as its orbit, and W keeps its vectors
+that are 0 on b's block, so Λ stays the stabilizer of all the bases.
+
+On top of the chain sit the predicates the verification pipeline needs:
+vertex/arc transitivity, local actions, the Frattini decomposition check,
+minimal generator ranks of p-groups (Burnside basis theorem) and
+exponents. The exponent is read off one walk of the group through its
+chain: each element walks one point of every orbit that holds a moved
+base point until it returns, and the lcm of these return times is the lcm
+of all element orders. A single element's order comes from a
+pointer-doubling cycle-length kernel. One orbit, transversals and arc
+orbits share one breadth-first walk, and arc orbits read Schreier
+generators off it; all orbits at once are labelled by hooking and pointer
+jumping.
 
 Composition convention: permutations act on the right, x^(g*h) = (x^g)^h,
 and (g * h).images[x] == h.images[g.images[x]].
@@ -39,6 +56,7 @@ from collections import deque
 import numpy as np
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
+from .field_linalg import _matmul
 from .graph_builder import Graph
 
 __all__ = [
@@ -235,7 +253,7 @@ class Perm:
 
 
 class _Level:
-    __slots__ = ("base", "points", "pos", "inv", "gens", "pending", "deferred")
+    __slots__ = ("base", "points", "pos", "inv", "gens", "fibre", "pending", "deferred")
 
     def __init__(self, base: int, ident: np.ndarray):
         n = len(ident)
@@ -250,12 +268,20 @@ class _Level:
         # len(points) rows are meaningful.
         self.inv = ident[None, :].copy()
         # effective generators: every strong generator fixing all the
-        # bases above this level (anchored here or deeper)
+        # bases above this level (anchored here or deeper); fibre[i] is
+        # True when gens[i] is known to be a fibre translation of Λ
         self.gens: list[np.ndarray] = []
+        self.fibre: list[bool] = []
         self.pending: deque = deque()
         # residues a chunk found after the one it installed; sifted again
         # before any further pending pair
         self.deferred = np.empty((0, n), dtype=_DTYPE)
+
+    def add(self, gen: np.ndarray, fibre: bool = False) -> int:
+        """Append a strong generator; returns its index."""
+        self.gens.append(gen)
+        self.fibre.append(fibre)
+        return len(self.gens) - 1
 
     def extend(self, points: np.ndarray, inv: np.ndarray) -> None:
         """Append new orbit points, with the inverses of their transversals as rows."""
@@ -270,6 +296,100 @@ class _Level:
         self.inv[k:end] = inv
         self.pos[points] = np.arange(k, end, dtype=_DTYPE)
         self.points.extend(points.tolist())
+
+
+class _Shifts:
+    """The bottom level Λ: a subspace W of F_r^(n/r) of fibre translations.
+
+    w in W acts on the blocks {k*r, ..., k*r + r - 1} as k*r + c ->
+    k*r + (c + w[k]) mod r, so W is elementary abelian of order r^rank.
+    Its basis rows are reduced: row i is 1 at its pivot block piv[i], and
+    every row is 0 at the other rows' pivots. A vector v then lies in W
+    exactly when v - v[piv] @ rows is 0 (one exact product, `_matmul`).
+    """
+
+    __slots__ = ("r", "rank", "basis", "piv", "_c", "_b")
+
+    def __init__(self, degree: int, r: int):
+        self.r = r
+        self.rank = 0
+        self.basis = np.zeros((0, degree // r), dtype=np.int64)  # rows double on demand
+        self.piv = np.zeros(0, dtype=np.intp)
+        self._c = np.arange(degree, dtype=_DTYPE) % r  # a point's place in its block
+        self._b = np.arange(degree, dtype=_DTYPE) - self._c  # its block's first point
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.basis[: self.rank]
+
+    def perms(self, v: np.ndarray | None = None) -> np.ndarray:
+        """The translations by the rows of v (the basis by default), as image rows."""
+        v = self.rows if v is None else v
+        return self._b + (self._c + np.repeat(v.astype(_DTYPE), self.r, axis=1)) % self.r
+
+    def shifts(self, g: np.ndarray):
+        """Shift vectors of the rows of g, and which rows are fibre translations.
+
+        A row's shift on block k is read at k*r; the row is a fibre
+        translation exactly when it equals the translation by its shifts.
+        """
+        s = g[:, :: self.r] - self._b[:: self.r]
+        return s, (self.perms(s) == g).all(axis=1)
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """v minus its part in W, for int64 rows with entries in [0, r)."""
+        if self.rank:
+            v = v - _matmul(v[:, self.piv], self.rows, self.r)
+            v %= self.r
+        return v
+
+    def insert(self, v: np.ndarray) -> None:
+        """Add a reduced nonzero vector v to the basis, keeping it reduced."""
+        if v[self.piv].any() or not v.any():
+            raise AssertionError("Λ was given a vector that is zero or not reduced")
+        r, k = self.r, int(np.flatnonzero(v)[0])
+        v = v * pow(int(v[k]), -1, r) % r
+        rows = self.rows
+        hit = np.flatnonzero(rows[:, k])
+        rows[hit] = (rows[hit] - rows[hit, k : k + 1] * v) % r
+        if self.rank == len(self.basis):
+            grown = np.empty((max(2 * self.rank, 1), self.basis.shape[1]), dtype=np.int64)
+            grown[: self.rank] = rows
+            self.basis = grown
+        self.basis[self.rank] = v
+        self.piv = np.append(self.piv, k)
+        self.rank += 1
+
+    def cut(self, k: int) -> np.ndarray | None:
+        """Cut W to its vectors that are 0 on block k.
+
+        Returns the row, scaled to 1 at k, that was eliminated, or None if
+        every vector of W is already 0 there.
+        """
+        rows = self.rows
+        hit = np.flatnonzero(rows[:, k])
+        if not len(hit):
+            return None
+        t, r = hit[0], self.r  # the pivot row of k, if k is a pivot
+        u = rows[t] * pow(int(rows[t, k]), -1, r) % r
+        keep = np.arange(self.rank) != t
+        self.basis = (rows[keep] - rows[keep, k : k + 1] * u) % r
+        self.piv = self.piv[keep]
+        self.rank -= 1
+        return u
+
+
+def _fibre_prime(h: np.ndarray, gens: list[np.ndarray]) -> int | None:
+    """The prime r for which h is a nonzero fibre translation, or None.
+
+    The blocks of r consecutive points must also be a block system of
+    the gens: each gen maps every block onto a block.
+    """
+    r = _order(h)
+    if _prime_factors(r) != [r] or len(h) % r or not _Shifts(len(h), r).shifts(h[None])[1][0]:
+        return None
+    blocks = np.array(gens, dtype=_DTYPE).reshape(len(gens), len(h) // r, r) // r
+    return r if (blocks == blocks[:, :, :1]).all() else None
 
 
 # Rows sifted together: a level's Schreier generators, or a new generator's
@@ -307,43 +427,52 @@ class StabChain:
     sifted again, before its next pending pair, once the deeper levels
     are complete. The install order is therefore fixed by the input alone.
 
+    Below the levels sits Λ (`linear`, None until it opens; see the
+    module docstring), the stabilizer of every base as a subspace W of
+    fibre translations. A residue that passes every level goes there on
+    either route: a translation is one row insertion (with fresh
+    (point, generator) work on every level on the Schreier-Sims route), and
+    any other residue splits Λ and is sifted again from the new level.
+    Λ's strong generators are its rows as permutations, and the order is
+    the product of the orbits times r^rank.
+
     Budget checks (order cap, optional wall-clock cap) run after every
-    prime step and inside the closure loop, so oversize groups fail fast
-    with CapExceeded instead of running away. Every partial order divides
-    the final one, so the order cap fires on both routes exactly when the
-    group's order exceeds it.
+    prime step, insertion into Λ and inside the closure loop, so oversize
+    groups fail fast with CapExceeded instead of running away. No partial
+    order exceeds the final one, so the order cap fires on both routes
+    exactly when the group's order exceeds it.
     """
 
     def __init__(self, degree: int, gens=(), *, caps: Caps = DEFAULT_CAPS, base_prefix=()):
-        self._start(degree, [], caps)
+        self._start(degree, [], None, caps)
         for b in base_prefix:
-            self._new_level(int(b))
+            self.levels.append(_Level(int(b), self._ident))
         for g in gens:
             self.add_generator(g)
 
     @classmethod
-    def _from_levels(cls, degree: int, levels: list[_Level], caps: Caps) -> "StabChain":
+    def _from_levels(
+        cls, degree: int, levels: list[_Level], linear: _Shifts | None, caps: Caps
+    ) -> "StabChain":
         chain = object.__new__(cls)  # with a deadline of its own
-        chain._start(degree, levels, caps)
+        chain._start(degree, levels, linear, caps)
         return chain
 
-    def _start(self, degree: int, levels: list[_Level], caps: Caps) -> None:
+    def _start(self, degree: int, levels: list[_Level], linear: _Shifts | None, caps: Caps) -> None:
         self.degree = degree
         self.caps = caps
         self.deadline = time.monotonic() + caps.time_cap_s if caps.time_cap_s is not None else None
         self._ident = np.arange(degree, dtype=_DTYPE)
         self.levels = levels
-        self._bases = np.array([lv.base for lv in levels], dtype=np.intp)
+        self.linear = linear  # Λ, None until a fibre translation opens it
         self._steps = 0
-
-    def _new_level(self, base: int) -> None:
-        self.levels.append(_Level(base, self._ident))
-        self._bases = np.append(self._bases, base)
 
     def order(self) -> int:
         o = 1
         for lv in self.levels:
             o *= len(lv.points)
+        if self.linear is not None:
+            o *= self.linear.r**self.linear.rank
         return o
 
     def base(self) -> list[int]:
@@ -351,9 +480,9 @@ class StabChain:
 
     def strong_generators(self, from_level: int = 0) -> list[np.ndarray]:
         """Generators of the from_level-th stabilizer in the chain."""
-        if from_level >= len(self.levels):
-            return []
-        return list(self.levels[from_level].gens)
+        if from_level < len(self.levels):
+            return list(self.levels[from_level].gens)
+        return list(self.linear.perms()) if self.linear is not None else []
 
     def _budget_check(self) -> None:
         self._steps += 1
@@ -369,43 +498,44 @@ class StabChain:
             raise CapExceeded("order", self.caps.order_cap, "stabilizer chain grew past the cap")
 
     def _sift_rows(self, g: np.ndarray, start: int):
-        """Sift every row of g through the levels from start on.
+        """Sift every row of g through the levels from start on, then Λ.
 
         Returns (rows, levels, residues) for the rows that do not reduce
         to the identity, in row order: each row's index in g, the level
         where it left the chain (len(self.levels) if it passed them all)
-        and its residue.
+        and its residue. A row that passes every level is reduced by Λ if
+        it is a fibre translation, and left as it is otherwise.
         """
-        n = self.degree
+        n, depth = self.degree, len(self.levels)
         rows = np.arange(len(g))
         found = []
-        depth = len(self.levels)
-        bases = self._bases
-        i = start
-        while i < depth and len(rows):
-            # The images of all remaining bases, one line per level, find
-            # the next level whose base some row moves; the levels before
-            # it would apply only identity transversals.
-            images = g.T[bases[i:]]
-            moved = images != bases[i:, None]
-            first = int(moved.argmax())
-            if not moved.flat[first]:
+        for i in range(start, depth):
+            if not len(rows):
                 break
-            j = first // len(rows)
-            i += j
             lv = self.levels[i]
-            p = lv.pos[images[j]]
+            p = lv.pos[g[:, lv.base]]
             gone = p < 0
-            if np.count_nonzero(gone):
+            if gone.any():
                 found.append((rows[gone], i, g[gone]))
                 keep = ~gone
                 g, rows, p = g[keep], rows[keep], p[keep]
-            g = lv.inv.take(np.multiply(p, n, dtype=np.intp)[:, None] + g)
-            i += 1
+            if p.any():  # otherwise every row fixes the base
+                g = lv.inv.take(np.multiply(p, n, dtype=np.intp)[:, None] + g)
         if len(rows):
-            moved = (g != self._ident).any(axis=1)
-            if moved.any():
-                found.append((rows[moved], depth, g[moved]))
+            lin = self.linear
+            if lin is None:
+                left = (g != self._ident).any(axis=1)
+                res = g[left]
+            else:
+                s, fibre = lin.shifts(g)
+                v = lin.reduce(s[fibre].astype(np.int64))
+                new = v.any(axis=1)
+                left = ~fibre
+                left[fibre] = new
+                res = g[left]
+                res[fibre[left]] = lin.perms(v[new])
+            if len(res):
+                found.append((rows[left], depth, res))
         if not found:
             return rows[:0], rows[:0], g[:0]
         if len(found) == 1:
@@ -445,8 +575,18 @@ class StabChain:
             self._process_all()
 
     def _normalizes(self, g: np.ndarray) -> bool:
-        """True if g^-1 s g lies in the group for every strong generator s."""
-        gens = self.levels[0].gens if self.levels else []
+        """True if g^-1 s g lies in the group for every strong generator s.
+
+        Fibre translations commute, so when g is one, the strong
+        generators known to be fibre translations are not conjugated.
+        """
+        lin = self.linear
+        skip = lin is not None and bool(lin.shifts(g[None])[1][0])
+        if self.levels:
+            lv = self.levels[0]
+            gens = [s for s, f in zip(lv.gens, lv.fibre) if not (skip and f)]
+        else:
+            gens = [] if skip else self.strong_generators()
         g_inv = _inverse_arr(g)
         for start in range(0, len(gens), SIFT_CHUNK):
             s = np.array(gens[start : start + SIFT_CHUNK])
@@ -460,7 +600,13 @@ class StabChain:
     def _extend_normal(self, g: np.ndarray, residue: np.ndarray, level: int) -> None:
         # g normalizes the group N, so <N, g> / N is cyclic of order m.
         # Each step adds x = g^e for the next prime r of m: x has order r
-        # modulo the group so far, and so does its residue h.
+        # modulo the group so far, and so does its residue h. A residue
+        # that Λ takes lies in gN and outside W, so there m = r.
+        v = self._shift_vector(residue) if level == len(self.levels) else None
+        if v is not None:
+            self._insert(residue, v, pending=False)
+            self._deadline_check()
+            return
         m = _order(g)
         for r in sorted(set(_prime_factors(m))):
             # g itself is not in N, so m = r needs no sift
@@ -481,8 +627,12 @@ class StabChain:
         # therefore the union of the images of the orbit under h^t, which
         # are r disjoint orbits of K because base_j^h is not in the orbit;
         # every other level keeps its orbit. The transversal of x^(h^t) is
-        # u h^t for the transversal u of x, with inverse inv(u)[h^-t].
-        self._open_level(h, j)
+        # u h^t for the transversal u of x, with inverse inv(u)[h^-t]. A
+        # fibre translation that reaches Λ is one insertion there.
+        h, j, v = self._land(h, j)
+        if v is not None:
+            self._insert(h, v, pending=False)
+            return
         lv = self.levels[j]
         h_inv = _inverse_arr(h)
         points, inv = np.array(lv.points), lv.inv[: len(lv.points)]
@@ -490,22 +640,79 @@ class StabChain:
             points, inv = h[points], inv[:, h_inv]
             lv.extend(points, inv)
         for k in range(j + 1):
-            self.levels[k].gens.append(h)
+            self.levels[k].add(h)
 
-    def _open_level(self, arr: np.ndarray, anchor: int) -> None:
-        # a residue that fixes every base opens a level at its first moved point
-        if anchor == len(self.levels):
-            self._new_level(int(np.flatnonzero(arr != self._ident)[0]))
+    def _land(self, h: np.ndarray, j: int):
+        """Split Λ until the residue h stops at a level or is a translation Λ takes.
+
+        A residue that passes every level but is not a fibre translation
+        opens a level at its first moved point, and is sifted again from
+        it. Returns (h, j, v), where v is h's shift vector when Λ takes h,
+        and None when h stops at level j.
+        """
+        while j == len(self.levels):
+            v = self._shift_vector(h)
+            if v is not None:
+                return h, j, v
+            self._split(int(np.flatnonzero(h != self._ident)[0]))
+            _, levels, residues = self._sift_rows(h[None], j)
+            h, j = residues[0], int(levels[0])
+        return h, j, None
+
+    def _shift_vector(self, h: np.ndarray) -> np.ndarray | None:
+        # Λ opens below the first level (so the first generator opens a
+        # level at its first moved point, as a base prefix there would), at
+        # the first residue that is a fibre translation for a prime r, on
+        # the blocks of r consecutive points, while those blocks are a
+        # block system of the group
+        if self.linear is None:
+            r = _fibre_prime(h, self.levels[0].gens) if self.levels else None
+            if r is None:
+                return None
+            self.linear = _Shifts(self.degree, r)
+        s, fibre = self.linear.shifts(h[None])
+        return s[0].astype(np.int64) if fibre[0] else None
+
+    def _split(self, beta: int) -> None:
+        # A new level just above Λ, at beta. Λ is the stabilizer of the
+        # bases, so the new level's orbit is W's orbit of beta: beta's
+        # block when some row u is nonzero there, with transversals u^t
+        # from u scaled to 1 at the block; and Λ keeps W's vectors that are
+        # 0 on the block, which fix beta. The level's generators are W's
+        # rows, so no Schreier generator needs sifting.
+        lv = _Level(beta, self._ident)
+        lin = self.linear
+        if lin is not None:
+            for s in lin.perms():
+                lv.add(s, fibre=True)
+            u = lin.cut(beta // lin.r)
+            if u is not None:
+                t = np.arange(1, lin.r)
+                lv.extend(lin.perms(t[:, None] * u)[:, beta], lin.perms(-t[:, None] * u % lin.r))
+        self.levels.append(lv)
+
+    def _insert(self, h: np.ndarray, v: np.ndarray, pending: bool) -> None:
+        # h, a residue with shift vector v and so reduced, joins W and every
+        # level's generators; on the Schreier-Sims route each level also
+        # gets (point, gen) work for it
+        self.linear.insert(v)
+        for lv in self.levels:
+            gi = lv.add(h, fibre=True)
+            if pending:
+                lv.pending.extend((pos, gi) for pos in range(len(lv.points)))
+        self._order_check()
 
     def _install(self, arr: np.ndarray, anchor: int) -> None:
         # The residue fixes every base above its anchor level, so it joins
         # the effective generator list of the anchor and of every level
         # above it; each of those levels gets fresh (point, gen) work.
-        self._open_level(arr, anchor)
+        arr, anchor, v = self._land(arr, anchor)
+        if v is not None:
+            self._insert(arr, v, pending=True)
+            return
         for k in range(anchor + 1):
             lv = self.levels[k]
-            gi = len(lv.gens)
-            lv.gens.append(arr)
+            gi = lv.add(arr)
             lv.pending.extend((pos, gi) for pos in range(len(lv.points)))
 
     def _process_all(self) -> None:
@@ -566,7 +773,10 @@ class StabChain:
         return True
 
     def verify(self) -> bool:
-        """Recheck that every Schreier generator sifts to the identity."""
+        """Recheck that every Schreier generator sifts to the identity.
+
+        Λ's rows must also be reduced and fix every base.
+        """
         for i, lv in enumerate(self.levels):
             m = len(lv.points)
             for s in lv.gens:
@@ -575,7 +785,14 @@ class StabChain:
                 # a row whose base image leaves the orbit is a residue at i
                 if len(self._sift_rows(su, i)[0]):
                     return False
-        return True
+        lin = self.linear
+        if lin is None:
+            return True
+        bases = np.array(self.base(), dtype=np.intp)
+        return bool(
+            np.array_equal(lin.rows[:, lin.piv], np.eye(lin.rank, dtype=np.int64))
+            and (lin.perms()[:, bases] == bases).all()
+        )
 
 
 class PermGroup:
@@ -643,8 +860,9 @@ class PermGroup:
                 return StabChain(self.degree, gens, caps=self.caps, base_prefix=base_prefix)
             # the chain a fresh build with sub's base prefix gives; sub.chain()
             # re-raises sub's order cap at once
-            levels = copy.deepcopy(sub.chain().levels)
-            chain = StabChain._from_levels(self.degree, levels, self.caps)
+            src = sub.chain()
+            levels, linear = copy.deepcopy((src.levels, src.linear))
+            chain = StabChain._from_levels(self.degree, levels, linear, self.caps)
             for g in gens[len(sub.generators) :]:
                 chain.add_generator(g)
             return chain
@@ -673,12 +891,31 @@ class PermGroup:
         return sorted(_bfs(lambda f: arrs[:, f].T, points, self.degree)[0].tolist())
 
     def orbits(self) -> list[list[int]]:
-        """All orbits on {0..degree-1}, each sorted, ordered by minimum."""
-        out, left = [], np.ones(self.degree, dtype=bool)
-        while left.any():
-            out.append(self.orbit(int(left.argmax())))
-            left[out[-1]] = False
-        return out
+        """All orbits on {0..degree-1}, each sorted, ordered by minimum.
+
+        Labels every point at once: each round hooks the label of x and of
+        x^g, for every generator g, to the smaller of the two, then jumps
+        pointers until every label is its own label. A round that changes
+        nothing leaves the labels constant along every generator edge, and
+        labels only ever move to smaller points of the same orbit, so each
+        point is then labelled by its orbit's minimum.
+        """
+        label = np.arange(self.degree)
+        arrs = self._images()
+        while True:
+            before = label.copy()
+            for a in arrs:
+                lx, ly = label, label[a]
+                low = np.minimum(lx, ly)
+                np.minimum.at(label, lx, low)
+                np.minimum.at(label, ly, low)
+            while not np.array_equal(jumped := label[label], label):
+                label = jumped
+            if np.array_equal(label, before):
+                break
+        order = np.argsort(label, kind="stable")
+        cuts = np.flatnonzero(np.diff(label[order])) + 1
+        return [part.tolist() for part in np.split(order, cuts)] if self.degree else []
 
     def transversal(self, v: int, points, reverse: bool = False) -> list[Perm]:
         """Coset representatives u with v^u = x, one per requested point x.
@@ -717,7 +954,7 @@ class PermGroup:
         if chain is None or chain.base()[:1] != [v]:
             chain = self._chain = self.fresh_chain(base_prefix=(v,))
         gens = [Perm._wrap(a.copy()) for a in chain.strong_generators(1)]
-        sub = StabChain._from_levels(self.degree, chain.levels[1:], self.caps)
+        sub = StabChain._from_levels(self.degree, chain.levels[1:], chain.linear, self.caps)
         return PermGroup._with_chain(gens, sub, self.degree, self.caps)
 
 
@@ -728,12 +965,12 @@ def commutator(g: Perm, h: Perm) -> Perm:
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing the seeds and closed under G-conjugation.
 
-    Tries the seeds in order, and closes each seed that grows the closure
-    under conjugation by G's generators before trying the next. The
-    conjugates a^-1 x a of an added x by all the generators form one block
-    of rows, sifted together; its residues are added in row order, and the
-    rest of the block is sifted again after each add. That makes the same
-    add decisions as trying the seeds and conjugates one at a time in this
+    The seeds form one block of rows, and so do the conjugates a^-1 x a of
+    an added x by all the generators. A block is sifted together, its
+    residues are added in row order, and the rest of the block is sifted
+    again after each add; each seed that grows the closure is closed under
+    conjugation before the next seed's turn. That makes the same add
+    decisions as trying the seeds and conjugates one at a time in this
     order, and a block costs one batched sift per add, plus one.
     """
     chain = StabChain(G.degree, caps=G.caps)
@@ -741,22 +978,26 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
     invs = np.empty_like(gens)
     np.put_along_axis(invs, gens, np.arange(G.degree, dtype=_DTYPE)[None, :], axis=1)
     added: list[np.ndarray] = []
-    for s in seeds:
+
+    def add_first(block: np.ndarray) -> np.ndarray:
+        # adds the first row outside the closure; returns the rows after it
+        rows, levels, residues = chain._sift_rows(block, 0)
+        if not len(rows):
+            return block[:0]
+        # copies, so the chain and the added element do not pin the whole block
+        added.append(block[rows[0]].copy())
+        chain._add_sifted(added[-1], residues[0].copy(), int(levels[0]))
+        return block[rows[1:]]
+
+    rest = _rows([s if isinstance(s, Perm) else Perm(s) for s in seeds], G.degree)
+    while len(rest):
         done = len(added)
-        x = (s if isinstance(s, Perm) else Perm(s)).images
-        if chain.add_generator(x):
-            added.append(x)
+        rest = add_first(rest)
         while done < len(added):  # also reaches the elements added while it runs
             block = np.take_along_axis(gens, added[done][invs], axis=1)
             done += 1
-            while True:
-                rows, levels, residues = chain._sift_rows(block, 0)
-                if not len(rows):
-                    break
-                # copies, so the chain and the added element do not pin the whole block
-                added.append(block[rows[0]].copy())
-                chain._add_sifted(added[-1], residues[0].copy(), int(levels[0]))
-                block = block[rows[1:]]
+            while len(block):
+                block = add_first(block)
     return PermGroup._with_chain([Perm._wrap(x) for x in added], chain, G.degree, G.caps)
 
 
@@ -841,18 +1082,20 @@ def _return_times(block: np.ndarray, tops: np.ndarray, starts: np.ndarray) -> li
 def exponent(G: PermGroup) -> int:
     """Least common multiple of all element orders.
 
-    With v_i over the transversal inverses of chain level i, the products
-    v_0 v_1 ... v_(L-1) invert the normal forms u_(L-1) ... u_0, so they
-    list G once each. The deepest levels whose product fits are multiplied
-    into one block of at most EXPONENT_BLOCK rows, and the products of the
-    top levels are stacked in chunks. Each element walks one point b of
-    every orbit that holds a base point moved by its level until b returns,
-    and the exponent is the lcm of these return times. That is exact: an
-    element's order is the lcm of its cycle lengths on those orbits, since
-    only the identity fixes every base point, and a cycle of g of length l
-    through x = b^u puts b on a cycle of length l of u g u^-1, which is
-    enumerated too. Groups of order over G.caps.exponent_cap raise
-    CapExceeded.
+    With v_i over the transversal inverses of chain level i, and w over
+    Λ's span W, the products v_0 v_1 ... v_(L-1) w invert the normal forms,
+    so they list G once each. W is deepest: when it has at most
+    EXPONENT_BLOCK elements, it and the deepest levels whose product fits
+    are multiplied into one block, and the products of the top levels are
+    stacked in chunks; otherwise every chunk of top products walks W in
+    blocks of EXPONENT_BLOCK of its elements. Each element walks one point
+    b of every orbit that holds a base point moved by its level, or the
+    first point of a pivot block of Λ, until b returns, and the exponent is
+    the lcm of these return times. That is exact: an element's order is
+    the lcm of its cycle lengths on those orbits, since only the identity
+    fixes every such point, and a cycle of g of length l through x = b^u
+    puts b on a cycle of length l of u g u^-1, which is enumerated too.
+    Groups of order over G.caps.exponent_cap raise CapExceeded.
     """
     cap = G.caps.exponent_cap
     order = G.order()
@@ -861,19 +1104,35 @@ def exponent(G: PermGroup) -> int:
             "exponent", cap, f"group order {order} exceeds the enumeration cap"
         )
     n, chain = G.degree, G.chain()
+    lin = chain.linear
+    rank = lin.rank if lin is not None else 0
+    moved = [lv.base for lv in chain.levels if len(lv.points) > 1]
+    if rank:
+        moved += (lin.piv * lin.r).tolist()
     starts, covered = [], np.zeros(n, dtype=bool)
-    for lv in chain.levels:
-        if len(lv.points) > 1 and not covered[lv.base]:
-            starts.append(lv.base)
-            covered[G.orbit(lv.base)] = True
+    for b in moved:
+        if not covered[b]:
+            starts.append(b)
+            covered[G.orbit(b)] = True
     if not starts:
         return 1
     starts = np.array(starts, dtype=_DTYPE)
     levels = [lv.inv[: len(lv.points)] for lv in chain.levels]
     ident = np.arange(n, dtype=_DTYPE)
-    block = ident[None, :]
-    while levels and len(block) * len(levels[-1]) <= EXPONENT_BLOCK:
-        block = block[:, levels.pop()].reshape(-1, n)  # row (b, v) is v * b = b[v]
+    size = lin.r**rank if rank else 1
+
+    def span(lo: int, hi: int) -> np.ndarray:
+        # W's elements lo..hi-1, numbered by their coordinates in base r
+        if not rank:
+            return ident[None, :]
+        digits = np.arange(lo, hi)[:, None] // lin.r ** np.arange(rank) % lin.r
+        return lin.perms(_matmul(digits, lin.rows, lin.r))
+
+    fits = size <= EXPONENT_BLOCK
+    if fits:  # one block: W, times the deepest levels whose product fits
+        block = span(0, size)
+        while levels and len(block) * len(levels[-1]) <= EXPONENT_BLOCK:
+            block = block[:, levels.pop()].reshape(-1, n)  # row (b, v) is v * b = b[v]
     # each chunk walks no more points than the block has entries
     per_chunk = min(EXPONENT_BLOCK, n // len(starts))
     products, exp = itertools.product(*levels), 1
@@ -881,7 +1140,9 @@ def exponent(G: PermGroup) -> int:
         tops = np.empty((len(chunk), n), dtype=_DTYPE)
         for row, top in zip(tops, chunk):
             row[:] = functools.reduce(lambda t, v: v[t], top, ident)
-        exp = math.lcm(exp, *_return_times(block, tops, starts))
+        for lo in range(0, size, EXPONENT_BLOCK):
+            part = block if fits else span(lo, min(lo + EXPONENT_BLOCK, size))
+            exp = math.lcm(exp, *_return_times(part, tops, starts))
     return exp
 
 

@@ -449,13 +449,19 @@ def test_family_time_cap_zero_fires_and_is_not_cached(monkeypatch):
     assert len(builds) == 2
 
 
+def _linear_level(chain):
+    """Λ's prime, rank, pivot blocks and reduced rows, or None when it never opened."""
+    lin = chain.linear
+    return None if lin is None else (lin.r, lin.rank, lin.piv.tolist(), lin.rows.tobytes())
+
+
 def _chain_levels(chain):
-    """Every level's base, orbit, positions, transversal rows and generators."""
+    """Every level's base, orbit, positions, transversal rows and generators, then Λ."""
     return [
         (lv.base, list(lv.points), lv.pos.tobytes(), lv.inv[: len(lv.points)].tobytes(),
          [g.tobytes() for g in lv.gens])
         for lv in chain.levels
-    ]
+    ] + [_linear_level(chain)]
 
 
 @pytest.mark.parametrize("first", ["stabilizer", "order"])
@@ -651,13 +657,15 @@ def test_normal_closure_matches_one_at_a_time(seed):
     for lv, ref in zip(ours.chain().levels, chain.levels, strict=True):
         assert lv.points == ref.points
         assert [g.tolist() for g in lv.gens] == [g.tolist() for g in ref.gens]
+    assert _linear_level(ours.chain()) == _linear_level(chain)
     assert all(ours.contains(s) for s in seeds)
 
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_normal_closure_sifts_each_element_added_from_a_block_once(m, monkeypatch):
     # C_2 wr C_m: the closure of a swap adds it, then m - 1 conjugates from
-    # its blocks; each conjugate's add reuses the residue of its block sift
+    # its blocks; each add reuses the residue of its block sift, the seed's
+    # block included
     swap = Perm([1, 0] + list(range(2, 2 * m)))
     G = PermGroup([swap, Perm([(i + 2) % (2 * m) for i in range(2 * m)])])
     sifted = []
@@ -670,8 +678,7 @@ def test_normal_closure_sifts_each_element_added_from_a_block_once(m, monkeypatc
     monkeypatch.setattr(StabChain, "sift", recorded)
     ncl = normal_closure(G, [swap])
     assert ncl.order() == 2**m and len(ncl.generators) == m
-    assert sifted.count(swap.images.tobytes()) == 1  # the seed, by add_generator
-    assert not set(sifted) & {g.images.tobytes() for g in ncl.generators[1:]}
+    assert not set(sifted) & {g.images.tobytes() for g in ncl.generators}
 
 
 def test_contains_rejects_outsider():
@@ -873,6 +880,7 @@ def _chain_shape(chain):
         chain.base(),
         [list(lv.points) for lv in chain.levels],
         [[a.tobytes() for a in lv.gens] for lv in chain.levels],
+        _linear_level(chain),
     )
 
 
@@ -956,7 +964,12 @@ def test_family_chains_take_prime_steps_only(monkeypatch, p, h):
         assert G.stabilizer(0).order() == order // n
 
 
-def assert_chain_matches_sympy(chain, gens, seed):
+def assert_chain_matches_sympy(chain, gens, seed, fibre_blocks=None):
+    """Order, member words and random permutations by both routes; returns sympy's group.
+
+    With fibre_blocks r, each word times a random translation of the
+    blocks of r points, which reaches Λ, is tested too.
+    """
     sympy_comb = pytest.importorskip("sympy.combinatorics")
     theirs = sympy_comb.PermutationGroup(
         [sympy_comb.Permutation([int(x) for x in g.images]) for g in gens]
@@ -973,6 +986,13 @@ def assert_chain_matches_sympy(chain, gens, seed):
         rng.shuffle(images)
         expected = theirs.contains(sympy_comb.Permutation(images))
         assert chain.contains(Perm(images).images) == expected
+        if fibre_blocks:
+            r, points = fibre_blocks, np.arange(n)
+            shift = np.repeat([rng.randrange(r) for _ in range(n // r)], r)
+            x = word * Perm(points - points % r + (points + shift) % r)
+            expected = theirs.contains(sympy_comb.Permutation(x.images.tolist()))
+            assert chain.contains(x.images) == expected
+    return theirs
 
 
 def test_composite_relative_orders_against_sympy(monkeypatch):
@@ -1222,3 +1242,214 @@ def test_exponent_blocks(monkeypatch):
     monkeypatch.setattr(perm_group, "EXPONENT_BLOCK", 1)
     assert exponent(PermGroup(_symmetric(6))) == 60
     assert exponent(dihedral_c5()) == 10
+
+
+def test_orbits_of_a_transposition_on_8192_points():
+    orbits = PermGroup([Perm([1, 0] + list(range(2, 8192)))]).orbits()
+    assert len(orbits) == 8191
+    assert orbits[0] == [0, 1] and orbits[1:] == [[x] for x in range(2, 8192)]
+    assert PermGroup.trivial(0).orbits() == [] and PermGroup.trivial(3).orbits() == [[0], [1], [2]]
+
+
+def test_orbits_match_orbit_walks_on_random_groups():
+    rng = random.Random(8)
+    for _ in range(40):
+        n = rng.randrange(1, 60)
+        gens = []
+        for _ in range(rng.randrange(0, 3)):
+            # a random permutation of a random part, to leave several orbits
+            part = rng.sample(range(n), rng.randrange(0, n + 1))
+            images = list(range(n))
+            for x, y in zip(part, rng.sample(part, len(part))):
+                images[x] = y
+            gens.append(Perm(images))
+        G = PermGroup(gens, degree=n)
+        orbits = G.orbits()
+        assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
+        assert sorted(x for o in orbits for x in o) == list(range(n))
+        assert all(o == G.orbit(o[0]) for o in orbits)
+
+
+# -- Λ, the linear level of fibre translations ----------------------------------
+
+
+def _wreath_c2_cm(m, swap_first):
+    """C_2 wr C_m on 2m points: the swap of block {0, 1} and the rotation of the blocks."""
+    swap = Perm([1, 0] + list(range(2, 2 * m)))
+    rotation = Perm([(x + 2) % (2 * m) for x in range(2 * m)])
+    return [swap, rotation] if swap_first else [rotation, swap]
+
+
+def _block_reflection(m):
+    """The reflection k -> -k of the blocks {2k, 2k + 1} of C_2 wr C_m."""
+    return Perm([2 * (-(x // 2) % m) + x % 2 for x in range(2 * m)])
+
+
+def assert_group_matches_sympy(G, seed, fibre_blocks):
+    """assert_chain_matches_sympy on G's chain, and three stabilizer orders."""
+    theirs = assert_chain_matches_sympy(G.chain(), G.generators, seed, fibre_blocks)
+    for v in (0, G.degree // 2, G.degree - 1):  # |G_v| = |G| / |v^G|, by sympy's order and orbit
+        assert G.stabilizer(v).order() == theirs.order() // len(theirs.orbit(v))
+
+
+@pytest.mark.parametrize("p, h, big", [(2, 3, False), (2, 3, True), (3, 2, True)])
+def test_family_linear_level_against_sympy(p, h, big):
+    # the groups the layer generators give: orders 2^42, 2^44 and 4 * 3^49
+    bundle = Bundle(ConstructionParams(p, h, Caps(order_cap=2**2000)))
+    gens = [*bundle.layer_gens, *bundle.translation_gens, *(bundle.outer_gens if big else ())]
+    G = PermGroup(gens, caps=bundle.params.caps)
+    chain = G.chain()
+    # one level of orbit n (and one of orbit 4p in the big group), then Λ
+    assert [len(lv.points) for lv in chain.levels] == [G.degree] + ([4 * p] if big else [])
+    assert chain.linear.r == p and chain.order() == G.degree * (4 * p if big else 1) * p**chain.linear.rank
+    assert_group_matches_sympy(G, p * 100 + h, fibre_blocks=p)
+
+
+def count_splits(monkeypatch):
+    """The rows each split cut out of Λ (None when Λ was already 0 on the block)."""
+    cuts = []
+    cut = perm_group._Shifts.cut
+
+    def recorded(lin, k):
+        u = cut(lin, k)
+        cuts.append(u)
+        return u
+
+    monkeypatch.setattr(perm_group._Shifts, "cut", recorded)
+    return cuts
+
+
+@pytest.mark.parametrize("swap_first", [True, False])
+@pytest.mark.parametrize("m", [3, 5])
+def test_wreath_product_opens_and_splits_the_linear_level(monkeypatch, m, swap_first):
+    cuts = count_splits(monkeypatch)
+    G = PermGroup(_wreath_c2_cm(m, swap_first))
+    chain = G.chain()
+    # one level of orbit 2m; the stabilizer of 0 is the 2^(m-1) translations
+    assert [len(lv.points) for lv in chain.levels] == [2 * m]
+    assert (chain.linear.r, chain.linear.rank) == (2, m - 1) and cuts == []
+    assert G.order() == 2**m * m
+    assert_group_matches_sympy(G, m, fibre_blocks=2)
+    assert _chain_shape(G.fresh_chain()) == _chain_shape(G.fresh_chain())
+    # the block reflection fixes 0 and is no fibre translation: it reaches
+    # Λ and splits it at block 1, whose orbit {2, 3} the reflection doubles
+    H = PermGroup([*G.generators, _block_reflection(m)])
+    chain = H.chain()
+    assert [lv.points for lv in chain.levels][1:] == [[2, 3, 2 * m - 2, 2 * m - 1]]
+    assert chain.linear.rank == m - 2 and len(cuts) == 1 and cuts[0] is not None
+    assert H.order() == 2**m * 2 * m
+    assert_group_matches_sympy(H, m + 1, fibre_blocks=2)
+
+
+def test_linear_level_takes_fibre_translations_by_both_routes(monkeypatch):
+    # the swap-first wreath product installs its translations by Schreier-
+    # Sims; the family's module generators arrive as prime steps, and a
+    # base prefix puts a level above them
+    inserts = []
+    insert = perm_group._Shifts.insert
+    monkeypatch.setattr(perm_group._Shifts, "insert", lambda lin, v: inserts.append(1) or insert(lin, v))
+    assert PermGroup(_wreath_c2_cm(4, True)).order() == 64 and len(inserts) == 3
+    inserts.clear()
+    bundle = Bundle(ConstructionParams(2, 2))
+    chain = StabChain(bundle.graph.n, [g.images for g in bundle.module_gens], base_prefix=(0,))
+    assert chain.levels[0].points == [0, 1] and chain.linear.rank == len(inserts) == 9
+    assert chain.order() == 2**10 and chain.verify()
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize(
+    "make", [_symmetric, _alternating, lambda n: dihedral(n).generators],
+    ids=["symmetric", "alternating", "dihedral"],
+)
+def test_groups_without_fibre_translation_kernels_never_open_the_linear_level(make, reverse):
+    # Λ, once open, stays in the chain, so a chain without it never had it
+    for n in range(4, 13):
+        gens = list(make(n))
+        G = PermGroup(gens[::-1] if reverse else gens)
+        assert G.chain().linear is None and G.chain().verify()
+
+
+@pytest.mark.parametrize("block", [None, 16])
+def test_exponent_walks_the_linear_span_in_blocks(monkeypatch, block):
+    calls = []
+    walk = perm_group._return_times
+
+    def counted(part, tops, starts):
+        calls.append((len(part), len(tops)))
+        return walk(part, tops, starts)
+
+    monkeypatch.setattr(perm_group, "_return_times", counted)
+    if block is not None:
+        monkeypatch.setattr(perm_group, "EXPONENT_BLOCK", block)
+    G = PermGroup(_wreath_c2_cm(8, False))  # order 2,048, Λ of rank 7
+    assert G.order() == 2048 and G.chain().linear.rank == 7
+    assert exponent(G) == math.lcm(*(Perm(x).order() for x in enumerate_elements(G))) == 16
+    limit = perm_group.EXPONENT_BLOCK
+    assert all(m <= limit for m, _ in calls) and sum(m * k for m, k in calls) == 2048
+    # Λ's span of 128 fits a default block; blocks of 16 walk it in 8 parts,
+    # each under all 16 top products (the transversal of the one level)
+    assert calls == ([(128, 16)] if block is None else [(16, 16)] * 8)
+
+
+def _span(rows, r):
+    """Every vector of the F_r span of the rows, as a set of tuples."""
+    out = {tuple([0] * rows.shape[1])}
+    for row in rows:
+        out = {tuple((np.array(v) + c * row) % r) for v in out for c in range(r)}
+    return out
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_linear_level_inserts_and_cuts_against_brute_force_spans(r):
+    rng = np.random.default_rng(r)
+    for _ in range(20):
+        blocks = int(rng.integers(2, 7))
+        lin = perm_group._Shifts(blocks * r, r)
+        vectors = rng.integers(0, r, (int(rng.integers(1, 6)), blocks))
+        for v in vectors:
+            v = lin.reduce(v[None].astype(np.int64))[0]
+            if v.any():
+                lin.insert(v)
+        assert _span(lin.rows, r) == _span(vectors, r)
+        assert np.array_equal(lin.rows[:, lin.piv], np.eye(lin.rank, dtype=np.int64))
+        before, k = _span(lin.rows, r), int(rng.integers(blocks))
+        u = lin.cut(k)
+        assert _span(lin.rows, r) == {w for w in before if w[k] == 0}
+        assert np.array_equal(lin.rows[:, lin.piv], np.eye(lin.rank, dtype=np.int64))
+        if u is None:
+            assert all(w[k] == 0 for w in before)
+        else:  # the old span is the new one plus the multiples of u
+            assert u[k] == 1 and len(before) == r * len(_span(lin.rows, r))
+            assert _span(np.vstack([lin.rows, u]), r) == before
+
+
+def _wreath_element(rng, r, m, move_blocks):
+    """A random element of C_r wr S_m on the blocks {k*r, ..., k*r + r - 1}."""
+    top = rng.sample(range(m), m) if move_blocks else list(range(m))
+    shifts = [rng.randrange(r) for _ in range(m)]
+    return Perm([r * top[k] + (c + shifts[k]) % r for k in range(m) for c in range(r)])
+
+
+@pytest.mark.parametrize("r, m", [(2, 5), (3, 4), (5, 3)])
+def test_subgroups_of_wreath_products_against_sympy(r, m):
+    # random fibre translations and block permutations, in random order:
+    # Λ opens, takes translations by both routes and is split again
+    rng = random.Random(r * 10 + m)
+    opened = 0
+    for trial in range(12):
+        gens = [_wreath_element(rng, r, m, rng.random() < 0.4) for _ in range(rng.randrange(2, 5))]
+        G = PermGroup(gens)
+        assert_group_matches_sympy(G, trial, fibre_blocks=r)
+        opened += G.chain().linear is not None
+    assert opened
+
+
+def test_exponent_walks_the_orbits_of_the_linear_pivot_blocks():
+    # a rotation of three blocks of {0..5}, and a translation of the blocks
+    # {6, 7} and {8, 9} that fixes them: the translation sits in Λ, outside
+    # the orbit of the one level's base, and only its walk sees order 2
+    rotation = Perm([2, 3, 4, 5, 0, 1, 6, 7, 8, 9])
+    translation = Perm([0, 1, 2, 3, 4, 5, 7, 6, 9, 8])
+    G = PermGroup([rotation, translation])
+    assert G.chain().base() == [0] and G.chain().linear.piv.tolist() == [3]
+    assert exponent(G) == 6
