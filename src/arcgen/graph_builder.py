@@ -6,7 +6,8 @@ per-vertex offsets into them. Adjacency is symmetric, loop-free and
 duplicate-free. Besides the generic Cayley and wreath (lexicographic)
 product builders, which hand `Graph` whole arrays of vertex pairs, this
 module serializes graphs to an exact edge-list format and to the
-standard sparse6 encoding.
+standard sparse6 encoding. Its labeller `_label` answers every component
+question: connectivity here, and orbits in `perm_group`.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class Graph:
         return int(self._offsets[1])
 
     def is_connected(self) -> bool:
-        return self.n == 0 or _component_size(self, 0) == self.n
+        return not _label(self.n, *self.arcs())[0].any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -171,43 +172,51 @@ def cayley(spec: CayleySpec) -> Graph:
                     generated.add(y)
                     nxt.append(y)
         frontier = nxt
-    component = _component_size(g, 0)
+    component = np.count_nonzero(_label(g.n, *g.arcs())[0] == 0)
     if component != len(generated):
         raise AssertionError("Cayley connectivity disagrees with generation")
     return g
 
 
-def _component_size(g: Graph, v: int) -> int:
-    """Number of vertices reachable from v, by breadth-first levels.
+# Edge ends one hooking pass reads at once, which bounds its temporaries
+LABEL_BLOCK = 2**15
 
-    Each level reads the arcs out of the whole frontier at once: as rows
-    of heads in a regular graph, in two numpy calls, and range by range
-    otherwise, in about ten. Every graph the program checks is regular
-    (Cayley, family and vertex-transitive graphs), and on a small one,
-    such as the (2,4) family graph, the rows take half the time of the
-    ranges. A vertex reached along several arcs keeps the slot of one,
-    which is how the next frontier lists it once.
+
+def _label(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, int]:
+    """Label each of the points 0..n-1 by the least point of its component.
+
+    The edges are (tails[j], heads[i, j]) for every row i of heads: one row
+    for a graph's arcs, or one row per generator, whose tails are then the
+    points themselves, read in blocks of at most LABEL_BLOCK edges. Each
+    round hooks the labels of both ends of every edge to the smaller of
+    the two, then jumps pointers until every label is its own label
+    (Shiloach and Vishkin 1982, with min-label hooking). A label only
+    moves to a smaller point joined to it by edges, so once a round
+    changes nothing, or every label is 0, the labels are the components'
+    least points. Returns the labels and the number of rounds.
     """
-    offsets, heads = g._offsets, g._heads
-    rows = heads.reshape(g.n, int(offsets[1])) if g.is_regular() else None
-    slot = np.full(g.n, -1, dtype=np.int64)  # -1 until reached
-    slot[v] = 0
-    frontier = np.array([v], dtype=np.int64)
-    size = 1
-    while len(frontier):
-        if rows is not None:  # the arcs out of u are row u
-            reached = rows[frontier].ravel()
-        else:  # the ranges offsets[u]:offsets[u + 1], one after another
-            counts = offsets[frontier + 1] - offsets[frontier]
-            ends = np.cumsum(counts)
-            starts = np.repeat(offsets[frontier] - ends + counts, counts)
-            reached = heads[starts + np.arange(ends[-1])]
-        reached = reached[slot[reached] < 0]
-        ids = np.arange(len(reached))
-        slot[reached] = ids
-        frontier = reached[slot[reached] == ids]
-        size += len(frontier)
-    return size
+    label = np.arange(n)
+    heads = np.atleast_2d(heads)
+    cols = max(min(len(tails), LABEL_BLOCK), 1)
+    rows = LABEL_BLOCK // cols
+    blocks = [(i, j) for i in range(0, len(heads), rows) for j in range(0, len(tails), cols)]
+    rounds = 0
+    while label.any():
+        rounds += 1
+        before = label.copy()
+        for i, j in blocks:
+            ly = label[heads[i : i + rows, j : j + cols]]
+            lx = np.broadcast_to(label[tails[j : j + cols]], ly.shape)
+            apart = lx != ly  # an edge whose ends share a label hooks nothing
+            lx, ly = lx[apart], ly[apart]
+            low = np.minimum(lx, ly)
+            np.minimum.at(label, lx, low)
+            np.minimum.at(label, ly, low)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        if np.array_equal(label, before):
+            break
+    return label, rounds
 
 
 def empty_graph(p: int) -> Graph:

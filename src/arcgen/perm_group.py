@@ -35,10 +35,10 @@ exponents. The exponent is read off one walk of the group through its
 chain: each element walks one point of every orbit that holds a moved
 base point until it returns, and the lcm of these return times is the lcm
 of all element orders. A single element's order comes from a
-pointer-doubling cycle-length kernel. One orbit, transversals and arc
-orbits share one breadth-first walk, and arc orbits read Schreier
-generators off it; all orbits at once are labelled by hooking and pointer
-jumping.
+pointer-doubling cycle-length kernel. Orbits, one or all, come from
+`graph_builder`'s labeller over the generators' image rows; a
+breadth-first walk runs only where a tree word is read, in transversals
+and in arc orbits, which read Schreier generators off it.
 
 Composition convention: permutations act on the right, x^(g*h) = (x^g)^h,
 and (g * h).images[x] == h.images[g.images[x]].
@@ -56,8 +56,8 @@ from collections import deque
 import numpy as np
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .field_linalg import _matmul
-from .graph_builder import Graph
+from .field_linalg import _matmul, is_prime
+from .graph_builder import Graph, _label
 
 __all__ = [
     "Perm",
@@ -120,7 +120,7 @@ def _order(a: np.ndarray) -> int:
 
 
 def _prime_factors(m: int) -> list[int]:
-    """Primes of m, a permutation's order, with multiplicity and ascending."""
+    """Primes of m, a group or element order, with multiplicity and ascending."""
     out, r = [], 2
     while m > 1:
         while m % r == 0:
@@ -134,15 +134,17 @@ def _prime_factors(m: int) -> list[int]:
 BFS_BATCH = 64
 
 
-def _bfs(step, starts, size: int):
-    """Breadth-first walk over the points 0..size-1 from the start points.
+def _bfs(arrs: np.ndarray, starts):
+    """Breadth-first walk from the start points under k generators.
 
-    step(batch) gives the (len(batch), k) images of a batch of reached
-    points under the k generators. New points are taken in batch order,
-    then generator order, as a FIFO queue takes them. Returns the points
-    reached, in that order, and edges: edges[j] = i*k + g when points[j]
-    was first reached from points[i] by generator g (-1 for the starts).
+    arrs holds the generators' images, one row each, and a batch of up to
+    BFS_BATCH reached points is expanded at once. New points are taken in
+    batch order, then generator order, as a FIFO queue takes them. Returns
+    the points reached, in that order, and edges: edges[j] = i*k + g when
+    points[j] was first reached from points[i] by generator g (-1 for the
+    starts).
     """
+    size = arrs.shape[1]
     seen = np.zeros(size, dtype=bool)
     seen[np.asarray(starts, dtype=np.intp)] = True
     points, edges = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
@@ -150,7 +152,7 @@ def _bfs(step, starts, size: int):
     points[:end], edges[:end] = np.flatnonzero(seen), -1
     done = 0
     while done < end:
-        images = step(points[done : min(done + BFS_BATCH, end)])
+        images = arrs[:, points[done : min(done + BFS_BATCH, end)]].T
         cand = images.ravel()
         fresh = np.flatnonzero(~seen[cand])
         order = np.argsort(cand[fresh], kind="stable")  # to find first occurrences
@@ -885,34 +887,19 @@ class PermGroup:
         """The generators' image arrays, one row each."""
         return _rows(self.generators, self.degree)
 
+    def _labels(self) -> np.ndarray:
+        """Each point's label: the least point of its orbit (`_label` over x -> x^g)."""
+        return _label(self.degree, np.arange(self.degree), self._images())[0]
+
     def orbit(self, points) -> list[int]:
         """Closure of the given point, or sequence of points, under all generators, sorted."""
-        arrs = self._images()
-        return sorted(_bfs(lambda f: arrs[:, f].T, points, self.degree)[0].tolist())
+        points = _in_range(points, self.degree)
+        label = self._labels()
+        return np.flatnonzero(np.isin(label, label[points])).tolist()
 
     def orbits(self) -> list[list[int]]:
-        """All orbits on {0..degree-1}, each sorted, ordered by minimum.
-
-        Labels every point at once: each round hooks the label of x and of
-        x^g, for every generator g, to the smaller of the two, then jumps
-        pointers until every label is its own label. A round that changes
-        nothing leaves the labels constant along every generator edge, and
-        labels only ever move to smaller points of the same orbit, so each
-        point is then labelled by its orbit's minimum.
-        """
-        label = np.arange(self.degree)
-        arrs = self._images()
-        while True:
-            before = label.copy()
-            for a in arrs:
-                lx, ly = label, label[a]
-                low = np.minimum(lx, ly)
-                np.minimum.at(label, lx, low)
-                np.minimum.at(label, ly, low)
-            while not np.array_equal(jumped := label[label], label):
-                label = jumped
-            if np.array_equal(label, before):
-                break
+        """All orbits on {0..degree-1}, each sorted, ordered by minimum."""
+        label = self._labels()
         order = np.argsort(label, kind="stable")
         cuts = np.flatnonzero(np.diff(label[order])) + 1
         return [part.tolist() for part in np.split(order, cuts)] if self.degree else []
@@ -924,12 +911,14 @@ class PermGroup:
         path from v (over the generators reversed if reverse), so no
         table of the orbit is kept.
         """
+        _in_range(v, self.degree)
+        points = _in_range(points, self.degree)
         arrs = self._images()[::-1] if reverse else self._images()
-        reached, edges = _bfs(lambda f: arrs[:, f].T, v, self.degree)
+        reached, edges = _bfs(arrs, v)
         where = np.full(self.degree, -1, dtype=np.intp)
         where[reached] = np.arange(len(reached))
         reps = []
-        for x in points:
+        for x in points.tolist():
             j = int(where[x])
             if j < 0:
                 raise ValueError(f"point {x} is not in the orbit of {v}")
@@ -948,8 +937,7 @@ class PermGroup:
         Otherwise the chain is rebuilt with base v first and kept as the
         group's chain, so a second call at v builds nothing.
         """
-        if not 0 <= v < self.degree:
-            raise ValueError(f"point {v} out of range")
+        _in_range(v, self.degree)
         chain = self._chain if self._sub is None else self.chain()
         if chain is None or chain.base()[:1] != [v]:
             chain = self._chain = self.fresh_chain(base_prefix=(v,))
@@ -1001,6 +989,15 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
     return PermGroup._with_chain([Perm._wrap(x) for x in added], chain, G.degree, G.caps)
 
 
+def _in_range(points, degree: int) -> np.ndarray:
+    """A point, or sequence of points, as an intp array; ValueError outside 0..degree-1."""
+    points = np.asarray(points, dtype=np.intp)
+    outside = (points < 0) | (points >= degree)
+    if outside.any():
+        raise ValueError(f"point {points[outside].flat[0]} out of range")
+    return points
+
+
 def _rows(perms, degree: int) -> np.ndarray:
     """The image arrays of a sequence of permutations, one row each."""
     return np.array([g.images for g in perms], dtype=_DTYPE).reshape(len(perms), degree)
@@ -1021,11 +1018,10 @@ def frattini_rank(G: PermGroup, p: int, gens=None) -> int:
     steps that grew the order. A few gens that generate G keep the
     closure small: it conjugates by gens, not by all of G's generators.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     order = G.order()
-    rest = order
-    while rest % p == 0:
-        rest //= p
-    if rest != 1:
+    if set(_prime_factors(order)) - {p}:
         raise ValueError("Frattini rank defined here only for p-groups")
     gens = G.generators if gens is None else tuple(gens)
     arrs = _rows(gens, G.degree)
@@ -1109,14 +1105,11 @@ def exponent(G: PermGroup) -> int:
     moved = [lv.base for lv in chain.levels if len(lv.points) > 1]
     if rank:
         moved += (lin.piv * lin.r).tolist()
-    starts, covered = [], np.zeros(n, dtype=bool)
-    for b in moved:
-        if not covered[b]:
-            starts.append(b)
-            covered[G.orbit(b)] = True
-    if not starts:
+    if not moved:
         return 1
-    starts = np.array(starts, dtype=_DTYPE)
+    # one start per orbit that holds a moved point: its first in moved's order
+    moved = np.array(moved, dtype=_DTYPE)
+    starts = moved[np.sort(np.unique(G._labels()[moved], return_index=True)[1])]
     levels = [lv.inv[: len(lv.points)] for lv in chain.levels]
     ident = np.arange(n, dtype=_DTYPE)
     size = lin.r**rank if rank else 1
@@ -1205,7 +1198,7 @@ def arc_orbit_size(graph: Graph, G: PermGroup, arc: tuple[int, int] | None = Non
         raise ValueError(f"({u}, {w}) is not an arc of the graph")
     n, nbrs, arrs = graph.n, graph.neighbors(u), G._images()
     d, codes = len(nbrs), tails * n + heads
-    points, edges = _bfs(lambda f: arrs[:, f].T, u, n)
+    points, edges = _bfs(arrs, u)
     parent, gen = np.divmod(edges, max(len(arrs), 1))
     frame = np.empty((len(points), d), dtype=np.int64)
     frame[0], done = nbrs, 1

@@ -20,11 +20,8 @@ right actions are the designated tripwire for convention drift.
 `build_bundle`, behind the `construct` command, runs every tripwire: the
 automorphism checks, the order formulas and `semidirect_consistency`.
 `verify_theorem1`, behind `verify-t1`, does not run
-`semidirect_consistency`. At (2,4) that check takes about 0.02 s once the
-bundle's stages are built (0.15-0.2 s at (2,5)), against about 1.1 s for
-three fresh `verify-t1` processes at (3,2), (7,1) and (2,4) under the
-default caps, and about 1.4-1.6 s for one at (2,4) with the order cap
-raised to 2^2000 (2-core x86-64, Python 3.11, numpy 2.4 with OpenBLAS).
+`semidirect_consistency`, although once the bundle's stages are built the
+check costs a small share of a fresh `verify-t1` process.
 """
 
 from __future__ import annotations

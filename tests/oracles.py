@@ -13,7 +13,9 @@ matrices, and the Nakayama count on them. The library walks index maps
 instead, and the tests compare the two. So does the natural-row route
 for the module generators: rows converted through P ⊗ P and back, each
 checked to lie in the top term, where the library takes outer products
-of P's columns.
+of P's columns. Two numberings at the end, a bit-reversed cycle and a
+path numbered from both ends, are adversarial inputs for the labeller's
+round count.
 """
 
 from collections import deque
@@ -327,6 +329,30 @@ def bfs_by_queue(arrs, starts, size):
                 edges.append(i * len(arrs) + g)
         i += 1
     return points, edges
+
+
+def orbits_by_queue(G):
+    """G's orbits, each sorted and ordered by minimum, from one queue walk per orbit."""
+    arrs, orbits, seen = [g.images for g in G.generators], [], set()
+    for x in range(G.degree):
+        if x not in seen:
+            orbits.append(sorted(bfs_by_queue(arrs, [x], G.degree)[0]))
+            seen.update(orbits[-1])
+    return orbits
+
+
+def bit_reversal(bits):
+    """The numbers 0..2^bits - 1 in turn, each with its bits reversed.
+
+    A cycle through the points in this order is the worst numbering known
+    for min-label hooking: it takes about bits rounds.
+    """
+    return [int(format(i, f"0{bits}b")[::-1], 2) for i in range(2**bits)]
+
+
+def from_both_ends(n):
+    """0, n-1, 1, n-2, ...: a path through the points in this order jumps end to end."""
+    return [i // 2 if i % 2 == 0 else n - 1 - i // 2 for i in range(n)]
 
 
 def transversal_by_queue(G, v, reverse=False):

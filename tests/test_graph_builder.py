@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from arcgen import graph_builder
 from arcgen.caps import CapExceeded, Caps
 from arcgen.graph_builder import (
     CayleySpec,
@@ -18,6 +19,7 @@ from arcgen.graph_builder import (
     wreath_product,
 )
 from arcgen.group_algebra import AbelianH
+from oracles import bit_reversal, from_both_ends
 
 
 def k2():
@@ -132,6 +134,43 @@ def test_is_connected_against_a_reference():
     for n, edges in cases:
         assert Graph(n, edges).is_connected() == reference_connected(n, edges), (n, edges)
     assert Graph(0, []).is_connected()
+
+
+def test_is_connected_on_long_irregular_graphs():
+    n = 5000
+    for order in (list(range(n)), from_both_ends(n)):
+        path = list(zip(order, order[1:]))
+        cases = [
+            (n + 1, path + [(order[n // 3], n)]),  # a pendant edge
+            (n + 2, path + [(n, n + 1)]),  # a separate edge
+            (n + 1, path),  # an isolated vertex, the last one
+            (n + 1, path[: n // 2] + path[n // 2 + 1 :] + [(order[0], n)]),  # a cut path
+        ]
+        for size, edges in cases:
+            g = Graph(size, edges)
+            assert not g.is_regular()
+            assert g.is_connected() == reference_connected(size, edges)
+        assert Graph(*cases[0]).is_connected()
+
+
+def test_labeller_rounds_on_adversarial_numberings(monkeypatch):
+    # the bound is 2 log2 n + 2 rounds; min-label hooking, not star
+    # hooking, takes log2 n on the bit-reversed cycle and 2 on the path
+    # numbered from both ends
+    rounds = []
+    label = graph_builder._label
+
+    def counted(*args):
+        labels, count = label(*args)
+        rounds.append(count)
+        return labels, count
+
+    monkeypatch.setattr(graph_builder, "_label", counted)
+    bits = 12
+    cyc, path = bit_reversal(bits), from_both_ends(2**bits)
+    assert Graph(2**bits, list(zip(cyc, cyc[1:] + cyc[:1]))).is_connected()
+    assert Graph(2**bits, list(zip(path, path[1:]))).is_connected()
+    assert max(rounds) <= 2 * bits + 2 and rounds == [bits, 2]
 
 
 def test_predicates():

@@ -30,11 +30,14 @@ from arcgen.pipeline import Bundle, ConstructionParams
 from oracles import (
     arc_orbit_size_by_queue,
     bfs_by_queue,
+    bit_reversal,
     brute_force_min_generators,
     enumerate_elements,
     exponent_by_table,
+    from_both_ends,
     is_automorphism_by_neighbourhoods,
     normal_closure_one_at_a_time,
+    orbits_by_queue,
     transversal_by_queue,
 )
 
@@ -186,6 +189,20 @@ def test_orbit_under_trivial_group():
 def test_orbit_under_full_cycle():
     G = PermGroup([cycle(6)])
     assert G.orbit(0) == list(range(6))
+
+
+@pytest.mark.parametrize("call, point", [
+    (lambda G: G.orbit(-1), -1),
+    (lambda G: G.orbit([0, 4]), 4),
+    (lambda G: G.transversal(-1, [3]), -1),
+    (lambda G: G.transversal(0, [-3]), -3),
+    (lambda G: G.stabilizer(4), 4),
+], ids=["orbit", "orbit-of-points", "transversal-base", "transversal-point", "stabilizer"])
+def test_points_out_of_range_are_rejected(call, point):
+    # negative points once wrapped: orbit(-1) gave [3], and transversal(0, [-3]) gave (0 1)
+    G = PermGroup([Perm([1, 0, 2, 3])])
+    with pytest.raises(ValueError, match=f"point {point} out of range"):
+        call(G)
 
 
 def test_rotation_only_is_vertex_but_not_arc_transitive():
@@ -773,6 +790,15 @@ def test_frattini_rank_rejects_non_p_group():
         frattini_rank(dihedral_c5(), 2)
 
 
+@pytest.mark.parametrize("p", [1, 0, 4])
+def test_frattini_rank_rejects_a_p_that_is_not_prime(p):
+    # p = 1 once looped for good in the p-group test, p = 0 divided by zero,
+    # and p = 4 on the Klein four-group failed an internal assertion
+    V4 = PermGroup([Perm([1, 0, 3, 2]), Perm([2, 3, 0, 1])])
+    with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+        frattini_rank(V4, p)
+
+
 def test_frattini_rank_matches_brute_force_on_small_groups():
     i = Perm([2, 3, 1, 0, 7, 6, 4, 5])
     j = Perm([4, 5, 6, 7, 1, 0, 3, 2])
@@ -1190,16 +1216,23 @@ def test_exponent_kernel_calls_stay_within_the_block(make, monkeypatch):
 
 
 def test_exponent_walks_one_orbit_per_moved_base_point(monkeypatch):
-    walks = []
-    orbit = PermGroup.orbit
-    monkeypatch.setattr(PermGroup, "orbit", lambda G, v: walks.append(v) or orbit(G, v))
+    starts = []
+    walk = perm_group._return_times
+    monkeypatch.setattr(perm_group, "_return_times",
+                        lambda block, tops, s: starts.append(s.tolist()) or walk(block, tops, s))
     # 4095 orbits, only one of them holding a moved base point
     assert exponent(PermGroup([Perm([1, 0] + list(range(2, 4096)))])) == 2
-    assert walks == [0]
-    walks.clear()
+    assert starts and all(s == [0] for s in starts)
+    starts.clear()
+    # every base of S7 lies in one orbit
     S7 = PermGroup(_symmetric(7))
     assert exponent(S7) == 420 and len(S7.chain().levels) > 1
-    assert walks == [S7.chain().levels[0].base]
+    assert starts and all(s == [S7.chain().levels[0].base] for s in starts)
+    starts.clear()
+    # (0 1)(2 3 4): the moved bases 0 and 2 lie in two orbits
+    G = PermGroup([Perm([1, 0, 3, 4, 2, 5])])
+    assert exponent(G) == 6 and G.chain().base() == [0, 2]
+    assert starts and all(s == [0, 2] for s in starts)
 
 
 def test_exponent_matches_element_orders_on_random_intransitive_groups():
@@ -1225,10 +1258,10 @@ def test_bfs_matches_queue_reference():
         n = rng.randrange(1, 300)
         arrs = np.array([rng.sample(range(n), n) for _ in range(rng.randrange(1, 4))])
         starts = [rng.randrange(n) for _ in range(rng.randrange(1, 4))]
-        points, edges = perm_group._bfs(lambda f: arrs[:, f].T, starts, n)
+        points, edges = perm_group._bfs(arrs, starts)
         assert (points.tolist(), edges.tolist()) == bfs_by_queue(arrs, starts, n)
     arrs = dihedral(16384)._images()
-    points, edges = perm_group._bfs(lambda f: arrs[:, f].T, 0, 16384)
+    points, edges = perm_group._bfs(arrs, 0)
     assert (points.tolist(), edges.tolist()) == bfs_by_queue(arrs, [0], 16384)
 
 
@@ -1264,10 +1297,47 @@ def test_orbits_match_orbit_walks_on_random_groups():
                 images[x] = y
             gens.append(Perm(images))
         G = PermGroup(gens, degree=n)
-        orbits = G.orbits()
-        assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
-        assert sorted(x for o in orbits for x in o) == list(range(n))
-        assert all(o == G.orbit(o[0]) for o in orbits)
+        assert G.orbits() == orbits_by_queue(G)
+        assert all(G.orbit(o[-1]) == o for o in G.orbits())
+
+
+@pytest.mark.parametrize("p, h", [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
+def test_family_orbits_match_queue_walks(p, h):
+    # both groups are transitive; the small group's G_0 has many orbits
+    bundle = Bundle(ConstructionParams(p, h, Caps(order_cap=2**2000)))
+    small = bundle.small_group
+    for G in (small, bundle.big_group, small.stabilizer(0)):
+        assert G.orbits() == orbits_by_queue(G)
+    assert len(small.stabilizer(0).orbits()) > 1
+
+
+def test_labeller_rounds_on_adversarial_numberings(monkeypatch):
+    # the bound is 2 log2 n + 2 rounds; min-label hooking, not star
+    # hooking, takes log2 n on the bit-reversed cycle and 2 on the path
+    # numbered from both ends
+    rounds = []
+    label = perm_group._label
+
+    def counted(*args):
+        labels, count = label(*args)
+        rounds.append(count)
+        return labels, count
+
+    monkeypatch.setattr(perm_group, "_label", counted)
+    bits = 12
+    n = 2**bits
+    cyc = bit_reversal(bits)
+    images = list(range(n))
+    for i in range(n):  # the cycle cyc[0] -> cyc[1] -> ... -> cyc[-1] -> cyc[0]
+        images[cyc[i]] = cyc[(i + 1) % n]
+    path = from_both_ends(n)
+    swaps = [list(range(n)), list(range(n))]
+    for i in range(n - 1):  # swaps[i % 2] exchanges the path's neighbours i and i + 1
+        a, b = path[i], path[i + 1]
+        swaps[i % 2][a], swaps[i % 2][b] = b, a
+    for gens in ([Perm(images)], [Perm(s) for s in swaps]):
+        assert PermGroup(gens).orbits() == [list(range(n))]
+    assert max(rounds) <= 2 * bits + 2 and rounds == [bits, 2]
 
 
 # -- Λ, the linear level of fibre translations ----------------------------------
