@@ -10,6 +10,9 @@ order is at most subgroup order times (n-1)!, and stabilizer generators
 together with the extracted elements generate the whole group.
 The subgroup's orbit of the base vertex is its component, so that walk
 is the connectivity check; each group gets one chain, based there.
+Generation follows from the product formula: once |G_v|*|H|/|H_v| = |G|
+is certified, G = G_v*H lies in <G_v, H>, so the closure of G_v's chain
+by the extracted elements runs only when that formula fails.
 
 The factorial bound uses the concrete subgroup order where the abstract
 argument would use the restricted-Burnside value for the valency and
@@ -19,7 +22,6 @@ the report verifies the proof skeleton on witnessed quantities only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, CapExceeded, Caps
@@ -41,7 +43,6 @@ __all__ = [
     "load_instance",
     "connection_generators",
     "verify_connection_subgroup",
-    "verify_generation",
     "bound_report",
 ]
 
@@ -139,6 +140,7 @@ def verify_generation(inst: VTInstance, gens: list[Perm]) -> bool:
     """Stabilizer generators plus the extracted elements generate the group.
 
     Extends a copy of the stabilizer's chain, which is cut from the group's.
+    `bound_report` calls it only when the product formula fails.
     """
     stab = inst.group.stabilizer(inst.base_vertex)
     return PermGroup._extension(stab, gens).order() == inst.group.order()
@@ -181,13 +183,24 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
+def _size_bound_ok(G_order: int, H_order: int, n: int) -> bool:
+    """|G| <= |H| * (n-1)!, multiplying |H| by 2, 3, ... only until it reaches |G|."""
+    bound = H_order
+    for k in range(2, n):
+        if bound >= G_order:
+            break
+        bound *= k
+    return G_order <= bound
+
+
 def _choice_outcomes(inst: VTInstance, gens: list[Perm]) -> tuple[int, tuple]:
     """Check one choice of connection elements; return |H| and its outcomes.
 
-    The outcomes are (decomposition, size bound, generation). H's orbit of
-    the base vertex is its component, so a disconnected graph raises
-    ValueError before any chain is built; a failed Lagrange check is a
-    defect and raises AssertionError. H's chain dies with the call.
+    The outcomes are (decomposition, size bound, generation); generation is
+    read off a certified decomposition and closed only without one. H's
+    orbit of the base vertex is its component, so a disconnected graph
+    raises ValueError before any chain is built; a failed Lagrange check
+    is a defect and raises AssertionError. H's chain dies with the call.
     """
     graph, G, base = inst.graph, inst.group, inst.base_vertex
     H_sub, transitive = verify_connection_subgroup(inst, gens)
@@ -198,8 +211,10 @@ def _choice_outcomes(inst: VTInstance, gens: list[Perm]) -> tuple[int, tuple]:
     if H_order % graph.n != 0 or G_order % H_order != 0:
         raise AssertionError("Lagrange divisibility failed")
     # n <= |H| holds here, so the size bound rests on |G| <= |H| (n-1)!
-    size_bound_ok = G_order <= H_order * math.factorial(graph.n - 1)
-    return H_order, (decomposition_ok, size_bound_ok, verify_generation(inst, gens))
+    size_bound_ok = _size_bound_ok(G_order, H_order, graph.n)
+    # G = G_v H, certified by the product formula, lies in <G_v, H>
+    generation_ok = decomposition_ok or verify_generation(inst, gens)
+    return H_order, (decomposition_ok, size_bound_ok, generation_ok)
 
 
 def bound_report(inst: VTInstance) -> BoundReport:

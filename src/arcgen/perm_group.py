@@ -901,8 +901,9 @@ class PermGroup:
         """All orbits on {0..degree-1}, each sorted, ordered by minimum."""
         label = self._labels()
         order = np.argsort(label, kind="stable")
-        cuts = np.flatnonzero(np.diff(label[order])) + 1
-        return [part.tolist() for part in np.split(order, cuts)] if self.degree else []
+        cuts = (np.flatnonzero(np.diff(label[order])) + 1).tolist()
+        flat = order.tolist()
+        return [flat[i:j] for i, j in zip([0, *cuts], [*cuts, self.degree])] if self.degree else []
 
     def transversal(self, v: int, points, reverse: bool = False) -> list[Perm]:
         """Coset representatives u with v^u = x, one per requested point x.
@@ -1235,7 +1236,8 @@ def local_action(graph: Graph, G: PermGroup, v: int) -> tuple[PermGroup, int]:
     if (restricted < 0).any():
         raise AssertionError("stabilizer generator does not preserve the neighborhood")
     induced = PermGroup([Perm(r) for r in restricted], degree=len(nbrs), caps=G.caps)
-    orbit_count = len(induced.orbits()) if len(nbrs) else 0
+    # an orbit's label is its least point, so each orbit has one point labelled by itself
+    orbit_count = int(np.count_nonzero(induced._labels() == np.arange(len(nbrs))))
     return induced, orbit_count
 
 
@@ -1243,7 +1245,7 @@ def frattini_decomposition_check(G: PermGroup, H_sub: PermGroup, v: int) -> bool
     """Certify G = G_v * H_sub for a transitive subgroup H_sub.
 
     G_v and H_v are taken first, so each group's one chain is based at v.
-    Preconditions: H_sub's generators lie in G (checked by sifting) and
+    Preconditions: H_sub's generators lie in G (sifted as one block) and
     H_sub is transitive on all points, read off orbit-stabilizer as
     |H| = |H_v| * n; a violation of transitivity raises
     NotTransitiveError, which is distinct from the check returning False.
@@ -1253,9 +1255,8 @@ def frattini_decomposition_check(G: PermGroup, H_sub: PermGroup, v: int) -> bool
     if H_sub.degree != G.degree:
         raise ValueError("degree mismatch")
     gv_order, hv_order = G.stabilizer(v).order(), H_sub.stabilizer(v).order()
-    for g in H_sub.generators:
-        if not G.contains(g):
-            raise ValueError("subgroup generator does not lie in the ambient group")
+    if len(G.chain()._sift_rows(H_sub._images(), 0)[0]):
+        raise ValueError("subgroup generator does not lie in the ambient group")
     n, g_order, h_order = G.degree, G.order(), H_sub.order()
     if h_order != hv_order * n:
         raise NotTransitiveError("subgroup is not transitive on the vertex set")

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -226,8 +227,8 @@ def test_connection_elements_own_their_images():
 
 def test_bound_report_memory_is_not_held_by_transversal_tables():
     # a level whose orbit is the whole 1,024-cycle holds 1,024 rows of 4 KB
-    # (4 MB); G, one subgroup and one generation check hold such a level
-    # at once, so one more table or chain that outlives its use passes 20 MB
+    # (4 MB); G and one subgroup hold such a level at once (about 12 MB
+    # traced), so one more table or chain that outlives its use passes 16 MB
     inst = dihedral_instance(1024)
     tracemalloc.start()
     try:
@@ -236,14 +237,73 @@ def test_bound_report_memory_is_not_held_by_transversal_tables():
     finally:
         tracemalloc.stop()
     assert rep.all_ok and rep.e == 1024
-    assert peak < 20 * 2**20, peak
+    assert peak < 16 * 2**20, peak
 
 
 def test_bound_report_rejects_outcomes_that_change_with_the_choice(monkeypatch):
+    # the second choice's decomposition fails, so its generation is closed
+    # and holds, and the two choices' outcomes differ
     answers = iter([True, False])
-    monkeypatch.setattr(harness, "verify_generation", lambda inst, gens: next(answers))
+    monkeypatch.setattr(harness, "frattini_decomposition_check", lambda G, H, v: next(answers))
     with pytest.raises(AssertionError, match="changed under a different representative"):
         bound_report(c5_instance())
+
+
+def forbid_extensions(monkeypatch):
+    def fail(cls, sub, gens):
+        raise AssertionError("generation was closed although the product formula held")
+
+    monkeypatch.setattr(PermGroup, "_extension", classmethod(fail))
+
+
+@pytest.mark.parametrize("which", ["rotation-first", "reflection-first", "family-2-2"])
+def test_bound_report_reads_generation_off_the_product_formula(
+    monkeypatch, family_instance, which
+):
+    # G = G_v H is certified, so <G_v, H> = G needs no closure: G and the
+    # connection subgroup of each choice are the only chains built
+    if which == "family-2-2":  # a fresh group, with no chain cached
+        graph, gens = family_instance.graph, family_instance.group.generators
+        inst = VTInstance(graph=graph, group=PermGroup(gens))
+    else:
+        inst = dihedral_instance(64, reflection_first=which == "reflection-first")
+    forbid_extensions(monkeypatch)
+    builds = count_chain_builds(monkeypatch)
+    rep = bound_report(inst)
+    assert len(builds) == 3
+    assert rep.decomposition_ok and rep.generation_ok and rep.all_ok
+
+
+def test_bound_report_closes_generation_when_the_product_formula_fails(monkeypatch):
+    monkeypatch.setattr(harness, "frattini_decomposition_check", lambda G, H, v: False)
+    closures = []
+    extension = PermGroup._extension.__func__
+
+    def counted(cls, sub, gens):
+        closures.append(1)
+        return extension(cls, sub, gens)
+
+    monkeypatch.setattr(PermGroup, "_extension", classmethod(counted))
+    rep = bound_report(dihedral_instance(64))
+    assert len(closures) == 2  # one per choice
+    assert rep.generation_ok and not rep.decomposition_ok and not rep.all_ok
+
+
+def test_size_bound_matches_the_factorial_form():
+    for n in range(1, 9):
+        for H_order in range(1, 13):
+            bound = H_order * math.factorial(max(n - 1, 0))
+            for G_order in {*range(1, 40), bound - 1, bound, bound + 1, 2 * bound}:
+                want = G_order <= bound
+                assert harness._size_bound_ok(G_order, H_order, n) == want, (n, H_order, G_order)
+
+
+def test_size_bound_at_the_vertex_cap_returns_at_once():
+    # (2^20 - 1)! alone takes seconds to form; here the product passes |G| at 2
+    n = 2**20
+    start = time.perf_counter()
+    assert harness._size_bound_ok(2 * n, n, n)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_exponent_of_connection_subgroup_divides_group_exponent():

@@ -1301,6 +1301,24 @@ def test_orbits_match_orbit_walks_on_random_groups():
         assert all(G.orbit(o[-1]) == o for o in G.orbits())
 
 
+def test_orbits_match_split_reference_on_random_groups():
+    # the lists are slices of one sorted order, as np.split cuts it
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(1, 300))
+        gens = []
+        for _ in range(int(rng.integers(0, 3))):
+            images = np.arange(n)
+            part = rng.choice(n, int(rng.integers(0, n + 1)), replace=False)
+            images[part] = rng.permutation(part)
+            gens.append(Perm(images))
+        G = PermGroup(gens, degree=n)
+        label = G._labels()
+        order = np.argsort(label, kind="stable")
+        cuts = np.flatnonzero(np.diff(label[order])) + 1
+        assert G.orbits() == [part.tolist() for part in np.split(order, cuts)]
+
+
 @pytest.mark.parametrize("p, h", [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
 def test_family_orbits_match_queue_walks(p, h):
     # both groups are transitive; the small group's G_0 has many orbits
