@@ -53,7 +53,7 @@ class Graph:
     out of v sit at positions offsets[v] up to offsets[v + 1].
     """
 
-    __slots__ = ("n", "_tails", "_heads", "_offsets")
+    __slots__ = ("n", "_tails", "_heads", "_offsets", "_codes")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -83,6 +83,7 @@ class Graph:
             a.flags.writeable = False
         self.n = n
         self._tails, self._heads, self._offsets = tails, heads, offsets
+        self._codes = None
 
     @property
     def m(self) -> int:
@@ -97,6 +98,19 @@ class Graph:
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Tails and heads (int64, read-only) of all 2m arcs, sorted by (tail, head)."""
         return self._tails, self._heads
+
+    def arc_codes(self) -> np.ndarray:
+        """The codes tail * n + head of all 2m arcs, ascending and read-only.
+
+        Made on the first call and kept; int32 when n^2 < 2^31, int64
+        otherwise.
+        """
+        if self._codes is None:
+            codes = self._tails * self.n + self._heads
+            codes = codes.astype(np.int32) if self.n**2 < 2**31 else codes
+            codes.flags.writeable = False
+            self._codes = codes
+        return self._codes
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, sorted lexicographically."""

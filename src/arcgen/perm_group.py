@@ -28,6 +28,16 @@ level splits Λ: a new level opens just above it, at the residue's first
 moved point b, with W's orbit of b as its orbit, and W keeps its vectors
 that are 0 on b's block, so Λ stays the stabilizer of all the bases.
 
+A chain built from a list of generators that leads with a run of at least
+two fibre translations for one prime r, as the family's module generators
+lead its groups' lists, takes the run as one subspace: the translations
+commute and have order r, so they generate exactly their span W. Their
+shift vectors are row-reduced into Λ SIFT_CHUNK rows at a time, with the
+order checked after each chunk; then W is split at each base-prefix point,
+or else at the first generator's first moved point, where the first level
+opens when the generators come one at a time. So Λ still opens below the
+first level, and the later generators are added one at a time.
+
 On top of the chain sit the predicates the verification pipeline needs:
 vertex/arc transitivity, local actions, the Frattini decomposition check,
 minimal generator ranks of p-groups (Burnside basis theorem) and
@@ -56,7 +66,7 @@ from collections import deque
 import numpy as np
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .field_linalg import _matmul, is_prime
+from .field_linalg import FpMatrix, _matmul, is_prime, rref
 from .graph_builder import Graph, _label
 
 __all__ = [
@@ -346,21 +356,32 @@ class _Shifts:
         return v
 
     def insert(self, v: np.ndarray) -> None:
-        """Add a reduced nonzero vector v to the basis, keeping it reduced."""
-        if v[self.piv].any() or not v.any():
-            raise AssertionError("Λ was given a vector that is zero or not reduced")
-        r, k = self.r, int(np.flatnonzero(v)[0])
-        v = v * pow(int(v[k]), -1, r) % r
+        """Add the span of the rows of v, reduced and not all zero, keeping the basis reduced.
+
+        v (one vector or a block of rows) is 0 at every pivot, so its
+        canonical row-reduced form (`rref`) is too; those rows join the
+        basis, and one product clears the old rows that are nonzero at the
+        new pivots.
+        """
+        v = np.atleast_2d(v)
+        if v[:, self.piv].any() or not v.any():
+            raise AssertionError("Λ was given vectors that are zero or not reduced")
+        r = self.r
+        reduced, k = rref(FpMatrix._make(v, r))
+        new = reduced.a[:k]
+        piv = (new != 0).argmax(axis=1)
         rows = self.rows
-        hit = np.flatnonzero(rows[:, k])
-        rows[hit] = (rows[hit] - rows[hit, k : k + 1] * v) % r
-        if self.rank == len(self.basis):
-            grown = np.empty((max(2 * self.rank, 1), self.basis.shape[1]), dtype=np.int64)
+        hit = np.flatnonzero(rows[:, piv].any(axis=1))
+        if len(hit):
+            rows[hit] = (rows[hit] - _matmul(rows[np.ix_(hit, piv)], new, r)) % r
+        end = self.rank + k
+        if end > len(self.basis):
+            grown = np.empty((max(2 * self.rank, end), self.basis.shape[1]), dtype=np.int64)
             grown[: self.rank] = rows
             self.basis = grown
-        self.basis[self.rank] = v
-        self.piv = np.append(self.piv, k)
-        self.rank += 1
+        self.basis[self.rank : end] = new
+        self.piv = np.concatenate((self.piv, piv))
+        self.rank = end
 
     def cut(self, k: int) -> np.ndarray | None:
         """Cut W to its vectors that are 0 on block k.
@@ -438,19 +459,60 @@ class StabChain:
     Λ's strong generators are its rows as permutations, and the order is
     the product of the orbits times r^rank.
 
+    The constructor takes a leading run of at least two fibre
+    translations for one prime as one span (module docstring), in chunks
+    of SIFT_CHUNK rows, and every later generator by add_generator.
+
     Budget checks (order cap, optional wall-clock cap) run after every
-    prime step, insertion into Λ and inside the closure loop, so oversize
-    groups fail fast with CapExceeded instead of running away. No partial
-    order exceeds the final one, so the order cap fires on both routes
-    exactly when the group's order exceeds it.
+    prime step, insertion into Λ, chunk of a leading run and inside the
+    closure loop, so oversize groups fail fast with CapExceeded instead of
+    running away. No partial order exceeds the final one, so the order cap
+    fires on every route exactly when the group's order exceeds it.
     """
 
     def __init__(self, degree: int, gens=(), *, caps: Caps = DEFAULT_CAPS, base_prefix=()):
         self._start(degree, [], None, caps)
+        gens, base_prefix = list(gens), tuple(base_prefix)
+        taken = self._take_run(gens)
+        if taken and not base_prefix:
+            # where the first level opens when the generators come one at a time
+            base_prefix = (int(np.flatnonzero(np.asarray(gens[0]) != self._ident)[0]),)
         for b in base_prefix:
-            self.levels.append(_Level(int(b), self._ident))
-        for g in gens:
+            # W's splits at the bases are the chain of the run's group W;
+            # without Λ, a split opens a level of one point
+            self._split(int(b))
+        for g in gens[taken:]:
             self.add_generator(g)
+
+    def _take_run(self, gens: list) -> int:
+        """Open Λ with the span W of the leading run of fibre translations.
+
+        The run is the generators from the first on that are fibre
+        translations for the first one's prime r; they commute and have
+        order r, so they generate W exactly. It is read SIFT_CHUNK rows at
+        a time, and each chunk's shift vectors, reduced against W, join W
+        by one `insert`, with the order checked after each chunk, so the
+        cap fires before any row past that chunk is read. Returns the
+        run's length, or 0, with nothing done, for a run shorter than 2.
+        """
+        r = _fibre_prime(np.asarray(gens[0], dtype=_DTYPE), []) if len(gens) > 1 else None
+        if r is None:
+            return 0
+        lin, taken = _Shifts(self.degree, r), 0
+        while taken < len(gens):
+            s, fibre = lin.shifts(np.array(gens[taken : taken + SIFT_CHUNK], dtype=_DTYPE))
+            k = len(fibre) if fibre.all() else int(fibre.argmin())
+            if taken + k < 2:
+                return 0
+            v = lin.reduce(s[:k].astype(np.int64))
+            if v.any():
+                lin.insert(v)
+            self.linear, taken = lin, taken + k
+            self._deadline_check()
+            self._order_check()
+            if k < len(fibre):
+                break
+        return taken
 
     @classmethod
     def _from_levels(
@@ -1144,15 +1206,19 @@ def is_automorphism(graph: Graph, perm: Perm) -> bool:
     """True iff the permutation maps edges onto edges bijectively.
 
     Compares the sorted codes tail*n + head of the mapped arcs with the
-    graph's own arc codes, which are sorted by construction; for a
+    graph's own arc codes (`Graph.arc_codes`, in their dtype); for a
     simple graph this is the same as N(u)^g == N(u^g) for every u.
     """
     if perm.degree != graph.n:
         raise ValueError("permutation degree does not match the vertex count")
-    n = graph.n
+    codes = graph.arc_codes()
     tails, heads = graph.arcs()
-    img = perm.images.astype(np.int64)
-    return np.array_equal(np.sort(img[tails] * n + img[heads]), tails * n + heads)
+    img = perm.images.astype(codes.dtype, copy=False)
+    mapped = img[tails]
+    mapped *= graph.n
+    mapped += img[heads]
+    mapped.sort()
+    return np.array_equal(mapped, codes)
 
 
 def _require_automorphisms(graph: Graph, G: PermGroup) -> None:

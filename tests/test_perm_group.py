@@ -2,12 +2,14 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from arcgen import perm_group
 from arcgen.caps import DEFAULT_CAPS, CapExceeded, Caps
+from arcgen.field_linalg import FpMatrix, rref
 from arcgen.graph_builder import Graph
 from arcgen.perm_group import (
     NotTransitiveError,
@@ -176,6 +178,19 @@ def test_automorphism_matches_neighbourhood_rule(p, h):
 def test_automorphism_on_the_empty_graph():
     assert is_automorphism(Graph(0, []), Perm([]))
     assert is_automorphism(Graph(3, []), Perm([2, 0, 1]))
+
+
+@pytest.mark.parametrize("n, dtype", [(9, np.int32), (46_340, np.int32), (46_349, np.int64)])
+def test_automorphism_arc_codes_on_both_sides_of_int32(n, dtype):
+    # the codes tail * n + head fit int32 while n^2 < 2^31; 46,340^2 is just
+    # under it, and 46,349^2 is over it
+    x = np.arange(n)
+    graph = Graph(n, np.column_stack((x, (x + 1) % n)))
+    assert graph.arc_codes() is graph.arc_codes() and graph.arc_codes().dtype == dtype
+    assert is_automorphism(graph, Perm((x + 1) % n)) and is_automorphism(graph, Perm(-x % n))
+    swap = x.copy()
+    swap[[0, 1]] = [1, 0]  # a transposition of neighbours
+    assert not is_automorphism(graph, Perm(swap))
 
 
 # -- orbits and transitivity -------------------------------------------------
@@ -1431,17 +1446,129 @@ def test_wreath_product_opens_and_splits_the_linear_level(monkeypatch, m, swap_f
 
 def test_linear_level_takes_fibre_translations_by_both_routes(monkeypatch):
     # the swap-first wreath product installs its translations by Schreier-
-    # Sims; the family's module generators arrive as prime steps, and a
-    # base prefix puts a level above them
+    # Sims, one row at a time; the family's module generators arrive as
+    # prime steps when added one at a time, and as one chunk of rows when
+    # they lead a constructor's generators; a base prefix puts a level
+    # above them either way
     inserts = []
     insert = perm_group._Shifts.insert
-    monkeypatch.setattr(perm_group._Shifts, "insert", lambda lin, v: inserts.append(1) or insert(lin, v))
-    assert PermGroup(_wreath_c2_cm(4, True)).order() == 64 and len(inserts) == 3
-    inserts.clear()
+    monkeypatch.setattr(
+        perm_group._Shifts, "insert", lambda lin, v: inserts.append(len(np.atleast_2d(v))) or insert(lin, v)
+    )
+    assert PermGroup(_wreath_c2_cm(4, True)).order() == 64 and inserts == [1] * 3
     bundle = Bundle(ConstructionParams(2, 2))
-    chain = StabChain(bundle.graph.n, [g.images for g in bundle.module_gens], base_prefix=(0,))
-    assert chain.levels[0].points == [0, 1] and chain.linear.rank == len(inserts) == 9
-    assert chain.order() == 2**10 and chain.verify()
+    module = [g.images for g in bundle.module_gens]
+    for one_at_a_time in (True, False):
+        inserts.clear()
+        if one_at_a_time:
+            chain = _one_at_a_time(bundle.graph.n, module, base_prefix=(0,))
+        else:
+            chain = StabChain(bundle.graph.n, module, base_prefix=(0,))
+        assert chain.levels[0].points == [0, 1] and chain.linear.rank == 9
+        assert chain.order() == 2**10 and chain.verify()
+        # the chunk holds all 10 module rows; the split at 0 then cuts one
+        assert inserts == ([1] * 9 if one_at_a_time else [10])
+
+
+def _one_at_a_time(degree, gens, caps=DEFAULT_CAPS, base_prefix=()):
+    """The chain of the gens added one add_generator at a time."""
+    chain = StabChain(degree, caps=caps, base_prefix=base_prefix)
+    for g in gens:
+        chain.add_generator(g)
+    return chain
+
+
+def _canonical_span(chain):
+    """Λ's prime and the canonical reduced rows of its span W."""
+    lin = chain.linear
+    return lin.r, rref(FpMatrix(lin.rows, lin.r))[0].a.tobytes()
+
+
+def _block_translations(r, m):
+    """The translations by 1 of each block {k*r, ..., k*r + r - 1} of r*m points."""
+    return [
+        Perm([b * r + (c + (b == k)) % r for b in range(m) for c in range(r)]) for k in range(m)
+    ]
+
+
+def _leading_run_groups():
+    """Generator lists that begin with a run of fibre translations, by name."""
+    groups = {}
+    for p, h in [(2, 2), (3, 1), (2, 3), (3, 2)]:
+        bundle = Bundle(ConstructionParams(p, h, Caps(order_cap=2**2000)))
+        groups[f"small{p}{h}"] = bundle.small_group.generators
+        groups[f"big{p}{h}"] = bundle.big_group.generators
+    # C_2 wr C_4 and C_3 wr S_3: each block's translation, then the blocks moved
+    groups["C2wrC4"] = [*_block_translations(2, 4), Perm([(x + 2) % 8 for x in range(8)])]
+    groups["C3wrS3"] = [
+        *_block_translations(3, 3),
+        Perm([(x + 3) % 9 for x in range(9)]),
+        Perm([3, 4, 5, 0, 1, 2, 6, 7, 8]),
+    ]
+    return groups
+
+
+LEADING_RUN_GROUPS = _leading_run_groups()
+
+
+@pytest.mark.parametrize("prefix", [(), (0,), (5, 2)])
+@pytest.mark.parametrize("name", list(LEADING_RUN_GROUPS))
+def test_leading_run_of_fibre_translations_gives_the_one_at_a_time_chain(name, prefix):
+    gens = [g.images for g in LEADING_RUN_GROUPS[name]]
+    n, caps = len(gens[0]), Caps(order_cap=2**2000)
+    ours = StabChain(n, gens, caps=caps, base_prefix=prefix)
+    theirs = _one_at_a_time(n, gens, caps, prefix)
+    assert ours.order() == theirs.order() and ours.base() == theirs.base()
+    assert _canonical_span(ours) == _canonical_span(theirs)
+    assert ours.verify() and theirs.verify()
+
+
+@pytest.mark.parametrize("prefix", [(), (0,)])
+@pytest.mark.parametrize("p, h, which", [(2, 2, "module"), (2, 3, "small"), (3, 2, "big")])
+def test_order_cap_fires_below_the_order_on_both_routes(p, h, which, prefix):
+    # the module alone is one run of translations, so the cap fires inside it
+    bundle = Bundle(ConstructionParams(p, h, Caps(order_cap=2**2000)))
+    perms = bundle.module_gens if which == "module" else getattr(bundle, f"{which}_group").generators
+    gens, n = [g.images for g in perms], bundle.graph.n
+    order = StabChain(n, gens, caps=bundle.params.caps).order()
+    for build in (StabChain, _one_at_a_time):
+        with pytest.raises(CapExceeded) as exc:
+            build(n, gens, caps=Caps(order_cap=order - 1), base_prefix=prefix)
+        assert exc.value.cap_name == "order"
+        assert build(n, gens, caps=Caps(order_cap=order), base_prefix=prefix).order() == order
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        _wreath_c2_cm(4, True),  # a run of one translation
+        [Perm([1, 0, 2, 3, 4, 5]), Perm([1, 2, 0, 3, 4, 5])],  # translations for 2, then for 3
+        *(make(n) for make in (_symmetric, _alternating) for n in (6, 9)),
+        dihedral(10).generators,
+    ],
+    ids=["wreath-run-of-one", "two-primes", "S6", "S9", "A6", "A9", "dihedral"],
+)
+def test_chains_without_a_leading_run_are_built_as_before(gens):
+    arrs = [g.images for g in gens]
+    for prefix in [(), (1,)]:
+        ours = StabChain(len(arrs[0]), arrs, base_prefix=prefix)
+        assert _chain_levels(ours) == _chain_levels(_one_at_a_time(len(arrs[0]), arrs, base_prefix=prefix))
+
+
+def test_capped_family_stabilizer_reads_its_module_in_chunks():
+    # C4's build at (2,5) under the default caps: the 528 module generators
+    # lead, and the cap fires after the first chunk; the whole run's shift
+    # rows at once take about 23 MB, and one chunk at a time about 3 MB
+    G = Bundle(ConstructionParams(2, 5)).small_group
+    assert len(G.generators) == 530
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as exc:
+            G.stabilizer(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.cap_name == "order" and peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("reverse", [False, True])
