@@ -96,6 +96,8 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         out %= p
         return out
     block = _INT64_MAX // square
+    if k <= block:
+        return a @ b % p
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for s in range(0, k, block):
         out += (a[:, s : s + block] @ b[s : s + block]) % p
@@ -202,24 +204,33 @@ def rref(m: FpMatrix) -> tuple[FpMatrix, int]:
     r = 0
     # Row operations never make a zero column nonzero, so those are skipped.
     # When column c gets its pivot, row r is zero left of c, so only the
-    # columns from c on change.
-    for c in np.flatnonzero(a.any(axis=0)):
+    # columns from c on change. The rows from r on are zero left of c too,
+    # so the first column after a pivot that has none below r tests whether
+    # they are zero from c on; then no later column has a pivot.
+    test = True
+    for c in np.flatnonzero(a.any(axis=0)).tolist():
         if r == nrows:
             break
-        nz = np.flatnonzero(a[:, c])
-        below = nz[nz >= r]
-        if below.size == 0:
+        nz = a[:, c].nonzero()[0]
+        k = int(nz.searchsorted(r))
+        if k == len(nz):
+            if test and not a[r:, c:].any():
+                break
+            test = False
             continue
-        piv = int(below[0])
+        test = True
+        piv = int(nz[k])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
+        row = a[r, c:]
+        inv = pow(int(row[0]), -1, p)
         if inv != 1:
-            a[r, c:] = (a[r, c:] * inv) % p
+            row *= inv
+            row %= p
         # after the swap row piv holds the old row r, which is zero in column c
         others = nz[nz != piv]
-        if others.size:
-            a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % p
+        if len(others):
+            a[others, c:] = (a[others, c:] - a[others, c, None] * row) % p
         r += 1
     return FpMatrix._make(a, p), r
 

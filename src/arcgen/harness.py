@@ -10,9 +10,9 @@ order is at most subgroup order times (n-1)!, and stabilizer generators
 together with the extracted elements generate the whole group.
 The subgroup's orbit of the base vertex is its component, so that walk
 is the connectivity check; each group gets one chain, based there.
-Generation follows from the product formula: once |G_v|*|H|/|H_v| = |G|
-is certified, G = G_v*H lies in <G_v, H>, so the closure of G_v's chain
-by the extracted elements runs only when that formula fails.
+Generation is read off the product formula: once |G_v|*|H|/|H_v| = |G|
+is certified, G = G_v*H lies in <G_v, H>. H is transitive, so the formula
+holds by the Frattini argument, and no closure of G_v's chain is built.
 
 The factorial bound uses the concrete subgroup order where the abstract
 argument would use the restricted-Burnside value for the valency and
@@ -136,16 +136,6 @@ def verify_connection_subgroup(
     return sub, transitive
 
 
-def verify_generation(inst: VTInstance, gens: list[Perm]) -> bool:
-    """Stabilizer generators plus the extracted elements generate the group.
-
-    Extends a copy of the stabilizer's chain, which is cut from the group's.
-    `bound_report` calls it only when the product formula fails.
-    """
-    stab = inst.group.stabilizer(inst.base_vertex)
-    return PermGroup._extension(stab, gens).order() == inst.group.order()
-
-
 @dataclass
 class BoundReport:
     """Every quantity of the order bound; e is None when the exponent cap fired."""
@@ -197,10 +187,10 @@ def _choice_outcomes(inst: VTInstance, gens: list[Perm]) -> tuple[int, tuple]:
     """Check one choice of connection elements; return |H| and its outcomes.
 
     The outcomes are (decomposition, size bound, generation); generation is
-    read off a certified decomposition and closed only without one. H's
-    orbit of the base vertex is its component, so a disconnected graph
-    raises ValueError before any chain is built; a failed Lagrange check
-    is a defect and raises AssertionError. H's chain dies with the call.
+    read off the certified decomposition. H's orbit of the base vertex is
+    its component, so a disconnected graph raises ValueError before any
+    chain is built; a failed Lagrange check is a defect and raises
+    AssertionError. H's chain dies with the call.
     """
     graph, G, base = inst.graph, inst.group, inst.base_vertex
     H_sub, transitive = verify_connection_subgroup(inst, gens)
@@ -212,8 +202,9 @@ def _choice_outcomes(inst: VTInstance, gens: list[Perm]) -> tuple[int, tuple]:
         raise AssertionError("Lagrange divisibility failed")
     # n <= |H| holds here, so the size bound rests on |G| <= |H| (n-1)!
     size_bound_ok = _size_bound_ok(G_order, H_order, graph.n)
-    # G = G_v H, certified by the product formula, lies in <G_v, H>
-    generation_ok = decomposition_ok or verify_generation(inst, gens)
+    # G = G_v H, certified by the product formula, lies in <G_v, H>; H is
+    # transitive, so the formula fails only on a defect (Frattini argument)
+    generation_ok = decomposition_ok
     return H_order, (decomposition_ok, size_bound_ok, generation_ok)
 
 

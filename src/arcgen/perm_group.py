@@ -38,6 +38,16 @@ or else at the first generator's first moved point, where the first level
 opens when the generators come one at a time. So Λ still opens below the
 first level, and the later generators are added one at a time.
 
+A normal closure opens on Λ the same way. When its seeds hold fibre
+translations for a prime r and every generator of the group maps the
+blocks of r points onto blocks by affine maps of F_r, conjugation by a
+generator is a linear map of shift vectors, and the closure of those seeds
+is the smallest subspace W that holds their shift vectors and that these
+maps keep: a spin (`_Shifts.spin`), one reduction and one insertion per
+round of images. The other seeds are closed in one element at a time. The
+Frattini rank then extends the closure's chain by its generators, whose
+residues that reach Λ as translations join it as one block.
+
 On top of the chain sit the predicates the verification pipeline needs:
 vertex/arc transitivity, local actions, the Frattini decomposition check,
 minimal generator ranks of p-groups (Burnside basis theorem) and
@@ -354,6 +364,51 @@ class _Shifts:
             v = v - _matmul(v[:, self.piv], self.rows, self.r)
             v %= self.r
         return v
+
+    def affine(self, g: np.ndarray):
+        """The maps by which the rows of g conjugate translations, or None.
+
+        Row g must map each block k onto a block pi[k] by an affine map
+        c -> alpha[k]*c + beta[k] of F_r. Then g^-1 t_w g, for the
+        translation t_w by w, is the translation by w' with
+        w'[pi[k]] = alpha[k] * w[k], that is w'[j] = scale[j] * w[src[j]]
+        for src = pi^-1 and scale = alpha[src]. Returns (src, scale), one
+        row per row of g, or None when some row is not of that form.
+        """
+        r = self.r
+        blocks = g.reshape(len(g), g.shape[1] // r, r)
+        pi, beta = np.divmod(blocks[:, :, 0], r)
+        alpha = (blocks[:, :, 1] - blocks[:, :, 0]) % r
+        fibre = (alpha[:, :, None] * np.arange(r) + beta[:, :, None]) % r
+        if not (blocks == pi[:, :, None] * r + fibre).all():
+            return None
+        src = np.empty_like(pi)
+        np.put_along_axis(src, pi, np.arange(pi.shape[1])[None, :], axis=1)
+        return src, np.take_along_axis(alpha, src, axis=1).astype(np.int64)
+
+    def spin(self, v: np.ndarray, src: np.ndarray, scale: np.ndarray, check) -> None:
+        """Close W + span(v) under the maps w -> w' of `affine`, w'[j] = scale[i, j] * w[src[i, j]].
+
+        This is the smallest subspace that holds W and v and that every map
+        keeps (the MeatAxe's spin: Parker 1984; Holt, Eick and O'Brien
+        2005, ch. 7), given that W is kept already. Each round maps the
+        rows the last round added by every map, reduces the images against
+        W by one product and inserts them by one `insert`; a round that
+        adds nothing ends it. check() runs after each insertion.
+        """
+        k = self.rank
+        self._join(v)
+        while self.rank > k:
+            check()
+            new, k = self.rows[k:], self.rank
+            self._join((new[:, src] * scale % self.r).reshape(-1, new.shape[1]))
+
+    def _join(self, v: np.ndarray) -> None:
+        # W + span(v), for int64 rows with entries in [0, r)
+        v = self.reduce(v)
+        v = v[v.any(axis=1)]
+        if len(v):
+            self.insert(v)
 
     def insert(self, v: np.ndarray) -> None:
         """Add the span of the rows of v, reduced and not all zero, keeping the basis reduced.
@@ -756,14 +811,15 @@ class StabChain:
         self.levels.append(lv)
 
     def _insert(self, h: np.ndarray, v: np.ndarray, pending: bool) -> None:
-        # h, a residue with shift vector v and so reduced, joins W and every
-        # level's generators; on the Schreier-Sims route each level also
-        # gets (point, gen) work for it
+        # h, a residue or a block of them, with shift vectors v and so
+        # reduced, joins W and every level's generators; on the
+        # Schreier-Sims route each level also gets (point, gen) work for it
         self.linear.insert(v)
         for lv in self.levels:
-            gi = lv.add(h, fibre=True)
-            if pending:
-                lv.pending.extend((pos, gi) for pos in range(len(lv.points)))
+            for x in np.atleast_2d(h):
+                gi = lv.add(x, fibre=True)
+                if pending:
+                    lv.pending.extend((pos, gi) for pos in range(len(lv.points)))
         self._order_check()
 
     def _install(self, arr: np.ndarray, anchor: int) -> None:
@@ -1010,25 +1066,45 @@ class PermGroup:
 
 
 def commutator(g: Perm, h: Perm) -> Perm:
-    return g.inverse() * h.inverse() * g * h
+    """g^-1 h^-1 g h, written as (h g)^-1 (g h): one scatter of g h's images."""
+    if g.degree != h.degree:
+        raise ValueError("degree mismatch")
+    out = np.empty_like(g.images)
+    out[g.images[h.images]] = h.images[g.images]
+    return Perm._wrap(out)
 
 
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing the seeds and closed under G-conjugation.
 
-    The seeds form one block of rows, and so do the conjugates a^-1 x a of
-    an added x by all the generators. A block is sifted together, its
-    residues are added in row order, and the rest of the block is sifted
-    again after each add; each seed that grows the closure is closed under
-    conjugation before the next seed's turn. That makes the same add
-    decisions as trying the seeds and conjugates one at a time in this
-    order, and a block costs one batched sift per add, plus one.
+    When the first seed that is a fibre translation, for a prime r, finds
+    every generator affine on the fibres (`_Shifts.affine`), conjugation
+    by a generator is a linear map of shift vectors, and the seeds that are
+    fibre translations for r are closed first, as one subspace W: their
+    shift vectors are spun under the maps of the generators that are not
+    translations themselves (translations commute with W), with the order
+    and deadline checked after every round. W is normal in G, so the
+    closure opens on it as a chain opens on a leading run of translations
+    (`StabChain._take_run`): Λ holds W, split at the first translation
+    seed's first moved point, and W's basis rows are the closure's first
+    generators. r^rank never exceeds the closure's order, so the order cap
+    fires exactly when it would without the spin.
+
+    The other seeds form one block of rows, and so do the conjugates
+    a^-1 x a of an added x by all the generators. A block is sifted
+    together, its residues are added in row order, and the rest of the
+    block is sifted again after each add; each seed that grows the closure
+    is closed under conjugation before the next seed's turn. Without a
+    spin, that makes the same add decisions as trying the seeds and
+    conjugates one at a time in this order, and a block costs one batched
+    sift per add, plus one.
     """
     chain = StabChain(G.degree, caps=G.caps)
     gens = G._images()
     invs = np.empty_like(gens)
     np.put_along_axis(invs, gens, np.arange(G.degree, dtype=_DTYPE)[None, :], axis=1)
-    added: list[np.ndarray] = []
+    rest = _rows([s if isinstance(s, Perm) else Perm(s) for s in seeds], G.degree)
+    added, rest = _spin_seeds(chain, gens, rest)
 
     def add_first(block: np.ndarray) -> np.ndarray:
         # adds the first row outside the closure; returns the rows after it
@@ -1040,7 +1116,6 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
         chain._add_sifted(added[-1], residues[0].copy(), int(levels[0]))
         return block[rows[1:]]
 
-    rest = _rows([s if isinstance(s, Perm) else Perm(s) for s in seeds], G.degree)
     while len(rest):
         done = len(added)
         rest = add_first(rest)
@@ -1050,6 +1125,41 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
             while len(block):
                 block = add_first(block)
     return PermGroup._with_chain([Perm._wrap(x) for x in added], chain, G.degree, G.caps)
+
+
+def _spin_seeds(chain: StabChain, gens: np.ndarray, seeds: np.ndarray):
+    """Open the empty chain on W, the normal closure of the seeds that are fibre translations.
+
+    See `normal_closure`. Returns W's basis rows as image rows, and the
+    seeds that are not fibre translations for W's prime r; or [] and all
+    the seeds, with the chain left empty, when no seed is a nonzero fibre
+    translation for a prime r or some generator is not affine on the
+    blocks of r points.
+    """
+    r = next((r for s in seeds if (r := _fibre_prime(s, [])) is not None), None)
+    if r is None:
+        return [], seeds
+    lin = _Shifts(chain.degree, r)
+    maps = lin.affine(gens)
+    if maps is None:
+        return [], seeds
+    src, scale = maps
+    # the generators that are fibre translations map every w to itself
+    moving = (src != np.arange(src.shape[1])).any(axis=1) | (scale != 1).any(axis=1)
+    s, fibre = lin.shifts(seeds)
+    s = s[fibre][s[fibre].any(axis=1)].astype(np.int64)
+
+    def check() -> None:
+        chain._deadline_check()
+        chain._order_check()
+
+    chain.linear = lin
+    lin.spin(s, src[moving], scale[moving], check)
+    basis = list(lin.perms())
+    # the first level opens at the first translation seed's first moved
+    # point, as a chain built on a leading run opens it at its first one's
+    chain._split(int(np.flatnonzero(s[0])[0]) * r)
+    return basis, seeds[~fibre]
 
 
 def _in_range(points, degree: int) -> np.ndarray:
@@ -1071,15 +1181,22 @@ def frattini_rank(G: PermGroup, p: int, gens=None) -> int:
 
     gens (G's generators by default) must lie in G. Phi is the normal
     closure in <gens> of their pairwise commutators, then their p-th
-    powers, and every one of these seeds is checked to lie in it. Phi's
-    chain is then extended by each element of gens in turn: the gens
-    commute and have order p modulo Phi, so each step must multiply the
-    order by 1 or p. The last order must be |G|, which proves <gens> = G,
-    so Phi is normal in G and G/Phi is elementary abelian. Commutators and
-    p-th powers lie in the Frattini subgroup, and so does their normal
-    closure, so Phi is the Frattini subgroup and the rank is the number of
-    steps that grew the order. A few gens that generate G keep the
-    closure small: it conjugates by gens, not by all of G's generators.
+    powers, and every one of these seeds is checked to lie in it; a pair of
+    gens that are both fibre translations for p commutes, and gives no
+    seed. So Phi is normal in <gens>, and <gens>/Phi is abelian of exponent
+    p: every group between Phi and <gens> is normal in <gens>, and each gen
+    outside such a group has order p modulo it. Phi's chain is extended by
+    the gens without a normality test or an order search. They are sifted
+    as one block, and the residues that reach Λ as fibre translations join
+    it as one block (`StabChain._insert`): each fixes every base and
+    normalizes the group, so no level's orbit changes. Each other gen is
+    then sifted in turn, and a residue takes one prime step
+    (`StabChain._extend_level`). The last order must be |G|, which proves
+    <gens> = G, so Phi is normal in G and G/Phi is elementary abelian.
+    Commutators and p-th powers lie in the Frattini subgroup, and so does
+    their normal closure, so Phi is the Frattini subgroup and the rank is
+    log_p |G : Phi|. A few gens that generate G keep the closure small: it
+    conjugates by gens, not by all of G's generators.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -1090,23 +1207,32 @@ def frattini_rank(G: PermGroup, p: int, gens=None) -> int:
     arrs = _rows(gens, G.degree)
     if len(G.chain()._sift_rows(arrs, 0)[0]):
         raise ValueError("a generator does not lie in the group")
-    seeds = [commutator(g, h) for g, h in itertools.combinations(gens, 2)]
+    fibre = np.zeros(len(arrs), dtype=bool)
+    if G.degree % p == 0:
+        fibre = _Shifts(G.degree, p).shifts(arrs)[1]
+    pairs = itertools.combinations(zip(gens, fibre.tolist()), 2)
+    seeds = [commutator(g, h) for (g, f), (h, e) in pairs if not (f and e)]
     seeds += [g**p for g in gens]
     chain = normal_closure(PermGroup(gens, degree=G.degree, caps=G.caps), seeds).chain()
     if len(chain._sift_rows(_rows(seeds, G.degree), 0)[0]):
         raise AssertionError("Frattini closure lost one of its own seeds")
-    size, rank = chain.order(), 0
-    for g in arrs:
-        chain.add_generator(g)
-        grown = chain.order()
-        if grown == size * p:
-            rank += 1
-        elif grown != size:
-            raise AssertionError("a generator step grew the order by neither 1 nor p")
-        size = grown
-    if size != order:
+    size = chain.order()
+    rows, levels, residues = chain._sift_rows(arrs, 0)
+    block = np.zeros(len(rows), dtype=bool)
+    if chain.linear is not None:
+        s, block = chain.linear.shifts(residues)
+        block &= levels == len(chain.levels)
+        if block.any():
+            chain._insert(residues[block], s[block].astype(np.int64), pending=False)
+    for g in arrs[rows[~block]]:
+        residue, level = chain.sift(g)
+        if residue is not None:
+            chain._extend_level(residue, level, p)
+            chain._deadline_check()
+            chain._order_check()
+    if chain.order() != order:
         raise AssertionError("the generators and the Frattini closure do not generate the group")
-    return rank
+    return len(_prime_factors(order // size))
 
 
 # The most rows of the block exponent forms over the deepest levels, and the

@@ -4,8 +4,10 @@ Everything here recomputes quantities from first principles (full element
 enumeration, Cayley tables, subset search) and deliberately avoids the
 library's stabilizer-chain and Nakayama code paths, so tests that compare
 against these functions are genuine dual-route checks. The one exception
-is `normal_closure_one_at_a_time`, the reference for the batched normal
-closure: it drives the library's chain, but one element at a time.
+is `normal_closure_one_at_a_time`, the reference for the batched and
+spun normal closure: it drives the library's chain, but one element at a
+time, and so do the references built on it for the Frattini rank and for
+a chain's extension.
 
 The dense route for the group algebra lives here too: q^2 x q^2 action
 matrices, conjugated honestly into the e basis, images under dense
@@ -18,6 +20,7 @@ path numbered from both ends, are adversarial inputs for the labeller's
 round count.
 """
 
+import copy
 from collections import deque
 from itertools import combinations
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from arcgen.field_linalg import FpMatrix, FpSubspace, ModulusMismatchError, is_prime
 from arcgen.group_algebra import build_e_basis
-from arcgen.perm_group import Perm, StabChain
+from arcgen.perm_group import Perm, PermGroup, StabChain
 
 
 def prime_power_exponent(q, p):
@@ -229,6 +232,34 @@ def nakayama_count_by_closure(V, actions, p):
     return V.dim - vi.dim
 
 
+def rref_by_full_column_walk(m):
+    """(reduced rows, rank) by a walk over every nonzero column, as `rref` once walked.
+
+    Each column that has a nonzero entry at or below row r takes a pivot
+    there; every other column is passed over, even after the rows from r
+    on are all zero.
+    """
+    a, p, r = m.a.copy(), m.p, 0
+    for c in np.flatnonzero(a.any(axis=0)):
+        if r == a.shape[0]:
+            break
+        nz = np.flatnonzero(a[:, c])
+        below = nz[nz >= r]
+        if below.size == 0:
+            continue
+        piv = int(below[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        if inv != 1:
+            a[r, c:] = (a[r, c:] * inv) % p
+        others = nz[nz != piv]
+        if others.size:
+            a[others, c:] = (a[others, c:] - np.outer(a[others, c], a[r, c:])) % p
+        r += 1
+    return a, r
+
+
 def matmul_by_int64(a, b, p):
     """a @ b mod p by numpy's int64 product, without BLAS.
 
@@ -302,6 +333,38 @@ def normal_closure_one_at_a_time(G, seeds):
                 if chain.add_generator(y):
                     added.append(y)
     return added, chain
+
+
+def frattini_rank_one_at_a_time(G, p, gens):
+    """log_p |G : Phi| with Phi closed, and then extended, one element at a time.
+
+    Phi is `normal_closure_one_at_a_time` of the gens' pairwise commutators
+    and p-th powers, and its chain is extended by one `add_generator` per
+    gen, each of which must multiply the order by 1 or p; the last order
+    must be |G|.
+    """
+    gens = list(gens)
+    seeds = [g.inverse() * h.inverse() * g * h for g, h in combinations(gens, 2)]
+    seeds += [g**p for g in gens]
+    _, chain = normal_closure_one_at_a_time(PermGroup(gens, degree=G.degree, caps=G.caps), seeds)
+    rank, size = 0, chain.order()
+    for g in gens:
+        chain.add_generator(g.images)
+        grown = chain.order()
+        if grown not in (size, size * p):
+            raise AssertionError("a generator step grew the order by neither 1 nor p")
+        rank, size = rank + (grown != size), grown
+    if size != G.order():
+        raise AssertionError("the generators and the closure do not generate the group")
+    return rank
+
+
+def extended_order(chain, gens):
+    """The order of <H, gens> for the group H of a chain: a copy of it, extended by each gen in turn."""
+    chain = copy.deepcopy(chain)
+    for g in gens:
+        chain.add_generator(g.images)
+    return chain.order()
 
 
 def bfs_by_queue(arrs, starts, size):

@@ -16,6 +16,7 @@ from oracles import (
     matmul_by_int64,
     prime_power_exponent,
     quotient_dim,
+    rref_by_full_column_walk,
     unipotent_matrix,
 )
 
@@ -106,6 +107,33 @@ def test_rref_is_idempotent_and_canonical():
         red, _ = rref(m)
         again, _ = rref(red)
         assert red == again
+
+
+def _rank_deficient(rng, rows, cols, rank, p):
+    """A rows x cols matrix over F_p of rank at most `rank`, as a product of random factors."""
+    return FpMatrix(rng.integers(0, p, (rows, rank)) @ rng.integers(0, p, (rank, cols)), p)
+
+
+def test_rref_matches_the_full_column_walk():
+    # the walk stops once the rows from r on are all zero; the output is
+    # that of walking every nonzero column
+    from arcgen.pipeline import Bundle, ConstructionParams
+
+    rng = np.random.default_rng(26)
+    cases = [
+        _rank_deficient(rng, int(rng.integers(2, 40)), int(rng.integers(1, 60)), int(rng.integers(1, 12)), p)
+        for p in (2, 3, 7)
+        for _ in range(40)
+    ]
+    for p, h in [(2, 3), (3, 2)]:
+        # the module run's shift rows, with every row's sum with the next
+        # appended, so nearly half the rows depend on the others
+        rows = Bundle(ConstructionParams(p, h)).module_basis
+        cases.append(FpMatrix(np.vstack([rows, rows[:-1] + rows[1:]]), p))
+    for m in cases:
+        ours, rank = rref(m)
+        want, want_rank = rref_by_full_column_walk(m)
+        assert rank == want_rank and np.array_equal(ours.a, want)
 
 
 # -- kron --------------------------------------------------------------------

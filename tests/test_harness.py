@@ -15,10 +15,10 @@ from arcgen.harness import (
     connection_generators,
     load_instance,
     verify_connection_subgroup,
-    verify_generation,
 )
 from arcgen.perm_group import Perm, PermGroup, exponent
 from arcgen.pipeline import ConstructionParams, build_bundle
+from oracles import extended_order
 from test_perm_group import count_chain_builds
 
 
@@ -154,19 +154,19 @@ def test_connection_subgroup_transitive():
         assert sub.order() >= inst.graph.n
 
 
-def test_verify_generation_c5():
-    inst = c5_instance()
-    assert verify_generation(inst, connection_generators(inst))
-
-
-@pytest.mark.parametrize("make", [c5_instance, regular_cayley_instance])
-def test_verify_generation_reuses_the_group_chain(make, monkeypatch):
-    inst = make()
-    inst.group.order()  # the group's one chain
-    builds = count_chain_builds(monkeypatch)
-    assert verify_generation(inst, connection_generators(inst))
-    assert verify_generation(inst, connection_generators(inst, reverse=True))
-    assert not builds
+@pytest.mark.parametrize("which", ["c5", "regular-cayley", "family-2-2"])
+def test_generation_holds_where_the_report_reads_it_off_the_decomposition(family_instance, which):
+    # <G_v, H> = G, by a copy of G_v's chain extended by H's generators,
+    # for both choices of connection elements; the report prints
+    # generation_ok as decomposition_ok, with no such closure
+    inst = {"c5": c5_instance, "regular-cayley": regular_cayley_instance}.get(which)
+    inst = family_instance if inst is None else inst()
+    stab = inst.group.stabilizer(inst.base_vertex)
+    for reverse in (False, True):
+        gens = connection_generators(inst, reverse=reverse)
+        assert extended_order(stab.chain(), gens) == inst.group.order()
+    rep = bound_report(inst)
+    assert rep.generation_ok == rep.decomposition_ok
 
 
 # -- bound reports -----------------------------------------------------------
@@ -241,8 +241,8 @@ def test_bound_report_memory_is_not_held_by_transversal_tables():
 
 
 def test_bound_report_rejects_outcomes_that_change_with_the_choice(monkeypatch):
-    # the second choice's decomposition fails, so its generation is closed
-    # and holds, and the two choices' outcomes differ
+    # the second choice's decomposition, and so its generation, fails, and
+    # the two choices' outcomes differ
     answers = iter([True, False])
     monkeypatch.setattr(harness, "frattini_decomposition_check", lambda G, H, v: next(answers))
     with pytest.raises(AssertionError, match="changed under a different representative"):
@@ -274,19 +274,12 @@ def test_bound_report_reads_generation_off_the_product_formula(
     assert rep.decomposition_ok and rep.generation_ok and rep.all_ok
 
 
-def test_bound_report_closes_generation_when_the_product_formula_fails(monkeypatch):
+def test_bound_report_reads_generation_off_a_failed_product_formula(monkeypatch):
+    # no closure runs in place of the formula
     monkeypatch.setattr(harness, "frattini_decomposition_check", lambda G, H, v: False)
-    closures = []
-    extension = PermGroup._extension.__func__
-
-    def counted(cls, sub, gens):
-        closures.append(1)
-        return extension(cls, sub, gens)
-
-    monkeypatch.setattr(PermGroup, "_extension", classmethod(counted))
+    forbid_extensions(monkeypatch)
     rep = bound_report(dihedral_instance(64))
-    assert len(closures) == 2  # one per choice
-    assert rep.generation_ok and not rep.decomposition_ok and not rep.all_ok
+    assert not rep.generation_ok and not rep.decomposition_ok and not rep.all_ok
 
 
 def test_size_bound_matches_the_factorial_form():

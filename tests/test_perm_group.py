@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -653,6 +654,13 @@ def test_normal_closure_of_central_element():
     assert ncl.contains(r2)
 
 
+def test_normal_closure_in_a_group_without_generators():
+    # the seed is a fibre translation, and no generator maps it anywhere
+    ncl = normal_closure(PermGroup([], degree=4), [Perm([1, 0, 2, 3])])
+    assert ncl.order() == 2 and ncl.chain().verify()
+    assert frattini_rank(PermGroup([], degree=4), 2) == 0
+
+
 def test_normal_closure_transposition_s4():
     S4 = PermGroup([Perm([1, 0, 2, 3]), cycle(4)])
     ncl = normal_closure(S4, [Perm([1, 0, 2, 3])])
@@ -660,11 +668,28 @@ def test_normal_closure_transposition_s4():
     assert len(enumerate_elements(ncl)) == 24
 
 
+def count_spins(monkeypatch):
+    """The rank of Λ after each spin of a normal closure's translations."""
+    ranks = []
+    spin = perm_group._Shifts.spin
+
+    def recorded(lin, *args):
+        spin(lin, *args)
+        ranks.append(lin.rank)
+
+    monkeypatch.setattr(perm_group._Shifts, "spin", recorded)
+    return ranks
+
+
 @pytest.mark.parametrize("seed", range(14))
-def test_normal_closure_matches_one_at_a_time(seed):
-    # the batched closure makes the same add decisions as trying every
-    # seed and conjugate on its own, in the same order; from seed 8 on,
-    # four generators give blocks of four rows, often with several residues
+def test_normal_closure_matches_one_at_a_time(seed, monkeypatch):
+    # off the spin route, which every even seed takes, the batched closure
+    # makes the same add decisions as trying every seed and conjugate on its
+    # own, in the same order; from seed 8 on, four generators give blocks of
+    # four rows, often with several residues. A wreath product whose seeds
+    # hold a fibre translation spins it into Λ and adds W's basis rows, not
+    # the conjugates one by one, so there the groups are compared
+    spins = count_spins(monkeypatch)
     rng = random.Random(seed)
     n = rng.randrange(5, 10)
     if seed % 2:  # C_2 wr C_m on 2m points: the closure of a swap adds m times
@@ -684,22 +709,30 @@ def test_normal_closure_matches_one_at_a_time(seed):
     ours = normal_closure(G, seeds)
     added, chain = normal_closure_one_at_a_time(G, seeds)
     assert ours.order() == chain.order()
+    assert all(ours.contains(s) for s in seeds)
+    assert not (spins and seed % 2 == 0)
+    if spins:
+        assert all(ours.contains(Perm(x)) for x in added) and ours.chain().verify()
+        return
     assert [g.images.tolist() for g in ours.generators] == [x.tolist() for x in added]
     # the same chain, level by level: each add takes the residue of its own row
     for lv, ref in zip(ours.chain().levels, chain.levels, strict=True):
         assert lv.points == ref.points
         assert [g.tolist() for g in lv.gens] == [g.tolist() for g in ref.gens]
     assert _linear_level(ours.chain()) == _linear_level(chain)
-    assert all(ours.contains(s) for s in seeds)
 
 
 @pytest.mark.parametrize("m", [3, 5])
 def test_normal_closure_sifts_each_element_added_from_a_block_once(m, monkeypatch):
-    # C_2 wr C_m: the closure of a swap adds it, then m - 1 conjugates from
-    # its blocks; each add reuses the residue of its block sift, the seed's
-    # block included
-    swap = Perm([1, 0] + list(range(2, 2 * m)))
-    G = PermGroup([swap, Perm([(i + 2) % (2 * m) for i in range(2 * m)])])
+    # C_2 wr C_m, with the swaps of the blocks {k, k + m}: these are no
+    # fibre translations of the blocks of consecutive points, so the
+    # closure of a swap takes no spin; it adds the swap, then m - 1
+    # conjugates from its blocks, and each add reuses the residue of its
+    # block sift, the seed's block included
+    spins = count_spins(monkeypatch)
+    swap = Perm([m] + list(range(1, m)) + [0] + list(range(m + 1, 2 * m)))
+    rotation = Perm([(x + 1) % m + m * (x // m) for x in range(2 * m)])
+    G = PermGroup([swap, rotation])
     sifted = []
     sift = StabChain.sift
 
@@ -709,8 +742,101 @@ def test_normal_closure_sifts_each_element_added_from_a_block_once(m, monkeypatc
 
     monkeypatch.setattr(StabChain, "sift", recorded)
     ncl = normal_closure(G, [swap])
-    assert ncl.order() == 2**m and len(ncl.generators) == m
+    assert ncl.order() == 2**m and len(ncl.generators) == m and not spins
     assert not set(sifted) & {g.images.tobytes() for g in ncl.generators}
+
+
+def _frattini_seeds(gens, p):
+    """The pairwise commutators, then the p-th powers, of the gens."""
+    return [commutator(g, h) for g, h in itertools.combinations(gens, 2)] + [g**p for g in gens]
+
+
+SPIN_CASES = [f"{g}{p}{h}" for p, h in [(2, 2), (3, 1), (5, 1), (2, 3)] for g in ("small", "big")]
+SPIN_CASES += [f"C2wrC{m}" for m in (3, 4, 6)]
+
+
+@functools.cache
+def _spin_case(name):
+    """(generators, seeds, fibre prime) of a closure that takes the spin.
+
+    A family group's generators are the layer vectors and the
+    translations (and phi and psi in the big group), and its seeds are
+    those of their Frattini closure. In C_2 wr C_m the seed is the swap,
+    whose closure is all 2^m translations.
+    """
+    if name.startswith("C2wrC"):
+        gens = _wreath_c2_cm(int(name[5:]), True)
+        return gens, gens[:1], 2
+    p, h = int(name[-2]), int(name[-1])
+    bundle = Bundle(ConstructionParams(p, h))
+    gens = [*bundle.layer_gens, *bundle.translation_gens]
+    if name.startswith("big"):
+        gens += bundle.outer_gens
+    return gens, _frattini_seeds(gens, p), p
+
+
+@pytest.mark.parametrize("name", SPIN_CASES)
+def test_spun_closure_matches_one_at_a_time_and_sympy(name, monkeypatch):
+    sympy_comb = pytest.importorskip("sympy.combinatorics")
+    gens, seeds, r = _spin_case(name)
+    spins = count_spins(monkeypatch)
+    G = PermGroup(gens)
+    ours = normal_closure(G, seeds)
+    assert len(spins) == 1 and ours.chain().linear.r == r
+    added, chain = normal_closure_one_at_a_time(G, seeds)
+    theirs = sympy_comb.PermutationGroup(
+        [sympy_comb.Permutation([int(x) for x in g.images]) for g in gens]
+    ).normal_closure([sympy_comb.Permutation([int(x) for x in s.images]) for s in seeds])
+    assert ours.order() == chain.order() == theirs.order()
+    assert all(ours.contains(s) for s in seeds)
+    assert all(ours.contains(Perm(x)) for x in added)
+    assert ours.chain().verify()
+
+
+def test_spin_needs_generators_affine_on_the_fibres(monkeypatch):
+    # C_5 wr C_2 on the blocks {0..4}, {5..9}: the seed translates the first
+    # block, and the rotation of the blocks keeps them. A generator that
+    # swaps two points of a block keeps the blocks too but is not affine on
+    # F_5, so then the spin does not engage and the closure is the one-at-a-
+    # time closure, add by add
+    translation = Perm([1, 2, 3, 4, 0, *range(5, 10)])
+    rotation = Perm([(x + 5) % 10 for x in range(10)])
+    swap = Perm([1, 0, *range(2, 10)])
+    for gens, spun in [([translation, rotation], True), ([translation, rotation, swap], False)]:
+        spins = count_spins(monkeypatch)
+        G = PermGroup(gens)
+        ours = normal_closure(G, [translation])
+        added, chain = normal_closure_one_at_a_time(G, [translation])
+        assert bool(spins) == spun and ours.order() == chain.order()
+        if spun:
+            assert ours.order() == 25  # both blocks' translations
+        else:  # the 5-cycle's closure in S_5 wr C_2 is A_5 x A_5
+            assert ours.order() == 60 * 60
+            assert [g.images.tolist() for g in ours.generators] == [x.tolist() for x in added]
+            assert _chain_levels(ours.chain()) == _chain_levels(chain)
+
+
+@pytest.mark.parametrize("name", ["small22", "big23", "C2wrC6"])
+def test_spun_closure_order_cap(name, monkeypatch):
+    # the cap fires at |Phi| - 1 and not at |Phi|; the closure of the swap in
+    # C_2 wr C_6 is all translations, so its cap fires inside the spin
+    gens, seeds, _ = _spin_case(name)
+    order = normal_closure(PermGroup(gens), seeds).order()
+    spun = []
+    spin = perm_group._Shifts.spin
+
+    def recorded(lin, *args):
+        spun.append("in")
+        spin(lin, *args)
+        spun.append("out")
+
+    monkeypatch.setattr(perm_group._Shifts, "spin", recorded)
+    with pytest.raises(CapExceeded) as exc:
+        normal_closure(PermGroup(gens, caps=Caps(order_cap=order - 1)), seeds)
+    assert exc.value.cap_name == "order"
+    if name == "C2wrC6":
+        assert spun == ["in"]
+    assert normal_closure(PermGroup(gens, caps=Caps(order_cap=order)), seeds).order() == order
 
 
 def test_contains_rejects_outsider():

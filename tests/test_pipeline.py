@@ -353,6 +353,33 @@ def test_layer_ranks_equal_all_generator_ranks(p, h):
         assert frattini_rank(big, 2, big_layer) == frattini_rank(big, 2)
 
 
+@pytest.mark.parametrize("p, h", T1_DECIDED)
+def test_frattini_rank_matches_the_one_at_a_time_extension(p, h, monkeypatch):
+    # the closure's chain takes the layer generators' residues as one block
+    # of Λ rows, and the ranks are those of one add_generator per generator
+    from oracles import frattini_rank_one_at_a_time
+
+    blocks = []
+    insert = StabChain._insert
+
+    def recorded(chain, h, v, pending):
+        blocks.append(len(np.atleast_2d(v)))
+        insert(chain, h, v, pending)
+
+    monkeypatch.setattr(StabChain, "_insert", recorded)
+    bundle = _raised_bundle(p, h)
+    layer = [*bundle.layer_gens, *bundle.translation_gens]
+    groups = [(bundle.small_group, layer)]
+    if p == 2:
+        groups.append((bundle.big_group, layer + list(bundle.outer_gens)))
+    for G, gens in groups:
+        G.order()
+        blocks.clear()
+        rank = frattini_rank(G, p, gens)
+        assert rank == frattini_rank_one_at_a_time(G, p, gens)
+        assert bundle.params.q in blocks  # the q layer residues, as one block
+
+
 @pytest.mark.parametrize("p, h", [(2, 3), (3, 2)])
 def test_frattini_builds_run_no_schreier_sims(p, h, monkeypatch):
     # every chain step of the Frattini closure and its extension by the
