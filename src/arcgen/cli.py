@@ -104,8 +104,9 @@ def _cmd_construct(args) -> int:
     out = Path(args.out)
     suffix = ".edges" if args.format == "edge-list" else ".s6"
     files = {suffix: export_graph(bundle.graph, args.format)}
-    for ext, group in ((".big.gens", bundle.big_group), (".small.gens", bundle.small_group)):
-        files[ext] = ("\n".join(perm_to_line(g) for g in group.generators) + "\n").encode("ascii")
+    small = [*bundle.module_gens, *bundle.translation_gens]
+    for ext, gens in ((".big.gens", [*small, *bundle.outer_gens]), (".small.gens", small)):
+        files[ext] = ("\n".join(perm_to_line(g) for g in gens) + "\n").encode("ascii")
     for ext, data in files.items():
         path = out.with_name(out.name + ext)
         try:

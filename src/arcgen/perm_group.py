@@ -11,8 +11,9 @@ step that multiplies one level's orbit, and |N|, by exactly r, with no
 Schreier generator sifted. Any other generator is closed in by
 Schreier-Sims, which sifts Schreier generators in chunks of int32 rows
 and installs only each chunk's first residue, so the install order
-depends on the input alone. The family groups' generators, listed in a
-polycyclic order, all take the first route.
+depends on the input alone. The family groups' generators (the layer of
+the module, then the translations a and b, then phi and psi) all take the
+first route once the layer is spun (below).
 
 Below its permutation levels a chain may hold one linear level Λ: the
 stabilizer of every base, when it consists of fibre translations
@@ -28,25 +29,33 @@ level splits Λ: a new level opens just above it, at the residue's first
 moved point b, with W's orbit of b as its orbit, and W keeps its vectors
 that are 0 on b's block, so Λ stays the stabilizer of all the bases.
 
-A chain built from a list of generators that leads with a run of at least
-two fibre translations for one prime r, as the family's module generators
-lead its groups' lists, takes the run as one subspace: the translations
-commute and have order r, so they generate exactly their span W. Their
-shift vectors are row-reduced into Λ SIFT_CHUNK rows at a time, with the
-order checked after each chunk; then W is split at each base-prefix point,
-or else at the first generator's first moved point, where the first level
-opens when the generators come one at a time. So Λ still opens below the
-first level, and the later generators are added one at a time.
+When a group maps the blocks of r points onto blocks by affine maps of
+F_r, conjugation by a generator is a linear map of shift vectors. The
+smallest subspace that holds some translations' shift vectors and that
+these maps keep is then a spin (`_Shifts.spin`, the MeatAxe's submodule
+closure): one reduction and one insertion per round of images, and its
+translations are products of conjugates of the first ones.
 
-A normal closure opens on Λ the same way. When its seeds hold fibre
-translations for a prime r and every generator of the group maps the
-blocks of r points onto blocks by affine maps of F_r, conjugation by a
-generator is a linear map of shift vectors, and the closure of those seeds
-is the smallest subspace W that holds their shift vectors and that these
-maps keep: a spin (`_Shifts.spin`), one reduction and one insertion per
-round of images. The other seeds are closed in one element at a time. The
-Frattini rank then extends the closure's chain by its generators, whose
-residues that reach Λ as translations join it as one block.
+A chain built from a list of generators that leads with a run of at least
+two fibre translations for one prime r, as the family's layer leads its
+groups' lists, takes the run as one subspace: the translations commute
+and have order r, so they generate exactly their span W. Their shift
+vectors are row-reduced into Λ SIFT_CHUNK rows at a time, with the order
+checked after each chunk. When every later generator is affine on the
+blocks, W is spun under their maps, which takes the family's q layer rows
+to the whole module M, normal in the group. Then W is split at each
+base-prefix point, or else at the first generator's first moved point,
+where the first level opens when the generators come one at a time. So Λ
+still opens below the first level, and the later generators are added one
+at a time. A spun W is kept by each of them, so their normality tests do
+not conjugate W's rows, and on the family each takes prime steps.
+
+A normal closure opens on Λ the same way: the seeds that are fibre
+translations for a prime r are spun under the group's generators when all
+of them are affine on the blocks. The other seeds are closed in one
+element at a time. The Frattini rank then extends the closure's chain by
+its generators, whose residues that reach Λ as translations join it as
+one block.
 
 On top of the chain sit the predicates the verification pipeline needs:
 vertex/arc transitivity, local actions, the Frattini decomposition check,
@@ -76,7 +85,7 @@ from collections import deque
 import numpy as np
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .field_linalg import FpMatrix, _matmul, is_prime, rref
+from .field_linalg import _matmul, is_prime
 from .graph_builder import Graph, _label
 
 __all__ = [
@@ -373,7 +382,8 @@ class _Shifts:
         translation t_w by w, is the translation by w' with
         w'[pi[k]] = alpha[k] * w[k], that is w'[j] = scale[j] * w[src[j]]
         for src = pi^-1 and scale = alpha[src]. Returns (src, scale), one
-        row per row of g, or None when some row is not of that form.
+        row per row of g whose map moves some w (a translation maps every w
+        to itself), or None when some row is not of that form.
         """
         r = self.r
         blocks = g.reshape(len(g), g.shape[1] // r, r)
@@ -384,47 +394,65 @@ class _Shifts:
             return None
         src = np.empty_like(pi)
         np.put_along_axis(src, pi, np.arange(pi.shape[1])[None, :], axis=1)
-        return src, np.take_along_axis(alpha, src, axis=1).astype(np.int64)
+        scale = np.take_along_axis(alpha, src, axis=1).astype(np.int64)
+        moving = (src != np.arange(src.shape[1])).any(axis=1) | (scale != 1).any(axis=1)
+        return src[moving], scale[moving]
 
-    def spin(self, v: np.ndarray, src: np.ndarray, scale: np.ndarray, check) -> None:
-        """Close W + span(v) under the maps w -> w' of `affine`, w'[j] = scale[i, j] * w[src[i, j]].
+    def spin(self, src: np.ndarray, scale: np.ndarray, check) -> None:
+        """Close W under the maps w -> w' of `affine`, w'[j] = scale[i, j] * w[src[i, j]].
 
-        This is the smallest subspace that holds W and v and that every map
-        keeps (the MeatAxe's spin: Parker 1984; Holt, Eick and O'Brien
-        2005, ch. 7), given that W is kept already. Each round maps the
-        rows the last round added by every map, reduces the images against
-        W by one product and inserts them by one `insert`; a round that
-        adds nothing ends it. check() runs after each insertion.
+        This is the smallest subspace that holds W and that every map keeps
+        (the MeatAxe's spin: Parker 1984; Holt, Eick and O'Brien 2005,
+        ch. 7). Each round maps the rows the last round added (all of W in
+        the first) by every map, and reduces the images against W by one
+        product; a round whose images all reduce to 0 ends it. Before the
+        images join W by one `insert`, check(lead) runs with lead the
+        number of distinct leading columns of the reduced nonzero images:
+        such rows are independent of each other and of W, so the rank grows
+        by at least lead. check(0) runs after each insertion.
         """
-        k = self.rank
-        self._join(v)
+        k = 0
         while self.rank > k:
-            check()
             new, k = self.rows[k:], self.rank
-            self._join((new[:, src] * scale % self.r).reshape(-1, new.shape[1]))
-
-    def _join(self, v: np.ndarray) -> None:
-        # W + span(v), for int64 rows with entries in [0, r)
-        v = self.reduce(v)
-        v = v[v.any(axis=1)]
-        if len(v):
-            self.insert(v)
+            v = self.reduce((new[:, src] * scale % self.r).reshape(-1, new.shape[1]))
+            v = v[v.any(axis=1)]
+            if len(v):
+                check(int(np.count_nonzero(np.bincount((v != 0).argmax(axis=1)))))
+                self.insert(v)
+                check(0)
 
     def insert(self, v: np.ndarray) -> None:
         """Add the span of the rows of v, reduced and not all zero, keeping the basis reduced.
 
-        v (one vector or a block of rows) is 0 at every pivot, so its
-        canonical row-reduced form (`rref`) is too; those rows join the
-        basis, and one product clears the old rows that are nonzero at the
-        new pivots.
+        v (one vector or a block of rows) is 0 at every pivot. Its rows are
+        eliminated one at a time: a row that is not 0 by then is scaled to
+        1 at its first nonzero block, which becomes a pivot, and that block
+        is cleared from every other row of v, one vectorised step per row
+        rather than one per block. So the rows left are reduced and 0 at
+        the old pivots; they join the basis, and one product clears the old
+        rows that are nonzero at the new pivots.
         """
-        v = np.atleast_2d(v)
+        v = np.array(v, dtype=np.int64, ndmin=2)
         if v[:, self.piv].any() or not v.any():
             raise AssertionError("Λ was given vectors that are zero or not reduced")
-        r = self.r
-        reduced, k = rref(FpMatrix._make(v, r))
-        new = reduced.a[:k]
-        piv = (new != 0).argmax(axis=1)
+        r, kept, piv = self.r, [], []
+        for i, row in enumerate(v):
+            c = int((row != 0).argmax())
+            if not row[c]:
+                continue
+            if row[c] != 1:
+                row[:] = row * pow(int(row[c]), -1, r) % r
+            row[c] = 0  # so row i is left as it is below, then restored
+            hit = v[:, c].nonzero()[0]
+            if r == 2:  # every hit row is 1 at c
+                v[hit] ^= row
+            else:
+                v[hit] = (v[hit] - v[hit, c, None] * row) % r
+            v[hit, c] = 0
+            row[c] = 1
+            kept.append(i)
+            piv.append(c)
+        new, piv, k = v[kept], np.array(piv, dtype=np.intp), len(kept)
         rows = self.rows
         hit = np.flatnonzero(rows[:, piv].any(axis=1))
         if len(hit):
@@ -516,13 +544,16 @@ class StabChain:
 
     The constructor takes a leading run of at least two fibre
     translations for one prime as one span (module docstring), in chunks
-    of SIFT_CHUNK rows, and every later generator by add_generator.
+    of SIFT_CHUNK rows, spun under the later generators when they are all
+    affine on the blocks, and every later generator by add_generator.
 
     Budget checks (order cap, optional wall-clock cap) run after every
-    prime step, insertion into Λ, chunk of a leading run and inside the
-    closure loop, so oversize groups fail fast with CapExceeded instead of
-    running away. No partial order exceeds the final one, so the order cap
-    fires on every route exactly when the group's order exceeds it.
+    prime step, insertion into Λ, chunk of a leading run, round of a spin
+    and inside the closure loop, so oversize groups fail fast with
+    CapExceeded instead of running away. No partial order exceeds the final
+    one, so the order cap fires on every route exactly when the group's
+    order exceeds it. A spin round also fires it before its elimination
+    when the rows it will surely add take the order past the cap.
     """
 
     def __init__(self, degree: int, gens=(), *, caps: Caps = DEFAULT_CAPS, base_prefix=()):
@@ -538,6 +569,7 @@ class StabChain:
             self._split(int(b))
         for g in gens[taken:]:
             self.add_generator(g)
+        self._kept = 0
 
     def _take_run(self, gens: list) -> int:
         """Open Λ with the span W of the leading run of fibre translations.
@@ -547,8 +579,12 @@ class StabChain:
         order r, so they generate W exactly. It is read SIFT_CHUNK rows at
         a time, and each chunk's shift vectors, reduced against W, join W
         by one `insert`, with the order checked after each chunk, so the
-        cap fires before any row past that chunk is read. Returns the
-        run's length, or 0, with nothing done, for a run shorter than 2.
+        cap fires before any row past that chunk is read. When every later
+        generator is affine on the blocks of r points (`_Shifts.affine`),
+        W is then spun under their maps: it grows to the smallest subspace
+        that they keep, whose translations are conjugates of the run's and
+        so lie in the group. Returns the run's length, or 0, with nothing
+        done, for a run shorter than 2.
         """
         r = _fibre_prime(np.asarray(gens[0], dtype=_DTYPE), []) if len(gens) > 1 else None
         if r is None:
@@ -563,10 +599,13 @@ class StabChain:
             if v.any():
                 lin.insert(v)
             self.linear, taken = lin, taken + k
-            self._deadline_check()
-            self._order_check()
+            self._check()
             if k < len(fibre):
                 break
+        maps = lin.affine(np.array(gens[taken:], dtype=_DTYPE)) if taken < len(gens) else None
+        if maps is not None:
+            lin.spin(*maps, self._check)
+            self._kept = lin.rank  # the rows the first split gives the first level
         return taken
 
     @classmethod
@@ -585,6 +624,10 @@ class StabChain:
         self.levels = levels
         self.linear = linear  # Λ, None until a fibre translation opens it
         self._steps = 0
+        # while the constructor adds the generators after a spun run: the
+        # first level's first _kept strong generators, the run's spun W,
+        # which each of them keeps
+        self._kept = 0
 
     def order(self) -> int:
         o = 1
@@ -612,9 +655,15 @@ class StabChain:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise CapExceeded("time", self.caps.time_cap_s, "stabilizer-chain construction")
 
-    def _order_check(self) -> None:
-        if self.order() > self.caps.order_cap:
+    def _order_check(self, lead: int = 0) -> None:
+        # lead: rows about to join Λ, independent of it and of each other
+        order = self.order() * self.linear.r**lead if lead else self.order()
+        if order > self.caps.order_cap:
             raise CapExceeded("order", self.caps.order_cap, "stabilizer chain grew past the cap")
+
+    def _check(self, lead: int = 0) -> None:
+        self._deadline_check()
+        self._order_check(lead)
 
     def _sift_rows(self, g: np.ndarray, start: int):
         """Sift every row of g through the levels from start on, then Λ.
@@ -697,13 +746,15 @@ class StabChain:
         """True if g^-1 s g lies in the group for every strong generator s.
 
         Fibre translations commute, so when g is one, the strong
-        generators known to be fibre translations are not conjugated.
+        generators known to be fibre translations are not conjugated; nor
+        are those that span a spun run's W while g is a later generator of
+        the constructor's list, as g's conjugation keeps W.
         """
         lin = self.linear
         skip = lin is not None and bool(lin.shifts(g[None])[1][0])
         if self.levels:
-            lv = self.levels[0]
-            gens = [s for s, f in zip(lv.gens, lv.fibre) if not (skip and f)]
+            lv, k = self.levels[0], self._kept
+            gens = [s for s, f in zip(lv.gens[k:], lv.fibre[k:]) if not (skip and f)]
         else:
             gens = [] if skip else self.strong_generators()
         g_inv = _inverse_arr(g)
@@ -736,8 +787,7 @@ class StabChain:
             e //= r
             h, j = (residue, level) if r == m else self.sift(_power(g, e))
             self._extend_level(h, j, r)
-            self._deadline_check()
-            self._order_check()
+            self._check()
 
     def _extend_level(self, h: np.ndarray, j: int, r: int) -> None:
         # h fixes the bases above level j, normalizes the group N and has
@@ -978,7 +1028,8 @@ class PermGroup:
         try:
             if sub is None:
                 return StabChain(self.degree, gens, caps=self.caps, base_prefix=base_prefix)
-            # the chain a fresh build with sub's base prefix gives; sub.chain()
+            # a chain of the group on sub's base prefix, as a fresh build gives
+            # (its spin may pick other pivots of the same W); sub.chain()
             # re-raises sub's order cap at once
             src = sub.chain()
             levels, linear = copy.deepcopy((src.levels, src.linear))
@@ -1143,18 +1194,12 @@ def _spin_seeds(chain: StabChain, gens: np.ndarray, seeds: np.ndarray):
     maps = lin.affine(gens)
     if maps is None:
         return [], seeds
-    src, scale = maps
-    # the generators that are fibre translations map every w to itself
-    moving = (src != np.arange(src.shape[1])).any(axis=1) | (scale != 1).any(axis=1)
     s, fibre = lin.shifts(seeds)
     s = s[fibre][s[fibre].any(axis=1)].astype(np.int64)
-
-    def check() -> None:
-        chain._deadline_check()
-        chain._order_check()
-
     chain.linear = lin
-    lin.spin(s, src[moving], scale[moving], check)
+    lin.insert(s)
+    chain._check()
+    lin.spin(*maps, chain._check)
     basis = list(lin.perms())
     # the first level opens at the first translation seed's first moved
     # point, as a chain built on a leading run opens it at its first one's
@@ -1228,8 +1273,7 @@ def frattini_rank(G: PermGroup, p: int, gens=None) -> int:
         residue, level = chain.sift(g)
         if residue is not None:
             chain._extend_level(residue, level, p)
-            chain._deadline_check()
-            chain._order_check()
+            chain._check()
     if chain.order() != order:
         raise AssertionError("the generators and the Frattini closure do not generate the group")
     return len(_prime_factors(order // size))

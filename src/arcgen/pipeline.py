@@ -4,22 +4,26 @@ The family member for parameters (p, h) is the wreath-product graph on
 p * q^2 vertices (q = p^h) together with two groups of automorphisms,
 realized here as explicit vertex permutations:
 
-* the small group, generated by the top filtration module acting on copy
-  indices plus the two translations of the base Cayley graph, and
+* the small group M ⋊ T, generated by the q layer vectors e_(x, q-1-x) of
+  the top filtration module M, acting on copy indices, and the two
+  translations a and b of the base Cayley graph: q + 2 generators, and
 * the big group, which extends the small one by the swap and inversion
-  symmetries.
+  symmetries phi and psi: q + 4 generators.
 
 Both commands read one staged :class:`Bundle`. Vertex (x, c), with x a
 group element and c a copy index, has index index(x) * p + c; this single
 convention is shared with the graph builder. The module acts by
 (x, c) -> (x, c + coeff_x), translations and outer symmetries act on the
-first coordinate only.
+first coordinate only. The q(q+1)/2 permutations of M's whole basis are
+made only for `construct`, whose files list them in place of the layer.
 
 Conjugation identities between the permutation model and the algebra-side
 right actions are the designated tripwire for convention drift.
 `build_bundle`, behind the `construct` command, runs every tripwire: the
 automorphism checks, the order formulas and `semidirect_consistency`.
-`verify_theorem1`, behind `verify-t1`, does not run
+`verify_theorem1`, behind `verify-t1`, checks the small group's order
+formula (`Bundle.check_generation`) once a claim has built its chain, so
+no claim reads a proper subgroup; it does not run
 `semidirect_consistency`, although once the bundle's stages are built the
 check costs a small share of a fresh `verify-t1` process.
 """
@@ -98,12 +102,12 @@ class Bundle:
     """One family member, built stage by stage on first use.
 
     The stages are the family graph, the algebra (H with its ambient
-    check, the basis change, the filtration, the top space and the module
-    basis), the generators, and the two groups. Each stage is a cached
-    property, so it is built at most once. A stage that raised
-    CapExceeded is not cached and raises again on the next access; that
-    costs nothing, because every cap check (vertex in build_family_graph,
-    ambient in H) runs before any expensive work.
+    check, the basis change, the filtration, the top space, the layer and,
+    for `construct`, the module basis), the generators, and the two
+    groups. Each stage is a cached property, so it is built at most once.
+    A stage that raised CapExceeded is not cached and raises again on the
+    next access; that costs nothing, because every cap check (vertex in
+    build_family_graph, ambient in H) runs before any expensive work.
     """
 
     def __init__(self, params: ConstructionParams):
@@ -145,15 +149,30 @@ class Bundle:
     def module_basis(self) -> np.ndarray:
         """Rows e_xy with x + y >= q - 1, in e-index order, natural coordinates.
 
-        Using the full basis keeps generation of the module group
-        obviously correct; minimality is measured later, not assumed.
-        gamma_chain checked that the top term's canonical basis is exactly
-        those unit rows, and e_xy expands to the outer product
-        P[:, x] ⊗ P[:, y]: one broadcast multiply, no F_p product, exact
-        in int64 as entries stay below p^2 < 2^62.
+        The full basis of the top module, for `construct`'s files and
+        tripwires; the groups are generated by the layer. gamma_chain
+        checked that the top term's canonical basis is exactly those unit
+        rows, and e_xy expands to the outer product P[:, x] ⊗ P[:, y]: one
+        broadcast multiply, no F_p product, exact in int64 as entries stay
+        below p^2 < 2^62.
         """
+        x, y = np.divmod(self.top_space.pivots, self.params.q)
+        return self._outer_rows(x, y)
+
+    @cached_property
+    def layer_basis(self) -> np.ndarray:
+        """The q rows e_(x, q-1-x), x = 0 .. q-1, in natural coordinates.
+
+        They span the top module modulo its augmentation images under a
+        and b (C6 proves that q rows are needed), so with a and b they
+        generate the small group; `check_generation` asserts its order.
+        """
+        x = np.arange(self.params.q)
+        return self._outer_rows(x, x[::-1])
+
+    def _outer_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # e_xy = P[:, x] ⊗ P[:, y], one row per pair
         q, p = self.params.q, self.params.p
-        x, y = np.divmod(self.top_space.pivots, q)
         cols = self.change.P.a.T  # row x is column x of P
         return (cols[x, :, None] * cols[y, None, :] % p).reshape(len(x), q * q)
 
@@ -163,24 +182,14 @@ class Bundle:
         self.graph
         return family_generators(self)
 
-    @property
+    @cached_property
     def module_gens(self) -> list[Perm]:
-        return self.generators["module"]
+        """The module_basis rows as permutations, for `construct` only."""
+        return _copy_shifts(self.module_basis, self.params.p)
 
     @property
     def layer_gens(self) -> list[Perm]:
-        """The q module generators of level x + y = q - 1.
-
-        They are the e_xy on the layer that spans the top module modulo
-        its augmentation images under a and b, so with a and b they
-        generate the small group. Row k of module_basis is the natural
-        image of the unit row at pivot k of top_space (gamma_chain checked
-        that the top term's basis is unit rows), and that pivot is
-        x * q + y.
-        """
-        q = self.params.q
-        pivots = self.top_space.pivots
-        return [g for g, k in zip(self.module_gens, pivots) if k // q + k % q == q - 1]
+        return self.generators["layer"]
 
     @property
     def translation_gens(self) -> tuple[Perm, Perm]:
@@ -192,7 +201,8 @@ class Bundle:
 
     @cached_property
     def small_group(self) -> PermGroup:
-        gens = [*self.module_gens, *self.translation_gens]
+        """The layer, then a and b: q + 2 generators."""
+        gens = [*self.layer_gens, *self.translation_gens]
         return PermGroup(gens, degree=self.graph.n, caps=self.params.caps)
 
     @cached_property
@@ -203,6 +213,16 @@ class Bundle:
     @property
     def big_to_small_ratio(self) -> int:
         return self.big_group.order() // self.small_group.order()
+
+    def check_generation(self) -> None:
+        """Assert |small group| = p^dim(top) * q^2, the order of M ⋊ T.
+
+        Its generators lie in M ⋊ T, so this proves that they generate it;
+        a group short of some layer row would pass C4, C7 and C8 vacuously.
+        """
+        p, q = self.params.p, self.params.q
+        if self.small_group.order() != p**self.top_space.dim * q * q:
+            raise AssertionError("small group order does not match the embedding")
 
 
 def _copy_shifts(rows: np.ndarray, p: int) -> list[Perm]:
@@ -232,9 +252,9 @@ def group_vertex_action(bundle: Bundle, item) -> Perm:
 
 
 def family_generators(bundle: Bundle) -> dict:
-    """All generating permutations, keyed by role."""
+    """The generating permutations of both groups, keyed by role."""
     return {
-        "module": _copy_shifts(bundle.module_basis, bundle.params.p),
+        "layer": _copy_shifts(bundle.layer_basis, bundle.params.p),
         "translations": tuple(group_vertex_action(bundle, s) for s in ("a", "b")),
         "outer": tuple(group_vertex_action(bundle, s) for s in ("phi", "psi")),
     }
@@ -276,14 +296,12 @@ def build_bundle(params: ConstructionParams) -> Bundle:
     """
     bundle = Bundle(params)
     graph = bundle.graph
-    for perm in [*bundle.module_gens, *bundle.translation_gens, *bundle.outer_gens]:
+    gens = [*bundle.layer_gens, *bundle.module_gens, *bundle.translation_gens, *bundle.outer_gens]
+    for perm in gens:
         if not is_automorphism(graph, perm):
             raise AssertionError("constructed permutation is not an automorphism")
+    bundle.check_generation()
     small, big = bundle.small_group, bundle.big_group
-    p, q = params.p, params.q
-    expected_small = p**bundle.top_space.dim * q * q
-    if small.order() != expected_small:
-        raise AssertionError("small group order does not match the embedding")
     if big.order() % small.order() != 0:
         raise AssertionError("small group index is not integral")
     ratio = bundle.big_to_small_ratio
@@ -403,6 +421,7 @@ def verify_theorem1(params: ConstructionParams) -> ClaimReport:
         # first, so an order cap skips C4 at once; G_0 moves the default
         # arc's head N(0)[0] as induced moves 0
         induced, orbit_count = local_action(graph, small, 0)
+        bundle.check_generation()
         arc_trans = len(small.orbit(0)) * len(induced.orbit(0)) == 2 * graph.m
         computed = f"arc_transitive={str(arc_trans).lower()},orbits={orbit_count}"
         return computed, (not arc_trans) and orbit_count == 4
@@ -429,8 +448,8 @@ def verify_theorem1(params: ConstructionParams) -> ClaimReport:
     run("C6", f"module_rank={q}", c6)
 
     def c7():
-        small = bundle.small_group  # first, so its stages name the skip
-        rank = frattini_rank(small, p, [*bundle.layer_gens, *bundle.translation_gens])
+        bundle.check_generation()  # first, so the small group's stages name the skip
+        rank = frattini_rank(bundle.small_group, p)
         return f"rank={rank}", rank == q + 2
 
     run("C7", f"rank={q + 2}", c7)
@@ -440,8 +459,7 @@ def verify_theorem1(params: ConstructionParams) -> ClaimReport:
     def c8():
         if p == 2:
             big = bundle.big_group
-            gens = [*bundle.layer_gens, *bundle.translation_gens, *bundle.outer_gens]
-            rank = frattini_rank(big, 2, gens)
+            rank = frattini_rank(big, 2)
             # exact integer form of rank >= q/4 + 3
             return f"rank={rank}", 4 * rank >= q + 12
         return f"lower_bound={bound},not_directly_computed", True

@@ -137,7 +137,7 @@ def test_criterion_07_rank_growth():
         asm = Bundle(ConstructionParams(2, 3, caps=caps))
         gens = family_generators(asm)
         big3 = PermGroup(
-            [*gens["module"], *gens["translations"], *gens["outer"]],
+            [*asm.module_gens, *gens["translations"], *gens["outer"]],
             degree=asm.graph.n,
             caps=caps,
         )

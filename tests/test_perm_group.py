@@ -497,9 +497,20 @@ def _chain_levels(chain):
     ] + [_linear_level(chain)]
 
 
+def _chain_shape_and_span(chain):
+    """The base, each level's orbit as a set, the order and Λ's span."""
+    orbits = [frozenset(lv.points) for lv in chain.levels]
+    return chain.base(), orbits, chain.order(), _canonical_span(chain)
+
+
 @pytest.mark.parametrize("first", ["stabilizer", "order"])
 @pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (2, 3)])
 def test_big_chain_extends_the_small_chain(monkeypatch, p, h, first):
+    # A fresh build spins the layer under a, b, phi and psi, the small
+    # group's under a and b alone: the same span W = M, reached by other
+    # rounds, so Λ's pivots, and with them the transversals and the order
+    # of level 0's points, may differ. The chains agree in base, orbits as
+    # sets, order and Λ's span, and both verify.
     bundle = Bundle(ConstructionParams(p, h))
     small, big = bundle.small_group, bundle.big_group
     if first == "stabilizer":
@@ -513,7 +524,8 @@ def test_big_chain_extends_the_small_chain(monkeypatch, p, h, first):
     assert _chain_levels(small.chain()) == before
     prefix = small.chain().base()[:1]
     fresh = StabChain(bundle.graph.n, [g.images for g in big.generators], base_prefix=prefix)
-    assert _chain_levels(ours) == _chain_levels(fresh)
+    assert _chain_shape_and_span(ours) == _chain_shape_and_span(fresh)
+    assert ours.verify() and fresh.verify()
 
 
 def test_big_group_reraises_the_small_groups_order_cap(monkeypatch):
@@ -1618,12 +1630,19 @@ def _block_translations(r, m):
 
 
 def _leading_run_groups():
-    """Generator lists that begin with a run of fibre translations, by name."""
+    """Generator lists that begin with a run of fibre translations, by name.
+
+    The family's groups lead with the q layer rows, which a and b spin to
+    M; the `construct` files' groups ("module") lead with all of M.
+    """
     groups = {}
     for p, h in [(2, 2), (3, 1), (2, 3), (3, 2)]:
         bundle = Bundle(ConstructionParams(p, h, Caps(order_cap=2**2000)))
         groups[f"small{p}{h}"] = bundle.small_group.generators
         groups[f"big{p}{h}"] = bundle.big_group.generators
+        module = [*bundle.module_gens, *bundle.translation_gens]
+        groups[f"module-small{p}{h}"] = module
+        groups[f"module-big{p}{h}"] = [*module, *bundle.outer_gens]
     # C_2 wr C_4 and C_3 wr S_3: each block's translation, then the blocks moved
     groups["C2wrC4"] = [*_block_translations(2, 4), Perm([(x + 2) % 8 for x in range(8)])]
     groups["C3wrS3"] = [
@@ -1681,20 +1700,163 @@ def test_chains_without_a_leading_run_are_built_as_before(gens):
         assert _chain_levels(ours) == _chain_levels(_one_at_a_time(len(arrs[0]), arrs, base_prefix=prefix))
 
 
-def test_capped_family_stabilizer_reads_its_module_in_chunks():
-    # C4's build at (2,5) under the default caps: the 528 module generators
-    # lead, and the cap fires after the first chunk; the whole run's shift
-    # rows at once take about 23 MB, and one chunk at a time about 3 MB
-    G = Bundle(ConstructionParams(2, 5)).small_group
-    assert len(G.generators) == 530
-    tracemalloc.start()
-    try:
+def _spin_disabled(monkeypatch):
+    """Make every later generator look not affine, so no leading run is spun."""
+    monkeypatch.setattr(perm_group._Shifts, "affine", lambda lin, g: None)
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (2, 3), (3, 2)])
+def test_layer_led_chain_spins_its_run_to_the_module(p, h, monkeypatch):
+    # the q layer rows lead, and a and b are affine on the fibres: W is spun
+    # to M before the split, so a and b take prime steps, and the chain has
+    # the order of the module-led chain and of sympy
+    bundle = Bundle(ConstructionParams(p, h, Caps(order_cap=2**2000)))
+    n, caps, q = bundle.graph.n, bundle.params.caps, bundle.params.q
+    layer = bundle.small_group.generators
+    module = [*bundle.module_gens, *bundle.translation_gens]
+    spins = count_spins(monkeypatch)
+    runs = []
+    process_all = StabChain._process_all
+    monkeypatch.setattr(StabChain, "_process_all", lambda c: runs.append(1) or process_all(c))
+    ours = StabChain(n, [g.images for g in layer], caps=caps)
+    assert spins == [bundle.top_space.dim] and runs == []  # no Schreier-Sims
+    theirs = StabChain(n, [g.images for g in module], caps=caps)
+    assert ours.order() == theirs.order() == p**bundle.top_space.dim * q * q
+    assert ours.verify() and theirs.verify()
+    assert_chain_matches_sympy(ours, layer, p * 10 + h, fibre_blocks=p)
+
+
+@pytest.mark.parametrize("name", ["module-small22", "module-big31", "module-small23", "module-big32"])
+def test_module_led_chain_is_the_chain_without_the_spin(name, monkeypatch):
+    # the module rows already span M, which a, b, phi and psi keep: the spin
+    # adds nothing, and the chain of a `construct` file is built as before
+    gens = [g.images for g in LEADING_RUN_GROUPS[name]]
+    n, caps = len(gens[0]), Caps(order_cap=2**2000)
+    spins = count_spins(monkeypatch)
+    ours = _chain_levels(StabChain(n, gens, caps=caps, base_prefix=(0,)))
+    assert len(spins) == 1
+    _spin_disabled(monkeypatch)
+    assert ours == _chain_levels(StabChain(n, gens, caps=caps, base_prefix=(0,)))
+
+
+def test_later_generators_of_a_spun_run_skip_w_in_their_normality_tests(monkeypatch):
+    # a and b keep the spun W = M, so their normality tests conjugate none
+    # of W's rows; phi, added once the constructor is done, conjugates them
+    bundle = Bundle(ConstructionParams(2, 2))
+    conjugated = []
+    normalizes = StabChain._normalizes
+
+    def recorded(chain, g):
+        lv = chain.levels[0]
+        conjugated.append(sum(f for f in lv.fibre[chain._kept :]))
+        return normalizes(chain, g)
+
+    monkeypatch.setattr(StabChain, "_normalizes", recorded)
+    chain = StabChain(bundle.graph.n, [g.images for g in bundle.small_group.generators])
+    assert conjugated == [0, 0] and chain.order() == 2**14
+    conjugated.clear()
+    assert chain.add_generator(bundle.outer_gens[0].images)
+    assert conjugated == [bundle.top_space.dim] and chain.order() == 2**15 and chain.verify()
+
+
+def _wreath_run(r, m):
+    """C_r wr C_m on r*m points: two block translations, then the rotation of the blocks."""
+    rotation = Perm([(x + r) % (r * m) for x in range(r * m)])
+    return [*_block_translations(r, m)[:2], rotation]
+
+
+@pytest.mark.parametrize("r, m", [(2, 5), (3, 4), (5, 3)])
+def test_affine_later_generators_spin_a_short_run(r, m, monkeypatch):
+    # the rotation maps each block's translation to the next block's, so the
+    # two translations spin to all m of them
+    gens = _wreath_run(r, m)
+    spins = count_spins(monkeypatch)
+    chain = StabChain(r * m, [g.images for g in gens])
+    assert spins == [m] and chain.order() == r**m * m
+    assert chain.order() == _one_at_a_time(r * m, [g.images for g in gens]).order()
+    assert_chain_matches_sympy(chain, gens, r * m, fibre_blocks=r)
+
+
+def test_a_later_generator_not_affine_on_the_blocks_stops_the_spin(monkeypatch):
+    # C_5 wr C_2 and the swap of two points of the first block: the swap
+    # keeps the blocks but is not affine on F_5, so the run is not spun and
+    # the chain is the one built with the spin disabled; the group is S_5 wr C_2
+    gens = [*_wreath_run(5, 2), Perm([1, 0, *range(2, 10)])]
+    arrs = [g.images for g in gens]
+    spins = count_spins(monkeypatch)
+    chain = StabChain(10, arrs)
+    assert spins == [] and chain.order() == 120 * 120 * 2 and chain.verify()
+    _spin_disabled(monkeypatch)
+    assert _chain_levels(chain) == _chain_levels(StabChain(10, arrs))
+
+
+@pytest.mark.parametrize("name", ["small24", "C3wrC4", "C2wrC5"])
+def test_spun_run_order_cap(name, monkeypatch):
+    # the cap fires at |G| - 1 and not at |G|; at |W| - 1 it fires inside
+    # the spin, where W is the span the run spins to
+    if name.startswith("C"):
+        gens = [g.images for g in _wreath_run(int(name[1]), int(name[-1]))]
+    else:
+        bundle = Bundle(ConstructionParams(2, 4))
+        gens = [g.images for g in bundle.small_group.generators]
+    n = len(gens[0])
+    ranks = count_spins(monkeypatch)
+    chain = StabChain(n, gens, caps=Caps(order_cap=2**2000))
+    order, span = chain.order(), chain.linear.r ** ranks[0]
+    spun = []
+    spin = perm_group._Shifts.spin
+
+    def recorded(lin, *args):
+        spun.append("in")
+        spin(lin, *args)
+        spun.append("out")
+
+    monkeypatch.setattr(perm_group._Shifts, "spin", recorded)
+    for cap, inside in ((order - 1, False), (span - 1, True)):
+        spun.clear()
         with pytest.raises(CapExceeded) as exc:
-            G.stabilizer(0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert exc.value.cap_name == "order" and peak < 8 * 2**20
+            StabChain(n, gens, caps=Caps(order_cap=cap))
+        assert exc.value.cap_name == "order" and (spun == ["in"]) == inside
+    assert StabChain(n, gens, caps=Caps(order_cap=order)).order() == order
+
+
+def test_spin_fires_the_cap_on_independent_leading_columns(monkeypatch):
+    # C4 at (2,4) under the default caps: Λ's rank goes 16, 31, 45 by three
+    # insertions, and the fourth round's images have enough distinct
+    # leading columns to pass 2^50 before any elimination; rank 45 alone
+    # does not pass the cap
+    ranks = []
+    insert = perm_group._Shifts.insert
+
+    def recorded(lin, v):
+        insert(lin, v)
+        ranks.append(lin.rank)
+
+    monkeypatch.setattr(perm_group._Shifts, "insert", recorded)
+    with pytest.raises(CapExceeded) as exc:
+        Bundle(ConstructionParams(2, 4)).small_group.stabilizer(0)
+    assert exc.value.cap_name == "order"
+    assert ranks == [16, 31, 45] and 2**45 <= DEFAULT_CAPS.order_cap
+
+
+def test_capped_family_stabilizer_reads_its_module_in_chunks():
+    # the small group of the `construct` file at (2,5) under the default
+    # caps: the 528 module generators lead, and the cap fires after the
+    # first chunk; the whole run's shift rows at once take about 23 MB, and
+    # one chunk at a time about 3 MB. C4's own build reads the 32 layer rows
+    # and fires inside their spin, in less.
+    bundle = Bundle(ConstructionParams(2, 5))
+    module = PermGroup([*bundle.module_gens, *bundle.translation_gens], caps=bundle.params.caps)
+    assert len(module.generators) == 530 and len(bundle.small_group.generators) == 34
+    for G in (module, bundle.small_group):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded) as exc:
+                G.stabilizer(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.cap_name == "order" and peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -1762,6 +1924,26 @@ def test_linear_level_inserts_and_cuts_against_brute_force_spans(r):
         else:  # the old span is the new one plus the multiples of u
             assert u[k] == 1 and len(before) == r * len(_span(lin.rows, r))
             assert _span(np.vstack([lin.rows, u]), r) == before
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_linear_level_inserts_blocks_of_dependent_rows(r):
+    # a spin round inserts its reduced images as one block, often with
+    # rows that depend on each other; the rows left are eliminated one at
+    # a time, scaled to 1 at their first nonzero block
+    rng = np.random.default_rng(10 + r)
+    for _ in range(20):
+        blocks = int(rng.integers(2, 6))
+        lin = perm_group._Shifts(blocks * r, r)
+        vectors = rng.integers(0, r, (int(rng.integers(1, 7)), blocks))
+        for part in np.array_split(vectors, 2):
+            part = np.vstack([part, 2 * part[:1] % r, part[:1]]) if len(part) else part
+            v = lin.reduce(part.astype(np.int64))
+            if v.any():
+                lin.insert(v[v.any(axis=1)])
+        assert _span(lin.rows, r) == _span(vectors, r)
+        assert np.array_equal(lin.rows[:, lin.piv], np.eye(lin.rank, dtype=np.int64))
+        assert lin.rank == len(set(lin.piv.tolist()))
 
 
 def _wreath_element(rng, r, m, move_blocks):

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from arcgen import pipeline
+from arcgen import cli, pipeline
 from arcgen.caps import CapExceeded, Caps
 from arcgen.perm_group import (
+    PermGroup,
     StabChain,
     arc_orbit_size,
     exponent,
@@ -122,8 +125,13 @@ def test_module_generators_match_the_natural_row_route(p, h):
     asm = Bundle(ConstructionParams(p, h))
     basis = asm.module_basis
     assert np.array_equal(basis, _kron_rows(asm.top_space.basis, asm.change.P.transpose()).a)
-    gens = family_generators(asm)["module"]
+    gens = asm.module_gens
     assert len(gens) == len(basis) == asm.top_space.dim
+    # the layer rows, built on their own, are the module rows at pivots x*q + (q-1-x)
+    q = asm.params.q
+    layer = np.flatnonzero(np.isin(asm.top_space.pivots, np.arange(q) * (q - 1) + q - 1))
+    assert np.array_equal(asm.layer_basis, basis[layer])
+    assert family_generators(asm)["layer"] == [gens[k] for k in layer]
     for start in range(0, len(basis), 64):  # blocks keep the oracle's rows small at q = 31
         assert gens[start : start + 64] == module_vertex_action(asm, basis[start : start + 64])
 
@@ -342,15 +350,25 @@ def test_layer_gens_are_the_level_q_minus_1_vectors():
         assert last == [x * q + (q - 1 - x) for x in range(q)]
 
 
+def _module_groups(bundle):
+    """The groups of the `construct` files: every module generator, a and b (then phi and psi)."""
+    small = [*bundle.module_gens, *bundle.translation_gens]
+    caps, n = bundle.params.caps, bundle.graph.n
+    return PermGroup(small, n, caps), PermGroup([*small, *bundle.outer_gens], n, caps)
+
+
 @pytest.mark.parametrize("p, h", T1_DECIDED)
 def test_layer_ranks_equal_all_generator_ranks(p, h):
+    # the groups of the q + 2 and q + 4 generators against those of the
+    # q(q+1)/2 module generators with the same translations and outer ones
     bundle = _raised_bundle(p, h)
     small, big = bundle.small_group, bundle.big_group
-    layer = [*bundle.layer_gens, *bundle.translation_gens]
-    assert frattini_rank(small, p, layer) == frattini_rank(small, p) == bundle.params.q + 2
+    module_small, module_big = _module_groups(bundle)
+    assert len(small.generators) == bundle.params.q + 2
+    assert small.order() == module_small.order() and big.order() == module_big.order()
+    assert frattini_rank(small, p) == frattini_rank(module_small, p) == bundle.params.q + 2
     if p == 2:
-        big_layer = layer + list(bundle.outer_gens)
-        assert frattini_rank(big, 2, big_layer) == frattini_rank(big, 2)
+        assert frattini_rank(big, 2) == frattini_rank(module_big, 2)
 
 
 @pytest.mark.parametrize("p, h", T1_DECIDED)
@@ -398,6 +416,70 @@ def test_frattini_builds_run_no_schreier_sims(p, h, monkeypatch):
     if p == 2:
         frattini_rank(bundle.big_group, 2, layer + list(bundle.outer_gens))
     assert runs == []
+
+
+def _drop_last_layer_row(monkeypatch):
+    layer_gens = Bundle.layer_gens
+    monkeypatch.setattr(Bundle, "layer_gens", property(lambda b: layer_gens.fget(b)[:-1]))
+
+
+def test_generation_tripwire_stops_a_group_short_of_a_layer_row(monkeypatch, capsys):
+    # one layer row fewer generates a proper subgroup of M ⋊ T; C4, C7 and
+    # C8 would read it and pass, so both paths must raise instead
+    _drop_last_layer_row(monkeypatch)
+    with pytest.raises(AssertionError, match="small group order"):
+        verify_theorem1(ConstructionParams(2, 3))
+    with pytest.raises(AssertionError, match="small group order"):
+        build_bundle(ConstructionParams(2, 3))
+    with pytest.raises(AssertionError):
+        cli.main(["verify-t1", "--p", "2", "--h", "3"])
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_t1_turns_only_the_layer_rows_into_permutations(monkeypatch):
+    # at (2,4) the top module has 136 rows; verify-t1 makes permutations of
+    # the q = 16 layer rows alone
+    rows = []
+    copy_shifts = pipeline._copy_shifts
+    monkeypatch.setattr(
+        pipeline, "_copy_shifts", lambda r, p: rows.append(len(r)) or copy_shifts(r, p)
+    )
+    report = verify_theorem1(ConstructionParams(2, 4))
+    assert report.claim("C3").status == "pass" and report.claim("C4").status == "skipped"
+    assert rows == [16]
+
+
+# sha256 of the files `construct` writes: they list every module generator
+# with a and b (then phi and psi), not the groups' layer generators
+CONSTRUCT_FILES = {
+    (2, 2): {
+        "edges": "ef4ea99588357c9c601bab5a87a635bd2be195cc8292dce9c148742963f14493",
+        "small.gens": "88bd91d94ccf72f161645e5f9d8b6dc437d5821c0b9269ebf43c5d79a41be2ed",
+        "big.gens": "73ee3e51b55fa7650721f657e93a5d108299a0f418baf51441dbb6cf4aeaa190",
+    },
+    (3, 1): {
+        "edges": "ba357dec66de051eeaa9539b04a18db3e6b86769be75de5288b98b91b0de974a",
+        "small.gens": "b70528c0125f00d9d67d41d0654c680f1830366fd2a1d325b587f29cbf19bcf0",
+        "big.gens": "97635c24274b5196cd438eaacb43b9f9609c6cd7c013b4de2c943b8b30daf9df",
+    },
+    (2, 3): {
+        "edges": "59a9555c35a5da15def5b1d0e26842292bb7d6b8d97917972b51c60d8bd4eb60",
+        "small.gens": "e47763d4721b149df1e5471e0e9ddc1f2abda40d5ad8e39e96e40f94e9233f73",
+        "big.gens": "d773f0a531f62b276e62573de7021d0dba05296096a9ff3671674dc7aefb85f0",
+    },
+}
+
+
+@pytest.mark.parametrize("p, h", list(CONSTRUCT_FILES))
+def test_construct_files_keep_every_module_generator(p, h, tmp_path, capsys):
+    out = tmp_path / f"g{p}{h}"
+    assert cli.main(["construct", "--p", str(p), "--h", str(h), "--out", str(out)]) == 0
+    for ext, digest in CONSTRUCT_FILES[p, h].items():
+        data = (tmp_path / f"g{p}{h}.{ext}").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, ext
+    bundle = Bundle(ConstructionParams(p, h))
+    small = (tmp_path / f"g{p}{h}.small.gens").read_text().splitlines()
+    assert len(small) == bundle.top_space.dim + 2
 
 
 def test_assembly_respects_ambient_cap():
