@@ -14,6 +14,7 @@ resource cap fired, 4 all evaluated checks pass but some were skipped
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -42,7 +43,13 @@ def cap(text: str) -> int:
     return base**exp
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every `main` call.
+
+    Callers parse with it and never change it. Each build formats every
+    option's help, asking the terminal size each time.
+    """
     parser = argparse.ArgumentParser(
         prog="arcgen",
         description=(

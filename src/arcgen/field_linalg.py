@@ -3,16 +3,13 @@
 Matrices are numpy integer arrays with every entry reduced into [0, p);
 scalars are plain Python ints. The modulus travels with each object and is
 checked on every binary operation: mixing moduli is a hard error, never a
-coercion. Subspaces have a canonical reduced row-echelon basis, so two
-subspaces are equal exactly when their canonical bases are identical.
+coercion.
 
-A subspace is kept in one of two forms. A coordinate subspace, whose
-canonical basis is unit rows, keeps only its pivot columns: its sums and
-membership tests compare column sets, and its image under an index map
-(e_k -> e_t[k], or zero) is the set of targets, all with no product;
-its dense basis is built only when a caller reads it. Any other subspace
-keeps its dense basis. Both forms give identical results for every
-operation.
+Subspaces are coordinate subspaces, the span of the unit rows at a set of
+columns, kept as those columns: every term of the augmentation filtration
+the library walks is one. Their sums and containment tests compare column
+sets, and the image under an index map (e_k -> e_t[k], or zero) is the set
+of targets, all with no product.
 
 Vectors are rows throughout the library and operators multiply on the
 right.
@@ -250,34 +247,16 @@ def mat_inverse(m: FpMatrix) -> FpMatrix:
 
 
 class FpSubspace:
-    """A subspace of F_p^ambient_dim with a canonical RREF basis.
+    """A coordinate subspace of F_p^ambient_dim: the span of unit rows.
 
-    The canonical basis has no zero rows and strictly increasing pivot
-    columns, so equality of subspaces is equality of canonical bases. A
-    subspace is kept in one of two forms, chosen from that basis by every
-    constructor:
-
-    * a coordinate subspace, whose canonical basis is the unit rows at
-      its pivot columns, keeps only those columns; its dense `basis` is
-      built when it is first read, and images, sums, reductions and
-      containment work on the column sets;
-    * any other subspace keeps its canonical basis as a dense matrix.
-
-    Every operation gives the same result in either form, and `==`,
-    `hash` and `basis` do not depend on the form a subspace was built in.
+    Its canonical basis is the unit rows at its pivot columns, so it is
+    kept as those columns, sorted: equality of subspaces is equality of
+    column sets, sums and containment compare them, and an image under an
+    index map is the set of targets, all with no product. Every term of
+    the augmentation filtration the library walks is such a subspace.
     """
 
-    __slots__ = ("ambient_dim", "p", "_basis", "_pivots", "_unit")
-
-    def __init__(self, ambient_dim: int, basis: FpMatrix):
-        if basis.cols != ambient_dim:
-            raise ValueError("basis width does not match the ambient dimension")
-        self.ambient_dim = ambient_dim
-        self.p = basis.p
-        self._basis = basis
-        self._pivots = _pivot_columns(basis.a)
-        # one nonzero entry per row and canonical: the unit rows at the pivots
-        self._unit = np.count_nonzero(basis.a) == basis.rows and _is_canonical(basis.a)
+    __slots__ = ("ambient_dim", "p", "_pivots")
 
     @classmethod
     def coordinate(cls, ambient_dim: int, columns, p: int) -> "FpSubspace":
@@ -292,19 +271,8 @@ class FpSubspace:
         space = object.__new__(cls)
         space.ambient_dim = ambient_dim
         space.p = p
-        space._basis = None
         space._pivots = np.flatnonzero(mask)
-        space._unit = True
         return space
-
-    @classmethod
-    def from_rows(cls, rows: FpMatrix) -> "FpSubspace":
-        """The span of the rows; rows already in canonical form are kept."""
-        a = rows.a[rows.a.any(axis=1)]
-        if not _is_canonical(a):
-            red, rank = rref(FpMatrix._make(a, rows.p))
-            a = red.a[:rank].copy()
-        return cls(rows.cols, FpMatrix._make(a, rows.p))
 
     @classmethod
     def zero(cls, ambient_dim: int, p: int) -> "FpSubspace":
@@ -315,15 +283,6 @@ class FpSubspace:
         return cls.coordinate(ambient_dim, range(ambient_dim), p)
 
     @property
-    def basis(self) -> FpMatrix:
-        """The canonical basis as a dense matrix."""
-        if self._basis is None:
-            a = np.zeros((self.dim, self.ambient_dim), dtype=np.int64)
-            a[np.arange(self.dim), self._pivots] = 1
-            self._basis = FpMatrix._make(a, self.p)
-        return self._basis
-
-    @property
     def pivots(self) -> np.ndarray:
         """The pivot column of each canonical basis row, increasing."""
         return self._pivots.copy()
@@ -332,33 +291,9 @@ class FpSubspace:
     def dim(self) -> int:
         return len(self._pivots)
 
-    def _reduce(self, rows: np.ndarray) -> np.ndarray:
-        """Each row minus the basis combination that matches it on the pivots.
-
-        A row comes out zero exactly when it lies in the subspace, and every
-        row comes out zero in the pivot columns. For a coordinate subspace
-        that combination is the row's own entries there.
-        """
-        if not self.dim:
-            return rows
-        if self._unit:
-            out = rows.copy()
-            out[:, self._pivots] = 0
-            return out
-        return (rows - _matmul(rows[:, self._pivots], self.basis.a, self.p)) % self.p
-
-    def contains(self, rows) -> bool:
-        """Whether a coefficient row vector, or every row of a stack, lies here."""
-        v = np.mod(np.asarray(rows, dtype=np.int64), self.p)
-        if v.ndim not in (1, 2) or v.shape[-1] != self.ambient_dim:
-            raise ValueError("vector length does not match the ambient dimension")
-        return not self._reduce(v.reshape(-1, self.ambient_dim)).any()
-
     def contains_space(self, other: "FpSubspace") -> bool:
         self._check_compatible(other)
-        if self._unit and other._unit:
-            return bool(np.isin(other._pivots, self._pivots).all())
-        return self.contains(other.basis.a)
+        return bool(np.isin(other._pivots, self._pivots).all())
 
     def _check_compatible(self, other: "FpSubspace") -> None:
         if self.p != other.p:
@@ -366,79 +301,40 @@ class FpSubspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
 
-    def __le__(self, other: "FpSubspace") -> bool:
-        return other.contains_space(self)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpSubspace):
             return NotImplemented
         if self.p != other.p or self.ambient_dim != other.ambient_dim:
             return False
-        if self._unit and other._unit:
-            return np.array_equal(self._pivots, other._pivots)
-        return np.array_equal(self.basis.a, other.basis.a)
+        return np.array_equal(self._pivots, other._pivots)
 
     def __hash__(self):
-        return hash((self.p, self.ambient_dim, self.basis.a.tobytes()))
+        return hash((self.p, self.ambient_dim, self._pivots.tobytes()))
 
     def __add__(self, other: "FpSubspace") -> "FpSubspace":
-        """Subspace spanned by the union of the two bases.
+        """The span of both subspaces: the union of their columns.
 
-        Two coordinate subspaces sum to the union of their columns.
-        Otherwise only the part of `other` outside this subspace is
-        eliminated; the existing rows are then cleared in the new pivot
-        columns and the two row sets merged by pivot, which is again the
-        canonical basis. A sum with the zero subspace, or with a subspace
-        already inside, is the other summand, with no copy.
+        A sum with the zero subspace, or with a subspace already inside,
+        is the other summand, with no copy.
         """
         self._check_compatible(other)
         if not self.dim:
             return other
-        if self._unit and other._unit:
-            cols = np.concatenate([self._pivots, other._pivots])
-            union = FpSubspace.coordinate(self.ambient_dim, cols, self.p)
-            return self if union.dim == self.dim else union
-        extra = FpSubspace.from_rows(FpMatrix._make(self._reduce(other.basis.a), self.p))
-        if not extra.dim:
-            return self
-        rows = np.vstack([extra._reduce(self.basis.a), extra.basis.a])
-        order = np.argsort(np.concatenate([self._pivots, extra._pivots]), kind="stable")
-        return FpSubspace(self.ambient_dim, FpMatrix._make(rows[order], self.p))
+        cols = np.concatenate([self._pivots, other._pivots])
+        union = FpSubspace.coordinate(self.ambient_dim, cols, self.p)
+        return self if union.dim == self.dim else union
 
     def image(self, targets) -> "FpSubspace":
         """Image under the index map e_k -> e_targets[k], a target -1 meaning zero.
 
-        A coordinate subspace maps to the coordinate subspace on its
-        columns' targets, with no product; any other subspace to the span
-        of its basis rows with entry k moved to column targets[k].
+        That is the coordinate subspace on the targets of its columns.
         """
         t = np.asarray(targets, dtype=np.int64)
         n = self.ambient_dim
         if t.shape != (n,) or (n and not (-1 <= t.min() and t.max() < n)):
             raise ValueError("index map does not match the ambient dimension")
-        if self._unit:
-            cols = t[self._pivots]
-            return FpSubspace.coordinate(n, cols[cols >= 0], self.p)
-        keep = np.flatnonzero(t >= 0)
-        rows = np.zeros((self.dim, n), dtype=np.int64)
-        np.add.at(rows, (slice(None), t[keep]), self.basis.a[:, keep])
-        return FpSubspace.from_rows(FpMatrix._make(rows % self.p, self.p))
+        cols = t[self._pivots]
+        return FpSubspace.coordinate(n, cols[cols >= 0], self.p)
 
     def __repr__(self) -> str:
         return f"FpSubspace(dim={self.dim}, ambient={self.ambient_dim}, p={self.p})"
-
-
-def _is_canonical(a: np.ndarray) -> bool:
-    """Whether nonzero rows `a` are already a canonical RREF basis."""
-    piv = _pivot_columns(a)
-    return (
-        bool((np.diff(piv) > 0).all())
-        and bool((a[np.arange(len(piv)), piv] == 1).all())
-        and bool((np.count_nonzero(a, axis=0)[piv] == 1).all())
-    )
-
-
-def _pivot_columns(a: np.ndarray) -> np.ndarray:
-    if a.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.argmax(a != 0, axis=1)

@@ -172,7 +172,7 @@ class GammaChain:
     shifts: tuple[np.ndarray, np.ndarray]
 
 
-def _e_unit_span(q: int, p: int, level: int) -> FpSubspace:
+def _level_span(q: int, p: int, level: int) -> FpSubspace:
     """Span of the e_xy with x + y >= level: the coordinate subspace on their indices."""
     x, y = np.divmod(np.arange(q * q), q)
     return FpSubspace.coordinate(q * q, np.flatnonzero(x + y >= level), p)
@@ -183,9 +183,9 @@ def _descent(space: FpSubspace, shifts):
 
     Each term is the sum of the previous term's images under the shifts,
     index maps (see `FpSubspace.image`), starting from the zero subspace.
-    The walk stops after the zero term,
-    or after the first term that does not shrink, so a caller that finds
-    a nonzero last term knows the descent stalled.
+    The walk stops after the zero term, or after the first term that does
+    not shrink, so a caller that finds a nonzero last term knows the
+    descent stalled.
     """
     n, p = space.ambient_dim, space.p
     while True:
@@ -224,7 +224,7 @@ def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
     dims = [n]
     top = None
     for i, term in enumerate(_descent(FpSubspace.full(n, p), shifts), 1):
-        if term != _e_unit_span(q, p, i):
+        if term != _level_span(q, p, i):
             raise AssertionError(
                 f"filtration step {i} does not match its expected spanning set"
             )
@@ -249,8 +249,9 @@ def section_dims(chain: GammaChain) -> list[int]:
 def min_generators_local(V: FpSubspace, shifts) -> int:
     """Minimal number of module generators of V over the acting group.
 
-    Each shift is the index map of g - 1 for a generator g of the acting
-    group, as in `GammaChain.shifts`. Valid when the acting group is
+    V is a coordinate subspace, such as a filtration term, and each shift
+    is the index map of g - 1 for a generator g of the acting group, as in
+    `GammaChain.shifts`. Valid when the acting group is
     unipotent on V over F_p (the p-group case, where the group algebra is
     local and Nakayama's lemma applies): the answer is dim V / (V * I)
     with I the augmentation ideal, and dim V for an empty shift list.

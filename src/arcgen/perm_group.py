@@ -1221,44 +1221,41 @@ def _rows(perms, degree: int) -> np.ndarray:
     return np.array([g.images for g in perms], dtype=_DTYPE).reshape(len(perms), degree)
 
 
-def frattini_rank(G: PermGroup, p: int, gens=None) -> int:
+def frattini_rank(G: PermGroup, p: int) -> int:
     """Minimal number of generators of a p-group (Burnside basis theorem).
 
-    gens (G's generators by default) must lie in G. Phi is the normal
-    closure in <gens> of their pairwise commutators, then their p-th
-    powers, and every one of these seeds is checked to lie in it; a pair of
-    gens that are both fibre translations for p commutes, and gives no
-    seed. So Phi is normal in <gens>, and <gens>/Phi is abelian of exponent
-    p: every group between Phi and <gens> is normal in <gens>, and each gen
-    outside such a group has order p modulo it. Phi's chain is extended by
-    the gens without a normality test or an order search. They are sifted
-    as one block, and the residues that reach Λ as fibre translations join
-    it as one block (`StabChain._insert`): each fixes every base and
-    normalizes the group, so no level's orbit changes. Each other gen is
-    then sifted in turn, and a residue takes one prime step
-    (`StabChain._extend_level`). The last order must be |G|, which proves
-    <gens> = G, so Phi is normal in G and G/Phi is elementary abelian.
-    Commutators and p-th powers lie in the Frattini subgroup, and so does
-    their normal closure, so Phi is the Frattini subgroup and the rank is
-    log_p |G : Phi|. A few gens that generate G keep the closure small: it
-    conjugates by gens, not by all of G's generators.
+    Phi is the normal closure in G of the pairwise commutators of G's
+    generators, then their p-th powers, and every one of these seeds is
+    checked to lie in it; a pair of generators that are both fibre
+    translations for p commutes, and gives no seed. So Phi is normal in G,
+    and G/Phi is abelian of exponent p: every group between Phi and G is
+    normal in G, and each generator outside such a group has order p
+    modulo it. Phi's chain is extended by the generators without a
+    normality test or an order search. They are sifted as one block, and
+    the residues that reach Λ as fibre translations join it as one block
+    (`StabChain._insert`): each fixes every base and normalizes the group,
+    so no level's orbit changes. Each other generator is then sifted in
+    turn, and a residue takes one prime step (`StabChain._extend_level`).
+    The last order must be |G|, which checks the extension. Commutators and
+    p-th powers lie in the Frattini subgroup, and so does their normal
+    closure, so Phi is the Frattini subgroup and the rank is
+    log_p |G : Phi|. A few generators keep the closure small: it conjugates
+    by them alone.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     order = G.order()
     if set(_prime_factors(order)) - {p}:
         raise ValueError("Frattini rank defined here only for p-groups")
-    gens = G.generators if gens is None else tuple(gens)
+    gens = G.generators
     arrs = _rows(gens, G.degree)
-    if len(G.chain()._sift_rows(arrs, 0)[0]):
-        raise ValueError("a generator does not lie in the group")
     fibre = np.zeros(len(arrs), dtype=bool)
     if G.degree % p == 0:
         fibre = _Shifts(G.degree, p).shifts(arrs)[1]
     pairs = itertools.combinations(zip(gens, fibre.tolist()), 2)
     seeds = [commutator(g, h) for (g, f), (h, e) in pairs if not (f and e)]
     seeds += [g**p for g in gens]
-    chain = normal_closure(PermGroup(gens, degree=G.degree, caps=G.caps), seeds).chain()
+    chain = normal_closure(G, seeds).chain()
     if len(chain._sift_rows(_rows(seeds, G.degree), 0)[0]):
         raise AssertionError("Frattini closure lost one of its own seeds")
     size = chain.order()

@@ -9,15 +9,16 @@ spun normal closure: it drives the library's chain, but one element at a
 time, and so do the references built on it for the Frattini rank and for
 a chain's extension.
 
-The dense route for the group algebra lives here too: q^2 x q^2 action
-matrices, conjugated honestly into the e basis, images under dense
-matrices, and the Nakayama count on them. The library walks index maps
-instead, and the tests compare the two. So does the natural-row route
-for the module generators: rows converted through P ⊗ P and back, each
-checked to lie in the top term, where the library takes outer products
-of P's columns. Two numberings at the end, a bit-reversed cycle and a
-path numbered from both ends, are adversarial inputs for the labeller's
-round count.
+The dense route for the group algebra lives here too: `Span`, a subspace
+kept as its canonical basis by `rref`, where the library keeps column
+sets; q^2 x q^2 action matrices, conjugated honestly into the e basis;
+images of spans under dense matrices, and the Nakayama count on them.
+The library walks index maps instead, and the tests compare the two. So
+does the natural-row route for the module generators: rows converted
+through P ⊗ P and back, each checked to lie in the top term, where the
+library takes outer products of P's columns. Two numberings at the end,
+a bit-reversed cycle and a path numbered from both ends, are adversarial
+inputs for the labeller's round count.
 """
 
 import copy
@@ -26,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from arcgen.field_linalg import FpMatrix, FpSubspace, ModulusMismatchError, is_prime
+from arcgen.field_linalg import FpMatrix, ModulusMismatchError, is_prime, rref
 from arcgen.group_algebra import build_e_basis
 from arcgen.perm_group import Perm, PermGroup, StabChain
 
@@ -102,7 +103,7 @@ def module_vertex_action(bundle, rows):
     if v.ndim != 2 or v.shape[1] != H.ambient:
         raise ValueError("coefficient rows have the wrong length")
     in_e = _kron_rows(FpMatrix(v, p), bundle.change.P_inv.transpose())
-    if not bundle.top_space.contains(in_e.a):
+    if not Span.of(bundle.top_space).contains(in_e.a):
         raise ValueError("a row is not in the top filtration module")
     x, c = np.divmod(np.arange(H.ambient * p), p)  # vertex (x, c) has index x * p + c
     return [Perm(x * p + (c + row[x]) % p) for row in v]
@@ -146,29 +147,86 @@ def index_map_matrix(targets, p):
     return FpMatrix(m, p)
 
 
-def image_by_matrix(space, m):
-    """Image of a subspace under right multiplication by a dense matrix: the span of basis @ m.
+class Span:
+    """A subspace of F_p^n as its canonical basis: the nonzero rows of `rref`.
 
-    When the basis is unit rows that product is m's rows at the pivots,
-    which are picked without multiplying.
+    Two spans are equal exactly when their bases are. Any rows span one,
+    so images under dense matrices need no unit rows.
     """
-    if space._unit:
-        return FpSubspace.from_rows(FpMatrix._make(m.a[space.pivots], m.p))
-    return FpSubspace.from_rows(space.basis @ m)
+
+    def __init__(self, rows, ambient_dim, p):
+        a = FpMatrix(np.asarray(rows, dtype=np.int64).reshape(-1, ambient_dim), p).a
+        red, rank = rref(FpMatrix._make(a[a.any(axis=1)], p))
+        self.basis = red.a[:rank]
+        self.ambient_dim, self.p = ambient_dim, p
+
+    @classmethod
+    def of(cls, space):
+        """The span of a coordinate subspace's unit rows, read off its pivots; a Span as it is."""
+        if isinstance(space, Span):
+            return space
+        span = object.__new__(cls)
+        span.ambient_dim, span.p = space.ambient_dim, space.p
+        # unit rows at distinct increasing columns are a canonical basis
+        span.basis = np.eye(space.ambient_dim, dtype=np.int64)[np.unique(space.pivots)]
+        return span
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    @property
+    def pivots(self):
+        return np.argmax(self.basis != 0, axis=1)
+
+    def contains(self, rows):
+        """Whether every row of a vector or a stack lies here."""
+        return (self + Span(rows, self.ambient_dim, self.p)).dim == self.dim
+
+    def contains_space(self, other):
+        return self.contains(other.basis)
+
+    def __add__(self, other):
+        if (self.p, self.ambient_dim) != (other.p, other.ambient_dim):
+            raise ValueError("spans of different spaces")
+        return Span(np.vstack([self.basis, other.basis]), self.ambient_dim, self.p)
+
+    def __eq__(self, other):
+        if not isinstance(other, Span):
+            return NotImplemented
+        return (self.p, self.ambient_dim) == (other.p, other.ambient_dim) and np.array_equal(
+            self.basis, other.basis
+        )
+
+    def __repr__(self):
+        return f"Span({self.basis.tolist()!r}, p={self.p})"
+
+
+def image_by_matrix(space, *ms):
+    """The span of a subspace's images under right multiplication by each matrix.
+
+    The subspace is a Span or a coordinate subspace. When its basis is unit
+    rows, a product is m's rows at the pivots, which are picked without
+    multiplying.
+    """
+    space = Span.of(space)
+    basis, n, p = space.basis, space.ambient_dim, space.p
+    unit = np.count_nonzero(basis) == len(basis)
+    rows = [m.a[space.pivots] if unit else (FpMatrix._make(basis, p) @ m).a for m in ms]
+    return Span(np.vstack([basis[:0], *rows]), n, p)
 
 
 def dense_descent(space, actions, p):
-    """space*I, space*I^2, ... for dense actions g, I spanned by the g - 1.
+    """Spans space*I, space*I^2, ... for dense actions g, I spanned by the g - 1.
 
     Stops after the zero term or after the first term that does not shrink.
     """
+    space = Span.of(space)
     ident = FpMatrix.identity(space.ambient_dim, p)
     deltas = [g - ident for g in actions]
     terms = []
     while True:
-        nxt = FpSubspace.zero(space.ambient_dim, p)
-        for d in deltas:
-            nxt = nxt + image_by_matrix(space, d)
+        nxt = image_by_matrix(space, *deltas)
         terms.append(nxt)
         if nxt.dim == 0 or nxt.dim >= space.dim:
             return terms
@@ -181,6 +239,7 @@ def nakayama_count_dense(V, actions, p):
     Raises ValueError when some g does not map V into V, or when the
     descent stalls above zero (the acting group is not unipotent on V).
     """
+    V = Span.of(V)
     n = V.ambient_dim
     for g in actions:
         if g.p != p or V.p != p:
@@ -196,11 +255,10 @@ def nakayama_count_dense(V, actions, p):
 
 
 def module_closure(space, actions):
-    """Smallest subspace containing `space` that every action matrix maps into itself."""
+    """Smallest span containing `space` that every action matrix maps into itself."""
+    space = Span.of(space)
     while True:
-        grown = space
-        for g in actions:
-            grown = grown + image_by_matrix(grown, g)
+        grown = space + image_by_matrix(space, *actions)
         if grown == space:
             return space
         space = grown
@@ -213,14 +271,12 @@ def nakayama_count_by_closure(V, actions, p):
     and never closes them. Raises ValueError when the iterated images of V
     stall above zero. The actions must be unipotent and keep V.
     """
+    V = Span.of(V)
     ident = FpMatrix.identity(V.ambient_dim, p)
     deltas = [g - ident for g in actions]
 
     def augmentation_image(space):
-        img = FpSubspace.zero(V.ambient_dim, p)
-        for d in deltas:
-            img = img + image_by_matrix(space, d)
-        return module_closure(img, actions)
+        return module_closure(image_by_matrix(space, *deltas), actions)
 
     vi = augmentation_image(V)
     w = vi

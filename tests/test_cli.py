@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 
 from arcgen.caps import Caps
@@ -316,6 +318,24 @@ def test_caps_accept_powers(tmp_path, capsys):
 def test_bad_power_caps_rejected(capsys, cap):
     for flag in ("--order-cap", "--exponent-cap"):
         assert exit_code(capsys, "verify-t1", "--p", "2", "--h", "1", flag, cap) == EXIT_INPUT
+
+
+def test_two_main_calls_build_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    build_parser.cache_clear()
+    assert run_cli(capsys, "verify-t1", "--p", "4", "--h", "1")[0] == EXIT_INPUT
+    assert built.count("arcgen") == 1
+    first = len(built)
+    assert run_cli(capsys, "verify-t1", "--p", "4", "--h", "1")[0] == EXIT_INPUT
+    assert exit_code(capsys, "verify-t1", "--p", "2") == EXIT_INPUT  # argparse's own refusal
+    assert len(built) == first
 
 
 # -- golden certificates -----------------------------------------------------

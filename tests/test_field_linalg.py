@@ -11,6 +11,8 @@ from arcgen.field_linalg import (
     rref,
 )
 from oracles import (
+    Span,
+    image_by_matrix,
     index_map_matrix,
     kron,
     matmul_by_int64,
@@ -94,10 +96,11 @@ def test_rref_preserves_row_space():
             m = FpMatrix(rng.integers(0, p, size=(4, 5)), p)
             red, rank = rref(m)
             # every original row reduces to zero against the new basis
-            space = FpSubspace.from_rows(red)
-            assert space.dim == rank
+            basis = red.a[:rank]
+            assert not red.a[rank:].any()
+            pivots = np.argmax(basis != 0, axis=1)
             for row in m.a:
-                assert space.contains(row)
+                assert not ((row - row[pivots] @ basis) % p).any()
 
 
 def test_rref_is_idempotent_and_canonical():
@@ -206,47 +209,42 @@ def test_unipotent_rejects_non_power():
 # -- subspaces ---------------------------------------------------------------
 
 
-def test_subspace_canonical_representation():
+def test_span_canonical_representation():
     # two different spanning sets of the same plane in F_2^3
-    s1 = FpSubspace.from_rows(FpMatrix([[1, 1, 0], [0, 1, 1]], 2))
-    s2 = FpSubspace.from_rows(FpMatrix([[1, 0, 1], [0, 1, 1]], 2))
+    s1 = Span([[1, 1, 0], [0, 1, 1]], 3, 2)
+    s2 = Span([[1, 0, 1], [0, 1, 1]], 3, 2)
     assert s1 == s2
-    assert s1.basis.a.tobytes() == s2.basis.a.tobytes()
+    assert s1.basis.tolist() == [[1, 0, 1], [0, 1, 1]]
+    # leading entry 2, zero rows and a repeated row
+    assert Span([[0, 0, 0, 0], [0, 2, 0, 0], [0, 2, 0, 0]], 4, 3).basis.tolist() == [[0, 1, 0, 0]]
 
 
 def test_subspace_sum_of_complementary_lines():
-    l1 = FpSubspace.from_rows(FpMatrix([[1, 0]], 3))
-    l2 = FpSubspace.from_rows(FpMatrix([[0, 1]], 3))
+    l1 = FpSubspace.coordinate(2, [0], 3)
+    l2 = FpSubspace.coordinate(2, [1], 3)
     assert (l1 + l2).dim == 2
     assert (l1 + l2) == FpSubspace.full(2, 3)
 
 
 def test_quotient_dims():
-    v = FpSubspace.from_rows(FpMatrix([[1, 0, 1], [0, 1, 0]], 2))
+    v = Span([[1, 0, 1], [0, 1, 0]], 3, 2)
     assert quotient_dim(v, v) == 0
     assert quotient_dim(FpSubspace.zero(3, 2), FpSubspace.full(3, 2)) == 3
     with pytest.raises(ValueError):
-        quotient_dim(FpSubspace.full(3, 2), v)
+        quotient_dim(Span.of(FpSubspace.full(3, 2)), v)
 
 
-def test_subspace_membership():
-    v = FpSubspace.from_rows(FpMatrix([[1, 0, 1], [0, 1, 0]], 2))
+def test_span_membership():
+    v = Span([[1, 0, 1], [0, 1, 0]], 3, 2)
     assert v.contains([1, 1, 1])
     assert not v.contains([0, 0, 1])
     assert v.contains([0, 0, 0])
-
-
-def test_subspace_membership_of_a_stack():
-    v = FpSubspace.from_rows(FpMatrix([[1, 0, 1], [0, 1, 0]], 2))
     assert v.contains([[1, 1, 1], [0, 1, 0], [1, 0, 1]])
     # one row outside, in any position, fails the whole stack
     assert not v.contains([[1, 1, 1], [0, 0, 1]])
     assert not v.contains([[0, 0, 1], [1, 1, 1]])
     assert v.contains(np.zeros((0, 3), dtype=np.int64))
-    assert FpSubspace.zero(3, 2).contains([[0, 0, 0], [0, 2, 0]])
-    for bad in ([1, 1], [[1, 1]], np.zeros((1, 1, 3))):
-        with pytest.raises(ValueError):
-            v.contains(bad)
+    assert Span([], 3, 2).contains([[0, 0, 0], [0, 2, 0]])
 
 
 def test_mat_inverse_round_trip():
@@ -352,68 +350,7 @@ def test_rref_and_inverse_exact_at_a_large_modulus():
     assert np.array_equal(matmul_by_int64(m.a, inv.a, p), np.eye(6, dtype=np.int64))
 
 
-# -- subspace arithmetic against stack-and-rref -------------------------------
-
-
-def _span_by_rref(rows, p):
-    red, rank = rref(FpMatrix(rows, p))
-    return red.a[:rank]
-
-
-def _random_rows(rng, count, rank, n, p):
-    """`count` rows spanning a random subspace of dimension at most `rank`."""
-    return matmul_by_int64(_random(rng, (count, rank), p), _random(rng, (rank, n), p), p)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_subspace_operations_match_stack_and_rref(p):
-    rng = np.random.default_rng([p, 2024])
-    n = 12
-    for _ in range(30):
-        r1, r2 = rng.integers(0, n + 1, size=2)
-        rows1 = _random_rows(rng, int(rng.integers(0, 15)), int(r1), n, p)
-        rows2 = _random_rows(rng, int(rng.integers(0, 15)), int(r2), n, p)
-        u = FpSubspace.from_rows(FpMatrix(rows1, p))
-        w = FpSubspace.from_rows(FpMatrix(rows2, p))
-        assert np.array_equal(u.basis.a, _span_by_rref(rows1, p))
-        stacked = np.vstack([u.basis.a, w.basis.a])
-        span = _span_by_rref(stacked, p)
-        assert np.array_equal((u + w).basis.a, span)
-        assert u + w == w + u
-        assert u.contains_space(w) == (len(span) == u.dim)
-        assert u.contains(rows2) == u.contains_space(w)
-        assert u.contains(rows2) == all(u.contains(row) for row in rows2)
-        t = _index_map(rng, n)
-        m = index_map_matrix(t, p).a
-        image = u.image(t)
-        assert np.array_equal(image.basis.a, _span_by_rref(matmul_by_int64(u.basis.a, m, p), p))
-        assert (u + w).contains_space(u) and (u + w).contains_space(w)
-
-
-def test_from_rows_keeps_canonical_rows_and_reduces_the_rest():
-    p = 3
-    canonical = [[1, 0, 2, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
-    assert FpSubspace.from_rows(FpMatrix(canonical, p)).basis.a.tolist() == canonical
-    # pivots in place but a pivot column not cleared: not canonical
-    uncleared = [[1, 1, 0, 0], [0, 1, 0, 0]]
-    assert FpSubspace.from_rows(FpMatrix(uncleared, p)).basis.a.tolist() == [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-    ]
-    # leading entry 2, zero rows and a repeated row
-    messy = [[0, 0, 0, 0], [0, 2, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0]]
-    assert FpSubspace.from_rows(FpMatrix(messy, p)).basis.a.tolist() == [[0, 1, 0, 0]]
-    assert FpSubspace.from_rows(FpMatrix.zeros(3, 4, p)).dim == 0
-
-
-# -- coordinate subspaces against the dense route -----------------------------
-
-
-def _dense_form(space):
-    """The same subspace in the dense form, so every operation takes the general route."""
-    dense = FpSubspace(space.ambient_dim, space.basis)
-    dense._unit = False
-    return dense
+# -- coordinate subspaces against the oracle span ------------------------------
 
 
 def _index_map(rng, n):
@@ -423,52 +360,39 @@ def _index_map(rng, n):
     return t
 
 
-def _same(a, b):
-    return np.array_equal(a.basis.a, b.basis.a) and a == b and hash(a) == hash(b)
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_coordinate_subspace_matches_the_dense_route(p):
-    rng = np.random.default_rng([p, 13])
+def test_coordinate_subspace_matches_the_oracle_span(p):
+    # each subspace is built from random columns, repeats allowed, and its
+    # span of those unit rows is the reference for every operation
+    rng = np.random.default_rng([p, 28])
     n = 10
-    fast_images = 0
-    for _ in range(40):
-        cols = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
-        c = FpSubspace.coordinate(n, cols, p)
-        d = _dense_form(c)
-        units = np.eye(n, dtype=np.int64)[np.sort(cols)]
-        assert c._unit and c.dim == len(cols)
-        assert np.array_equal(c.basis.a, units) and np.array_equal(c.pivots, np.sort(cols))
-        for built in (FpSubspace.from_rows(FpMatrix(units[::-1], p)), FpSubspace(n, FpMatrix(units, p)), d):
-            assert _same(c, built)
-        general = FpSubspace.from_rows(FpMatrix(_random_rows(rng, 4, 3, n, p), p))
-        other = FpSubspace.coordinate(n, rng.choice(n, size=int(rng.integers(0, n + 1))), p)
-        for w in (general, other, _dense_form(other)):
-            assert _same(c + w, d + w) and _same(w + c, w + d)
-            assert c.contains_space(w) == d.contains_space(w)
-            assert w.contains_space(c) == w.contains_space(d)
-            assert (c == w) == (d == w) == np.array_equal(c.basis.a, w.basis.a)
-        inside = matmul_by_int64(_random(rng, (3, max(c.dim, 1)), p), c.basis.a, p) if c.dim else None
-        for rows in (_random(rng, (3, n), p), inside):
-            if rows is not None:
-                assert c.contains(rows) == d.contains(rows)
-                assert all(c.contains(row) == d.contains(row) for row in rows)
+    units = np.eye(n, dtype=np.int64)
+
+    def pair():
+        cols = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+        return FpSubspace.coordinate(n, cols, p), Span(units[cols], n, p)
+
+    for _ in range(60):
+        (u, su), (w, sw) = pair(), pair()
+        same = FpSubspace.coordinate(n, rng.permutation(np.repeat(u.pivots, 2)), p)
+        for a, sa in ((u, su), (w, sw)):
+            assert a.dim == sa.dim and Span.of(a) == sa
+        for a, b, sa, sb in ((u, w, su, sw), (u, u + w, su, su + sw), (u + w, w, su + sw, sw), (u, same, su, su)):
+            assert Span.of(a + b) == sa + sb == Span.of(b + a)
+            assert a.contains_space(b) == sa.contains_space(sb)
+            assert b.contains_space(a) == sb.contains_space(sa)
+            assert (a == b) == (sa == sb)
+            if a == b:
+                assert hash(a) == hash(b)
         # a random index map, a permutation and the shift k -> k + 1
         for t in (_index_map(rng, n), rng.permutation(n), np.where(np.arange(n) < n - 1, np.arange(1, n + 1), -1)):
-            image = c.image(t)
-            # no dense basis was formed on the way
-            assert image._unit and image._basis is None
-            fast_images += 1
-            m = index_map_matrix(t, p).a
-            assert _same(image, d.image(t))
-            assert np.array_equal(image.basis.a, _span_by_rref(matmul_by_int64(c.basis.a, m, p), p))
-    assert fast_images >= 40
+            assert Span.of(u.image(t)) == image_by_matrix(su, index_map_matrix(t, p))
 
 
 def test_coordinate_subspace_edge_cases():
     p = 5
-    assert FpSubspace.zero(4, p)._unit and FpSubspace.full(4, p)._unit
-    assert FpSubspace.full(4, p).basis == FpMatrix.identity(4, p)
+    assert FpSubspace.zero(4, p).dim == 0
+    assert FpSubspace.full(4, p).pivots.tolist() == [0, 1, 2, 3]
     assert FpSubspace.coordinate(4, [3, 1, 3], p).pivots.tolist() == [1, 3]
     for bad in ([4], [-1]):
         with pytest.raises(ValueError):
@@ -477,29 +401,10 @@ def test_coordinate_subspace_edge_cases():
         FpSubspace.coordinate(4, [0], 4)
     with pytest.raises(ModulusMismatchError):
         FpSubspace.coordinate(4, [0], p) + FpSubspace.coordinate(4, [0], 3)
+    with pytest.raises(ValueError):
+        FpSubspace.coordinate(4, [0], p).contains_space(FpSubspace.coordinate(5, [0], p))
+    assert FpSubspace.coordinate(4, [0], p) != FpSubspace.coordinate(4, [0], 3)
     # an index map must have one target in [-1, 4) per coordinate
     for bad in (np.arange(3), np.arange(5), [0, 1, 2, 4], [-2, 0, 1, 2], np.zeros((4, 1), dtype=int)):
-        for space in (FpSubspace.coordinate(4, [0], p), FpSubspace(4, FpMatrix([[1, 2, 0, 0]], p))):
-            with pytest.raises(ValueError):
-                space.image(bad)
-    # unit rows out of order are no canonical basis: dense form, as built
-    rows = FpMatrix([[0, 0, 1, 0], [1, 0, 0, 0]], p)
-    assert not FpSubspace(4, rows)._unit
-    assert FpSubspace(4, rows) != FpSubspace.coordinate(4, [0, 2], p)
-
-
-def test_hand_built_row_with_a_non_unit_entry_takes_the_dense_route():
-    # a basis row whose one nonzero entry is 2 is no unit row: the subspace
-    # keeps its dense form and answers exactly as the dense route does
-    p = 3
-    row = np.array([[0, 2, 0, 0]])
-    s = FpSubspace(4, FpMatrix(row, p))
-    assert not s._unit
-    assert s.basis.a.tolist() == row.tolist()
-    assert s != FpSubspace.coordinate(4, [1], p)
-    e1 = np.array([[0, 1, 0, 0]])
-    assert s.contains(e1) == (not ((e1 - e1[:, [1]] @ row) % p).any())
-    shift = np.array([1, 2, 3, -1])
-    dense_shift = index_map_matrix(shift, p).a
-    assert s.image(shift) == FpSubspace.from_rows(FpMatrix(matmul_by_int64(row, dense_shift, p), p))
-    assert FpSubspace.from_rows(FpMatrix(row, p)) == FpSubspace.coordinate(4, [1], p)
+        with pytest.raises(ValueError):
+            FpSubspace.coordinate(4, [0], p).image(bad)

@@ -9,7 +9,7 @@ from arcgen.group_algebra import (
     AbelianH,
     EBasisChange,
     _descent,
-    _e_unit_span,
+    _level_span,
     build_e_basis,
     gamma_chain,
     min_generators_local,
@@ -17,6 +17,7 @@ from arcgen.group_algebra import (
     section_dims,
 )
 from oracles import (
+    Span,
     _kron_rows,
     action_matrix,
     algebra_mul,
@@ -257,7 +258,7 @@ def test_unknown_generator_and_basis_rejected():
 def test_chain_dims_q2():
     chain = gamma_chain(AbelianH(2, 1))
     assert chain.dims == [4, 3, 1, 0]
-    assert chain.top == _e_unit_span(2, 2, 1)
+    assert chain.top == _level_span(2, 2, 1)
 
 
 def test_chain_dims_against_pair_counting():
@@ -285,10 +286,10 @@ def test_chain_multiplicativity():
     steps = [g - ident for g in _e_actions(H)]
     shifts = gamma_chain(H).shifts
     for i in range(2 * H.q - 1):
-        term, below = _e_unit_span(H.q, H.p, i), _e_unit_span(H.q, H.p, i + 1)
+        term, below = _level_span(H.q, H.p, i), _level_span(H.q, H.p, i + 1)
         for s, step in zip(shifts, steps):
-            assert term.image(s) <= below
-            assert image_by_matrix(term, step) <= below
+            assert below.contains_space(term.image(s))
+            assert Span.of(below).contains_space(image_by_matrix(term, step))
 
 
 def test_descent_and_nakayama_count_form_no_ambient_wide_product(monkeypatch):
@@ -328,7 +329,7 @@ def test_index_route_matches_the_dense_route(p, h):
         assert index_map_matrix(s, p) == g - ident
     full = FpSubspace.full(n, p)
     terms = list(_descent(full, chain.shifts))
-    assert terms == dense_descent(full, actions, p)
+    assert [Span.of(t) for t in terms] == dense_descent(full, actions, p)
     assert [full.dim, *(t.dim for t in terms)] == chain.dims
     assert terms[H.q - 2] == chain.top
     rank = min_generators_local(chain.top, chain.shifts)
@@ -379,7 +380,7 @@ def test_section_dims_symmetry():
 
 def test_trivial_action_needs_every_vector():
     p = 2
-    v = FpSubspace.from_rows(FpMatrix([[1, 0, 0], [0, 1, 0]], p))
+    v = FpSubspace.coordinate(3, [0, 1], p)
     ident = FpMatrix.identity(3, p)
     assert min_generators_local(v, [[-1, -1, -1]]) == 2
     assert nakayama_count_dense(v, [ident], p) == 2
@@ -418,7 +419,7 @@ def test_action_keeping_v_but_not_unipotent_on_it_rejected_by_descent():
     # rejects g
     p = 3
     g = FpMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]], p)
-    v = FpSubspace.from_rows(FpMatrix([[1, 0, 0], [0, 1, 0]], p))
+    v = FpSubspace.coordinate(3, [0, 1], p)
     with pytest.raises(ValueError, match="not unipotent"):
         min_generators_local(v, [[0, -1, -1]])
     with pytest.raises(ValueError, match="not unipotent"):
@@ -430,7 +431,7 @@ def test_action_unipotent_on_v_only_is_counted():
     # V = <e0> pointwise: V is one trivial module, generated by one vector
     p = 3
     g = FpMatrix([[1, 0], [0, 2]], p)
-    v = FpSubspace.from_rows(FpMatrix([[1, 0]], p))
+    v = FpSubspace.coordinate(2, [0], p)
     assert min_generators_local(v, [[-1, 1]]) == 1
     assert nakayama_count_dense(v, [g], p) == 1
 
@@ -452,7 +453,7 @@ def test_unipotent_generators_with_non_p_group_rejected():
 def test_action_not_preserving_subspace_rejected():
     p = 2
     shift = FpMatrix([[1, 1], [0, 1]], p)
-    line = FpSubspace.from_rows(FpMatrix([[1, 0]], p))
+    line = FpSubspace.coordinate(2, [0], p)
     with pytest.raises(ValueError, match="does not map"):
         min_generators_local(line, [[1, -1]])
     with pytest.raises(ValueError, match="does not map"):
@@ -466,19 +467,19 @@ def test_nakayama_cross_check_regenerates_module():
         actions = _e_actions(H)
         shifts = gamma_chain(H).shifts
         for i in range(2 * H.q - 1):
-            v = _e_unit_span(H.q, p, i)
+            v = _level_span(H.q, p, i)
             rank = min_generators_local(v, shifts)
-            vi = _e_unit_span(H.q, p, i + 1)  # V*I equals the next term here
+            vi = _level_span(H.q, p, i + 1)  # V*I equals the next term here
             lifts = []
-            span = vi
-            for row in v.basis.a:
+            span = Span.of(vi)
+            for row in Span.of(v).basis:
                 if not span.contains(row):
                     lifts.append(row)
-                    span = span + FpSubspace.from_rows(FpMatrix([row], p))
+                    span = span + Span(row, H.ambient, p)
             assert len(lifts) == rank
             # module closure of the lifts
-            gen = FpSubspace.from_rows(FpMatrix(np.array(lifts), p))
-            assert module_closure(gen, actions) == v
+            gen = Span(lifts, H.ambient, p)
+            assert module_closure(gen, actions) == Span.of(v)
 
 
 @pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (2, 3)])
@@ -487,7 +488,7 @@ def test_nakayama_count_against_closure_reference_on_every_term(p, h):
     actions = _e_actions(H)
     shifts = gamma_chain(H).shifts
     for i in range(2 * H.q):
-        v = _e_unit_span(H.q, p, i)
+        v = _level_span(H.q, p, i)
         expected = nakayama_count_by_closure(v, actions, p)
         assert min_generators_local(v, shifts) == expected
         assert nakayama_count_dense(v, actions, p) == expected
@@ -509,7 +510,7 @@ def test_nakayama_count_against_closure_reference_on_unitriangular_groups(n, p):
     counts = set()
     for _ in range(12):
         seeds = rng.integers(0, p, (int(rng.integers(1, 4)), n * n))
-        v = module_closure(FpSubspace.from_rows(FpMatrix(seeds, p)), actions)
+        v = module_closure(Span(seeds, n * n, p), actions)
         expected = nakayama_count_by_closure(v, actions, p)
         assert nakayama_count_dense(v, actions, p) == expected
         counts.add(expected)
@@ -517,7 +518,7 @@ def test_nakayama_count_against_closure_reference_on_unitriangular_groups(n, p):
 
 
 def test_empty_action_list_needs_every_vector():
-    v = _e_unit_span(4, 2, 3)
+    v = _level_span(4, 2, 3)
     assert min_generators_local(v, []) == v.dim == 10
     assert nakayama_count_dense(v, [], 2) == v.dim
     assert nakayama_count_by_closure(v, [], 2) == v.dim
@@ -555,7 +556,8 @@ def test_top_term_invariance_under_outer_maps():
         top = gamma_chain(H, change).top
         outer_action(H, change)
         for name in ("phi", "psi"):
-            assert image_by_matrix(top, action_matrix(H, name, "e", change)) <= top
+            image = image_by_matrix(top, action_matrix(H, name, "e", change))
+            assert Span.of(top).contains_space(image)
 
 
 @dataclass(frozen=True)
@@ -608,8 +610,8 @@ def _keeps_every_term(H, change):
     for name in ("phi", "psi"):
         m_e = conjugate_to_e_dense(change, action_matrix(H, name))
         for i in range(2 * H.q):
-            span = _e_unit_span(H.q, H.p, i)
-            if not span.contains((span.basis @ m_e).a):
+            span = Span.of(_level_span(H.q, H.p, i))
+            if not span.contains_space(image_by_matrix(span, m_e)):
                 return False
     return True
 

@@ -915,27 +915,32 @@ def test_frattini_rank_quaternion():
     assert frattini_rank(Q8, 2) == 2
 
 
-def test_frattini_rank_from_given_generators():
-    D8 = PermGroup([cycle(4), Perm([0, 3, 2, 1])])
-    r, s = D8.generators
-    assert frattini_rank(D8, 2, [r * s, s]) == 2
-    assert frattini_rank(D8, 2, [r, s, r * s, r**2]) == 2
+def test_frattini_rank_from_other_generating_sets():
+    r, s = cycle(4), Perm([0, 3, 2, 1])
+    assert frattini_rank(PermGroup([r * s, s]), 2) == 2
+    assert frattini_rank(PermGroup([r, s, r * s, r**2]), 2) == 2
 
 
-def test_frattini_rank_rejects_generators_of_a_proper_subgroup():
+def test_frattini_rank_rejects_an_extension_that_falls_short(monkeypatch):
+    # the extension of Phi's chain by the generators must reach |G|; with
+    # its prime steps dropped it stops short, and the rank is refused
     E8 = PermGroup(
         [Perm([1, 0, 2, 3, 4, 5]), Perm([0, 1, 3, 2, 4, 5]), Perm([0, 1, 2, 3, 5, 4])]
     )
-    with pytest.raises(AssertionError, match="do not generate"):
-        frattini_rank(E8, 2, E8.generators[:2])
     D8 = PermGroup([cycle(4), Perm([0, 3, 2, 1])])
-    with pytest.raises(AssertionError, match="do not generate"):
-        frattini_rank(D8, 2, [cycle(4)])
+    closure = perm_group.normal_closure
+    for G in (E8, D8):
+        with monkeypatch.context() as m:
 
+            def closure_then_no_steps(H, seeds):
+                phi = closure(H, seeds)
+                m.setattr(StabChain, "_extend_level", lambda chain, residue, level, p: None)
+                return phi
 
-def test_frattini_rank_rejects_generators_outside_the_group():
-    with pytest.raises(ValueError, match="does not lie"):
-        frattini_rank(PermGroup([cycle(4)]), 2, [Perm([1, 0, 2, 3])])
+            m.setattr(perm_group, "normal_closure", closure_then_no_steps)
+            with pytest.raises(AssertionError, match="do not generate"):
+                frattini_rank(G, 2)
+        assert frattini_rank(G, 2) == len(G.generators)
 
 
 def test_frattini_rank_rejects_non_p_group():

@@ -5,6 +5,7 @@ import pytest
 
 from arcgen import cli, pipeline
 from arcgen.caps import CapExceeded, Caps
+from arcgen.field_linalg import FpMatrix
 from arcgen.perm_group import (
     PermGroup,
     StabChain,
@@ -124,7 +125,8 @@ def test_module_generators_match_the_natural_row_route(p, h):
     # it lies in the top term
     asm = Bundle(ConstructionParams(p, h))
     basis = asm.module_basis
-    assert np.array_equal(basis, _kron_rows(asm.top_space.basis, asm.change.P.transpose()).a)
+    top_rows = FpMatrix(np.eye(asm.H.ambient, dtype=np.int64)[asm.top_space.pivots], p)
+    assert np.array_equal(basis, _kron_rows(top_rows, asm.change.P.transpose()).a)
     gens = asm.module_gens
     assert len(gens) == len(basis) == asm.top_space.dim
     # the layer rows, built on their own, are the module rows at pivots x*q + (q-1-x)
@@ -386,15 +388,12 @@ def test_frattini_rank_matches_the_one_at_a_time_extension(p, h, monkeypatch):
 
     monkeypatch.setattr(StabChain, "_insert", recorded)
     bundle = _raised_bundle(p, h)
-    layer = [*bundle.layer_gens, *bundle.translation_gens]
-    groups = [(bundle.small_group, layer)]
-    if p == 2:
-        groups.append((bundle.big_group, layer + list(bundle.outer_gens)))
-    for G, gens in groups:
+    groups = [bundle.small_group] + ([bundle.big_group] if p == 2 else [])
+    for G in groups:
         G.order()
         blocks.clear()
-        rank = frattini_rank(G, p, gens)
-        assert rank == frattini_rank_one_at_a_time(G, p, gens)
+        rank = frattini_rank(G, p)
+        assert rank == frattini_rank_one_at_a_time(G, p, G.generators)
         assert bundle.params.q in blocks  # the q layer residues, as one block
 
 
@@ -411,10 +410,9 @@ def test_frattini_builds_run_no_schreier_sims(p, h, monkeypatch):
     monkeypatch.setattr(
         StabChain, "_process_all", lambda chain: runs.append(1) or process_all(chain)
     )
-    layer = [*bundle.layer_gens, *bundle.translation_gens]
-    assert frattini_rank(bundle.small_group, p, layer) == bundle.params.q + 2
+    assert frattini_rank(bundle.small_group, p) == bundle.params.q + 2
     if p == 2:
-        frattini_rank(bundle.big_group, 2, layer + list(bundle.outer_gens))
+        frattini_rank(bundle.big_group, 2)
     assert runs == []
 
 
