@@ -338,6 +338,18 @@ def test_two_main_calls_build_one_parser(capsys, monkeypatch):
     assert len(built) == first
 
 
+def test_shared_parser_keeps_no_option_between_calls(capsys):
+    # every parse starts from the defaults, so one call's cap does not reach the next
+    parser = build_parser()
+    assert parser.parse_args(["verify-t1", "--p", "2", "--h", "1", "--order-cap", "2^3"]).order_cap == 8
+    assert parser.parse_args(["verify-t1", "--p", "2", "--h", "1"]).order_cap is None
+    assert build_parser() is parser
+    code, stdout, _ = run_cli(capsys, "verify-t1", "--p", "2", "--h", "2", "--order-cap", "10^2")
+    assert code == EXIT_PARTIAL and "skipped:order_cap" in stdout
+    code, stdout, _ = run_cli(capsys, "verify-t1", "--p", "2", "--h", "2")
+    assert code == EXIT_OK and "skipped" not in stdout
+
+
 # -- golden certificates -----------------------------------------------------
 # Masked outputs pinned byte for byte: a refactor of the assembly path must
 # leave every certificate and exit code unchanged.

@@ -234,17 +234,38 @@ def test_quotient_dims():
         quotient_dim(Span.of(FpSubspace.full(3, 2)), v)
 
 
+def test_span_keeps_canonical_rows_and_reduces_the_rest():
+    p = 3
+    canonical = [[1, 0, 2, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+    assert Span(canonical, 4, p).basis.tolist() == canonical
+    # pivots in place but a pivot column not cleared: not canonical
+    assert Span([[1, 1, 0, 0], [0, 1, 0, 0]], 4, p).basis.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    # a scaled row is brought to a leading 1, and the pivots are its leading columns
+    scaled = Span([[0, 0, 2, 1], [0, 2, 0, 0]], 4, p)
+    assert scaled.basis.tolist() == [[0, 1, 0, 0], [0, 0, 1, 2]]
+    assert scaled.pivots.tolist() == [1, 2]
+    assert Span(np.zeros((3, 4), dtype=np.int64), 4, p).dim == 0
+
+
 def test_span_membership():
     v = Span([[1, 0, 1], [0, 1, 0]], 3, 2)
     assert v.contains([1, 1, 1])
     assert not v.contains([0, 0, 1])
     assert v.contains([0, 0, 0])
+
+
+def test_subspace_membership_of_a_stack():
+    v = Span([[1, 0, 1], [0, 1, 0]], 3, 2)
     assert v.contains([[1, 1, 1], [0, 1, 0], [1, 0, 1]])
     # one row outside, in any position, fails the whole stack
     assert not v.contains([[1, 1, 1], [0, 0, 1]])
     assert not v.contains([[0, 0, 1], [1, 1, 1]])
     assert v.contains(np.zeros((0, 3), dtype=np.int64))
     assert Span([], 3, 2).contains([[0, 0, 0], [0, 2, 0]])
+    # rows of another length are no vectors of this space
+    for bad in ([1, 1], [[1, 1]], np.zeros((1, 4))):
+        with pytest.raises(ValueError):
+            v.contains(bad)
 
 
 def test_mat_inverse_round_trip():
@@ -348,6 +369,64 @@ def test_rref_and_inverse_exact_at_a_large_modulus():
     inv = mat_inverse(m)
     assert m @ inv == FpMatrix.identity(6, p)
     assert np.array_equal(matmul_by_int64(m.a, inv.a, p), np.eye(6, dtype=np.int64))
+
+
+# -- subspace arithmetic against stack-and-rref -------------------------------
+
+
+def _span_by_rref(rows, p):
+    red, rank = rref(FpMatrix(rows, p))
+    return red.a[:rank]
+
+
+def _unit_rows(space):
+    return np.eye(space.ambient_dim, dtype=np.int64)[space.pivots]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_subspace_operations_match_stack_and_rref(p):
+    # a coordinate subspace's unit rows are its canonical basis: the rref of
+    # its raw columns' rows (scaled, repeated, unsorted) is that basis, the
+    # rref of two stacked bases is the sum's, and the rref of a basis times an
+    # index map's matrix is the image's
+    rng = np.random.default_rng([p, 2024])
+    n = 12
+
+    def coordinate():
+        cols = rng.integers(0, n, size=int(rng.integers(0, 2 * n)))
+        rows = np.eye(n, dtype=np.int64)[cols] * rng.integers(1, p, size=(len(cols), 1))
+        space = FpSubspace.coordinate(n, cols, p)
+        assert np.array_equal(_unit_rows(space), _span_by_rref(rows, p))
+        return space
+
+    for _ in range(30):
+        u, w = coordinate(), coordinate()
+        span = _span_by_rref(np.vstack([_unit_rows(u), _unit_rows(w)]), p)
+        assert np.array_equal(_unit_rows(u + w), span)
+        assert u + w == w + u and hash(u + w) == hash(w + u)
+        assert u.contains_space(w) == (len(span) == u.dim)
+        assert (u + w).contains_space(u) and (u + w).contains_space(w)
+        t = _index_map(rng, n)
+        m = index_map_matrix(t, p).a
+        image = _span_by_rref(matmul_by_int64(_unit_rows(u), m, p), p)
+        assert np.array_equal(_unit_rows(u.image(t)), image)
+
+
+def test_subspace_sum_returns_a_summand_that_already_spans():
+    # a sum with the zero subspace, or with a subspace inside, is the other
+    # summand itself, so a subspace must not change under its holders
+    p = 3
+    zero = FpSubspace.zero(6, p)
+    big = FpSubspace.coordinate(6, [5, 0, 2], p)
+    small = FpSubspace.coordinate(6, [2, 5], p)
+    assert (zero + big) is big and (big + zero) is big and (big + small) is big
+    assert (small + big) == big and (small + big) is not small
+    union = small + FpSubspace.coordinate(6, [1], p)
+    assert union.pivots.tolist() == [1, 2, 5] and small.pivots.tolist() == [2, 5]
+    pivots = big.pivots
+    pivots[0] = 4
+    assert big.pivots.tolist() == [0, 2, 5]
+    assert big == FpSubspace.coordinate(6, [0, 2, 5], p)
 
 
 # -- coordinate subspaces against the oracle span ------------------------------
