@@ -31,7 +31,6 @@ from .perm_group import (
     is_automorphism,
     is_vertex_transitive,
     local_action,
-    normal_closure,
 )
 from .pipeline import (
     Bundle,
@@ -74,7 +73,6 @@ __all__ = [
     "load_instance",
     "local_action",
     "min_generators_local",
-    "normal_closure",
     "outer_action",
     "parse_graph",
     "rref",

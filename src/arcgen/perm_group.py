@@ -36,26 +36,21 @@ these maps keep is then a spin (`_Shifts.spin`, the MeatAxe's submodule
 closure): one reduction and one insertion per round of images, and its
 translations are products of conjugates of the first ones.
 
-A chain built from a list of generators that leads with a run of at least
-two fibre translations for one prime r, as the family's layer leads its
-groups' lists, takes the run as one subspace: the translations commute
-and have order r, so they generate exactly their span W. Their shift
-vectors are row-reduced into Λ SIFT_CHUNK rows at a time, with the order
-checked after each chunk. When every later generator is affine on the
-blocks, W is spun under their maps, which takes the family's q layer rows
-to the whole module M, normal in the group. Then W is split at each
-base-prefix point, or else at the first generator's first moved point,
-where the first level opens when the generators come one at a time. So Λ
-still opens below the first level, and the later generators are added one
-at a time. A spun W is kept by each of them, so their normality tests do
-not conjugate W's rows, and on the family each takes prime steps.
-
-A normal closure opens on Λ the same way: the seeds that are fibre
-translations for a prime r are spun under the group's generators when all
-of them are affine on the blocks. The other seeds are closed in one
-element at a time. The Frattini rank then extends the closure's chain by
-its generators, whose residues that reach Λ as translations join it as
-one block.
+One routine, `StabChain._open`, opens Λ on a span W of fibre translations
+for one prime r: a chain's leading run of at least two of them, as the
+family's layer leads its groups' lists, or a normal closure's seeds that
+are translations. They commute and have order r, so they generate exactly
+W. Their shift vectors are row-reduced into Λ SIFT_CHUNK rows at a time,
+with the order checked after each chunk. When the chain's later
+generators, or the closure's group's, are all affine on the blocks, W is
+spun under their maps, which takes the family's q layer rows to the whole
+module M, normal in the group. Then W is split at each base-prefix point,
+or else at the first translation's first moved point, where the first
+level opens when the elements come one at a time. The other elements are
+added one at a time; each keeps a spun W, so their normality tests do not
+conjugate W's rows, and on the family each takes prime steps. The
+Frattini rank then extends the closure's chain by its generators, whose
+residues that reach Λ as translations join it as one block.
 
 On top of the chain sit the predicates the verification pipeline needs:
 vertex/arc transitivity, local actions, the Frattini decomposition check,
@@ -542,13 +537,12 @@ class StabChain:
     Λ's strong generators are its rows as permutations, and the order is
     the product of the orbits times r^rank.
 
-    The constructor takes a leading run of at least two fibre
-    translations for one prime as one span (module docstring), in chunks
-    of SIFT_CHUNK rows, spun under the later generators when they are all
-    affine on the blocks, and every later generator by add_generator.
+    The constructor opens Λ on a leading run of at least two fibre
+    translations for one prime (`_open`, module docstring), and takes
+    every later generator by add_generator.
 
     Budget checks (order cap, optional wall-clock cap) run after every
-    prime step, insertion into Λ, chunk of a leading run, round of a spin
+    prime step, insertion into Λ, chunk `_open` reads, round of a spin
     and inside the closure loop, so oversize groups fail fast with
     CapExceeded instead of running away. No partial order exceeds the final
     one, so the order cap fires on every route exactly when the group's
@@ -559,53 +553,53 @@ class StabChain:
     def __init__(self, degree: int, gens=(), *, caps: Caps = DEFAULT_CAPS, base_prefix=()):
         self._start(degree, [], None, caps)
         gens, base_prefix = list(gens), tuple(base_prefix)
-        taken = self._take_run(gens)
-        if taken and not base_prefix:
-            # where the first level opens when the generators come one at a time
-            base_prefix = (int(np.flatnonzero(np.asarray(gens[0]) != self._ident)[0]),)
-        for b in base_prefix:
-            # W's splits at the bases are the chain of the run's group W;
-            # without Λ, a split opens a level of one point
-            self._split(int(b))
+        # a run of two or more fibre translations for gens[0]'s prime leads
+        r = _fibre_prime(np.asarray(gens[0], dtype=_DTYPE), []) if len(gens) > 1 else None
+        lin = _Shifts(degree, r) if r is not None else None
+        taken = 0
+        if lin is not None and lin.shifts(np.array(gens[:2], dtype=_DTYPE))[1].all():
+            taken = self._open(lin, gens, base_prefix=base_prefix)
+        else:
+            for b in base_prefix:
+                self._split(int(b))  # without Λ, a level of one point
         for g in gens[taken:]:
             self.add_generator(g)
         self._kept = 0
 
-    def _take_run(self, gens: list) -> int:
-        """Open Λ with the span W of the leading run of fibre translations.
+    def _open(self, lin: _Shifts, rows, maps=None, base_prefix=()) -> int:
+        """Open the empty chain's Λ, lin, on the span W of the rows' leading fibre translations.
 
-        The run is the generators from the first on that are fibre
-        translations for the first one's prime r; they commute and have
-        order r, so they generate W exactly. It is read SIFT_CHUNK rows at
-        a time, and each chunk's shift vectors, reduced against W, join W
-        by one `insert`, with the order checked after each chunk, so the
-        cap fires before any row past that chunk is read. When every later
-        generator is affine on the blocks of r points (`_Shifts.affine`),
-        W is then spun under their maps: it grows to the smallest subspace
-        that they keep, whose translations are conjugates of the run's and
-        so lie in the group. Returns the run's length, or 0, with nothing
-        done, for a run shorter than 2.
+        The translations, the rows from the first on that are fibre
+        translations for lin's prime, are read SIFT_CHUNK rows at a time:
+        each chunk's shift vectors, reduced against W, join W by one
+        `insert`, and the order is checked before the next chunk is read.
+        W is spun under maps (`_Shifts.affine`), by default those of the
+        rows after the translations when all of them are affine on the
+        blocks, and its rank is kept in `_kept`. Last, W is split at each
+        base-prefix point, or else at the first translation's first moved
+        point. Returns the number of translations read.
         """
-        r = _fibre_prime(np.asarray(gens[0], dtype=_DTYPE), []) if len(gens) > 1 else None
-        if r is None:
-            return 0
-        lin, taken = _Shifts(self.degree, r), 0
-        while taken < len(gens):
-            s, fibre = lin.shifts(np.array(gens[taken : taken + SIFT_CHUNK], dtype=_DTYPE))
+        self.linear, taken = lin, 0
+        while taken < len(rows):
+            s, fibre = lin.shifts(np.array(rows[taken : taken + SIFT_CHUNK], dtype=_DTYPE))
             k = len(fibre) if fibre.all() else int(fibre.argmin())
-            if taken + k < 2:
-                return 0
             v = lin.reduce(s[:k].astype(np.int64))
             if v.any():
                 lin.insert(v)
-            self.linear, taken = lin, taken + k
+            taken += k
             self._check()
             if k < len(fibre):
                 break
-        maps = lin.affine(np.array(gens[taken:], dtype=_DTYPE)) if taken < len(gens) else None
+        if maps is None:
+            later = np.array(rows[taken:], dtype=_DTYPE).reshape(len(rows) - taken, self.degree)
+            maps = lin.affine(later)
         if maps is not None:
             lin.spin(*maps, self._check)
-            self._kept = lin.rank  # the rows the first split gives the first level
+            self._kept = lin.rank
+        if not base_prefix:  # where the first level opens when the rows come one at a time
+            base_prefix = np.flatnonzero(np.asarray(rows[0]) != self._ident)[:1]
+        for b in base_prefix:
+            self._split(int(b))  # the splits at the bases are the chain of W
         return taken
 
     @classmethod
@@ -624,9 +618,9 @@ class StabChain:
         self.levels = levels
         self.linear = linear  # Λ, None until a fibre translation opens it
         self._steps = 0
-        # while the constructor adds the generators after a spun run: the
-        # first level's first _kept strong generators, the run's spun W,
-        # which each of them keeps
+        # while `_open`'s caller adds the elements after a spin: the first
+        # level's first _kept strong generators, the spun W, which each of
+        # them keeps
         self._kept = 0
 
     def order(self) -> int:
@@ -747,8 +741,8 @@ class StabChain:
 
         Fibre translations commute, so when g is one, the strong
         generators known to be fibre translations are not conjugated; nor
-        are those that span a spun run's W while g is a later generator of
-        the constructor's list, as g's conjugation keeps W.
+        are the first level's first _kept ones, the basis of a spun W, which
+        g keeps while `_open`'s caller adds the elements after the spin.
         """
         lin = self.linear
         skip = lin is not None and bool(lin.shifts(g[None])[1][0])
@@ -1128,18 +1122,16 @@ def commutator(g: Perm, h: Perm) -> Perm:
 def normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing the seeds and closed under G-conjugation.
 
+    Precondition: the seeds lie in G, as `frattini_rank`'s do; it is the
+    one caller in the library. A seed outside G can give a wrong group.
+
     When the first seed that is a fibre translation, for a prime r, finds
-    every generator affine on the fibres (`_Shifts.affine`), conjugation
-    by a generator is a linear map of shift vectors, and the seeds that are
-    fibre translations for r are closed first, as one subspace W: their
-    shift vectors are spun under the maps of the generators that are not
-    translations themselves (translations commute with W), with the order
-    and deadline checked after every round. W is normal in G, so the
-    closure opens on it as a chain opens on a leading run of translations
-    (`StabChain._take_run`): Λ holds W, split at the first translation
-    seed's first moved point, and W's basis rows are the closure's first
-    generators. r^rank never exceeds the closure's order, so the order cap
-    fires exactly when it would without the spin.
+    every generator affine on the blocks of r points, the chain opens Λ on
+    the seeds that are fibre translations for r (`StabChain._open`), and
+    W's basis rows are the closure's first generators. W is normal in G,
+    and every element the closure adds lies in G, so its normality test
+    skips W's rows. r^rank never exceeds the closure's order, so the order
+    cap fires exactly when it would without the spin.
 
     The other seeds form one block of rows, and so do the conjugates
     a^-1 x a of an added x by all the generators. A block is sifted
@@ -1155,7 +1147,14 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
     invs = np.empty_like(gens)
     np.put_along_axis(invs, gens, np.arange(G.degree, dtype=_DTYPE)[None, :], axis=1)
     rest = _rows([s if isinstance(s, Perm) else Perm(s) for s in seeds], G.degree)
-    added, rest = _spin_seeds(chain, gens, rest)
+    added = []
+    r = next((r for s in rest if (r := _fibre_prime(s, [])) is not None), None)
+    lin = _Shifts(G.degree, r) if r is not None else None
+    maps = lin.affine(gens) if lin is not None else None
+    if maps is not None:
+        s, fibre = lin.shifts(rest)
+        chain._open(lin, rest[fibre & s.any(axis=1)], maps)
+        added, rest = chain.levels[0].gens[: chain._kept], rest[~fibre]
 
     def add_first(block: np.ndarray) -> np.ndarray:
         # adds the first row outside the closure; returns the rows after it
@@ -1175,36 +1174,8 @@ def normal_closure(G: PermGroup, seeds) -> PermGroup:
             done += 1
             while len(block):
                 block = add_first(block)
+    chain._kept = 0  # a later generator need not keep W
     return PermGroup._with_chain([Perm._wrap(x) for x in added], chain, G.degree, G.caps)
-
-
-def _spin_seeds(chain: StabChain, gens: np.ndarray, seeds: np.ndarray):
-    """Open the empty chain on W, the normal closure of the seeds that are fibre translations.
-
-    See `normal_closure`. Returns W's basis rows as image rows, and the
-    seeds that are not fibre translations for W's prime r; or [] and all
-    the seeds, with the chain left empty, when no seed is a nonzero fibre
-    translation for a prime r or some generator is not affine on the
-    blocks of r points.
-    """
-    r = next((r for s in seeds if (r := _fibre_prime(s, [])) is not None), None)
-    if r is None:
-        return [], seeds
-    lin = _Shifts(chain.degree, r)
-    maps = lin.affine(gens)
-    if maps is None:
-        return [], seeds
-    s, fibre = lin.shifts(seeds)
-    s = s[fibre][s[fibre].any(axis=1)].astype(np.int64)
-    chain.linear = lin
-    lin.insert(s)
-    chain._check()
-    lin.spin(*maps, chain._check)
-    basis = list(lin.perms())
-    # the first level opens at the first translation seed's first moved
-    # point, as a chain built on a leading run opens it at its first one's
-    chain._split(int(np.flatnonzero(s[0])[0]) * r)
-    return basis, seeds[~fibre]
 
 
 def _in_range(points, degree: int) -> np.ndarray:

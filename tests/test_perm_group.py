@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import math
@@ -667,10 +668,15 @@ def test_normal_closure_of_central_element():
 
 
 def test_normal_closure_in_a_group_without_generators():
-    # the seed is a fibre translation, and no generator maps it anywhere
-    ncl = normal_closure(PermGroup([], degree=4), [Perm([1, 0, 2, 3])])
-    assert ncl.order() == 2 and ncl.chain().verify()
+    # the seeds lie in G: the identity in the trivial group, and in the
+    # group of one fibre translation that translation, which no generator
+    # maps anywhere, so it spins under no map
+    ncl = normal_closure(PermGroup([], degree=4), [Perm.identity(4)])
+    assert ncl.order() == 1 and ncl.chain().verify()
     assert frattini_rank(PermGroup([], degree=4), 2) == 0
+    swap = Perm([1, 0, 2, 3])
+    ncl = normal_closure(PermGroup([swap]), [swap])
+    assert ncl.order() == 2 and ncl.chain().linear.rank == 0 and ncl.chain().verify()
 
 
 def test_normal_closure_transposition_s4():
@@ -849,6 +855,79 @@ def test_spun_closure_order_cap(name, monkeypatch):
     if name == "C2wrC6":
         assert spun == ["in"]
     assert normal_closure(PermGroup(gens, caps=Caps(order_cap=order)), seeds).order() == order
+
+
+@pytest.mark.parametrize("name", ["small22", "big22", "small23", "big23"])
+def test_frattini_closure_skips_the_spun_w_in_its_normality_tests(name, monkeypatch):
+    # the closure's W is spun, so normal in G, and every element the closure
+    # adds lies in G: no normality test on the closure's chain conjugates one
+    # of W's rows, the first level's first generators. The chain it hands
+    # out no longer skips them, so a later generator conjugates them again
+    gens, _, p = _spin_case(name)
+    G = PermGroup(gens)
+    G.order()  # G's own chain is not under test
+    ranks = count_spins(monkeypatch)
+    conjugated = []
+    normalizes = StabChain._normalizes
+
+    def recorded(chain, g):
+        conjugated.append(max(ranks[0] - chain._kept, 0))  # W's rows past _kept
+        return normalizes(chain, g)
+
+    monkeypatch.setattr(StabChain, "_normalizes", recorded)
+    closures = []
+    closure = perm_group.normal_closure
+
+    def kept(H, seeds):
+        phi = closure(H, seeds)
+        closures.append(copy.deepcopy(phi.chain()))
+        return phi
+
+    monkeypatch.setattr(perm_group, "normal_closure", kept)
+    frattini_rank(G, p)
+    assert len(ranks) == 1 and conjugated and not any(conjugated)
+    chain = closures[0]
+    assert chain._kept == 0
+    conjugated.clear()
+    outside = next(g for g in gens if not chain.contains(g.images))
+    assert chain.add_generator(outside.images) and conjugated == ranks
+    assert chain.verify()
+
+
+def test_closure_reads_its_translation_seeds_in_chunks(monkeypatch):
+    # the 28 nonzero translation seeds of the (2,3) big group, 4 rows a
+    # chunk: a cap below the first chunk's span fires before the second
+    # chunk is reduced, and a cap from that span up to |Phi| - 1 lets it
+    # through and fires later
+    gens, seeds, _ = _spin_case("big23")
+    order = normal_closure(PermGroup(gens), seeds).order()
+    monkeypatch.setattr(perm_group, "SIFT_CHUNK", 4)
+    reads, ranks = [], []
+    reduce, insert = perm_group._Shifts.reduce, perm_group._Shifts.insert
+
+    def reduced(lin, v):
+        reads.append(len(v))
+        return reduce(lin, v)
+
+    def inserted(lin, v):
+        insert(lin, v)
+        ranks.append(lin.rank)
+
+    monkeypatch.setattr(perm_group._Shifts, "reduce", reduced)
+    monkeypatch.setattr(perm_group._Shifts, "insert", inserted)
+    assert normal_closure(PermGroup(gens), seeds).order() == order
+    assert reads[:7] == [4] * 7 and len(ranks) >= 2
+    first = 2 ** ranks[0]
+    assert first < order
+    for cap, chunks in ((first - 1, [4]), (first, [4, 4])):
+        reads.clear()
+        with pytest.raises(CapExceeded) as exc:
+            normal_closure(PermGroup(gens, caps=Caps(order_cap=cap)), seeds)
+        assert exc.value.cap_name == "order" and reads[:2] == chunks
+    reads.clear()
+    with pytest.raises(CapExceeded):
+        normal_closure(PermGroup(gens, caps=Caps(order_cap=order - 1)), seeds)
+    assert reads[:7] == [4] * 7
 
 
 def test_contains_rejects_outsider():
