@@ -10,7 +10,6 @@ from .graph_builder import (
     build_family_graph,
     cayley,
     export_graph,
-    parse_graph,
     wreath_product,
 )
 from .group_algebra import (
@@ -74,7 +73,6 @@ __all__ = [
     "local_action",
     "min_generators_local",
     "outer_action",
-    "parse_graph",
     "rref",
     "section_dims",
     "verify_theorem1",

@@ -5,9 +5,10 @@ kept as its arcs, two read-only int64 arrays sorted by (tail, head), with
 per-vertex offsets into them. Adjacency is symmetric, loop-free and
 duplicate-free. Besides the generic Cayley and wreath (lexicographic)
 product builders, which hand `Graph` whole arrays of vertex pairs, this
-module serializes graphs to an exact edge-list format and to the
-standard sparse6 encoding. Its labeller `_label` answers every component
-question: connectivity here, and orbits in `perm_group`.
+module writes graphs in an exact edge-list format, which it also reads,
+and in the standard sparse6 encoding, which it writes but does not read.
+Its labeller `_label` answers every component question: connectivity
+here, and orbits in `perm_group`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "standard_connection",
     "build_family_graph",
     "export_graph",
-    "parse_graph",
 ]
 
 
@@ -310,26 +310,6 @@ def export_graph(g: Graph, format: str = "edge-list") -> bytes:
     raise ValueError(f"unsupported format {format!r}")
 
 
-def parse_graph(data, format: str = "edge-list", caps: Caps = DEFAULT_CAPS) -> Graph:
-    """Inverse of export_graph; raises GraphFormatError on bad input.
-
-    A vertex count over caps.vertex_cap raises CapExceeded before any
-    allocation, in either format.
-    """
-    if isinstance(data, bytes):
-        data = data.decode("ascii")
-    if format == "edge-list":
-        lines = data.splitlines()
-        graph, consumed = parse_edge_list_lines(lines, caps=caps)
-        for extra in lines[consumed:]:
-            if extra.strip():
-                raise GraphFormatError("trailing data after edge list", consumed + 1)
-        return graph
-    if format == "sparse6":
-        return _from_sparse6(data.strip(), caps)
-    raise ValueError(f"unsupported format {format!r}")
-
-
 def parse_edge_list_lines(lines, caps: Caps = DEFAULT_CAPS) -> tuple[Graph, int]:
     """Parse "n m" plus m edge lines; returns (graph, lines consumed).
 
@@ -387,21 +367,6 @@ def _n_to_chars(n: int) -> list[int]:
     raise ValueError("graph too large for sparse6")
 
 
-def _chars_to_n(data: list[int]) -> tuple[int, list[int]]:
-    if not data:
-        raise GraphFormatError("empty sparse6 payload")
-    if data[0] <= 62:
-        return data[0], data[1:]
-    if len(data) >= 4 and data[1] <= 62:
-        return (data[1] << 12) + (data[2] << 6) + data[3], data[4:]
-    if len(data) >= 8:
-        n = 0
-        for d in data[2:8]:
-            n = (n << 6) + d
-        return n, data[8:]
-    raise GraphFormatError("truncated sparse6 vertex count")
-
-
 def _to_sparse6(g: Graph) -> str:
     n = g.n
     chars = _n_to_chars(n)
@@ -429,31 +394,3 @@ def _to_sparse6(g: Graph) -> str:
     bits += "1" * pad
     payload = "".join(chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6))
     return ":" + "".join(chr(63 + c) for c in chars) + payload
-
-
-def _from_sparse6(text: str, caps: Caps) -> Graph:
-    if text.startswith(">>sparse6<<"):
-        text = text[11:]
-    if not text.startswith(":"):
-        raise GraphFormatError("sparse6 data must start with ':'")
-    data = [ord(c) - 63 for c in text[1:]]
-    if any(d < 0 or d > 63 for d in data):
-        raise GraphFormatError("invalid character in sparse6 data")
-    n, rest = _chars_to_n(data)
-    if n > caps.vertex_cap:
-        raise CapExceeded("vertex", caps.vertex_cap, f"sparse6 header declares {n} vertices")
-    k = max(1, (n - 1).bit_length())
-    bits = "".join(f"{d:06b}" for d in rest)
-    edges = []
-    v = 0
-    for pos in range(0, len(bits) - k, 1 + k):
-        x = int(bits[pos + 1 : pos + 1 + k], 2)
-        if bits[pos] == "1":
-            v += 1
-        if x >= n or v >= n:
-            break
-        if x > v:
-            v = x
-        else:
-            edges.append((x, v))
-    return Graph(n, edges)

@@ -1,8 +1,8 @@
 """Bound harness for arbitrary vertex-transitive instances.
 
 Given a finite connected graph and a vertex-transitive group of
-automorphisms, the harness extracts one group element per neighbor of a
-base vertex (each mapping the base onto that neighbor), builds the
+automorphisms, the harness extracts one group element per neighbor of
+the base vertex 0 (each mapping the base onto that neighbor), builds the
 subgroup they generate, and reports every quantity of the order bound:
 the subgroup is transitive, the group factors as stabilizer times
 subgroup, the vertex count is at most the subgroup order, the group
@@ -46,6 +46,9 @@ __all__ = [
     "bound_report",
 ]
 
+# The base vertex; the group is transitive, so any vertex would serve
+BASE = 0
+
 
 class InstanceParseError(ValueError):
     """Instance file failed to parse; carries a 1-based line number."""
@@ -68,15 +71,12 @@ class VTInstance:
 
     graph: Graph
     group: PermGroup
-    base_vertex: int = 0
 
     def __post_init__(self):
         if self.group.degree != self.graph.n:
             raise ValueError(
                 "group degree does not match the graph vertex count"
             )
-        if not 0 <= self.base_vertex < self.graph.n:
-            raise ValueError("base vertex out of range")
         if not is_vertex_transitive(self.graph, self.group):
             raise ValueError("group is not vertex-transitive")
 
@@ -118,11 +118,10 @@ def connection_generators(inst: VTInstance, reverse: bool = False) -> list[Perm]
     `reverse` re-runs the BFS with the generator list reversed, which
     exercises a different (equally valid) choice of coset representatives.
     """
-    base = inst.base_vertex
-    nbrs = inst.graph.neighbors(base)
-    out = inst.group.transversal(base, nbrs, reverse=reverse)
+    nbrs = inst.graph.neighbors(BASE)
+    out = inst.group.transversal(BASE, nbrs, reverse=reverse)
     for g, beta in zip(out, nbrs):
-        if g(base) != beta:
+        if g(BASE) != beta:
             raise AssertionError("transversal element misses its neighbor")
     return out
 
@@ -132,7 +131,7 @@ def verify_connection_subgroup(
 ) -> tuple[PermGroup, bool]:
     """Build the subgroup the extracted elements generate; check transitivity."""
     sub = PermGroup(gens, degree=inst.graph.n, caps=inst.group.caps)
-    transitive = len(sub.orbit(inst.base_vertex)) == inst.graph.n
+    transitive = len(sub.orbit(BASE)) == inst.graph.n
     return sub, transitive
 
 
@@ -192,11 +191,11 @@ def _choice_outcomes(inst: VTInstance, gens: list[Perm]) -> tuple[int, tuple]:
     chain is built; a failed Lagrange check is a defect and raises
     AssertionError. H's chain dies with the call.
     """
-    graph, G, base = inst.graph, inst.group, inst.base_vertex
+    graph, G = inst.graph, inst.group
     H_sub, transitive = verify_connection_subgroup(inst, gens)
     if not transitive:
         raise ValueError("graph is not connected")
-    decomposition_ok = frattini_decomposition_check(G, H_sub, base)
+    decomposition_ok = frattini_decomposition_check(G, H_sub, BASE)
     H_order, G_order = H_sub.order(), G.order()
     if H_order % graph.n != 0 or G_order % H_order != 0:
         raise AssertionError("Lagrange divisibility failed")
@@ -218,7 +217,7 @@ def bound_report(inst: VTInstance) -> BoundReport:
     reports the first choice. When only the exponent cap fires, e is None
     and every other quantity is still computed.
     """
-    graph, G, base = inst.graph, inst.group, inst.base_vertex
+    graph, G = inst.graph, inst.group
     gens = connection_generators(inst)
     H_order, outcomes = _choice_outcomes(inst, gens)
     try:
@@ -231,7 +230,7 @@ def bound_report(inst: VTInstance) -> BoundReport:
         raise AssertionError(
             "bound outcomes changed under a different representative choice"
         )
-    G_order, G_alpha_order = G.order(), G.stabilizer(base).order()
+    G_order, G_alpha_order = G.order(), G.stabilizer(BASE).order()
     return BoundReport(  # the outcomes fill decomposition_ok .. generation_ok
         graph.n, graph.valency(), e, gens, H_order, G_order, G_alpha_order,
         *outcomes, G_order == H_order * G_alpha_order,

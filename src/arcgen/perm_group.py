@@ -54,15 +54,16 @@ residues that reach Λ as translations join it as one block.
 
 On top of the chain sit the predicates the verification pipeline needs:
 vertex/arc transitivity, local actions, the Frattini decomposition check,
-minimal generator ranks of p-groups (Burnside basis theorem) and
-exponents. The exponent is read off one walk of the group through its
-chain: each element walks one point of every orbit that holds a moved
-base point until it returns, and the lcm of these return times is the lcm
-of all element orders. A single element's order comes from a
-pointer-doubling cycle-length kernel. Orbits, one or all, come from
-`graph_builder`'s labeller over the generators' image rows; a
-breadth-first walk runs only where a tree word is read, in transversals
-and in arc orbits, which read Schreier generators off it.
+the rank of the largest elementary abelian p-quotient (the minimal number
+of generators of a p-group, by the Burnside basis theorem) and exponents.
+The exponent is read off one walk of the group through its chain: each
+element walks one point of every orbit that holds a moved base point
+until it returns, and the lcm of these return times is the lcm of all
+element orders. A single element's order comes from a pointer-doubling
+cycle-length kernel. Orbits come from `graph_builder`'s labeller over the
+generators' image rows; a breadth-first walk runs only where a tree word
+is read, in transversals and in arc orbits, which read Schreier
+generators off it.
 
 Composition convention: permutations act on the right, x^(g*h) = (x^g)^h,
 and (g * h).images[x] == h.images[g.images[x]].
@@ -94,8 +95,6 @@ __all__ = [
     "frattini_decomposition_check",
     "frattini_rank",
     "exponent",
-    "normal_closure",
-    "commutator",
     "perm_to_line",
     "perms_from_lines",
 ]
@@ -986,10 +985,6 @@ class PermGroup:
         self._automorphisms_of: Graph | None = None
 
     @classmethod
-    def trivial(cls, degree: int, caps: Caps | None = None) -> "PermGroup":
-        return cls([], degree=degree, caps=caps)
-
-    @classmethod
     def _with_chain(cls, gens, chain: StabChain, degree: int, caps: Caps) -> "PermGroup":
         g = cls(gens, degree=degree, caps=caps)
         g._chain = chain
@@ -1005,14 +1000,6 @@ class PermGroup:
         if self._chain is None:
             self._chain = self._build((), self._sub)
         return self._chain
-
-    def fresh_chain(self, base_prefix=()) -> StabChain:
-        """Build an uncached chain, optionally with a forced base prefix.
-
-        Once a build has hit the order cap, every later call raises a new
-        CapExceeded with the same cap name and limit without building.
-        """
-        return self._build(base_prefix, None)
 
     def _build(self, base_prefix, sub: "PermGroup | None") -> StabChain:
         hit = self._order_cap_hit
@@ -1060,14 +1047,6 @@ class PermGroup:
         label = self._labels()
         return np.flatnonzero(np.isin(label, label[points])).tolist()
 
-    def orbits(self) -> list[list[int]]:
-        """All orbits on {0..degree-1}, each sorted, ordered by minimum."""
-        label = self._labels()
-        order = np.argsort(label, kind="stable")
-        cuts = (np.flatnonzero(np.diff(label[order])) + 1).tolist()
-        flat = order.tolist()
-        return [flat[i:j] for i, j in zip([0, *cuts], [*cuts, self.degree])] if self.degree else []
-
     def transversal(self, v: int, points, reverse: bool = False) -> list[Perm]:
         """Coset representatives u with v^u = x, one per requested point x.
 
@@ -1104,13 +1083,13 @@ class PermGroup:
         _in_range(v, self.degree)
         chain = self._chain if self._sub is None else self.chain()
         if chain is None or chain.base()[:1] != [v]:
-            chain = self._chain = self.fresh_chain(base_prefix=(v,))
+            chain = self._chain = self._build((v,), None)
         gens = [Perm._wrap(a.copy()) for a in chain.strong_generators(1)]
         sub = StabChain._from_levels(self.degree, chain.levels[1:], chain.linear, self.caps)
         return PermGroup._with_chain(gens, sub, self.degree, self.caps)
 
 
-def commutator(g: Perm, h: Perm) -> Perm:
+def _commutator(g: Perm, h: Perm) -> Perm:
     """g^-1 h^-1 g h, written as (h g)^-1 (g h): one scatter of g h's images."""
     if g.degree != h.degree:
         raise ValueError("degree mismatch")
@@ -1119,11 +1098,11 @@ def commutator(g: Perm, h: Perm) -> Perm:
     return Perm._wrap(out)
 
 
-def normal_closure(G: PermGroup, seeds) -> PermGroup:
+def _normal_closure(G: PermGroup, seeds) -> PermGroup:
     """Smallest subgroup containing the seeds and closed under G-conjugation.
 
-    Precondition: the seeds lie in G, as `frattini_rank`'s do; it is the
-    one caller in the library. A seed outside G can give a wrong group.
+    Precondition: the seeds lie in G, as those of `frattini_rank`, its one
+    caller, do. A seed outside G can give a wrong group.
 
     When the first seed that is a fibre translation, for a prime r, finds
     every generator affine on the blocks of r points, the chain opens Λ on
@@ -1193,7 +1172,7 @@ def _rows(perms, degree: int) -> np.ndarray:
 
 
 def frattini_rank(G: PermGroup, p: int) -> int:
-    """Minimal number of generators of a p-group (Burnside basis theorem).
+    """log_p |G : G'G^p|: d(G) for a p-group, and a lower bound on d(G) otherwise.
 
     Phi is the normal closure in G of the pairwise commutators of G's
     generators, then their p-th powers, and every one of these seeds is
@@ -1207,26 +1186,25 @@ def frattini_rank(G: PermGroup, p: int) -> int:
     (`StabChain._insert`): each fixes every base and normalizes the group,
     so no level's orbit changes. Each other generator is then sifted in
     turn, and a residue takes one prime step (`StabChain._extend_level`).
-    The last order must be |G|, which checks the extension. Commutators and
-    p-th powers lie in the Frattini subgroup, and so does their normal
-    closure, so Phi is the Frattini subgroup and the rank is
-    log_p |G : Phi|. A few generators keep the closure small: it conjugates
-    by them alone.
+    The last order must be |G|, which checks the extension. The seeds lie
+    in G'G^p, so Phi = G'G^p, and G/Phi is the largest elementary abelian
+    p-quotient of G. Its rank log_p |G : Phi| is at most d(G), since a
+    quotient needs no more generators than G. For a p-group, G'G^p is the
+    Frattini subgroup, and the rank is d(G) (Burnside basis theorem). A
+    few generators keep the closure small: it conjugates by them alone.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     order = G.order()
-    if set(_prime_factors(order)) - {p}:
-        raise ValueError("Frattini rank defined here only for p-groups")
     gens = G.generators
     arrs = _rows(gens, G.degree)
     fibre = np.zeros(len(arrs), dtype=bool)
     if G.degree % p == 0:
         fibre = _Shifts(G.degree, p).shifts(arrs)[1]
     pairs = itertools.combinations(zip(gens, fibre.tolist()), 2)
-    seeds = [commutator(g, h) for (g, f), (h, e) in pairs if not (f and e)]
+    seeds = [_commutator(g, h) for (g, f), (h, e) in pairs if not (f and e)]
     seeds += [g**p for g in gens]
-    chain = normal_closure(G, seeds).chain()
+    chain = _normal_closure(G, seeds).chain()
     if len(chain._sift_rows(_rows(seeds, G.degree), 0)[0]):
         raise AssertionError("Frattini closure lost one of its own seeds")
     size = chain.order()

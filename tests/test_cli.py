@@ -12,7 +12,7 @@ from arcgen.cli import (
     build_parser,
     main,
 )
-from arcgen.graph_builder import parse_graph
+from arcgen.graph_builder import build_family_graph, parse_edge_list_lines
 from arcgen.pipeline import ConstructionParams, verify_theorem1
 
 
@@ -41,8 +41,8 @@ def test_construct_writes_expected_files(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert stdout.strip() == "2 2 32 8 65536"
-    edges = (tmp_path / "g2.edges").read_bytes()
-    graph = parse_graph(edges)
+    edges = (tmp_path / "g2.edges").read_text(encoding="ascii")
+    graph, _ = parse_edge_list_lines(edges.splitlines())
     assert graph.n == 32 and graph.m == 128
     big = (tmp_path / "g2.big.gens").read_text().strip().splitlines()
     small = (tmp_path / "g2.small.gens").read_text().strip().splitlines()
@@ -53,6 +53,7 @@ def test_construct_writes_expected_files(tmp_path, capsys):
 
 
 def test_construct_sparse6(tmp_path, capsys):
+    nx = pytest.importorskip("networkx")
     out = tmp_path / "g31"
     code, stdout, _ = run_cli(
         capsys,
@@ -62,7 +63,9 @@ def test_construct_sparse6(tmp_path, capsys):
     assert code == EXIT_OK
     data = (tmp_path / "g31.s6").read_bytes()
     assert data.startswith(b":")
-    assert parse_graph(data, "sparse6").n == 27
+    ref = nx.from_sparse6_bytes(data.strip())
+    assert ref.number_of_nodes() == 27
+    assert sorted(tuple(sorted(e)) for e in ref.edges()) == build_family_graph(3, 1).edges()
 
 
 def test_construct_rejects_non_prime(tmp_path, capsys):
@@ -315,9 +318,28 @@ def test_caps_accept_powers(tmp_path, capsys):
 @pytest.mark.parametrize(
     "cap", ["2^", "^3", "2^-1", "0^5", "2^1048577", "10^99999999999", "５", "1_0", "+5", " 5"]
 )
-def test_bad_power_caps_rejected(capsys, cap):
-    for flag in ("--order-cap", "--exponent-cap"):
-        assert exit_code(capsys, "verify-t1", "--p", "2", "--h", "1", flag, cap) == EXIT_INPUT
+def test_bad_power_caps_rejected(tmp_path, capsys, cap):
+    # each command takes a good cap, so only the cap's form refuses it
+    path = tmp_path / "c5.instance"
+    path.write_text(C5_INSTANCE)
+    out = str(tmp_path / "g")
+    for argv in (
+        ["verify-t1", "--p", "2", "--h", "1", "--order-cap"],
+        ["construct", "--p", "2", "--h", "1", "--out", out, "--order-cap"],
+        ["verify-t2", str(path), "--order-cap"],
+        ["verify-t2", str(path), "--exponent-cap"],
+    ):
+        assert exit_code(capsys, *argv, "2^10") != EXIT_INPUT
+        assert exit_code(capsys, *argv, cap) == EXIT_INPUT
+
+
+def test_exponent_cap_is_a_verify_t2_flag(tmp_path, capsys):
+    # construct and verify-t1 compute no exponent, and refuse the flag
+    out = str(tmp_path / "g")
+    assert exit_code(capsys, "verify-t1", "--p", "2", "--h", "2", "--exponent-cap", "5") == EXIT_INPUT
+    argv = ["construct", "--p", "2", "--h", "2", "--out", out, "--exponent-cap", "5"]
+    assert exit_code(capsys, *argv) == EXIT_INPUT
+    assert not list(tmp_path.iterdir())
 
 
 def test_two_main_calls_build_one_parser(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from arcgen.graph_builder import (
     cayley,
     empty_graph,
     export_graph,
-    parse_graph,
+    parse_edge_list_lines,
     standard_connection,
     wreath_product,
 )
@@ -47,9 +47,9 @@ def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError, match=r"self-loop at vertex 2"):
         Graph(3, np.array([(0, 1), (2, 2), (3, 1)]))
     with pytest.raises(GraphFormatError, match=r"line 3: edge \(0, 2\) out of range"):
-        parse_graph("2 2\n0 1\n0 2\n")
+        parse_edge_list_lines(["2 2", "0 1", "0 2"])
     with pytest.raises(GraphFormatError, match="line 2: self-loop at vertex 1"):
-        parse_graph("2 1\n1 1\n")
+        parse_edge_list_lines(["2 1", "1 1"])
     with pytest.raises(ValueError, match="out of range"):
         Graph(3, [(0, 2**70)])
     with pytest.raises(ValueError):
@@ -340,22 +340,25 @@ def test_edge_list_four_cycle():
 
 def test_edge_list_round_trip_family_graph():
     g = build_family_graph(2, 2)
-    assert parse_graph(export_graph(g)) == g
+    lines = export_graph(g).decode("ascii").splitlines()
+    assert parse_edge_list_lines(lines) == (g, len(lines))
 
 
 def test_edge_list_parse_errors_carry_line_numbers():
     with pytest.raises(GraphFormatError) as exc:
-        parse_graph("2 1\n0 zzz\n")
+        parse_edge_list_lines(["2 1", "0 zzz"])
     assert exc.value.line == 2
     with pytest.raises(GraphFormatError) as exc:
-        parse_graph("nope\n")
+        parse_edge_list_lines(["nope"])
     assert exc.value.line == 1
     with pytest.raises(GraphFormatError) as exc:
-        parse_graph("3 2\n0 1\n")
+        parse_edge_list_lines(["3 2", "0 1"])
     assert exc.value.line == 3
 
 
-def test_sparse6_round_trip():
+def test_sparse6_matches_networkx_reader():
+    # the writer's bytes, read back by networkx, give the same edges
+    nx = pytest.importorskip("networkx")
     rng = random.Random(20240811)
     graphs = [k2(), c4(), Graph(1, []), Graph(7, [(0, 1), (0, 2), (1, 2), (5, 6)])]
     for n in (2, 4, 8, 16, 33):
@@ -368,20 +371,21 @@ def test_sparse6_round_trip():
         graphs.append(Graph(n, edges))
     graphs.append(build_family_graph(2, 2))
     for g in graphs:
-        data = export_graph(g, "sparse6")
-        assert parse_graph(data, "sparse6") == g
+        ref = nx.from_sparse6_bytes(export_graph(g, "sparse6").strip())
+        assert ref.number_of_nodes() == g.n
+        assert sorted(tuple(sorted(e)) for e in ref.edges()) == g.edges()
 
 
-@pytest.mark.parametrize("fmt", ["edge-list", "sparse6"])
-def test_parse_at_the_vertex_cap_stays_small(fmt):
+def test_parse_at_the_vertex_cap_stays_small():
     # 2^20 isolated vertices, the default vertex cap: the arrays take
     # 8 bytes per vertex, far below the 232 MB of per-vertex sets
     n = 2**20
-    data = export_graph(Graph(n, []), fmt)
-    assert data == (b"1048576 0\n" if fmt == "edge-list" else b":~~??C???\n")
+    data = export_graph(Graph(n, []))
+    assert data == b"1048576 0\n"
+    assert export_graph(Graph(n, []), "sparse6") == b":~~??C???\n"
     tracemalloc.start()
     try:
-        g = parse_graph(data, fmt)
+        g, _ = parse_edge_list_lines(data.decode("ascii").splitlines())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -390,16 +394,12 @@ def test_parse_at_the_vertex_cap_stays_small(fmt):
     assert peak < 32 * 2**20
 
 
-def test_sparse6_header_over_vertex_cap():
-    # ":J" declares 11 vertices (chr(63 + 11)) and no edges
+def test_edge_list_header_over_vertex_cap():
     caps = Caps(vertex_cap=10)
     with pytest.raises(CapExceeded) as exc:
-        parse_graph(":J", "sparse6", caps)
+        parse_edge_list_lines(["11 0"], caps=caps)
     assert exc.value.cap_name == "vertex"
-    assert parse_graph(":I", "sparse6", caps) == Graph(10, [])
-    with pytest.raises(CapExceeded) as exc:
-        parse_graph("11 0\n", caps=caps)
-    assert exc.value.cap_name == "vertex"
+    assert parse_edge_list_lines(["10 0"], caps=caps) == (Graph(10, []), 1)
 
 
 def test_sparse6_matches_reference_implementation():
@@ -427,5 +427,3 @@ def test_sparse6_matches_reference_implementation():
 def test_unsupported_format():
     with pytest.raises(ValueError):
         export_graph(k2(), "dot")
-    with pytest.raises(ValueError):
-        parse_graph("", "dot")

@@ -509,12 +509,12 @@ def test_frattini_closure_order_against_sympy(p, h, which):
     # |Phi(G)|, the normal closure of the p-th powers and commutators of
     # the generators, on groups of order 3^8 up to 2^44
     sympy_comb = pytest.importorskip("sympy.combinatorics")
-    from arcgen.perm_group import commutator, normal_closure
+    from arcgen.perm_group import _commutator, _normal_closure
 
     G = getattr(Bundle(ConstructionParams(p, h)), f"{which}_group")
     gens = G.generators
     seeds = [g**p for g in gens] + [
-        commutator(gens[i], gens[j])
+        _commutator(gens[i], gens[j])
         for i in range(len(gens))
         for j in range(i + 1, len(gens))
     ]
@@ -522,7 +522,7 @@ def test_frattini_closure_order_against_sympy(p, h, which):
         _sympy_group(sympy_comb, seeds)
     )
     assert G.order() > 2**10
-    assert normal_closure(G, seeds).order() == theirs.order()
+    assert _normal_closure(G, seeds).order() == theirs.order()
 
 
 @pytest.mark.parametrize("p, h", [(3, 1), (5, 1), (2, 3)])
