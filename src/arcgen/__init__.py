@@ -4,14 +4,7 @@ groups need unboundedly many generators, verified exactly at desk scale.
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
 from .field_linalg import FpMatrix, FpSubspace, rref
-from .graph_builder import (
-    CayleySpec,
-    Graph,
-    build_family_graph,
-    cayley,
-    export_graph,
-    wreath_product,
-)
+from .graph_builder import Graph, build_family_graph, export_graph
 from .group_algebra import (
     AbelianH,
     build_e_basis,
@@ -47,7 +40,6 @@ __all__ = [
     "Bundle",
     "Caps",
     "CapExceeded",
-    "CayleySpec",
     "ClaimReport",
     "ConstructionParams",
     "DEFAULT_CAPS",
@@ -61,7 +53,6 @@ __all__ = [
     "build_bundle",
     "build_e_basis",
     "build_family_graph",
-    "cayley",
     "exponent",
     "export_graph",
     "frattini_decomposition_check",
@@ -76,5 +67,4 @@ __all__ = [
     "rref",
     "section_dims",
     "verify_theorem1",
-    "wreath_product",
 ]

@@ -30,9 +30,14 @@ route too: numpy's own loop needs under a millisecond there, and a run
 that multiplies only small matrices never pages in the BLAS kernels
 (about 0.5 MB of resident code).
 
+A row space (`FpRowSpace`) is a subspace kept as a fully reduced basis,
+its rows in the order they were inserted: one Gaussian elimination over
+F_p, which `rref` runs on a matrix's rows and which the permutation
+groups' linear level keeps open as generators arrive.
+
 `FpMatrix` refuses moduli of `MAX_MODULUS` (2^31) and above: below it a
 product of two residues is under 2^62, which keeps both the blocks of
-the int64 route and the row update of `rref` inside int64.
+the int64 route and the row updates of a row space inside int64.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ __all__ = [
     "ModulusMismatchError",
     "FpMatrix",
     "FpSubspace",
+    "FpRowSpace",
     "is_prime",
     "rref",
     "mat_inverse",
@@ -187,49 +193,121 @@ class FpMatrix:
         return f"FpMatrix({self.a.tolist()!r}, p={self.p})"
 
 
+class FpRowSpace:
+    """A subspace of F_p^cols kept as a fully reduced basis, rows in insertion order.
+
+    Row i of `rows` is 1 at its pivot column piv[i], and every row is 0 at
+    the other rows' pivots. A vector v then lies in the space exactly
+    when v - v[piv] @ rows is 0 (one exact product, `_matmul`). Vectors
+    are int64 rows with entries in [0, p).
+    """
+
+    __slots__ = ("p", "rank", "basis", "piv")
+
+    def __init__(self, cols: int, p: int):
+        _check_modulus_value(p)
+        self.p = p
+        self.rank = 0
+        self.basis = np.zeros((0, cols), dtype=np.int64)  # rows double on demand
+        self.piv = np.zeros(0, dtype=np.intp)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.basis[: self.rank]
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """v minus its part in the space; 0 exactly on the rows of v that are members."""
+        if self.rank:
+            v = v - _matmul(v[:, self.piv], self.rows, self.p)
+            v %= self.p
+        return v
+
+    def members(self, lo: int, hi: int) -> np.ndarray:
+        """The members numbered lo..hi-1 by their coordinates on the rows, in base p."""
+        digits = np.arange(lo, hi)[:, None] // self.p ** np.arange(self.rank) % self.p
+        return _matmul(digits, self.rows, self.p)
+
+    def insert(self, v: np.ndarray) -> None:
+        """Add the span of the rows of v, reduced and not all zero, keeping the basis reduced.
+
+        v (one vector or a block of rows) is 0 at every pivot. Its rows are
+        eliminated one at a time: a row that is not 0 by then is scaled to
+        1 at its first nonzero column, which becomes a pivot, and that
+        column is cleared from every other row of v, one vectorised step
+        per row rather than one per column, over the columns from the
+        pivot on (the row is 0 left of it). So the rows left are reduced,
+        0 left of their pivots and 0 at the old pivots; they join the
+        basis, and one product clears the old rows that are nonzero at the
+        new pivots.
+        """
+        v = np.array(v, dtype=np.int64, ndmin=2)
+        if v[:, self.piv].any() or not v.any():
+            raise AssertionError("row space was given vectors that are zero or not reduced")
+        p, kept, piv = self.p, [], []
+        for i, row in enumerate(v):
+            c = int((row != 0).argmax())
+            if not row[c]:
+                continue
+            if row[c] != 1:
+                row[:] = row * pow(int(row[c]), -1, p) % p
+            row[c] = 0  # so row i is left as it is below, then restored
+            hit = v[:, c].nonzero()[0]
+            if p == 2:  # every hit row is 1 at c
+                v[hit, c:] ^= row[c:]
+            else:
+                v[hit, c:] = (v[hit, c:] - v[hit, c, None] * row[c:]) % p
+            v[hit, c] = 0
+            row[c] = 1
+            kept.append(i)
+            piv.append(c)
+        new, piv, k = v[kept], np.array(piv, dtype=np.intp), len(kept)
+        rows = self.rows
+        hit = np.flatnonzero(rows[:, piv].any(axis=1))
+        if len(hit):
+            rows[hit] = (rows[hit] - _matmul(rows[np.ix_(hit, piv)], new, p)) % p
+        end = self.rank + k
+        if end > len(self.basis):
+            grown = np.empty((max(2 * self.rank, end), self.basis.shape[1]), dtype=np.int64)
+            grown[: self.rank] = rows
+            self.basis = grown
+        self.basis[self.rank : end] = new
+        self.piv = np.concatenate((self.piv, piv))
+        self.rank = end
+
+    def cut(self, k: int) -> np.ndarray | None:
+        """Cut the space to its members that are 0 at column k.
+
+        Returns the row, scaled to 1 at k, that was eliminated, or None if
+        every member is already 0 there.
+        """
+        rows = self.rows
+        hit = np.flatnonzero(rows[:, k])
+        if not len(hit):
+            return None
+        t, p = hit[0], self.p  # the pivot row of k, if k is a pivot
+        u = rows[t] * pow(int(rows[t, k]), -1, p) % p
+        keep = np.arange(self.rank) != t
+        self.basis = (rows[keep] - rows[keep, k : k + 1] * u) % p
+        self.piv = self.piv[keep]
+        self.rank -= 1
+        return u
+
+
 def rref(m: FpMatrix) -> tuple[FpMatrix, int]:
     """Canonical reduced row-echelon form and rank.
 
-    The row space is unchanged; pivots are 1 with zeros above and below,
-    and pivot columns strictly increase, so the output is the unique
-    canonical representative of the row space (padded with zero rows to
-    the input shape).
+    The nonzero rows go into an empty `FpRowSpace` by one `insert`, whose
+    rows are 1 at their pivots, 0 at the other rows' pivots and 0 left of
+    their own. Sorted by pivot column, they are the unique canonical
+    basis of the row space, padded with zero rows to the input shape.
     """
-    a = m.a.copy()
-    p = m.p
-    nrows = a.shape[0]
-    r = 0
-    # Row operations never make a zero column nonzero, so those are skipped.
-    # When column c gets its pivot, row r is zero left of c, so only the
-    # columns from c on change. The rows from r on are zero left of c too,
-    # so the first column after a pivot that has none below r tests whether
-    # they are zero from c on; then no later column has a pivot.
-    test = True
-    for c in np.flatnonzero(a.any(axis=0)).tolist():
-        if r == nrows:
-            break
-        nz = a[:, c].nonzero()[0]
-        k = int(nz.searchsorted(r))
-        if k == len(nz):
-            if test and not a[r:, c:].any():
-                break
-            test = False
-            continue
-        test = True
-        piv = int(nz[k])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        row = a[r, c:]
-        inv = pow(int(row[0]), -1, p)
-        if inv != 1:
-            row *= inv
-            row %= p
-        # after the swap row piv holds the old row r, which is zero in column c
-        others = nz[nz != piv]
-        if len(others):
-            a[others, c:] = (a[others, c:] - a[others, c, None] * row) % p
-        r += 1
-    return FpMatrix._make(a, p), r
+    space = FpRowSpace(m.cols, m.p)
+    nonzero = m.a[m.a.any(axis=1)]
+    if len(nonzero):
+        space.insert(nonzero)
+    a = np.zeros_like(m.a)
+    a[: space.rank] = space.rows[np.argsort(space.piv)]
+    return FpMatrix._make(a, m.p), space.rank
 
 
 def mat_inverse(m: FpMatrix) -> FpMatrix:

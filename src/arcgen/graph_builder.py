@@ -3,17 +3,16 @@
 Graphs are immutable once built: vertices are 0..n-1, and a graph is
 kept as its arcs, two read-only int64 arrays sorted by (tail, head), with
 per-vertex offsets into them. Adjacency is symmetric, loop-free and
-duplicate-free. Besides the generic Cayley and wreath (lexicographic)
-product builders, which hand `Graph` whole arrays of vertex pairs, this
-module writes graphs in an exact edge-list format, which it also reads,
-and in the standard sparse6 encoding, which it writes but does not read.
+duplicate-free. The family graph is built straight from the index maps
+of H = C_q x C_q, handing `Graph` one array of vertex pairs; there are no
+generic Cayley or product builders. This module writes graphs in an
+exact edge-list format, which it also reads, and in the standard sparse6
+encoding, which it writes but does not read.
 Its labeller `_label` answers every component question: connectivity
 here, and orbits in `perm_group`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +22,6 @@ from .group_algebra import AbelianH
 __all__ = [
     "Graph",
     "GraphFormatError",
-    "CayleySpec",
-    "cayley",
-    "wreath_product",
-    "empty_graph",
-    "standard_connection",
     "build_family_graph",
     "export_graph",
 ]
@@ -147,51 +141,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class CayleySpec:
-    """A group together with an inverse-closed, identity-free connection set."""
-
-    group: AbelianH
-    connection: tuple[tuple[int, int], ...]
-
-
-def cayley(spec: CayleySpec) -> Graph:
-    """Cayley graph: x ~ y iff x^{-1} y lies in the connection set.
-
-    Vertices are the group elements in index order. The builder checks
-    the connection-set invariants and asserts that graph connectivity
-    agrees with whether the set generates the group.
-    """
-    H = spec.group
-    conn = [tuple(s) for s in spec.connection]
-    if len(set(conn)) != len(conn):
-        raise ValueError("connection set contains duplicates")
-    for s in conn:
-        if s == (0, 0):
-            raise ValueError("connection set contains the identity")
-        if H.inv(s) not in conn:
-            raise ValueError("connection set is not inverse-closed")
-    tails = np.tile(np.arange(H.order, dtype=np.int64), len(conn))
-    heads = np.array([H.index_map(s) for s in conn], dtype=np.int64).reshape(-1)
-    g = Graph(H.order, np.column_stack((tails, heads)))
-    # connectivity must agree with generation
-    generated = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in conn:
-                y = H.mul(x, s)
-                if y not in generated:
-                    generated.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    component = np.count_nonzero(_label(g.n, *g.arcs())[0] == 0)
-    if component != len(generated):
-        raise AssertionError("Cayley connectivity disagrees with generation")
-    return g
-
-
 # Edge ends one hooking pass reads at once, which bounds its temporaries
 LABEL_BLOCK = 2**15
 
@@ -233,58 +182,28 @@ def _label(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, in
     return label, rounds
 
 
-def empty_graph(p: int) -> Graph:
-    """p isolated vertices (the inner factor of the family product)."""
-    if p < 1:
-        raise ValueError("vertex count must be at least 1")
-    return Graph(p, [])
-
-
-def wreath_product(gamma: Graph, delta: Graph) -> Graph:
-    """Graph wreath product of delta by gamma.
-
-    Vertices are pairs (d, c) with d a delta-vertex listed first and
-    index d * |V gamma| + c; (d1, c1) ~ (d2, c2) iff d1 = d2 and c1 ~ c2
-    in gamma, or d1 ~ d2 in delta.
-    """
-    inner = gamma.n
-    # (d, c1) ~ (d, c2) for every vertex d of delta and arc c1 -> c2 of gamma
-    blocks = np.arange(delta.n, dtype=np.int64)[:, None, None] * inner
-    inside = (blocks + np.column_stack(gamma.arcs())).reshape(-1, 2)
-    # (d1, c1) ~ (d2, c2) for every edge d1 < d2 of delta and all c1, c2
-    tails, heads = delta.arcs()
-    up = tails < heads
-    c1, c2 = np.divmod(np.arange(inner * inner, dtype=np.int64), inner)
-    across = np.stack((tails[up, None] * inner + c1, heads[up, None] * inner + c2), axis=-1)
-    return Graph(delta.n * inner, np.concatenate((inside, across.reshape(-1, 2))))
-
-
-def standard_connection(H: AbelianH) -> tuple[tuple[int, int], ...]:
-    """The connection set {a, a^{-1}, b, b^{-1}}, deduplicated."""
-    q = H.q
-    raw = [(1, 0), (q - 1, 0), (0, 1), (0, q - 1)]
-    out = []
-    for s in raw:
-        if s not in out:
-            out.append(s)
-    return tuple(out)
-
-
 def build_family_graph(p: int, h: int, caps: Caps = DEFAULT_CAPS) -> Graph:
     """Build the family graph for parameters (p, h).
 
     The graph is the wreath product of p isolated vertices by the Cayley
-    graph of C_q x C_q over the standard connection set. Valency is 4p
-    except in the degenerate case (p, h) = (2, 1), where the connection
-    set collapses and the valency is 2p; that case is built, not
-    rejected (`ConstructionParams.degenerate` flags it).
+    graph of H = C_q x C_q on {a, a^-1, b, b^-1}: vertex (x, c), numbered
+    index(x) * p + c, is joined to (x s, c') for s = a, b and every c',
+    which also joins it to (x s^-1, c'). The arcs come in one broadcast
+    from H's index maps of a and b. Valency is 4p except in the
+    degenerate case (p, h) = (2, 1), where a = a^-1 and b = b^-1 and the
+    valency is 2p; that case is built, not rejected
+    (`ConstructionParams.degenerate` flags it). The graph is connected
+    because a and b generate H.
     """
     H = AbelianH(p, h)
     n = p * H.order
     if n > caps.vertex_cap:
         raise CapExceeded("vertex", caps.vertex_cap, f"family graph needs {n} vertices")
-    delta = cayley(CayleySpec(H, standard_connection(H)))
-    graph = wreath_product(empty_graph(p), delta)
+    steps = np.stack((H.index_map("a"), H.index_map("b")))
+    c1, c2 = np.divmod(np.arange(p * p), p)  # every pair of fibre places (c, c')
+    tails = np.arange(H.order)[:, None] * p + c1
+    heads = steps[:, :, None] * p + c2
+    graph = Graph(n, np.stack(np.broadcast_arrays(tails, heads), axis=-1).reshape(-1, 2))
     degenerate = p == 2 and h == 1
     if graph.n != p ** (2 * h + 1):
         raise AssertionError("family graph vertex count is off")

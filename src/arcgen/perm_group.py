@@ -18,7 +18,8 @@ first route once the layer is spun (below).
 Below its permutation levels a chain may hold one linear level Λ: the
 stabilizer of every base, when it consists of fibre translations
 k*r + c -> k*r + (c + w[k]) mod r of the blocks of r consecutive points,
-r prime, kept as a subspace W of F_r^(n/r) in reduced rows. Λ opens below
+r prime, kept as a subspace W of F_r^(n/r) in reduced rows, a
+`field_linalg.FpRowSpace`, whose elimination `rref` shares. Λ opens below
 the first level, at the first residue that passes every level and is such
 a translation while those blocks are a block system of the group; the
 family's fibres {h} x F_p are these blocks, and its point stabilizers
@@ -81,7 +82,7 @@ from collections import deque
 import numpy as np
 
 from .caps import Caps, CapExceeded, DEFAULT_CAPS
-from .field_linalg import _matmul, is_prime
+from .field_linalg import FpRowSpace, is_prime
 from .graph_builder import Graph, _label
 
 __all__ = [
@@ -323,29 +324,23 @@ class _Level:
         self.points.extend(points.tolist())
 
 
-class _Shifts:
+class _Shifts(FpRowSpace):
     """The bottom level Λ: a subspace W of F_r^(n/r) of fibre translations.
 
     w in W acts on the blocks {k*r, ..., k*r + r - 1} as k*r + c ->
     k*r + (c + w[k]) mod r, so W is elementary abelian of order r^rank.
-    Its basis rows are reduced: row i is 1 at its pivot block piv[i], and
-    every row is 0 at the other rows' pivots. A vector v then lies in W
-    exactly when v - v[piv] @ rows is 0 (one exact product, `_matmul`).
+    W is a row space over F_r with one column per block: its reduced
+    basis, reduction, insertion and cuts are `FpRowSpace`'s, and this
+    class turns permutations into shift vectors and back.
     """
 
-    __slots__ = ("r", "rank", "basis", "piv", "_c", "_b")
+    __slots__ = ("r", "_c", "_b")
 
     def __init__(self, degree: int, r: int):
+        super().__init__(degree // r, r)
         self.r = r
-        self.rank = 0
-        self.basis = np.zeros((0, degree // r), dtype=np.int64)  # rows double on demand
-        self.piv = np.zeros(0, dtype=np.intp)
         self._c = np.arange(degree, dtype=_DTYPE) % r  # a point's place in its block
         self._b = np.arange(degree, dtype=_DTYPE) - self._c  # its block's first point
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.basis[: self.rank]
 
     def perms(self, v: np.ndarray | None = None) -> np.ndarray:
         """The translations by the rows of v (the basis by default), as image rows."""
@@ -360,13 +355,6 @@ class _Shifts:
         """
         s = g[:, :: self.r] - self._b[:: self.r]
         return s, (self.perms(s) == g).all(axis=1)
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        """v minus its part in W, for int64 rows with entries in [0, r)."""
-        if self.rank:
-            v = v - _matmul(v[:, self.piv], self.rows, self.r)
-            v %= self.r
-        return v
 
     def affine(self, g: np.ndarray):
         """The maps by which the rows of g conjugate translations, or None.
@@ -414,69 +402,6 @@ class _Shifts:
                 check(int(np.count_nonzero(np.bincount((v != 0).argmax(axis=1)))))
                 self.insert(v)
                 check(0)
-
-    def insert(self, v: np.ndarray) -> None:
-        """Add the span of the rows of v, reduced and not all zero, keeping the basis reduced.
-
-        v (one vector or a block of rows) is 0 at every pivot. Its rows are
-        eliminated one at a time: a row that is not 0 by then is scaled to
-        1 at its first nonzero block, which becomes a pivot, and that block
-        is cleared from every other row of v, one vectorised step per row
-        rather than one per block. So the rows left are reduced and 0 at
-        the old pivots; they join the basis, and one product clears the old
-        rows that are nonzero at the new pivots.
-        """
-        v = np.array(v, dtype=np.int64, ndmin=2)
-        if v[:, self.piv].any() or not v.any():
-            raise AssertionError("Λ was given vectors that are zero or not reduced")
-        r, kept, piv = self.r, [], []
-        for i, row in enumerate(v):
-            c = int((row != 0).argmax())
-            if not row[c]:
-                continue
-            if row[c] != 1:
-                row[:] = row * pow(int(row[c]), -1, r) % r
-            row[c] = 0  # so row i is left as it is below, then restored
-            hit = v[:, c].nonzero()[0]
-            if r == 2:  # every hit row is 1 at c
-                v[hit] ^= row
-            else:
-                v[hit] = (v[hit] - v[hit, c, None] * row) % r
-            v[hit, c] = 0
-            row[c] = 1
-            kept.append(i)
-            piv.append(c)
-        new, piv, k = v[kept], np.array(piv, dtype=np.intp), len(kept)
-        rows = self.rows
-        hit = np.flatnonzero(rows[:, piv].any(axis=1))
-        if len(hit):
-            rows[hit] = (rows[hit] - _matmul(rows[np.ix_(hit, piv)], new, r)) % r
-        end = self.rank + k
-        if end > len(self.basis):
-            grown = np.empty((max(2 * self.rank, end), self.basis.shape[1]), dtype=np.int64)
-            grown[: self.rank] = rows
-            self.basis = grown
-        self.basis[self.rank : end] = new
-        self.piv = np.concatenate((self.piv, piv))
-        self.rank = end
-
-    def cut(self, k: int) -> np.ndarray | None:
-        """Cut W to its vectors that are 0 on block k.
-
-        Returns the row, scaled to 1 at k, that was eliminated, or None if
-        every vector of W is already 0 there.
-        """
-        rows = self.rows
-        hit = np.flatnonzero(rows[:, k])
-        if not len(hit):
-            return None
-        t, r = hit[0], self.r  # the pivot row of k, if k is a pivot
-        u = rows[t] * pow(int(rows[t, k]), -1, r) % r
-        keep = np.arange(self.rank) != t
-        self.basis = (rows[keep] - rows[keep, k : k + 1] * u) % r
-        self.piv = self.piv[keep]
-        self.rank -= 1
-        return u
 
 
 def _fibre_prime(h: np.ndarray, gens: list[np.ndarray]) -> int | None:
@@ -1295,10 +1220,7 @@ def exponent(G: PermGroup) -> int:
 
     def span(lo: int, hi: int) -> np.ndarray:
         # W's elements lo..hi-1, numbered by their coordinates in base r
-        if not rank:
-            return ident[None, :]
-        digits = np.arange(lo, hi)[:, None] // lin.r ** np.arange(rank) % lin.r
-        return lin.perms(_matmul(digits, lin.rows, lin.r))
+        return lin.perms(lin.members(lo, hi)) if rank else ident[None, :]
 
     fits = size <= EXPONENT_BLOCK
     if fits:  # one block: W, times the deepest levels whose product fits

@@ -28,6 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from arcgen.field_linalg import FpMatrix, ModulusMismatchError, is_prime, rref
+from arcgen.graph_builder import Graph
 from arcgen.group_algebra import build_e_basis
 from arcgen.perm_group import Perm, PermGroup, StabChain
 
@@ -335,6 +336,13 @@ def quotient_dim(inner, outer):
     if not outer.contains_space(inner):
         raise ValueError("inner subspace is not contained in outer subspace")
     return outer.dim - inner.dim
+
+
+def torus_graph(q):
+    """The Cayley graph of C_q x C_q on {a^±1, b^±1}, a^i b^j numbered i*q + j."""
+    edges = [(i * q + j, (i + 1) % q * q + j) for i in range(q) for j in range(q)]
+    edges += [(i * q + j, i * q + (j + 1) % q) for i in range(q) for j in range(q)]
+    return Graph(q * q, edges)
 
 
 def is_automorphism_by_neighbourhoods(graph, perm):

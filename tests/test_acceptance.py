@@ -11,7 +11,7 @@ import pytest
 
 from arcgen.caps import CapExceeded, Caps
 from arcgen.field_linalg import FpMatrix
-from arcgen.graph_builder import CayleySpec, Graph, cayley, standard_connection
+from arcgen.graph_builder import Graph
 from arcgen.group_algebra import (
     AbelianH,
     build_e_basis,
@@ -36,7 +36,7 @@ from arcgen.pipeline import (
     semidirect_consistency,
     verify_theorem1,
 )
-from oracles import action_matrix, brute_force_min_generators, kron, unipotent_matrix
+from oracles import action_matrix, brute_force_min_generators, kron, torus_graph, unipotent_matrix
 
 SECTION_CASES = [(2, 1), (2, 2), (2, 3), (3, 1), (5, 1)]  # (p, q) in {4,8,... }
 
@@ -168,7 +168,7 @@ def test_criterion_09_bound_harness():
         VTInstance(c5, PermGroup([Perm([1, 2, 3, 4, 0]), Perm([0, 4, 3, 2, 1])]))
     )
     H = AbelianH(2, 2)
-    delta = cayley(CayleySpec(H, standard_connection(H)))
+    delta = torus_graph(H.q)
 
     def translation(t):
         return Perm([H.index(*H.mul(H.element(k), t)) for k in range(H.order)])
@@ -221,7 +221,6 @@ def test_criterion_10_frattini_oracle_equivalence():
     groups["big(2,1)"] = b21.big_group
     # the translation group extended by both outer symmetries, q = 4
     H = AbelianH(2, 2)
-    delta = cayley(CayleySpec(H, standard_connection(H)))
 
     def on_delta(act):
         return Perm([H.index(*act(H.element(k))) for k in range(H.order)])

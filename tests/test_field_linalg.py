@@ -4,6 +4,7 @@ import pytest
 from arcgen.field_linalg import (
     MAX_MODULUS,
     FpMatrix,
+    FpRowSpace,
     FpSubspace,
     ModulusMismatchError,
     is_prime,
@@ -369,6 +370,75 @@ def test_rref_and_inverse_exact_at_a_large_modulus():
     inv = mat_inverse(m)
     assert m @ inv == FpMatrix.identity(6, p)
     assert np.array_equal(matmul_by_int64(m.a, inv.a, p), np.eye(6, dtype=np.int64))
+
+
+# -- row spaces --------------------------------------------------------------
+
+
+def _combinations(rng, rows, count, p):
+    """count random combinations of the rows over F_p, in exact integers."""
+    coeffs = rng.integers(0, p, (count, len(rows)), dtype=np.int64)
+    return (coeffs.astype(object) @ rows.astype(object) % p).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+def test_row_space_keeps_a_reduced_basis_of_what_it_was_given(p):
+    rng = np.random.default_rng([p, 32])
+    cols = 14
+    # blocks from an 8-dimensional subspace: repeats and dependent rows,
+    # within a block and across blocks
+    source = _random(rng, (8, cols), p)
+    space, given = FpRowSpace(cols, p), np.zeros((0, cols), dtype=np.int64)
+    for size in (1, 3, 2, 5, 4, 3):
+        block = _combinations(rng, source[: int(rng.integers(1, 9))], size, p)
+        if len(given):
+            block = np.vstack([block, block[:1], _combinations(rng, given, 2, p)])
+        given = np.vstack([given, block])
+        v = space.reduce(block)
+        if v.any():
+            space.insert(v[v.any(axis=1)])
+        rows, piv = space.rows, space.piv
+        assert np.array_equal(rows[:, piv], np.eye(space.rank, dtype=np.int64))
+        span = Span(given, cols, p)
+        assert Span(rows, cols, p) == span and space.rank == span.dim
+        # reduce gives 0 on members and on nothing else
+        probes = np.vstack([_combinations(rng, given, 4, p), _random(rng, (4, cols), p)])
+        members = [span.contains(row) for row in probes]
+        assert (~space.reduce(probes).any(axis=1)).tolist() == members
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 2**31 - 1])
+def test_row_space_cut_keeps_the_members_zero_at_a_column(p):
+    rng = np.random.default_rng([p, 33])
+    cols = 10
+    for _ in range(6):
+        space = FpRowSpace(cols, p)
+        rows = _combinations(rng, _random(rng, (6, cols), p), 8, p)
+        rows[:, rng.choice(cols, 2, replace=False)] = 0  # columns every member is 0 at
+        space.insert(space.reduce(rows[rows.any(axis=1)]))
+        for k in rng.permutation(cols).tolist():
+            before = Span(space.rows, cols, p)
+            zero_at_k = not space.rows[:, k].any()
+            u = space.cut(k)
+            after = Span(space.rows, cols, p)
+            assert (u is None) == zero_at_k
+            assert not space.rows[:, k].any()
+            assert np.array_equal(space.rows[:, space.piv], np.eye(space.rank, dtype=np.int64))
+            if u is None:
+                assert after == before
+            else:
+                # a subspace of the old one, 0 at k, of codimension 1 in it
+                assert u[k] == 1 and before.contains(space.rows)
+                assert after.dim == before.dim - 1 and after + Span(u, cols, p) == before
+
+
+def test_row_space_refuses_zero_or_unreduced_vectors():
+    space = FpRowSpace(3, 5)
+    space.insert(np.array([[0, 2, 1]]))
+    assert space.piv.tolist() == [1] and space.rows.tolist() == [[0, 1, 3]]
+    for v in ([0, 0, 0], [1, 1, 0]):
+        with pytest.raises(AssertionError):
+            space.insert(np.array([v]))
 
 
 # -- subspace arithmetic against stack-and-rref -------------------------------

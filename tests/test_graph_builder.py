@@ -7,16 +7,11 @@ import pytest
 from arcgen import graph_builder
 from arcgen.caps import CapExceeded, Caps
 from arcgen.graph_builder import (
-    CayleySpec,
     Graph,
     GraphFormatError,
     build_family_graph,
-    cayley,
-    empty_graph,
     export_graph,
     parse_edge_list_lines,
-    standard_connection,
-    wreath_product,
 )
 from arcgen.group_algebra import AbelianH
 from oracles import bit_reversal, from_both_ends
@@ -185,114 +180,6 @@ def test_predicates():
         path.valency()
 
 
-# -- cayley ------------------------------------------------------------------
-
-
-def test_cayley_klein_four_cycle():
-    H = AbelianH(2, 1)
-    g = cayley(CayleySpec(H, ((1, 0), (0, 1))))
-    # vertices 1, b, a, ab; edges checked by hand
-    assert g.n == 4
-    assert [g.neighbors(v).tolist() for v in range(4)] == [[1, 2], [0, 3], [0, 3], [1, 2]]
-    assert g.valency() == 2
-    assert g.is_connected()
-
-
-def test_cayley_c4xc4():
-    H = AbelianH(2, 2)
-    g = cayley(CayleySpec(H, standard_connection(H)))
-    assert g.n == 16
-    assert g.valency() == 4
-    assert g.is_connected()
-
-
-def test_cayley_c3xc3():
-    H = AbelianH(3, 1)
-    g = cayley(CayleySpec(H, standard_connection(H)))
-    assert g.n == 9
-    assert g.valency() == 4
-
-
-def test_cayley_validation():
-    H = AbelianH(3, 1)
-    with pytest.raises(ValueError, match="identity"):
-        cayley(CayleySpec(H, ((0, 0), (1, 0), (2, 0))))
-    with pytest.raises(ValueError, match="inverse-closed"):
-        cayley(CayleySpec(H, ((1, 0),)))
-    with pytest.raises(ValueError, match="duplicates"):
-        cayley(CayleySpec(H, ((1, 0), (2, 0), (1, 0))))
-
-
-def test_cayley_disconnected_when_set_does_not_generate():
-    H = AbelianH(2, 1)
-    g = cayley(CayleySpec(H, ((1, 0),)))
-    assert not g.is_connected()
-
-
-def test_cayley_translations_are_automorphisms():
-    from arcgen.perm_group import Perm, is_automorphism
-
-    H = AbelianH(2, 2)
-    g = cayley(CayleySpec(H, standard_connection(H)))
-    for t in standard_connection(H):
-        perm = Perm(
-            [H.index(*H.mul(H.element(k), t)) for k in range(H.order)]
-        )
-        assert is_automorphism(g, perm)
-
-
-# -- wreath product ----------------------------------------------------------
-
-
-def test_wreath_with_single_inner_vertex_is_isomorphic():
-    delta = c4()
-    g = wreath_product(empty_graph(1), delta)
-    assert g == delta
-
-
-def test_wreath_two_isolated_by_k2_is_four_cycle():
-    g = wreath_product(empty_graph(2), k2())
-    # K4 minus a perfect matching: vertices 0,1 vs 2,3 fully joined
-    assert g.n == 4 and g.m == 4
-    assert [g.neighbors(v).tolist() for v in range(4)] == [[2, 3], [2, 3], [0, 1], [0, 1]]
-
-
-def test_wreath_matches_its_definition():
-    rng = random.Random(5)
-    for inner_n, outer_n in [(1, 4), (2, 5), (3, 4), (4, 3)]:
-        inner = [(u, v) for u in range(inner_n) for v in range(u + 1, inner_n) if rng.random() < 0.5]
-        outer = [(u, v) for u in range(outer_n) for v in range(u + 1, outer_n) if rng.random() < 0.5]
-        gamma, delta = Graph(inner_n, inner), Graph(outer_n, outer)
-        edges = [
-            (d1 * inner_n + c1, d2 * inner_n + c2)
-            for d1 in range(outer_n)
-            for d2 in range(outer_n)
-            for c1 in range(inner_n)
-            for c2 in range(inner_n)
-            if (d1 == d2 and (c1, c2) in inner) or (d1, d2) in outer
-        ]
-        assert wreath_product(gamma, delta) == Graph(inner_n * outer_n, edges)
-
-
-def test_wreath_valency_law():
-    # val(gamma wr delta) = val(gamma) + |V gamma| * val(delta)
-    rng = random.Random(3)
-    delta = c4()
-    for inner_n, inner_edges in [(1, []), (3, [(0, 1)]), (2, [(0, 1)])]:
-        gamma = Graph(inner_n, inner_edges)
-        if not gamma.is_regular():
-            continue
-        g = wreath_product(gamma, delta)
-        assert g.valency() == gamma.valency() + inner_n * delta.valency()
-
-
-def test_wreath_of_isolated_vertices_is_p_times_regular():
-    delta = c4()
-    for p in (1, 2, 3):
-        g = wreath_product(empty_graph(p), delta)
-        assert g.valency() == p * delta.valency()
-
-
 # -- family graphs -----------------------------------------------------------
 
 
@@ -319,6 +206,29 @@ def test_family_graph_vertex_count_formula():
     for p, h in [(2, 1), (2, 2), (3, 1), (5, 1)]:
         graph = build_family_graph(p, h)
         assert graph.n == p ** (2 * h + 1)
+
+
+@pytest.mark.parametrize("p, h", [(2, 1), (2, 2), (3, 1), (5, 1), (2, 3), (3, 2), (7, 1)])
+def test_family_graph_matches_networkx(p, h):
+    # the lexicographic product of the q x q torus by p isolated vertices
+    nx = pytest.importorskip("networkx")
+    q = p**h
+    product = nx.lexicographic_product(nx.grid_2d_graph(q, q, periodic=True), nx.empty_graph(p))
+    number = {((i, j), c): (i * q + j) * p + c for (i, j), c in product.nodes}
+    g = build_family_graph(p, h)
+    assert g.n == product.number_of_nodes() == p * q * q
+    assert set(g.edges()) == {tuple(sorted((number[u], number[v]))) for u, v in product.edges}
+
+
+def test_family_graph_translations_are_automorphisms():
+    from arcgen.perm_group import Perm, is_automorphism
+
+    p, h = 2, 2
+    H = AbelianH(p, h)
+    g = build_family_graph(p, h)
+    for t in [(1, 0), (H.q - 1, 0), (0, 1), (0, H.q - 1), (1, 1)]:
+        images = [H.index(*H.mul(H.element(k), t)) for k in range(H.order)]
+        assert is_automorphism(g, Perm([images[v // p] * p + v % p for v in range(g.n)]))
 
 
 def test_family_graph_vertex_cap():

@@ -6,7 +6,7 @@ import pytest
 
 from arcgen import harness
 from arcgen.caps import CapExceeded, Caps
-from arcgen.graph_builder import CayleySpec, Graph, cayley, standard_connection
+from arcgen.graph_builder import Graph
 from arcgen.group_algebra import AbelianH
 from arcgen.harness import (
     InstanceParseError,
@@ -18,7 +18,7 @@ from arcgen.harness import (
 )
 from arcgen.perm_group import Perm, PermGroup, exponent
 from arcgen.pipeline import ConstructionParams, build_bundle
-from oracles import extended_order
+from oracles import extended_order, torus_graph
 from test_perm_group import count_chain_builds
 
 
@@ -30,7 +30,7 @@ def c5_instance():
 
 def regular_cayley_instance():
     H = AbelianH(2, 2)
-    graph = cayley(CayleySpec(H, standard_connection(H)))
+    graph = torus_graph(H.q)
 
     def translation(t):
         return Perm([H.index(*H.mul(H.element(k), t)) for k in range(H.order)])

@@ -628,7 +628,8 @@ def test_checklist_builds_the_e_basis_actions_once(monkeypatch):
     import arcgen.pipeline as pipeline
 
     chains, shifts_read, inner = [], [], []
-    gamma, count, matmul = pipeline.gamma_chain, pipeline.min_generators_local, field_linalg._matmul
+    gamma, count = pipeline.gamma_chain, pipeline.min_generators_local
+    product = field_linalg.FpMatrix.__matmul__
 
     def counted_chain(*args, **kwargs):
         chains.append(gamma(*args, **kwargs))
@@ -638,13 +639,13 @@ def test_checklist_builds_the_e_basis_actions_once(monkeypatch):
         shifts_read.append(shifts)
         return count(V, shifts)
 
-    def counted_matmul(a, b, p):
-        inner.append(a.shape[1])
-        return matmul(a, b, p)
+    def counted_product(a, b):
+        inner.append(a.cols)
+        return product(a, b)
 
     monkeypatch.setattr(pipeline, "gamma_chain", counted_chain)
     monkeypatch.setattr(pipeline, "min_generators_local", counted_count)
-    monkeypatch.setattr(field_linalg, "_matmul", counted_matmul)
+    monkeypatch.setattr(field_linalg.FpMatrix, "__matmul__", counted_product)
     report = verify_theorem1(ConstructionParams(2, 2))
     assert report.claim("C6").status == "pass"
     assert len(chains) == 1 and len(shifts_read) == 1
@@ -654,18 +655,18 @@ def test_checklist_builds_the_e_basis_actions_once(monkeypatch):
 
 def test_checklist_at_2_4_stays_below_the_blas_route(monkeypatch):
     # the module generators are outer products of P's columns, so the only
-    # F_p products left on the family path are q x q ones: P^-1 P in
-    # build_e_basis and P^T A P^-T in gamma_chain; none reaches the BLAS route
+    # algebra products left on the family path are q x q ones: P^-1 P in
+    # build_e_basis and P^T A P^-T in gamma_chain
     import arcgen.field_linalg as field_linalg
 
     shapes = []
-    matmul = field_linalg._matmul
+    product = field_linalg.FpMatrix.__matmul__
 
-    def counted_matmul(a, b, p):
-        shapes.append((a.shape, b.shape))
-        return matmul(a, b, p)
+    def counted_product(a, b):
+        shapes.append((a.a.shape, b.a.shape))
+        return product(a, b)
 
-    monkeypatch.setattr(field_linalg, "_matmul", counted_matmul)
+    monkeypatch.setattr(field_linalg.FpMatrix, "__matmul__", counted_product)
     for p, h in [(2, 4), (2, 5), (3, 3), (5, 2)]:
         q = p**h
         shapes.clear()
@@ -673,6 +674,25 @@ def test_checklist_at_2_4_stays_below_the_blas_route(monkeypatch):
         assert report.claim("C6").status == "pass"
         assert shapes and set(shapes) == {((q, q), (q, q))}
         assert q**3 < field_linalg._BLAS_MIN_MACS
+
+
+def test_capped_checklists_stay_below_the_blas_route(monkeypatch):
+    # every F_p product at t1-capped's cases, the algebra's and Λ's
+    # reductions and insertions alike, takes the int64 route
+    import arcgen.field_linalg as field_linalg
+
+    macs = []
+    matmul = field_linalg._matmul
+
+    def counted_matmul(a, b, p):
+        macs.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, p)
+
+    monkeypatch.setattr(field_linalg, "_matmul", counted_matmul)
+    for p, h in [(3, 2), (7, 1), (2, 4)]:
+        macs.clear()
+        verify_theorem1(ConstructionParams(p, h))
+        assert macs and max(macs) < field_linalg._BLAS_MIN_MACS
 
 
 def test_checklist_checks_each_generator_set_once(monkeypatch):

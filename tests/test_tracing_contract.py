@@ -1,11 +1,13 @@
-"""The benchmark tracer's contract with the library, checked without a traced pass.
+"""The benchmark tracer's contract with the library.
 
 `perfbench/tracing.py` wraps each layer's `__all__` functions that the
 layer defines, minus UNWRAPPED, plus EXTRA_FUNCTIONS, and the METHODS.
 A traced pass fails when a wrapped function has no REACH entry, so a
-renamed or new public function must come with one. The tracer is loaded
-by path and not changed; its install runs in a child process, because
-it replaces functions in every `arcgen` module.
+renamed or new public function must come with one, and when a function
+REACH lists for the workload records no call, so a public function no
+command calls must leave `__all__`. The tracer is loaded by path and not
+changed; its install and the traced passes run in child processes,
+because it replaces functions in every `arcgen` module.
 """
 
 import importlib
@@ -55,3 +57,20 @@ def test_every_method_the_tracer_wraps_exists(tracing):
     for layer, cls_name, meth in tracing.METHODS:
         cls = getattr(importlib.import_module(f"arcgen.{layer}"), cls_name)
         assert callable(getattr(cls, meth, None)), f"{layer}.{cls_name}.{meth}"
+
+
+@pytest.mark.parametrize("workload", ["t1-decided", "t1-capped", "t2-roundtrip"])
+def test_a_traced_pass_reaches_every_listed_function(workload, tmp_path):
+    # a traced run ends `incorrect` when a wrapped function that REACH
+    # lists for the workload records no call, or when a certificate
+    # differs from the expected one
+    out = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "--mode", "trace",
+         "--workload", workload, "--seed", "1", "--work", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    record = json.loads(out.stdout.splitlines()[-1])
+    assert record["reach_errors"] == []
+    certs = record["setup_certs"] + record["certs"]
+    assert certs and [(c["case"], c["errors"]) for c in certs if c["errors"]] == []
