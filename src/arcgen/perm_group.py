@@ -33,7 +33,7 @@ that are 0 on b's block, so Λ stays the stabilizer of all the bases.
 When a group maps the blocks of r points onto blocks by affine maps of
 F_r, conjugation by a generator is a linear map of shift vectors. The
 smallest subspace that holds some translations' shift vectors and that
-these maps keep is then a spin (`_Shifts.spin`, the MeatAxe's submodule
+these maps keep is then a spin (`FibreShifts.spin`, the MeatAxe's submodule
 closure): one reduction and one insertion per round of images, and its
 translations are products of conjugates of the first ones.
 
@@ -86,6 +86,7 @@ from .field_linalg import FpRowSpace, is_prime
 from .graph_builder import Graph, _label
 
 __all__ = [
+    "FibreShifts",
     "Perm",
     "PermGroup",
     "NotTransitiveError",
@@ -279,7 +280,9 @@ class Perm:
 
 
 class _Level:
-    __slots__ = ("base", "points", "pos", "inv", "gens", "fibre", "pending", "deferred")
+    """One chain level: its base, orbit, transversal inverses and strong generators."""
+
+    __slots__ = ("base", "points", "pos", "inv", "gens", "pending", "deferred")
 
     def __init__(self, base: int, ident: np.ndarray):
         n = len(ident)
@@ -294,19 +297,16 @@ class _Level:
         # len(points) rows are meaningful.
         self.inv = ident[None, :].copy()
         # effective generators: every strong generator fixing all the
-        # bases above this level (anchored here or deeper); fibre[i] is
-        # True when gens[i] is known to be a fibre translation of Λ
+        # bases above this level (anchored here or deeper)
         self.gens: list[np.ndarray] = []
-        self.fibre: list[bool] = []
         self.pending: deque = deque()
         # residues a chunk found after the one it installed; sifted again
         # before any further pending pair
         self.deferred = np.empty((0, n), dtype=_DTYPE)
 
-    def add(self, gen: np.ndarray, fibre: bool = False) -> int:
+    def add(self, gen: np.ndarray) -> int:
         """Append a strong generator; returns its index."""
         self.gens.append(gen)
-        self.fibre.append(fibre)
         return len(self.gens) - 1
 
     def extend(self, points: np.ndarray, inv: np.ndarray) -> None:
@@ -324,14 +324,15 @@ class _Level:
         self.points.extend(points.tolist())
 
 
-class _Shifts(FpRowSpace):
+class FibreShifts(FpRowSpace):
     """The bottom level Λ: a subspace W of F_r^(n/r) of fibre translations.
 
     w in W acts on the blocks {k*r, ..., k*r + r - 1} as k*r + c ->
     k*r + (c + w[k]) mod r, so W is elementary abelian of order r^rank.
     W is a row space over F_r with one column per block: its reduced
     basis, reduction, insertion and cuts are `FpRowSpace`'s, and this
-    class turns permutations into shift vectors and back.
+    class turns permutations into shift vectors and back. `perms` is also
+    how the pipeline turns module rows into vertex permutations.
     """
 
     __slots__ = ("r", "_c", "_b")
@@ -411,7 +412,7 @@ def _fibre_prime(h: np.ndarray, gens: list[np.ndarray]) -> int | None:
     the gens: each gen maps every block onto a block.
     """
     r = _order(h)
-    if _prime_factors(r) != [r] or len(h) % r or not _Shifts(len(h), r).shifts(h[None])[1][0]:
+    if _prime_factors(r) != [r] or len(h) % r or not FibreShifts(len(h), r).shifts(h[None])[1][0]:
         return None
     blocks = np.array(gens, dtype=_DTYPE).reshape(len(gens), len(h) // r, r) // r
     return r if (blocks == blocks[:, :, :1]).all() else None
@@ -455,7 +456,7 @@ class StabChain:
     Below the levels sits Λ (`linear`, None until it opens; see the
     module docstring), the stabilizer of every base as a subspace W of
     fibre translations. A residue that passes every level goes there on
-    either route: a translation is one row insertion (with fresh
+    either route, by `_land`: a translation is one row insertion (with fresh
     (point, generator) work on every level on the Schreier-Sims route), and
     any other residue splits Λ and is sifted again from the new level.
     Λ's strong generators are its rows as permutations, and the order is
@@ -466,12 +467,13 @@ class StabChain:
     every later generator by add_generator.
 
     Budget checks (order cap, optional wall-clock cap) run after every
-    prime step, insertion into Λ, chunk `_open` reads, round of a spin
-    and inside the closure loop, so oversize groups fail fast with
-    CapExceeded instead of running away. No partial order exceeds the final
-    one, so the order cap fires on every route exactly when the group's
-    order exceeds it. A spin round also fires it before its elimination
-    when the rows it will surely add take the order past the cap.
+    prime step, insertion into Λ, chunk `_open` reads and round of a
+    spin, and the wall-clock cap at every pending pair of the closure
+    loop, so oversize groups fail fast with CapExceeded instead of
+    running away. No partial order exceeds the final one, so the order
+    cap fires on every route exactly when the group's order exceeds it.
+    A spin round also fires it before its elimination when the rows it
+    will surely add take the order past the cap.
     """
 
     def __init__(self, degree: int, gens=(), *, caps: Caps = DEFAULT_CAPS, base_prefix=()):
@@ -479,7 +481,7 @@ class StabChain:
         gens, base_prefix = list(gens), tuple(base_prefix)
         # a run of two or more fibre translations for gens[0]'s prime leads
         r = _fibre_prime(np.asarray(gens[0], dtype=_DTYPE), []) if len(gens) > 1 else None
-        lin = _Shifts(degree, r) if r is not None else None
+        lin = FibreShifts(degree, r) if r is not None else None
         taken = 0
         if lin is not None and lin.shifts(np.array(gens[:2], dtype=_DTYPE))[1].all():
             taken = self._open(lin, gens, base_prefix=base_prefix)
@@ -490,14 +492,14 @@ class StabChain:
             self.add_generator(g)
         self._kept = 0
 
-    def _open(self, lin: _Shifts, rows, maps=None, base_prefix=()) -> int:
+    def _open(self, lin: FibreShifts, rows, maps=None, base_prefix=()) -> int:
         """Open the empty chain's Λ, lin, on the span W of the rows' leading fibre translations.
 
         The translations, the rows from the first on that are fibre
         translations for lin's prime, are read SIFT_CHUNK rows at a time:
         each chunk's shift vectors, reduced against W, join W by one
         `insert`, and the order is checked before the next chunk is read.
-        W is spun under maps (`_Shifts.affine`), by default those of the
+        W is spun under maps (`FibreShifts.affine`), by default those of the
         rows after the translations when all of them are affine on the
         blocks, and its rank is kept in `_kept`. Last, W is split at each
         base-prefix point, or else at the first translation's first moved
@@ -528,20 +530,19 @@ class StabChain:
 
     @classmethod
     def _from_levels(
-        cls, degree: int, levels: list[_Level], linear: _Shifts | None, caps: Caps
+        cls, degree: int, levels: list[_Level], linear: FibreShifts | None, caps: Caps
     ) -> "StabChain":
         chain = object.__new__(cls)  # with a deadline of its own
         chain._start(degree, levels, linear, caps)
         return chain
 
-    def _start(self, degree: int, levels: list[_Level], linear: _Shifts | None, caps: Caps) -> None:
+    def _start(self, degree: int, levels: list[_Level], linear: FibreShifts | None, caps: Caps) -> None:
         self.degree = degree
         self.caps = caps
         self.deadline = time.monotonic() + caps.time_cap_s if caps.time_cap_s is not None else None
         self._ident = np.arange(degree, dtype=_DTYPE)
         self.levels = levels
         self.linear = linear  # Λ, None until a fibre translation opens it
-        self._steps = 0
         # while `_open`'s caller adds the elements after a spin: the first
         # level's first _kept strong generators, the spun W, which each of
         # them keeps
@@ -563,11 +564,6 @@ class StabChain:
         if from_level < len(self.levels):
             return list(self.levels[from_level].gens)
         return list(self.linear.perms()) if self.linear is not None else []
-
-    def _budget_check(self) -> None:
-        self._steps += 1
-        if self._steps % 256 == 0:
-            self._deadline_check()
 
     def _deadline_check(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -624,9 +620,6 @@ class StabChain:
                 found.append((rows[left], depth, res))
         if not found:
             return rows[:0], rows[:0], g[:0]
-        if len(found) == 1:
-            r, i, res = found[0]
-            return r, np.full(len(r), i), res
         rows = np.concatenate([r for r, _, _ in found])
         levels = np.concatenate([np.full(len(r), i) for r, i, _ in found])
         order = np.argsort(rows, kind="stable")
@@ -663,23 +656,16 @@ class StabChain:
     def _normalizes(self, g: np.ndarray) -> bool:
         """True if g^-1 s g lies in the group for every strong generator s.
 
-        Fibre translations commute, so when g is one, the strong
-        generators known to be fibre translations are not conjugated; nor
-        are the first level's first _kept ones, the basis of a spun W, which
-        g keeps while `_open`'s caller adds the elements after the spin.
+        The first level's first _kept strong generators, the basis of a spun
+        W, are not conjugated: g keeps W while `_open`'s caller adds the
+        elements after the spin.
         """
-        lin = self.linear
-        skip = lin is not None and bool(lin.shifts(g[None])[1][0])
-        if self.levels:
-            lv, k = self.levels[0], self._kept
-            gens = [s for s, f in zip(lv.gens[k:], lv.fibre[k:]) if not (skip and f)]
-        else:
-            gens = [] if skip else self.strong_generators()
+        gens = self.strong_generators()[self._kept :]
         g_inv = _inverse_arr(g)
         for start in range(0, len(gens), SIFT_CHUNK):
             s = np.array(gens[start : start + SIFT_CHUNK])
             conj = g[s[:, g_inv]]
-            # a conjugate equal to s (s commutes with g) needs no sift
+            # a conjugate equal to s (s commutes with g, as translations do) needs no sift
             moved = (conj != s).any(axis=1)
             if moved.any() and len(self._sift_rows(conj[moved], 0)[0]):
                 return False
@@ -688,13 +674,7 @@ class StabChain:
     def _extend_normal(self, g: np.ndarray, residue: np.ndarray, level: int) -> None:
         # g normalizes the group N, so <N, g> / N is cyclic of order m.
         # Each step adds x = g^e for the next prime r of m: x has order r
-        # modulo the group so far, and so does its residue h. A residue
-        # that Λ takes lies in gN and outside W, so there m = r.
-        v = self._shift_vector(residue) if level == len(self.levels) else None
-        if v is not None:
-            self._insert(residue, v, pending=False)
-            self._deadline_check()
-            return
+        # modulo the group so far, and so does its residue h.
         m = _order(g)
         for r in sorted(set(_prime_factors(m))):
             # g itself is not in N, so m = r needs no sift
@@ -732,33 +712,28 @@ class StabChain:
     def _land(self, h: np.ndarray, j: int):
         """Split Λ until the residue h stops at a level or is a translation Λ takes.
 
-        A residue that passes every level but is not a fibre translation
-        opens a level at its first moved point, and is sifted again from
-        it. Returns (h, j, v), where v is h's shift vector when Λ takes h,
-        and None when h stops at level j.
+        Λ opens below the first level (so the first generator opens a level
+        at its first moved point, as a base prefix there would), at the
+        first residue that is a fibre translation for a prime r, on the
+        blocks of r consecutive points, while those blocks are a block
+        system of the group. A residue that passes every level but is not a
+        fibre translation opens a level at its first moved point, and is
+        sifted again from it. Returns (h, j, v), where v is h's shift
+        vector when Λ takes h, and None when h stops at level j.
         """
         while j == len(self.levels):
-            v = self._shift_vector(h)
-            if v is not None:
-                return h, j, v
+            if self.linear is None and self.levels:
+                r = _fibre_prime(h, self.levels[0].gens)
+                if r is not None:
+                    self.linear = FibreShifts(self.degree, r)
+            if self.linear is not None:
+                s, fibre = self.linear.shifts(h[None])
+                if fibre[0]:
+                    return h, j, s[0].astype(np.int64)
             self._split(int(np.flatnonzero(h != self._ident)[0]))
             _, levels, residues = self._sift_rows(h[None], j)
             h, j = residues[0], int(levels[0])
         return h, j, None
-
-    def _shift_vector(self, h: np.ndarray) -> np.ndarray | None:
-        # Λ opens below the first level (so the first generator opens a
-        # level at its first moved point, as a base prefix there would), at
-        # the first residue that is a fibre translation for a prime r, on
-        # the blocks of r consecutive points, while those blocks are a
-        # block system of the group
-        if self.linear is None:
-            r = _fibre_prime(h, self.levels[0].gens) if self.levels else None
-            if r is None:
-                return None
-            self.linear = _Shifts(self.degree, r)
-        s, fibre = self.linear.shifts(h[None])
-        return s[0].astype(np.int64) if fibre[0] else None
 
     def _split(self, beta: int) -> None:
         # A new level just above Λ, at beta. Λ is the stabilizer of the
@@ -771,7 +746,7 @@ class StabChain:
         lin = self.linear
         if lin is not None:
             for s in lin.perms():
-                lv.add(s, fibre=True)
+                lv.add(s)
             u = lin.cut(beta // lin.r)
             if u is not None:
                 t = np.arange(1, lin.r)
@@ -785,7 +760,7 @@ class StabChain:
         self.linear.insert(v)
         for lv in self.levels:
             for x in np.atleast_2d(h):
-                gi = lv.add(x, fibre=True)
+                gi = lv.add(x)
                 if pending:
                     lv.pending.extend((pos, gi) for pos in range(len(lv.points)))
         self._order_check()
@@ -827,7 +802,7 @@ class StabChain:
         chunk = np.empty((SIFT_CHUNK, self.degree), dtype=_DTYPE)
         k = 0
         while lv.pending:
-            self._budget_check()
+            self._deadline_check()
             pos, gi = lv.pending.popleft()
             # su = u*s for the transversal u of points[pos], written as
             # su[inv[x]] = s[x]. It maps the base to s[points[pos]], and
@@ -1053,7 +1028,7 @@ def _normal_closure(G: PermGroup, seeds) -> PermGroup:
     rest = _rows([s if isinstance(s, Perm) else Perm(s) for s in seeds], G.degree)
     added = []
     r = next((r for s in rest if (r := _fibre_prime(s, [])) is not None), None)
-    lin = _Shifts(G.degree, r) if r is not None else None
+    lin = FibreShifts(G.degree, r) if r is not None else None
     maps = lin.affine(gens) if lin is not None else None
     if maps is not None:
         s, fibre = lin.shifts(rest)
@@ -1125,7 +1100,7 @@ def frattini_rank(G: PermGroup, p: int) -> int:
     arrs = _rows(gens, G.degree)
     fibre = np.zeros(len(arrs), dtype=bool)
     if G.degree % p == 0:
-        fibre = _Shifts(G.degree, p).shifts(arrs)[1]
+        fibre = FibreShifts(G.degree, p).shifts(arrs)[1]
     pairs = itertools.combinations(zip(gens, fibre.tolist()), 2)
     seeds = [_commutator(g, h) for (g, f), (h, e) in pairs if not (f and e)]
     seeds += [g**p for g in gens]

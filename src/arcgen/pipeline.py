@@ -50,6 +50,7 @@ from .group_algebra import (
     section_dims,
 )
 from .perm_group import (
+    FibreShifts,
     Perm,
     PermGroup,
     arc_orbit_size,
@@ -226,17 +227,8 @@ class Bundle:
 
 
 def _copy_shifts(rows: np.ndarray, p: int) -> list[Perm]:
-    """Vertex (x, c) -> (x, c + row[x]) for each reduced coefficient row.
-
-    In int32, as Perm keeps its images: the degree p * q^2 fits, and c + row[x] < 2p.
-    """
-    vertices = np.arange(rows.shape[1] * p, dtype=np.int32)
-    copy = vertices % p
-    images = np.repeat(rows.astype(np.int32), p, axis=1)
-    images += copy
-    images %= p
-    images += vertices - copy
-    return [Perm(row) for row in images]
+    """Vertex (x, c) -> (x, c + row[x]) for each reduced coefficient row: its fibre translation."""
+    return [Perm(row) for row in FibreShifts(rows.shape[1] * p, p).perms(rows)]
 
 
 def group_vertex_action(bundle: Bundle, item) -> Perm:

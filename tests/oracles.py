@@ -16,7 +16,9 @@ images of spans under dense matrices, and the Nakayama count on them.
 The library walks index maps instead, and the tests compare the two. So
 does the natural-row route for the module generators: rows converted
 through P ⊗ P and back, each checked to lie in the top term, where the
-library takes outer products of P's columns. Two numberings at the end,
+library takes outer products of P's columns; `copy_shifts_int32` turns
+rows into fibre translations by int32 arithmetic of its own, where the
+pipeline uses `FibreShifts.perms`. Two numberings at the end,
 a bit-reversed cycle and a path numbered from both ends, are adversarial
 inputs for the labeller's round count.
 """
@@ -108,6 +110,22 @@ def module_vertex_action(bundle, rows):
         raise ValueError("a row is not in the top filtration module")
     x, c = np.divmod(np.arange(H.ambient * p), p)  # vertex (x, c) has index x * p + c
     return [Perm(x * p + (c + row[x]) % p) for row in v]
+
+
+def copy_shifts_int32(rows, p):
+    """Vertex (x, c) -> (x, c + row[x]) for each reduced coefficient row, in int32.
+
+    The reference for `pipeline._copy_shifts`, which reads the same
+    permutations off `FibreShifts.perms`: the degree p * q^2 fits, and
+    c + row[x] < 2p.
+    """
+    vertices = np.arange(rows.shape[1] * p, dtype=np.int32)
+    copy = vertices % p
+    images = np.repeat(rows.astype(np.int32), p, axis=1)
+    images += copy
+    images %= p
+    images += vertices - copy
+    return [Perm(row) for row in images]
 
 
 def conjugate_to_e_dense(change, m):

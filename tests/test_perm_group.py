@@ -459,7 +459,7 @@ def test_time_cap_zero_fires_and_is_not_cached(monkeypatch):
 
 def test_deadline_fires_inside_schreier_sims():
     # the 12-cycle does not normalize <(0 1)>, so Schreier-Sims closes S12,
-    # and the deadline is checked every 256 of its steps
+    # and the deadline is checked every step
     chain = StabChain(12, [Perm([1, 0] + list(range(2, 12))).images])
     chain.deadline = time.monotonic()
     with pytest.raises(CapExceeded) as exc:
@@ -694,13 +694,13 @@ def test_normal_closure_transposition_s4():
 def count_spins(monkeypatch):
     """The rank of Λ after each spin of a normal closure's translations."""
     ranks = []
-    spin = perm_group._Shifts.spin
+    spin = perm_group.FibreShifts.spin
 
     def recorded(lin, *args):
         spin(lin, *args)
         ranks.append(lin.rank)
 
-    monkeypatch.setattr(perm_group._Shifts, "spin", recorded)
+    monkeypatch.setattr(perm_group.FibreShifts, "spin", recorded)
     return ranks
 
 
@@ -846,14 +846,14 @@ def test_spun_closure_order_cap(name, monkeypatch):
     gens, seeds, _ = _spin_case(name)
     order = _normal_closure(PermGroup(gens), seeds).order()
     spun = []
-    spin = perm_group._Shifts.spin
+    spin = perm_group.FibreShifts.spin
 
     def recorded(lin, *args):
         spun.append("in")
         spin(lin, *args)
         spun.append("out")
 
-    monkeypatch.setattr(perm_group._Shifts, "spin", recorded)
+    monkeypatch.setattr(perm_group.FibreShifts, "spin", recorded)
     with pytest.raises(CapExceeded) as exc:
         _normal_closure(PermGroup(gens, caps=Caps(order_cap=order - 1)), seeds)
     assert exc.value.cap_name == "order"
@@ -908,7 +908,7 @@ def test_closure_reads_its_translation_seeds_in_chunks(monkeypatch):
     order = _normal_closure(PermGroup(gens), seeds).order()
     monkeypatch.setattr(perm_group, "SIFT_CHUNK", 4)
     reads, ranks = [], []
-    reduce, insert = perm_group._Shifts.reduce, perm_group._Shifts.insert
+    reduce, insert = perm_group.FibreShifts.reduce, perm_group.FibreShifts.insert
 
     def reduced(lin, v):
         reads.append(len(v))
@@ -918,8 +918,8 @@ def test_closure_reads_its_translation_seeds_in_chunks(monkeypatch):
         insert(lin, v)
         ranks.append(lin.rank)
 
-    monkeypatch.setattr(perm_group._Shifts, "reduce", reduced)
-    monkeypatch.setattr(perm_group._Shifts, "insert", inserted)
+    monkeypatch.setattr(perm_group.FibreShifts, "reduce", reduced)
+    monkeypatch.setattr(perm_group.FibreShifts, "insert", inserted)
     assert _normal_closure(PermGroup(gens), seeds).order() == order
     assert reads[:7] == [4] * 7 and len(ranks) >= 2
     first = 2 ** ranks[0]
@@ -1670,14 +1670,14 @@ def test_family_linear_level_against_sympy(p, h, big):
 def count_splits(monkeypatch):
     """The rows each split cut out of Λ (None when Λ was already 0 on the block)."""
     cuts = []
-    cut = perm_group._Shifts.cut
+    cut = perm_group.FibreShifts.cut
 
     def recorded(lin, k):
         u = cut(lin, k)
         cuts.append(u)
         return u
 
-    monkeypatch.setattr(perm_group._Shifts, "cut", recorded)
+    monkeypatch.setattr(perm_group.FibreShifts, "cut", recorded)
     return cuts
 
 
@@ -1710,9 +1710,9 @@ def test_linear_level_takes_fibre_translations_by_both_routes(monkeypatch):
     # they lead a constructor's generators; a base prefix puts a level
     # above them either way
     inserts = []
-    insert = perm_group._Shifts.insert
+    insert = perm_group.FibreShifts.insert
     monkeypatch.setattr(
-        perm_group._Shifts, "insert", lambda lin, v: inserts.append(len(np.atleast_2d(v))) or insert(lin, v)
+        perm_group.FibreShifts, "insert", lambda lin, v: inserts.append(len(np.atleast_2d(v))) or insert(lin, v)
     )
     assert PermGroup(_wreath_c2_cm(4, True)).order() == 64 and inserts == [1] * 3
     bundle = Bundle(ConstructionParams(2, 2))
@@ -1823,7 +1823,7 @@ def test_chains_without_a_leading_run_are_built_as_before(gens):
 
 def _spin_disabled(monkeypatch):
     """Make every later generator look not affine, so no leading run is spun."""
-    monkeypatch.setattr(perm_group._Shifts, "affine", lambda lin, g: None)
+    monkeypatch.setattr(perm_group.FibreShifts, "affine", lambda lin, g: None)
 
 
 @pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (2, 3), (3, 2)])
@@ -1868,9 +1868,20 @@ def test_later_generators_of_a_spun_run_skip_w_in_their_normality_tests(monkeypa
     normalizes = StabChain._normalizes
 
     def recorded(chain, g):
-        lv = chain.levels[0]
-        conjugated.append(sum(f for f in lv.fibre[chain._kept :]))
-        return normalizes(chain, g)
+        # g[s[:, g^-1]] conjugates the rows s: count those that are W's
+        rows = []
+
+        class Spy(np.ndarray):
+            def __getitem__(self, idx):
+                if self is spy and isinstance(idx, np.ndarray) and idx.ndim == 2:
+                    rows.extend(idx[:, g])
+                return super().__getitem__(idx)
+
+        spy = g.view(Spy)
+        result = normalizes(chain, spy)
+        fibre = chain.linear.shifts(np.array(rows, dtype=g.dtype).reshape(-1, len(g)))[1]
+        conjugated.append(int(np.count_nonzero(fibre)))
+        return result
 
     monkeypatch.setattr(StabChain, "_normalizes", recorded)
     chain = StabChain(bundle.graph.n, [g.images for g in bundle.small_group.generators])
@@ -1878,6 +1889,24 @@ def test_later_generators_of_a_spun_run_skip_w_in_their_normality_tests(monkeypa
     conjugated.clear()
     assert chain.add_generator(bundle.outer_gens[0].images)
     assert conjugated == [bundle.top_space.dim] and chain.order() == 2**15 and chain.verify()
+
+
+def test_a_translation_joins_the_linear_level_by_a_prime_step(monkeypatch):
+    # in C_3 wr C_4, a third block's translation normalizes the span of the
+    # first two, and its residue at Λ is inserted by the prime step
+    t = _block_translations(3, 4)
+    chain = StabChain(12, [t[0].images, t[1].images])
+    steps = []
+    extend_level = StabChain._extend_level
+
+    def recorded(chain, h, j, r):
+        steps.append((j, r))
+        extend_level(chain, h, j, r)
+
+    monkeypatch.setattr(StabChain, "_extend_level", recorded)
+    assert chain.add_generator(t[2].images)
+    assert steps == [(len(chain.levels), 3)] and chain.linear.rank == 2
+    assert_chain_matches_sympy(chain, t[:3], 3, fibre_blocks=3)
 
 
 def _wreath_run(r, m):
@@ -1925,14 +1954,14 @@ def test_spun_run_order_cap(name, monkeypatch):
     chain = StabChain(n, gens, caps=Caps(order_cap=2**2000))
     order, span = chain.order(), chain.linear.r ** ranks[0]
     spun = []
-    spin = perm_group._Shifts.spin
+    spin = perm_group.FibreShifts.spin
 
     def recorded(lin, *args):
         spun.append("in")
         spin(lin, *args)
         spun.append("out")
 
-    monkeypatch.setattr(perm_group._Shifts, "spin", recorded)
+    monkeypatch.setattr(perm_group.FibreShifts, "spin", recorded)
     for cap, inside in ((order - 1, False), (span - 1, True)):
         spun.clear()
         with pytest.raises(CapExceeded) as exc:
@@ -1947,13 +1976,13 @@ def test_spin_fires_the_cap_on_independent_leading_columns(monkeypatch):
     # leading columns to pass 2^50 before any elimination; rank 45 alone
     # does not pass the cap
     ranks = []
-    insert = perm_group._Shifts.insert
+    insert = perm_group.FibreShifts.insert
 
     def recorded(lin, v):
         insert(lin, v)
         ranks.append(lin.rank)
 
-    monkeypatch.setattr(perm_group._Shifts, "insert", recorded)
+    monkeypatch.setattr(perm_group.FibreShifts, "insert", recorded)
     with pytest.raises(CapExceeded) as exc:
         Bundle(ConstructionParams(2, 4)).small_group.stabilizer(0)
     assert exc.value.cap_name == "order"
@@ -2028,7 +2057,7 @@ def test_linear_level_inserts_and_cuts_against_brute_force_spans(r):
     rng = np.random.default_rng(r)
     for _ in range(20):
         blocks = int(rng.integers(2, 7))
-        lin = perm_group._Shifts(blocks * r, r)
+        lin = perm_group.FibreShifts(blocks * r, r)
         vectors = rng.integers(0, r, (int(rng.integers(1, 6)), blocks))
         for v in vectors:
             v = lin.reduce(v[None].astype(np.int64))[0]
@@ -2055,7 +2084,7 @@ def test_linear_level_inserts_blocks_of_dependent_rows(r):
     rng = np.random.default_rng(10 + r)
     for _ in range(20):
         blocks = int(rng.integers(2, 6))
-        lin = perm_group._Shifts(blocks * r, r)
+        lin = perm_group.FibreShifts(blocks * r, r)
         vectors = rng.integers(0, r, (int(rng.integers(1, 7)), blocks))
         for part in np.array_split(vectors, 2):
             part = np.vstack([part, 2 * part[:1] % r, part[:1]]) if len(part) else part

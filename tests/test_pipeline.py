@@ -26,7 +26,13 @@ from arcgen.pipeline import (
     semidirect_consistency,
     verify_theorem1,
 )
-from oracles import _kron_rows, arc_orbit_size_by_queue, kron, module_vertex_action
+from oracles import (
+    _kron_rows,
+    arc_orbit_size_by_queue,
+    copy_shifts_int32,
+    kron,
+    module_vertex_action,
+)
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +451,19 @@ def test_verify_t1_turns_only_the_layer_rows_into_permutations(monkeypatch):
     report = verify_theorem1(ConstructionParams(2, 4))
     assert report.claim("C3").status == "pass" and report.claim("C4").status == "skipped"
     assert rows == [16]
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (5, 1), (2, 3)])
+def test_copy_shifts_match_the_int32_formula_on_layer_and_module_rows(p, h):
+    bundle = Bundle(ConstructionParams(p, h))
+    for rows in (bundle.layer_basis, bundle.module_basis):
+        assert pipeline._copy_shifts(rows, p) == copy_shifts_int32(rows, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_copy_shifts_match_the_int32_formula_on_random_rows(p):
+    rows = np.random.default_rng(p).integers(0, p, size=(20, 49))
+    assert pipeline._copy_shifts(rows, p) == copy_shifts_int32(rows, p)
 
 
 # sha256 of the files `construct` writes: they list every module generator
