@@ -7,9 +7,9 @@ coercion.
 
 Subspaces are coordinate subspaces, the span of the unit rows at a set of
 columns, kept as those columns: every term of the augmentation filtration
-the library walks is one. Their sums and containment tests compare column
-sets, and the image under an index map (e_k -> e_t[k], or zero) is the set
-of targets, all with no product.
+is one. Their sums and containment tests compare column sets, and the
+image under an index map (e_k -> e_t[k], or zero) is the set of targets,
+all with no product.
 
 Vectors are rows throughout the library and operators multiply on the
 right.
@@ -331,7 +331,7 @@ class FpSubspace:
     kept as those columns, sorted: equality of subspaces is equality of
     column sets, sums and containment compare them, and an image under an
     index map is the set of targets, all with no product. Every term of
-    the augmentation filtration the library walks is such a subspace.
+    the augmentation filtration is such a subspace.
     """
 
     __slots__ = ("ambient_dim", "p", "_pivots")

@@ -6,12 +6,16 @@ This module carries the algebraic half of the construction:
   filtered basis {(a-1)^x (b-1)^y}, which is P ⊗ P for a q x q matrix P
   and is kept as that factor alone: (a-1)^x (b-1)^y is the outer product
   of columns x and y of P, and operators are conjugated on the factor,
-* the descent V ⊃ VI ⊃ VI^2 ⊃ ... by the augmentation ideal I, walked
-  on coordinate subspaces along the index shifts a - 1: e_xy -> e_(x+1,y)
-  and b - 1: e_xy -> e_(x,y+1), which one tripwire on a q x q factor
-  proves; from the whole algebra it is the filtration, and from a
-  submodule V it gives dim V/VI, the minimal number of module generators
+* the filtration F_p[H] ⊃ I ⊃ I^2 ⊃ ... by the augmentation ideal I,
+  proved from one descent step: one tripwire on a q x q factor shows
+  a - 1 and b - 1 act as the index shifts e_xy -> e_(x+1,y) and
+  e_xy -> e_(x,y+1), each shift raises the level x + y by one, and the
+  first step is the span of level >= 1, so by induction term i is the
+  span of level >= i,
+* for a submodule V, dim V/VI, the minimal number of module generators
   by Nakayama's lemma (the group algebra of a p-group over F_p is local),
+  with the rest of the descent walked on boolean masks to show the
+  action unipotent,
 * the swap and inversion outer symmetries, checked to keep every term
   of the filtration, read as the level x + y of each e_xy from their
   q x q factors.
@@ -160,11 +164,11 @@ class GammaChain:
     """Descending filtration of F_p[H], in e-basis coordinates.
 
     Term i is the span of the e_xy of level x + y >= i, as gamma_chain
-    checks; it strictly descends from the whole algebra (i = 0) to zero
+    proves; it strictly descends from the whole algebra (i = 0) to zero
     (i = 2q - 1). dims[i] is the dimension of term i, and top is term
-    q - 1, the one the family construction uses. Every term is a
-    coordinate subspace, kept as the indices of its e_xy. shifts holds the
-    read-only index maps of a - 1 and b - 1 that the descent walked.
+    q - 1, the one the family construction uses, kept as the coordinate
+    subspace on the indices of its e_xy. shifts holds the read-only index
+    maps of a - 1 and b - 1 that the proof checked.
     """
 
     dims: list[int]
@@ -172,43 +176,30 @@ class GammaChain:
     shifts: tuple[np.ndarray, np.ndarray]
 
 
-def _level_span(q: int, p: int, level: int) -> FpSubspace:
-    """Span of the e_xy with x + y >= level: the coordinate subspace on their indices."""
-    x, y = np.divmod(np.arange(q * q), q)
-    return FpSubspace.coordinate(q * q, np.flatnonzero(x + y >= level), p)
-
-
-def _descent(space: FpSubspace, shifts):
-    """Yield space*I, space*I^2, ... for the ideal I spanned by the shifts.
-
-    Each term is the sum of the previous term's images under the shifts,
-    index maps (see `FpSubspace.image`), starting from the zero subspace.
-    The walk stops after the zero term, or after the first term that does
-    not shrink, so a caller that finds a nonzero last term knows the
-    descent stalled.
-    """
-    n, p = space.ambient_dim, space.p
-    while True:
-        nxt = FpSubspace.zero(n, p)
-        for s in shifts:
-            nxt = nxt + space.image(s)
-        yield nxt
-        if nxt.dim == 0 or nxt.dim >= space.dim:
-            return
-        space = nxt
+def _e_shifts(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index maps of N ⊗ I and I ⊗ N: e_xy -> e_(x+1,y) and e_(x,y+1), or -1 at q - 1."""
+    k = np.arange(q * q)
+    x, y = np.divmod(k, q)
+    return np.where(x < q - 1, k + q, -1), np.where(y < q - 1, k + 1, -1)
 
 
 def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
-    """Walk the descent V -> V(a-1) + V(b-1) from the whole algebra to zero.
+    """Prove the descent V -> V(a-1) + V(b-1) from the whole algebra to zero.
 
     This computes [V, H] using only the two generators, which suffices
     because (gh - 1) = (g - 1)h + (h - 1) and H is abelian. a is A ⊗ I and
     b is I ⊗ A on the natural basis, A the cyclic shift of C_q; once the
     tripwire finds P^T A P^-T = I + N (N the superdiagonal shift), a - 1
     and b - 1 send e_xy to e_(x+1,y) and e_(x,y+1), or to zero at x or
-    y = q - 1, and the walk follows those index maps. That check failing,
-    a term other than {e_xy : x + y >= i}, or a walk that stops short of
-    zero is a defect and raises AssertionError.
+    y = q - 1. Two facts then prove term i is the span of level >= i, by
+    induction on i: (i) each shift raises the level x + y by exactly one
+    wherever it is defined, one comparison per shift, and (ii) the first
+    step, computed as subspace images, is the span of level >= 1. By (i)
+    the images of term i lie in level >= i + 1; by (ii) every e_xy of
+    level >= i + 1 is the image of some e of level one lower, which lies
+    in term i. The dims are then counts of levels, and the descent
+    reaches zero past the top level 2q - 2. That tripwire or either fact
+    failing is a defect and raises AssertionError.
     """
     change = change or build_e_basis(H)
     p, q, n = H.p, H.q, H.ambient
@@ -216,30 +207,27 @@ def gamma_chain(H: AbelianH, change: EBasisChange | None = None) -> GammaChain:
     a_factor = FpMatrix(np.roll(unit, 1, axis=1), p)  # row i is the unit row at i + 1 mod q
     if change.conjugate_to_e(a_factor) != FpMatrix(unit + shift, p):
         raise AssertionError("a does not act on the e basis as I + N, construction defect")
-    k = np.arange(n)
-    x, y = np.divmod(k, q)
-    shifts = (np.where(x < q - 1, k + q, -1), np.where(y < q - 1, k + 1, -1))
+    shifts = _e_shifts(q)
+    level = np.arange(n) // q + np.arange(n) % q
     for s in shifts:
         s.setflags(write=False)
-    dims = [n]
-    top = None
-    for i, term in enumerate(_descent(FpSubspace.full(n, p), shifts), 1):
-        if term != _level_span(q, p, i):
-            raise AssertionError(
-                f"filtration step {i} does not match its expected spanning set"
-            )
-        dims.append(term.dim)
-        if i == q - 1:
-            top = term
-    if dims[-1] != 0:
-        raise AssertionError("filtration does not reach zero")
+        defined = s >= 0
+        if not np.array_equal(level[s[defined]], level[defined] + 1):
+            raise AssertionError("an index shift does not raise the level by one")
+    full = FpSubspace.full(n, p)
+    if full.image(shifts[0]) + full.image(shifts[1]) != FpSubspace.coordinate(
+        n, np.flatnonzero(level >= 1), p
+    ):
+        raise AssertionError("filtration step 1 does not match its expected spanning set")
+    dims = np.cumsum(np.bincount(level)[::-1])[::-1].tolist() + [0]
+    top = FpSubspace.coordinate(n, np.flatnonzero(level >= q - 1), p)
     return GammaChain(dims=dims, top=top, shifts=shifts)
 
 
 def section_dims(chain: GammaChain) -> list[int]:
     """Dimensions of consecutive quotients: entry i is dims[i] - dims[i + 1].
 
-    gamma_chain checked every term against its spanning set, which fixes
+    gamma_chain proved term i is the span of level >= i, which fixes
     entry i at min(i + 1, 2q - 1 - i).
     """
     d = chain.dims
@@ -257,35 +245,47 @@ def min_generators_local(V: FpSubspace, shifts) -> int:
     with I the augmentation ideal, and dim V for an empty shift list.
 
     Preconditions, both checked: every g maps V into V, and the iterated
-    augmentation images of V descend to zero. The first is checked on the
-    descent's first term: V g lies in V exactly when V(g - 1) does, so
-    every g maps V into V exactly when V * I <= V. The descent reaching
-    zero means V * I^k = 0 for some k, so every product of k of the g - 1
-    kills V: each g - 1 is nilpotent on V, every g is unipotent there, and
-    the acting group on V is a p-group, which is what Nakayama's lemma
-    needs. It also catches generators that are each unipotent but together
-    generate a group that is not a p-group.
+    augmentation images of V descend to zero. The first is checked on
+    V * I, computed as subspace images: V g lies in V exactly when
+    V(g - 1) does, so every g maps V into V exactly when V * I <= V. The
+    descent reaching zero means V * I^k = 0 for some k, so every product
+    of k of the g - 1 kills V: each g - 1 is nilpotent on V, every g is
+    unipotent there, and the acting group on V is a p-group, which is what
+    Nakayama's lemma needs. It also catches generators that are each
+    unipotent but together generate a group that is not a p-group. Past
+    V * I the descent is walked on boolean masks of coordinates, each step
+    the targets of the last term's indices under every shift, and stops at
+    zero or at the first term that does not shrink.
 
     V * I is the sum of the V(g - 1), with no closure under the actions:
     for an invariant W, W(g - 1)h = W(g - 1) + W(g - 1)(h - 1), the last
     inside W(h - 1), so that sum is invariant, and it holds
     W(gh - 1) = W(g - 1)h + W(h - 1).
     """
-    walk = _descent(V, shifts)
-    vi = last = next(walk)
+    n = V.ambient_dim
+    vi = FpSubspace.zero(n, V.p)
+    for s in shifts:
+        vi = vi + V.image(s)
     if not V.contains_space(vi):
         raise ValueError("action does not map the subspace into itself")
-    for last in walk:
-        pass
-    if last.dim:
-        raise ValueError("acting group is not unipotent over F_p; Nakayama inapplicable")
+    maps = np.array(shifts, dtype=np.int64).reshape(-1, n)
+    term = np.zeros(n + 1, dtype=bool)  # slot n takes the targets -1, and is cleared
+    term[vi.pivots] = True
+    dim, above = vi.dim, V.dim
+    while dim:
+        if dim >= above:
+            raise ValueError("acting group is not unipotent over F_p; Nakayama inapplicable")
+        nxt = np.zeros(n + 1, dtype=bool)
+        nxt[maps[:, term[:n]]] = True
+        nxt[n] = False
+        term, dim, above = nxt, int(np.count_nonzero(nxt)), dim
     return V.dim - vi.dim
 
 
 def outer_action(H: AbelianH, change: EBasisChange | None = None) -> None:
     """Assert phi and psi are commuting involutions that keep every filtration term.
 
-    Term i is the span of the e_xy of level x + y >= i (gamma_chain checks
+    Term i is the span of the e_xy of level x + y >= i (gamma_chain proves
     this), so an operator keeps every term exactly when its e-basis matrix
     has no nonzero entry from a row of some level to a column of lower
     level. Both matrices are read from q x q factors. phi swaps the

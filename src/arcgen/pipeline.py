@@ -152,7 +152,7 @@ class Bundle:
 
         The full basis of the top module, for `construct`'s files and
         tripwires; the groups are generated by the layer. gamma_chain
-        checked that the top term is the span of exactly those unit
+        proved that the top term is the span of exactly those unit
         rows, and e_xy expands to the outer product P[:, x] ⊗ P[:, y]: one
         broadcast multiply, no F_p product, exact in int64 as entries stay
         below p^2 < 2^62.

@@ -13,7 +13,10 @@ The dense route for the group algebra lives here too: `Span`, a subspace
 kept as its canonical basis by `rref`, where the library keeps column
 sets; q^2 x q^2 action matrices, conjugated honestly into the e basis;
 images of spans under dense matrices, and the Nakayama count on them.
-The library walks index maps instead, and the tests compare the two. So
+Between the two sits the coordinate-subspace walk, `level_span` and
+`descent`: the descent taken one `FpSubspace` step at a time along the
+index maps, the route the library proves from one step and walks on
+masks. The tests compare all three. So
 does the natural-row route for the module generators: rows converted
 through P ⊗ P and back, each checked to lie in the top term, where the
 library takes outer products of P's columns; `copy_shifts_int32` turns
@@ -29,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from arcgen.field_linalg import FpMatrix, ModulusMismatchError, is_prime, rref
+from arcgen.field_linalg import FpMatrix, FpSubspace, ModulusMismatchError, is_prime, rref
 from arcgen.graph_builder import Graph
 from arcgen.group_algebra import build_e_basis
 from arcgen.perm_group import Perm, PermGroup, StabChain
@@ -233,6 +236,45 @@ def image_by_matrix(space, *ms):
     unit = np.count_nonzero(basis) == len(basis)
     rows = [m.a[space.pivots] if unit else (FpMatrix._make(basis, p) @ m).a for m in ms]
     return Span(np.vstack([basis[:0], *rows]), n, p)
+
+
+def level_span(q, p, level):
+    """Span of the e_xy with x + y >= level: the coordinate subspace on their indices."""
+    x, y = np.divmod(np.arange(q * q), q)
+    return FpSubspace.coordinate(q * q, np.flatnonzero(x + y >= level), p)
+
+
+def descent(space, shifts):
+    """Yield space*I, space*I^2, ... for the ideal I spanned by the shifts.
+
+    Each term is the sum of the previous term's images under the shifts,
+    index maps (see `FpSubspace.image`), starting from the zero subspace.
+    The walk stops after the zero term, or after the first term that does
+    not shrink, so a caller that finds a nonzero last term knows the
+    descent stalled.
+    """
+    n, p = space.ambient_dim, space.p
+    while True:
+        nxt = FpSubspace.zero(n, p)
+        for s in shifts:
+            nxt = nxt + space.image(s)
+        yield nxt
+        if nxt.dim == 0 or nxt.dim >= space.dim:
+            return
+        space = nxt
+
+
+def nakayama_count_by_descent(V, shifts):
+    """dim V/VI from the coordinate-subspace walk, with the library's two checks."""
+    walk = descent(V, shifts)
+    vi = last = next(walk)
+    if not V.contains_space(vi):
+        raise ValueError("action does not map the subspace into itself")
+    for last in walk:
+        pass
+    if last.dim:
+        raise ValueError("acting group is not unipotent over F_p")
+    return V.dim - vi.dim
 
 
 def dense_descent(space, actions, p):

@@ -3,13 +3,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from arcgen import field_linalg
+from arcgen import field_linalg, group_algebra
 from arcgen.field_linalg import FpMatrix, FpSubspace, mat_inverse
 from arcgen.group_algebra import (
     AbelianH,
     EBasisChange,
-    _descent,
-    _level_span,
     build_e_basis,
     gamma_chain,
     min_generators_local,
@@ -23,11 +21,14 @@ from oracles import (
     algebra_mul,
     conjugate_to_e_dense,
     dense_descent,
+    descent,
     image_by_matrix,
     index_map_matrix,
     kron,
+    level_span,
     module_closure,
     nakayama_count_by_closure,
+    nakayama_count_by_descent,
     nakayama_count_dense,
     unipotent_matrix,
 )
@@ -258,7 +259,7 @@ def test_unknown_generator_and_basis_rejected():
 def test_chain_dims_q2():
     chain = gamma_chain(AbelianH(2, 1))
     assert chain.dims == [4, 3, 1, 0]
-    assert chain.top == _level_span(2, 2, 1)
+    assert chain.top == level_span(2, 2, 1)
 
 
 def test_chain_dims_against_pair_counting():
@@ -286,7 +287,7 @@ def test_chain_multiplicativity():
     steps = [g - ident for g in _e_actions(H)]
     shifts = gamma_chain(H).shifts
     for i in range(2 * H.q - 1):
-        term, below = _level_span(H.q, H.p, i), _level_span(H.q, H.p, i + 1)
+        term, below = level_span(H.q, H.p, i), level_span(H.q, H.p, i + 1)
         for s, step in zip(shifts, steps):
             assert below.contains_space(term.image(s))
             assert Span.of(below).contains_space(image_by_matrix(term, step))
@@ -318,8 +319,9 @@ SMALL_Q = [(p, h) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for h in ran
 
 @pytest.mark.parametrize("p, h", SMALL_Q)
 def test_index_route_matches_the_dense_route(p, h):
-    # the shifts are the dense e-basis a - 1 and b - 1, the descent along
-    # them gives the dense descent's terms, and C6's count is the dense one
+    # the shifts are the dense e-basis a - 1 and b - 1; the step-by-step
+    # walk along them gives the dense descent's terms, and the proved
+    # filtration and C6's mask-walk count agree with both routes
     H = AbelianH(p, h)
     n, change = H.ambient, build_e_basis(H)
     chain = gamma_chain(H, change)
@@ -328,12 +330,14 @@ def test_index_route_matches_the_dense_route(p, h):
     for s, g in zip(chain.shifts, actions):
         assert index_map_matrix(s, p) == g - ident
     full = FpSubspace.full(n, p)
-    terms = list(_descent(full, chain.shifts))
-    assert [Span.of(t) for t in terms] == dense_descent(full, actions, p)
-    assert [full.dim, *(t.dim for t in terms)] == chain.dims
-    assert terms[H.q - 2] == chain.top
+    terms = list(descent(full, chain.shifts))
+    dense = dense_descent(full, actions, p)
+    assert [Span.of(t) for t in terms] == dense
+    assert [n, *(t.dim for t in terms)] == [n, *(t.dim for t in dense)] == chain.dims
+    assert terms[H.q - 2] == chain.top and Span.of(chain.top) == dense[H.q - 2]
     rank = min_generators_local(chain.top, chain.shifts)
-    assert rank == nakayama_count_dense(chain.top, actions, p) == H.q
+    assert rank == nakayama_count_by_descent(chain.top, chain.shifts) == H.q
+    assert rank == nakayama_count_dense(chain.top, actions, p)
 
 
 @pytest.mark.parametrize("p, h", [(2, 6), (3, 4), (2, 7)])
@@ -344,6 +348,99 @@ def test_filtration_and_module_rank_at_scale(p, h):
     q, chain = H.q, gamma_chain(H)
     assert min_generators_local(chain.top, chain.shifts) == q
     assert section_dims(chain) == [min(i + 1, 2 * q - 1 - i) for i in range(2 * q - 1)]
+    terms = list(descent(FpSubspace.full(H.ambient, p), chain.shifts))
+    assert [H.ambient, *(t.dim for t in terms)] == chain.dims
+    assert terms[q - 2] == chain.top
+    assert nakayama_count_by_descent(chain.top, chain.shifts) == q
+
+
+def _gamma_chain_with_shifts(monkeypatch, H, corrupt):
+    # gamma_chain on index shifts that `corrupt` changes in place
+    e_shifts = group_algebra._e_shifts
+
+    def corrupted(q):
+        shifts = e_shifts(q)
+        corrupt(*shifts)
+        return shifts
+
+    monkeypatch.setattr(group_algebra, "_e_shifts", corrupted)
+    return gamma_chain(H)
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (2, 3), (5, 1)])
+def test_gamma_chain_rejects_a_shift_that_jumps_two_levels(p, h, monkeypatch):
+    # a - 1 sending e_xy to e_(x+2,y): the per-shift level test fails
+    # before the first step is formed
+    H = AbelianH(p, h)
+
+    def jump(a, b):
+        a[:] = np.where(a >= 0, a + H.q, -1)
+        a[a >= H.ambient] = -1
+
+    with pytest.raises(AssertionError, match="raise the level by one"):
+        _gamma_chain_with_shifts(monkeypatch, H, jump)
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (2, 3), (5, 1)])
+def test_gamma_chain_rejects_an_e_without_a_preimage(p, h, monkeypatch):
+    # a - 1 killing e_00 leaves e_10 with no preimage: each shift still
+    # raises the level by one where it is defined, and the first step fails
+    def drop(a, b):
+        a[0] = -1
+
+    with pytest.raises(AssertionError, match="step 1"):
+        _gamma_chain_with_shifts(monkeypatch, AbelianH(p, h), drop)
+
+
+@pytest.mark.parametrize("p, h", [(2, 2), (3, 1), (2, 3), (5, 1)])
+def test_gamma_chain_rejects_a_first_step_that_drops_an_e(p, h, monkeypatch):
+    # the subspace images of the first step lose their last column
+    image = FpSubspace.image
+
+    def lossy(self, targets):
+        cols = image(self, targets).pivots
+        return FpSubspace.coordinate(self.ambient_dim, cols[:-1], self.p)
+
+    monkeypatch.setattr(FpSubspace, "image", lossy)
+    with pytest.raises(AssertionError, match="step 1"):
+        gamma_chain(AbelianH(p, h))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mask_walk_count_against_the_subspace_walk_on_random_shifts(seed):
+    # random partial index maps, most of them nilpotent, on coordinate
+    # subspaces, most of them closed under the maps: the count, or the
+    # error, matches the step-by-step walk
+    rng = np.random.default_rng(seed)
+    outcomes = set()
+    for _ in range(40):
+        n, p = int(rng.integers(1, 30)), int(rng.choice([2, 3, 5]))
+        rank = rng.permutation(n)  # a map that raises this rank is nilpotent
+        shifts = []
+        for _ in range(int(rng.integers(0, 4))):
+            t = rng.integers(-1, n, n)
+            if rng.random() < 0.7:
+                t = np.where(rank[np.maximum(t, 0)] > rank, t, -1)
+            shifts.append(t)
+        cols = set(np.flatnonzero(rng.random(n) < 0.3).tolist())
+        todo = list(cols) if rng.random() < 0.7 else []  # close V under the shifts
+        while todo:
+            k = todo.pop()
+            for t in shifts:
+                if t[k] >= 0 and int(t[k]) not in cols:
+                    cols.add(int(t[k]))
+                    todo.append(int(t[k]))
+        v = FpSubspace.coordinate(n, sorted(cols), p)
+        try:
+            expected = nakayama_count_by_descent(v, shifts)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                min_generators_local(v, shifts)
+            outcomes.add(str(exc))
+        else:
+            assert min_generators_local(v, shifts) == expected
+            outcomes.add("count")
+    assert len(outcomes) == 3
 
 
 @pytest.mark.parametrize("p, h", [(2, 1), (2, 3), (3, 1), (5, 1)])
@@ -467,9 +564,9 @@ def test_nakayama_cross_check_regenerates_module():
         actions = _e_actions(H)
         shifts = gamma_chain(H).shifts
         for i in range(2 * H.q - 1):
-            v = _level_span(H.q, p, i)
+            v = level_span(H.q, p, i)
             rank = min_generators_local(v, shifts)
-            vi = _level_span(H.q, p, i + 1)  # V*I equals the next term here
+            vi = level_span(H.q, p, i + 1)  # V*I equals the next term here
             lifts = []
             span = Span.of(vi)
             for row in Span.of(v).basis:
@@ -488,9 +585,10 @@ def test_nakayama_count_against_closure_reference_on_every_term(p, h):
     actions = _e_actions(H)
     shifts = gamma_chain(H).shifts
     for i in range(2 * H.q):
-        v = _level_span(H.q, p, i)
+        v = level_span(H.q, p, i)
         expected = nakayama_count_by_closure(v, actions, p)
         assert min_generators_local(v, shifts) == expected
+        assert nakayama_count_by_descent(v, shifts) == expected
         assert nakayama_count_dense(v, actions, p) == expected
 
 
@@ -518,8 +616,10 @@ def test_nakayama_count_against_closure_reference_on_unitriangular_groups(n, p):
 
 
 def test_empty_action_list_needs_every_vector():
-    v = _level_span(4, 2, 3)
+    v = level_span(4, 2, 3)
     assert min_generators_local(v, []) == v.dim == 10
+    for w in (FpSubspace.zero(16, 2), FpSubspace.full(16, 2), level_span(3, 3, 2)):
+        assert min_generators_local(w, ()) == w.dim
     assert nakayama_count_dense(v, [], 2) == v.dim
     assert nakayama_count_by_closure(v, [], 2) == v.dim
 
@@ -610,7 +710,7 @@ def _keeps_every_term(H, change):
     for name in ("phi", "psi"):
         m_e = conjugate_to_e_dense(change, action_matrix(H, name))
         for i in range(2 * H.q):
-            span = Span.of(_level_span(H.q, H.p, i))
+            span = Span.of(level_span(H.q, H.p, i))
             if not span.contains_space(image_by_matrix(span, m_e)):
                 return False
     return True
